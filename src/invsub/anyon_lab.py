@@ -18,9 +18,9 @@ import sympy as sp
 from .fplinalg import solve
 from .finite_oracle import (
     FiniteLattice,
+    InstantiationError,
     instantiate_column,
     pairing_matrix,
-    pauli_from_column,
 )
 from .laurent import LaurentMatrix
 from .weyl import PhasedPauli
@@ -105,97 +105,16 @@ def syndrome(op: PhasedPauli, h: HamiltonianInstance) -> dict:
     return {h.entries[i]: int(v) for i, v in enumerate(vals) if v}
 
 
-def _staircase_path(lattice: FiniteLattice, a, b) -> list[tuple[int, ...]]:
-    """Axis-by-axis lattice path from a to b, each axis stepped the
-    short way around; deterministic."""
-    path = [tuple(a)]
-    cur = list(a)
-    for axis in range(lattice.dims):
-        size = lattice.sizes[axis]
-        delta = (b[axis] - cur[axis]) % size
-        if lattice.periodic and delta > size // 2:
-            step, count = -1, size - delta
-        else:
-            step, count = 1, delta
-        for _ in range(count):
-            cur[axis] = (cur[axis] + step) % size if lattice.periodic \
-                else cur[axis] + step
-            path.append(tuple(cur))
-    return path
-
-
-def hopping_operator(
-    h: HamiltonianInstance,
-    generators: LaurentMatrix,
-    charge_at,
-    charge_removed_at,
-    charge: int = 1,
-    family: int = 0,
-    halo: int = 1,
-) -> PhasedPauli:
-    """A product of generator translates whose syndrome is exactly
-    +charge at one site and -charge at the other (family terms only).
-
-    Solved as an F_p linear system over generator translates in a halo
-    of the staircase path between the two sites; candidates are ordered
-    along the path so the solver builds a string from the +charge end.
-    The resulting operator's full syndrome is re-verified exactly.
-    """
-    a, b = tuple(charge_at), tuple(charge_removed_at)
-    if a == b:
-        raise ValueError("the two syndrome sites must differ")
-    lat = h.lattice
-    target = np.zeros(len(h.entries), dtype=np.int64)
-    target[h.index_of(family, a)] = charge % lat.p
-    target[h.index_of(family, b)] = -charge % lat.p
-
-    cols = [generators.submatrix(range(generators.rows), [j])
-            for j in range(generators.cols)]
-    for attempt_halo in (halo, halo + 1):
-        seen = {}
-        for site in _staircase_path(lat, a, b):
-            for t in lat.window_sites(site, attempt_halo):
-                for j in range(len(cols)):
-                    seen.setdefault((t, j), True)
-        cands = list(seen)
-        mat = np.zeros((len(h.entries), len(cands)), dtype=np.int64)
-        placed = []
-        for idx, (t, j) in enumerate(cands):
-            vec = instantiate_column(lat, cols[j], t)
-            if vec is None:
-                vec = np.zeros(lat.symplectic_len, dtype=np.int64)
-            placed.append(vec)
-            mat[:, idx] = pairing_matrix(h.rows, vec, lat.p)[:, 0]
-        coeffs = solve(mat, target, lat.p)
-        if coeffs is not None:
-            break
-    else:
-        raise InfeasibleHopError(
-            f"no generator product carries charge {charge} from {b} to {a}"
-        )
-    op = PhasedPauli.identity(lat.p, lat.n_qudits)
-    for idx, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        factor = PhasedPauli.from_symplectic(lat.p, placed[idx])
-        for _ in range(int(c)):
-            op = op * factor
-    got = syndrome(op, h)
-    want = {h.entries[i]: int(v) for i, v in enumerate(target) if v}
-    if got != want:
-        raise InfeasibleHopError("solver produced an inconsistent syndrome")
-    return op
-
-
 def _columns(generators: LaurentMatrix) -> list[LaurentMatrix]:
     return [generators.submatrix(range(generators.rows), [j])
             for j in range(generators.cols)]
 
 
-def _segment_box(step, halo: int):
+def _segment_box(step, margin: int):
     """Integer offsets covering the one-step segment {0, step} plus a
-    halo, in deterministic order."""
-    ranges = [range(min(0, s) - halo, max(0, s) + halo + 1) for s in step]
+    margin, in deterministic order."""
+    ranges = [range(min(0, s) - margin, max(0, s) + margin + 1)
+              for s in step]
     return list(itertools.product(*ranges))
 
 
@@ -209,29 +128,21 @@ class _Mover:
     factors: tuple[tuple[int, tuple[int, ...], int], ...]
 
 
-def _wrap(site, sizes) -> tuple[int, ...]:
-    return tuple(int(c) % s for c, s in zip(site, sizes))
-
-
 def _solve_mover(
     h: HamiltonianInstance, cols, step, charge: int, family: int
 ) -> _Mover:
     """Solve for a product of generator translates whose syndrome is
     +charge one step away from -charge at the origin."""
     lat = h.lattice
-    base = _wrap((0,) * lat.dims, lat.sizes)
-    tip = _wrap(step, lat.sizes)
     target = np.zeros(len(h.entries), dtype=np.int64)
-    target[h.index_of(family, tip)] = charge % lat.p
-    target[h.index_of(family, base)] = -charge % lat.p
-    spread = max(c.spread() for c in cols)
-    for halo in (max(spread, 1), max(spread, 1) + 1):
-        cands = [(j, off) for off in _segment_box(step, halo)
+    target[h.index_of(family, lat.resolve(step))] = charge % lat.p
+    target[h.index_of(family, (0,) * lat.dims)] = -charge % lat.p
+    spread = max(max(c.spread() for c in cols), 1)
+    for margin in (spread, spread + 1):
+        cands = [(j, off) for off in _segment_box(step, margin)
                  for j in range(len(cols))]
-        mat = np.zeros((len(h.entries), len(cands)), dtype=np.int64)
-        for idx, (j, off) in enumerate(cands):
-            vec = instantiate_column(lat, cols[j], _wrap(off, lat.sizes))
-            mat[:, idx] = pairing_matrix(h.rows, vec, lat.p)[:, 0]
+        placed = [instantiate_column(lat, cols[j], off) for j, off in cands]
+        mat = pairing_matrix(h.rows, placed, lat.p)
         coeffs = solve(mat, target, lat.p)
         if coeffs is not None:
             break
@@ -249,7 +160,7 @@ def _stamp(h: HamiltonianInstance, cols, mover: _Mover, at) -> PhasedPauli:
     lat = h.lattice
     op = PhasedPauli.identity(lat.p, lat.n_qudits)
     for j, off, c in mover.factors:
-        site = _wrap(tuple(a + o for a, o in zip(at, off)), lat.sizes)
+        site = tuple(a + o for a, o in zip(at, off))
         factor = PhasedPauli.from_symplectic(
             lat.p, instantiate_column(lat, cols[j], site)
         )
@@ -270,24 +181,61 @@ def leg_string(
     """The canonical string operator pushing a charge from the junction
     to junction + length*direction: a product of translates of a single
     one-step transporter, so its microscopic shape is uniform along the
-    leg and depends only on the direction."""
+    leg and depends only on the direction.  Torus only: the transporter
+    is stamped out by translation, which an open boundary breaks."""
+    lat = h.lattice
+    if not lat.periodic:
+        raise InstantiationError("string operators need a torus")
     cols = _columns(generators)
     mover = _solve_mover(h, cols, direction, charge, family)
-    lat = h.lattice
     op = PhasedPauli.identity(lat.p, lat.n_qudits)
     for m in range(length):
-        at = _wrap(tuple(j + m * d for j, d in zip(junction, direction)),
-                   lat.sizes)
+        at = tuple(j + m * d for j, d in zip(junction, direction))
         op = _stamp(h, cols, mover, at) * op
-    far = _wrap(tuple(j + length * d for j, d in zip(junction, direction)),
-                lat.sizes)
+    near = lat.resolve(junction)
+    far = lat.resolve(tuple(j + length * d
+                            for j, d in zip(junction, direction)))
     got = syndrome(op, h)
     want = {}
     if charge % lat.p:
         want = {(family, far): charge % lat.p,
-                (family, tuple(junction)): -charge % lat.p}
+                (family, near): -charge % lat.p}
     if got != want:
         raise InfeasibleHopError("leg string syndrome failed to telescope")
+    return op
+
+
+def hopping_operator(
+    h: HamiltonianInstance,
+    generators: LaurentMatrix,
+    charge_at,
+    charge_removed_at,
+    charge: int = 1,
+    family: int = 0,
+) -> PhasedPauli:
+    """A product of generator translates whose syndrome is exactly
+    +charge at one site and -charge at the other (family terms only).
+
+    Built as one leg string per lattice axis, each axis walked the
+    short way round the torus from charge_removed_at towards charge_at;
+    every leg's syndrome is verified exactly, and the legs' syndromes
+    telescope to the two requested sites.
+    """
+    lat = h.lattice
+    a, b = tuple(charge_at), tuple(charge_removed_at)
+    deltas = [(x - y) % size for x, y, size in zip(a, b, lat.sizes)]
+    if not any(deltas):
+        raise ValueError("the two syndrome sites must differ")
+    op = PhasedPauli.identity(lat.p, lat.n_qudits)
+    cur = list(b)
+    for axis, (delta, size) in enumerate(zip(deltas, lat.sizes)):
+        if not delta:
+            continue
+        step, count = (1, delta) if delta <= size // 2 else (-1, size - delta)
+        direction = tuple(step if k == axis else 0 for k in range(lat.dims))
+        op = leg_string(h, generators, tuple(cur), direction, count,
+                        charge=charge, family=family) * op
+        cur[axis] = a[axis]
     return op
 
 
@@ -315,7 +263,6 @@ def topological_spin(
     leg_length: int | None = None,
     leg_directions=DEFAULT_LEG_DIRECTIONS,
     family: int = 0,
-    generator_spread: int | None = None,
 ) -> SpinReport:
     """Exchange phase of the charge from a three-leg junction process.
 
@@ -331,9 +278,7 @@ def topological_spin(
     phase has not yet converged to its geometry-independent value.
     """
     lat = h.lattice
-    spread = max(h.spread, generators.spread()
-                 if generator_spread is None else generator_spread)
-    spread = max(spread, 1)
+    spread = max(h.spread, generators.spread(), 1)
     min_leg = 8 * spread
     if leg_length is None:
         leg_length = 10 * spread

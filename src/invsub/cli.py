@@ -50,7 +50,7 @@ from .pauli import (
 from .qca import lift_to_qca, promote_spec, qca_inverse
 from .specio import SpecFormatError, resolve_spec, spec_to_json
 from .weyl import PauliConjugation, PhasedPauli, dist_bounded
-from .zoo import _BUILDERS, get_example
+from .zoo import example_names, get_example, plaquette_term
 
 VERSION = "0.1.0"
 
@@ -271,7 +271,7 @@ def _cmd_dist(args) -> tuple[int, dict]:
 
 
 def _spin_inputs(token: str):
-    if token in _BUILDERS:
+    if token in example_names():
         entry = get_example(token)
         if entry.term_symbols is None:
             raise SpecFormatError(
@@ -283,10 +283,7 @@ def _spin_inputs(token: str):
         raise SpecFormatError(
             "spin runs on two-dimensional specs with generators"
         )
-    from .zoo import _mat
-
-    t = _mat(spec.p, 2, [["1 - y"], ["1 - x^-1"]])
-    return spec, (spec.generators @ t,), spec.generators
+    return spec, (plaquette_term(spec.generators),), spec.generators
 
 
 def _cmd_spin(args) -> tuple[int, dict]:
@@ -335,7 +332,7 @@ def _cmd_gauss(args) -> tuple[int, dict]:
         if args.prime is None:
             raise SpecFormatError("--spins needs --prime")
         p, spins = args.prime, _parse_vector(args.spins)
-    elif args.spec is not None and args.spec in _BUILDERS:
+    elif args.spec is not None and args.spec in example_names():
         entry = get_example(args.spec)
         if entry.anyon_spin_exponents is None:
             raise SpecFormatError(

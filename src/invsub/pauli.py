@@ -10,11 +10,13 @@ standard symplectic form.
 The central decision procedure: the subalgebra is invertible (it and its
 commutant jointly generate every local operator, with trivial
 intersection) iff the smallest nonzero determinantal ideal of Xi is the
-unit ideal.  When Xi is itself invertible over the ring the commutant
-projector exists in closed form and everything downstream (local
-decompositions, the QCA lift) is available.  When the criterion passes
-but Xi is singular the verdict is still "invertible", with the projector
-honestly reported as unavailable.
+unit ideal.  Xi = 0 has no nonzero minor; it passes only for the empty
+subalgebra (no nonzero generator), because a nonzero commutative
+subalgebra is its own center and so is never invertible.  When Xi is
+itself invertible over the ring the commutant projector exists in closed
+form and everything downstream (local decompositions, the QCA lift) is
+available.  When the criterion passes but Xi is singular the verdict is
+still "invertible", with the projector honestly reported as unavailable.
 """
 
 from __future__ import annotations
@@ -130,14 +132,18 @@ class InvertibilityCertificate:
 
 def check_invertible(spec: SubalgebraSpec) -> InvertibilityCertificate:
     """Decide invertibility by the smallest-nonzero-determinantal-ideal
-    criterion.  The verdict is exact; projector availability additionally
-    requires det Xi to be a unit."""
+    criterion, with rank 0 passing only for zero generators.  The verdict
+    is exact; projector availability additionally requires det Xi to be
+    a unit."""
     xi = commutation_matrix(spec)
     profile = determinantal_profile(xi)
+    invertible = profile.is_unit and (
+        profile.rank > 0 or spec.generators.is_zero()
+    )
     xi_inv = xi.rows == xi.cols and (
         xi.rows == 0 or determinant(xi).is_monomial()
     )
-    return InvertibilityCertificate(profile.is_unit, profile, xi, xi_inv)
+    return InvertibilityCertificate(invertible, profile, xi, xi_inv)
 
 
 def from_antihermitian(

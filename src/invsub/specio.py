@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 
-import sympy as sp
-
 from .laurent import (
     LaurentMatrix,
     PolyParseError,
+    _is_prime,
     format_poly,
     parse_poly,
 )
@@ -25,6 +24,14 @@ from .pauli import SubalgebraSpec
 
 class SpecFormatError(ValueError):
     """Malformed spec document, with a pointer to the offending part."""
+
+
+# The largest prime below 2^16.  With p < 2^16, k*(p-1)^2 < 2^53 for any
+# inner dimension k < 2^21, so the float-BLAS products of
+# finite_oracle._exact_matmul stay exact, and the int64 products in
+# fplinalg.rref and finite_oracle.pairing_matrix stay far from overflow.
+# It also bounds the trial division that tests primality.
+MAX_PRIME = 65521
 
 
 _REQUIRED = ("prime", "qudits_per_site", "dims", "generators")
@@ -55,7 +62,11 @@ def parse_spec(text: str) -> SubalgebraSpec:
         raise SpecFormatError(f"unknown keys: {', '.join(sorted(unknown))}")
 
     p = _require_int(data, "prime", 2)
-    if not sp.isprime(p):
+    if p > MAX_PRIME:
+        raise SpecFormatError(
+            f"modulus {p} exceeds the supported bound {MAX_PRIME}"
+        )
+    if not _is_prime(p):
         raise SpecFormatError(f"modulus {p} is not prime")
     q = _require_int(data, "qudits_per_site", 1)
     dims = _require_int(data, "dims", 1)
@@ -116,9 +127,9 @@ def spec_to_json(spec: SubalgebraSpec) -> str:
 
 def resolve_spec(token: str) -> SubalgebraSpec:
     """A builtin model name, or a path to a spec document."""
-    from .zoo import _BUILDERS, get_example
+    from .zoo import example_names, get_example
 
-    if token in _BUILDERS:
+    if token in example_names():
         return get_example(token).spec
     try:
         with open(token, encoding="utf-8") as fh:

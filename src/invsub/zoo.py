@@ -36,6 +36,14 @@ class ZooEntry:
     anyon_spin_exponents: tuple[int, ...] | None = None
 
 
+def plaquette_term(generators: LaurentMatrix) -> LaurentMatrix:
+    """The Hamiltonian term symbol V @ (1 - y; 1 - x^-1) of a
+    two-generator model in two dimensions: the first generator's
+    y-difference plus the second's x-difference.  Whether its
+    translates commute is checked where the Hamiltonian is built."""
+    return generators @ _mat(generators.p, 2, [["1 - y"], ["1 - x^-1"]])
+
+
 _XI_ROWS = [
     ["x^-1 - x", "x + x*y - y + 1"],
     ["-x^-1 + y^-1 - x^-1*y^-1 - 1", "y - y^-1"],
@@ -46,13 +54,12 @@ def _example_z3() -> ZooEntry:
     xi = _mat(3, 2, _XI_ROWS)
     v = LaurentMatrix.identity(3, 2, 2).vstack(xi.scale(2))
     spec = SubalgebraSpec(p=3, q=2, dims=2, generators=v)
-    term = v @ _mat(3, 2, [["1 - y"], ["1 - x^-1"]])
     return ZooEntry(
         name="example-z3",
         description="invertible two-qutrit subalgebra in two dimensions "
                     "with chiral anyon content",
         spec=spec,
-        term_symbols=(term,),
+        term_symbols=(plaquette_term(v),),
         hopping_generators=v,
         anyon_spin_exponents=(0, 1, 1),
     )

@@ -28,13 +28,14 @@ from invsub.anyon_lab import (
 )
 from invsub.finite_oracle import (
     FiniteLattice,
+    InstantiationError,
     instantiate_column,
     instantiate_spec,
 )
 from invsub.fplinalg import rank, row_space_contains, row_space_equal
 from invsub.pauli import commutant_generators, symplectic_form
 from invsub.weyl import PhasedPauli
-from invsub.zoo import get_example
+from invsub.zoo import get_example, plaquette_term
 
 from helpers import mat
 
@@ -119,6 +120,9 @@ def test_hopping_operator_two_point_syndrome():
     # A five-site hop is a short product: its footprint stays within a
     # couple of dozen qudit sites around the path.
     assert len(op.support()) <= 24
+    # A hop along both axes, the second the short way back round.
+    op = hopping_operator(h, Z3.hopping_generators, (3, 8), (0, 0), charge=2)
+    assert syndrome(op, h) == {(0, (3, 8)): 2, (0, (0, 0)): 1}
 
 
 def test_hopping_operator_rejects_equal_sites(h9):
@@ -139,6 +143,15 @@ def test_hopping_infeasible_with_wrong_strings():
 def test_leg_string_telescopes(h13):
     op = leg_string(h13, Z3.hopping_generators, (2, 3), (-1, -1), 6)
     assert syndrome(op, h13) == {(0, (9, 10)): 1, (0, (2, 3)): 2}
+
+
+def test_string_operators_need_a_torus():
+    pat = FiniteLattice(3, 2, (11, 11), periodic=False)
+    h = build_hamiltonian(pat, Z3.term_symbols)
+    with pytest.raises(InstantiationError, match="need a torus"):
+        hopping_operator(h, Z3.hopping_generators, (6, 5), (4, 5))
+    with pytest.raises(InstantiationError, match="need a torus"):
+        leg_string(h, Z3.hopping_generators, (5, 5), (1, 0), 2)
 
 
 def test_topological_spin_of_the_unit_charge(h13):
@@ -171,15 +184,14 @@ def test_topological_spin_geometry_invariance(h13):
 
 def test_topological_spin_toric_e_anyon(h13_toric):
     rep = topological_spin(h13_toric, TORIC.hopping_generators,
-                           charge=1, family=0, generator_spread=1)
+                           charge=1, family=0)
     assert rep.exponent == 0
     assert rep.phase == 1
 
 
 def test_topological_spin_of_the_conjugate_model(h13):
     conj = commutant_generators(Z3.spec)
-    t = mat(3, 2, [["1 - y"], ["1 - x^-1"]])
-    h = build_hamiltonian(h13.lattice, (conj.generators @ t,))
+    h = build_hamiltonian(h13.lattice, (plaquette_term(conj.generators),))
     rep = topological_spin(h, conj.generators, charge=1)
     base = topological_spin(h13, Z3.hopping_generators, charge=1).exponent
     assert rep.exponent == (-base) % 3 == 2

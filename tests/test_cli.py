@@ -5,6 +5,7 @@ both the exit status and the JSON certificate.
 """
 
 import json
+from time import perf_counter
 
 import pytest
 
@@ -94,6 +95,21 @@ def test_oracle_usage_errors(capsys):
     assert "2 dimensions" in payload["error"]
 
 
+def test_huge_prime_refused_quickly(tmp_path, capsys):
+    # 10^18 + 3 is prime; trial division over it would run for hours.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "prime": 10**18 + 3, "qudits_per_site": 1, "dims": 1,
+        "generators": [{"x": ["1"], "z": ["x"]}],
+    }))
+    start = perf_counter()
+    code, payload, _ = run(capsys, "check", "--spec", str(path))
+    assert perf_counter() - start < 1.0
+    assert code == 2
+    assert payload["error_kind"] == "SpecFormatError"
+    assert "exceeds the supported bound 65521" in payload["error"]
+
+
 def test_unknown_spec_token(capsys):
     code, payload, _ = run(capsys, "check", "--spec", "no-such-model")
     assert code == 2
@@ -142,6 +158,14 @@ def test_spin_refuses_small_torus(capsys):
                            "--torus", "9x9")
     assert code == 2
     assert payload["error_kind"] == "SpinGeometryError"
+
+
+def test_spin_needs_a_torus(capsys):
+    code, payload, _ = run(capsys, "spin", "--spec", "example-z3",
+                           "--patch", "21x21")
+    assert code == 2
+    assert payload["error_kind"] == "InstantiationError"
+    assert payload["error"] == "string operators need a torus"
 
 
 def test_gauss_builtin(capsys):

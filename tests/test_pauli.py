@@ -97,13 +97,24 @@ def test_check_invertible_full_and_empty():
 
 def test_criterion_passes_with_singular_xi():
     # A single pure-Z generator commutes with all its translates, so Xi
-    # is the 1x1 zero matrix: the determinantal criterion passes at
-    # rank 0 while the projector route is closed off.
+    # is the 1x1 zero matrix.  Rank 0 is a unit ideal by convention, but
+    # a nonzero commutative subalgebra is its own center: not invertible.
     v = mat(3, 2, [["0"], ["1 - y"]])
     spec = SubalgebraSpec(3, 1, 2, v)
     cert = check_invertible(spec)
-    assert cert.invertible
+    assert not cert.invertible
     assert cert.profile.rank == 0
+    assert not cert.xi_invertible
+    with pytest.raises(NotInvertibleError):
+        build_projector(spec)
+    # Repeating a generator of the invertible example keeps the algebra
+    # but makes Xi singular: the criterion passes at rank 2 while the
+    # projector route is closed off.
+    g = z3_spec().generators
+    spec = SubalgebraSpec(3, 2, 2, g.hstack(g.submatrix(range(4), [0])))
+    cert = check_invertible(spec)
+    assert cert.invertible
+    assert cert.profile.rank == 2
     assert not cert.xi_invertible
     with pytest.raises(ProjectorUnavailableError):
         build_projector(spec)

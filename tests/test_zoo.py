@@ -4,6 +4,11 @@ generator."""
 import numpy as np
 import pytest
 
+from invsub.finite_oracle import (
+    FiniteLattice,
+    check_invertible_finite,
+    instantiate_spec,
+)
 from invsub.laurent import LaurentMatrix
 from invsub.pauli import check_invertible, commutation_matrix
 from invsub.zoo import example_names, get_example, random_remark_spec
@@ -46,16 +51,26 @@ def test_nonexample_and_degenerate_entries():
 def test_toric_code_entry():
     entry = get_example("toric-code-z3")
     # All generators commute at the symbol level: the commutation
-    # matrix vanishes identically, so the criterion passes without an
-    # invertible pairing block.
+    # matrix vanishes identically, so the nonzero algebra is its own
+    # center and is not invertible.
     comm = commutation_matrix(entry.spec)
     assert all(e.is_zero() for row in comm.entries for e in row)
     cert = check_invertible(entry.spec)
-    assert cert.invertible
+    assert not cert.invertible
     assert not cert.xi_invertible
     assert not cert.projector_available
     assert len(entry.term_symbols) == 2
     assert sorted(entry.anyon_spin_exponents) == [0, 0, 0, 0, 0, 1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_symbolic_and_finite_verdicts_agree(name):
+    spec = get_example(name).spec
+    lat = FiniteLattice(spec.p, spec.q, (9,) * spec.dims)
+    report = check_invertible_finite(instantiate_spec(spec, lat), lat,
+                                     spread=spec.spread)
+    assert not report.small_lattice_warning
+    assert check_invertible(spec).invertible == report.invertible
 
 
 @pytest.mark.parametrize("p", [3, 5])
