@@ -48,7 +48,7 @@ from .pauli import (
     commutant_generators,
 )
 from .qca import lift_to_qca, promote_spec, qca_inverse
-from .specio import SpecFormatError, resolve_spec, spec_to_json
+from .specio import SpecFormatError, check_prime, resolve_spec, spec_to_json
 from .weyl import PauliConjugation, PhasedPauli, dist_bounded
 from .zoo import example_names, get_example, plaquette_term
 
@@ -253,9 +253,10 @@ def _cmd_dist(args) -> tuple[int, dict]:
     z = _parse_vector(args.z)
     if len(x) != len(z):
         raise SpecFormatError("--x and --z must have the same length")
-    conj = PauliConjugation(PhasedPauli(args.prime, 0, x, z))
-    ident = PauliConjugation(PhasedPauli.identity(args.prime, len(x)))
-    result = dist_bounded(conj, ident, args.prime, len(x),
+    p = check_prime(args.prime)
+    conj = PauliConjugation(PhasedPauli(p, 0, x, z))
+    ident = PauliConjugation(PhasedPauli.identity(p, len(x)))
+    result = dist_bounded(conj, ident, p, len(x),
                           max_support=args.max_support)
     payload = _payload(
         "dist",
@@ -265,7 +266,7 @@ def _cmd_dist(args) -> tuple[int, dict]:
                  "z": result.witness.b.tolist()},
         max_support=args.max_support,
         qudits=len(x),
-        prime=args.prime,
+        prime=p,
     )
     return 0, payload
 
@@ -331,7 +332,7 @@ def _cmd_gauss(args) -> tuple[int, dict]:
     if args.spins is not None:
         if args.prime is None:
             raise SpecFormatError("--spins needs --prime")
-        p, spins = args.prime, _parse_vector(args.spins)
+        p, spins = check_prime(args.prime), _parse_vector(args.spins)
     elif args.spec is not None and args.spec in example_names():
         entry = get_example(args.spec)
         if entry.anyon_spin_exponents is None:

@@ -6,51 +6,93 @@ row/column in index order, so reduced forms are canonical and safe to
 compare across runs.
 
 Sizes in this package stay in the low thousands, where vectorized
-Gauss-Jordan over F_p is comfortably fast; nothing needs floating point,
-so results are exact.
+Gauss-Jordan over F_p is comfortably fast.  Elimination multiplies two
+reduced entries in int64, which is exact while (p - 1)^2 < 2^63, so
+`as_fp` (and with it every elimination) refuses p >= 2^31.  Matrix
+products go through `matmul_mod`, which uses float BLAS only while
+every accumulated sum, at most k*(p - 1)^2 for inner dimension k, is
+an integer the float type holds exactly (below 2^24 for float32, 2^53
+for float64), and exact Python-integer arithmetic otherwise.  Results
+are exact either way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# Moduli must stay below this so that products of two reduced entries
+# fit in int64.
+_MODULUS_LIMIT = 2 ** 31
+
+# Float types, narrowest first, with the bound below which each holds
+# every integer exactly (2 to the power of its significand bits).
+_EXACT_FLOATS = ((np.float32, 2 ** 24), (np.float64, 2 ** 53))
+
+
+def _check_modulus(p: int) -> None:
+    if not 2 <= p < _MODULUS_LIMIT:
+        raise ValueError(
+            f"modulus {p} is outside [2, 2^31), where int64 products are exact"
+        )
+
 
 def as_fp(a, p: int) -> np.ndarray:
     """Copy input as an int64 array reduced mod p."""
-    arr = np.array(a, dtype=np.int64) % p
+    _check_modulus(p)
+    arr = np.array(a, dtype=np.int64)
+    arr %= p
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     return arr
 
 
-def _inverse_table(p: int) -> np.ndarray:
-    inv = np.zeros(p, dtype=np.int64)
-    for i in range(1, p):
-        inv[i] = pow(i, p - 2, p)
-    return inv
+def _reduced(a, p: int) -> np.ndarray:
+    """a as int64 with entries in [0, p), copied only when needed."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.size and (a.min() < 0 or a.max() >= p):
+        a = a % p
+    return a
+
+
+def matmul_mod(a, b, p: int) -> np.ndarray:
+    """Exact (a @ b) mod p as int64, with a and b read mod p."""
+    _check_modulus(p)
+    a, b = _reduced(a, p), _reduced(b, p)
+    bound = a.shape[-1] * (p - 1) ** 2
+    for dtype, exact in _EXACT_FLOATS:
+        if bound < exact:
+            # Every partial sum is an integer below `exact`, so BLAS
+            # computes it without rounding in any summation order.
+            prod = a.astype(dtype) @ b.astype(dtype)
+            return np.mod(prod, p, out=prod).astype(np.int64)
+    return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
 
 
 def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot column list."""
     m = as_fp(a, p)
-    inv = _inverse_table(p)
     nrows, ncols = m.shape
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        nz = np.flatnonzero(m[r:, c])
         if nz.size == 0:
             continue
+        # Rows r and below are zero left of column c, so only the
+        # trailing columns c: ever change.
         lead = r + nz[0]
         if lead != r:
-            m[[r, lead]] = m[[lead, r]]
-        m[r] = (m[r] * inv[m[r, c]]) % p
-        hit = np.nonzero(m[:, c])[0]
+            m[[r, lead], c:] = m[[lead, r], c:]
+        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), -1, p)) % p
+        hit = np.flatnonzero(m[:, c])
         hit = hit[hit != r]
         if hit.size:
-            m[hit] = (m[hit] - np.outer(m[hit, c], m[r])) % p
+            block = m[hit, c:]
+            block -= np.outer(block[:, 0], m[r, c:])
+            block %= p
+            m[hit, c:] = block
         pivots.append(c)
         r += 1
     return m, pivots
@@ -78,15 +120,21 @@ def row_space_contains(a, v, p: int) -> bool:
 
 
 def kernel(a, p: int) -> np.ndarray:
-    """Basis, as rows, of the right null space {x : a @ x = 0}."""
+    """Basis, as rows, of the right null space {x : a @ x = 0}.
+
+    One row per free column c: 1 at c and minus column c of the reduced
+    form at the pivot columns.
+    """
     m, pivots = rref(a, p)
     ncols = m.shape[1]
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    out = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, c in enumerate(free):
-        out[k, c] = 1
-        for i, pc in enumerate(pivots):
-            out[k, pc] = (-m[i, c]) % p
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    block = m[: len(pivots), free]
+    del m  # the reduced form can go before the basis is allocated
+    np.negative(block, out=block)
+    block %= p
+    out = np.zeros((free.size, ncols), dtype=np.int64)
+    out[np.arange(free.size), free] = 1
+    out[:, pivots] = block.T
     return out
 
 
@@ -116,7 +164,7 @@ def row_space_intersection(a, b, p: int) -> np.ndarray:
         return np.zeros((0, as_fp(a, p).shape[1]), dtype=np.int64)
     stacked = np.vstack([ba, (-bb) % p])
     left = kernel(stacked.T, p)  # rows (u | v) with u @ ba - v @ bb = 0
-    cand = (left[:, : ba.shape[0]] @ ba) % p
+    cand = matmul_mod(left[:, : ba.shape[0]], ba, p)
     return row_basis(cand, p)
 
 
@@ -129,11 +177,12 @@ def coordinate_restriction(a, coords, p: int) -> np.ndarray:
     """
     m = as_fp(a, p)
     ncols = m.shape[1]
-    inside = sorted(set(int(c) for c in coords))
-    outside = [c for c in range(ncols) if c not in set(inside)]
-    perm = outside + inside
+    outside = np.ones(ncols, dtype=bool)
+    outside[[int(c) for c in coords]] = False
+    n_out = int(outside.sum())
+    perm = np.concatenate([np.flatnonzero(outside), np.flatnonzero(~outside)])
     red, _ = rref(m[:, perm], p)
-    keep = np.all(red[:, : len(outside)] == 0, axis=1) & np.any(red != 0, axis=1)
+    keep = np.all(red[:, :n_out] == 0, axis=1) & np.any(red != 0, axis=1)
     rows = red[keep]
     out = np.zeros((rows.shape[0], ncols), dtype=np.int64)
     out[:, perm] = rows

@@ -27,11 +27,22 @@ class SpecFormatError(ValueError):
 
 
 # The largest prime below 2^16.  With p < 2^16, k*(p-1)^2 < 2^53 for any
-# inner dimension k < 2^21, so the float-BLAS products of
-# finite_oracle._exact_matmul stay exact, and the int64 products in
-# fplinalg.rref and finite_oracle.pairing_matrix stay far from overflow.
-# It also bounds the trial division that tests primality.
+# inner dimension k < 2^21, so fplinalg.matmul_mod stays on its float-BLAS
+# path, and the int64 products of fplinalg.rref stay far from overflow.
+# It also bounds the trial division that tests primality, and the
+# length-p cyclotomic vectors of anyon_lab.gauss_sum_phase.
 MAX_PRIME = 65521
+
+
+def check_prime(p: int) -> int:
+    """p itself if it is a prime of at most MAX_PRIME, else SpecFormatError."""
+    if p > MAX_PRIME:
+        raise SpecFormatError(
+            f"modulus {p} exceeds the supported bound {MAX_PRIME}"
+        )
+    if not _is_prime(p):
+        raise SpecFormatError(f"modulus {p} is not prime")
+    return p
 
 
 _REQUIRED = ("prime", "qudits_per_site", "dims", "generators")
@@ -61,13 +72,7 @@ def parse_spec(text: str) -> SubalgebraSpec:
     if unknown:
         raise SpecFormatError(f"unknown keys: {', '.join(sorted(unknown))}")
 
-    p = _require_int(data, "prime", 2)
-    if p > MAX_PRIME:
-        raise SpecFormatError(
-            f"modulus {p} exceeds the supported bound {MAX_PRIME}"
-        )
-    if not _is_prime(p):
-        raise SpecFormatError(f"modulus {p} is not prime")
+    p = check_prime(_require_int(data, "prime", 2))
     q = _require_int(data, "qudits_per_site", 1)
     dims = _require_int(data, "dims", 1)
 

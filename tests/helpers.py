@@ -1,10 +1,21 @@
-"""Shared builders for the worked examples used across test modules.
+"""Shared builders for the worked examples used across test modules,
+and plain reference versions of optimised routines.
 
 The frozen matrices here (commutation matrix of the qutrit example and
 its inverse) were verified with an independent symbolic oracle before
 being committed.
 """
 
+import numpy as np
+
+from invsub.finite_oracle import VsReport
+from invsub.fplinalg import (
+    coordinate_restriction,
+    kernel,
+    row_basis,
+    row_space_intersection,
+    rref,
+)
 from invsub.laurent import LaurentMatrix, parse_poly
 from invsub.pauli import SubalgebraSpec
 
@@ -41,3 +52,39 @@ def xz_chain_spec():
 
 def full_spec():
     return SubalgebraSpec(3, 1, 2, LaurentMatrix.identity(3, 2, 2))
+
+
+def kernel_double_loop(a, p):
+    """fplinalg.kernel as first written: the basis filled entry by entry."""
+    m, pivots = rref(a, p)
+    ncols = m.shape[1]
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    out = np.zeros((len(free), ncols), dtype=np.int64)
+    for k, c in enumerate(free):
+        out[k, c] = 1
+        for i, pc in enumerate(pivots):
+            out[k, pc] = (-m[i, c]) % p
+    return out
+
+
+def check_vs_every_site(rows, lattice, reach):
+    """finite_oracle.check_vs without the torus shortcut: the subspace
+    V_s is built and inspected at every site in order."""
+    p, m = lattice.p, lattice.n_qudits
+    span = row_basis(rows, p)
+    if span.shape[0] == 0:
+        return VsReport(True, None, None)
+    for s in lattice.sites():
+        window = [c for t in lattice.window_sites(s, reach)
+                  for c in lattice.site_coords(t)]
+        w_s = coordinate_restriction(span, window, p)
+        if w_s.shape[0] == 0:
+            blind = span
+        else:
+            sj = np.hstack([(-w_s[:, m:]) % p, w_s[:, :m]])
+            blind = row_space_intersection(span, kernel(sj, p), p)
+        here = lattice.site_coords(s)
+        for v in blind:
+            if v[here].any():
+                return VsReport(False, tuple(s), v.copy())
+    return VsReport(True, None, None)

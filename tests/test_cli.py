@@ -188,6 +188,27 @@ def test_gauss_explicit_and_nonmodular(capsys):
     assert payload["modular"] is False
 
 
+def test_cli_primes_refused_quickly(capsys):
+    # A length-p cyclotomic Gauss sum at p = 1000003 ran past 10 s.
+    for argv in (["gauss", "--spins", "0", "--prime", "1000003"],
+                 ["dist", "--prime", "1000003", "--x", "1", "--z", "0"]):
+        start = perf_counter()
+        code, payload, _ = run(capsys, *argv)
+        assert perf_counter() - start < 1.0
+        assert code == 2
+        assert payload["error_kind"] == "SpecFormatError"
+        assert "exceeds the supported bound 65521" in payload["error"]
+
+
+def test_cli_composite_prime_is_a_usage_error(capsys):
+    for argv in (["gauss", "--spins", "0,1,1", "--prime", "4"],
+                 ["dist", "--prime", "4", "--x", "1", "--z", "0"]):
+        code, payload, _ = run(capsys, *argv)
+        assert code == 2
+        assert payload["error_kind"] == "SpecFormatError"
+        assert payload["error"] == "modulus 4 is not prime"
+
+
 def test_out_flag_writes_same_bytes(tmp_path, capsys):
     target = tmp_path / "cert.json"
     _, _, out = run(capsys, "check", "--spec", "example-z3",

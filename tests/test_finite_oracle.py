@@ -1,9 +1,12 @@
 """Tests for finite-lattice instantiation and the exact referee checks."""
 
+from time import perf_counter
+
 import numpy as np
 import pytest
 
-from helpers import full_spec, mat, xz_chain_spec, z3_spec
+import invsub.finite_oracle as finite_oracle
+from helpers import check_vs_every_site, full_spec, mat, xz_chain_spec, z3_spec
 from invsub.fplinalg import (
     coordinate_restriction,
     rank,
@@ -29,6 +32,7 @@ from invsub.finite_oracle import (
 from invsub.laurent import LaurentMatrix
 from invsub.pauli import SubalgebraSpec, commutant_generators, commutation_matrix
 from invsub.qca import lift_to_qca, promote_spec, shift_qca
+from invsub.zoo import get_example, random_remark_spec
 
 
 def test_lattice_indexing_round_trip():
@@ -198,6 +202,68 @@ def test_check_vs_full_reach_zero():
     lat = FiniteLattice(3, 1, (4, 4))
     rows = instantiate_spec(full_spec(), lat)
     assert check_vs(rows, lat, reach=0).holds
+
+
+def sites_visited(monkeypatch, rows, lattice, reach):
+    """check_vs's report and how many sites it built V_s at."""
+    calls = []
+    real = finite_oracle.coordinate_restriction
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(finite_oracle, "coordinate_restriction", counted)
+    report = check_vs(rows, lattice, reach)
+    monkeypatch.undo()
+    return report, len(calls)
+
+
+def assert_same_report(a, b):
+    assert a.holds == b.holds
+    assert a.failure_site == b.failure_site
+    if a.failure_element is None:
+        assert b.failure_element is None
+    else:
+        assert a.failure_element.tobytes() == b.failure_element.tobytes()
+
+
+@pytest.mark.parametrize("spec, sizes, reach, holds", [
+    (z3_spec(), (7, 7), 2, True),
+    (random_remark_spec(5, np.random.default_rng(0)), (7, 7), 2, True),
+    (get_example("toric-code-z3").spec, (6, 6), 1, False),
+    (z3_spec(), (5, 5), 0, False),
+])
+def test_check_vs_torus_shortcut_matches_every_site(monkeypatch, spec, sizes,
+                                                    reach, holds):
+    lat = FiniteLattice(spec.p, spec.q, sizes)
+    rows = instantiate_spec(spec, lat)
+    report, visited = sites_visited(monkeypatch, rows, lat, reach)
+    assert visited == 1
+    assert report.holds is holds
+    assert_same_report(report, check_vs_every_site(rows, lat, reach))
+
+
+def test_check_vs_non_invariant_rows_visit_every_site(monkeypatch):
+    # Dropping the translate of one generator at (3, 3) breaks
+    # translation invariance; the elements near the hole lose their
+    # witnesses, and the first failure is away from the origin.
+    lat = FiniteLattice(3, 2, (7, 7))
+    rows = instantiate_spec(z3_spec(), lat)
+    rows = np.delete(rows, lat.site_index((3, 3)), axis=0)
+    report, visited = sites_visited(monkeypatch, rows, lat, 2)
+    assert not report.holds
+    assert report.failure_site == (2, 2)
+    assert visited == lat.site_index((2, 2)) + 1
+    assert_same_report(report, check_vs_every_site(rows, lat, 2))
+
+
+def test_check_vs_torus_time_budget():
+    lat = FiniteLattice(3, 2, (11, 11))
+    rows = instantiate_spec(z3_spec(), lat)
+    start = perf_counter()
+    assert check_vs(rows, lat, reach=2).holds
+    assert perf_counter() - start < 1.0
 
 
 def test_finite_map_validation():

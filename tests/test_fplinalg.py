@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import kernel_double_loop
 from invsub.fplinalg import (
     as_fp,
     coordinate_restriction,
     kernel,
+    matmul_mod,
     rank,
     row_basis,
     row_space_contains,
@@ -160,3 +162,88 @@ def test_row_basis_is_canonical():
     scaled = (m * 2) % 3
     assert np.array_equal(row_basis(m, 3), row_basis(shuffled, 3))
     assert np.array_equal(row_basis(m, 3), row_basis(scaled, 3))
+
+
+def object_product(a, b, p):
+    """(a @ b) mod p in Python integers, the exact reference."""
+    prod = np.asarray(a).astype(object) @ np.asarray(b).astype(object)
+    return (prod % p).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_kernel_matches_reference_loop(p):
+    rng = np.random.default_rng(p)
+    for trial in range(40):
+        nrows, ncols = rng.integers(1, 13, size=2)
+        # Low-rank products as well as dense draws, so that free
+        # columns sit between pivots.
+        if trial % 2:
+            inner = int(rng.integers(1, min(nrows, ncols) + 1))
+            a = object_product(rng.integers(0, p, size=(nrows, inner)),
+                               rng.integers(0, p, size=(inner, ncols)), p)
+        else:
+            a = rng.integers(0, p, size=(nrows, ncols))
+        k = kernel(a, p)
+        assert k.dtype == np.int64
+        assert k.shape == (ncols - rank(a, p), ncols)
+        assert not object_product(a, k.T, p).any()
+        assert k.tobytes() == kernel_double_loop(a, p).tobytes()
+
+
+def test_kernel_of_zero_and_full_rank():
+    assert np.array_equal(kernel(np.zeros((2, 3), dtype=np.int64), 5),
+                          np.eye(3, dtype=np.int64))
+    assert kernel(np.eye(4, dtype=np.int64), 5).shape == (0, 4)
+
+
+@pytest.mark.parametrize("p, inner", [
+    (65521, 2048),  # float64: 2048 * 65520^2 < 2^53
+    (3, 2048),      # float32: 2048 * 2^2 < 2^24
+    (1021, 16),     # float32 at its edge: 16 * 1020^2 < 2^24
+    (1021, 17),     # float64 just past it: 17 * 1020^2 > 2^24
+])
+def test_matmul_mod_float_paths_are_exact(p, inner):
+    # Entries near p - 1 push the partial sums towards each limit.
+    rng = np.random.default_rng(inner)
+    a = rng.integers(max(0, p - 50), p, size=(6, inner))
+    b = rng.integers(max(0, p - 50), p, size=(inner, 5))
+    out = matmul_mod(a, b, p)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, object_product(a, b, p))
+
+
+def test_matmul_mod_object_path_beyond_float_range():
+    # 2^31 - 1 is prime; its products overflow float64's exact range,
+    # so the guard must leave BLAS.
+    p = 2**31 - 1
+    rng = np.random.default_rng(2)
+    a = rng.integers(p - 1000, p, size=(4, 64))
+    b = rng.integers(p - 1000, p, size=(64, 3))
+    exact = object_product(a, b, p)
+    floated = np.rint(a.astype(np.float64) @ b.astype(np.float64))
+    assert not np.array_equal(floated.astype(object) % p, exact)
+    assert np.array_equal(matmul_mod(a, b, p), exact)
+
+
+def test_matmul_mod_reads_inputs_mod_p():
+    a = np.array([[-1, 7], [3, -4]])
+    b = np.array([[2, 0], [-3, 5]])
+    assert np.array_equal(matmul_mod(a, b, 5), object_product(a % 5, b % 5, 5))
+    assert np.array_equal(matmul_mod(a, [1, 1], 5), [1, 4])
+
+
+def test_modulus_guard():
+    for bad in (2**31, 2**31 + 11, 1):
+        with pytest.raises(ValueError):
+            as_fp([[1, 2]], bad)
+        with pytest.raises(ValueError):
+            rref([[1, 2]], bad)
+        with pytest.raises(ValueError):
+            matmul_mod([[1]], [[1]], bad)
+    # Just below the limit the int64 products (p - 1)^2 still fit.
+    p = 2**31 - 1
+    rng = np.random.default_rng(3)
+    a = rng.integers(p - 1000, p, size=(5, 7))
+    k = kernel(a, p)
+    assert k.shape == (7 - rank(a, p), 7)
+    assert not object_product(a, k.T, p).any()
