@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from .fplinalg import solve
 from .finite_oracle import (
@@ -252,6 +251,8 @@ class SpinReport:
 
     @property
     def phase(self) -> sp.Expr:
+        import sympy as sp
+
         return sp.exp(2 * sp.pi * sp.I * sp.Rational(self.exponent, self.p))
 
 
@@ -332,6 +333,8 @@ class GaussSumReport:
 
     @property
     def phase(self) -> sp.Expr:
+        import sympy as sp
+
         return sp.exp(2 * sp.pi * sp.I * sp.Rational(self.eighth_root_exponent, 8))
 
 

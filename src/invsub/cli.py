@@ -6,7 +6,9 @@ indentation), embeds the derived spread plus the lattice-to-spread
 ratio where a lattice is involved, and reports enough witness data
 (ideals, dimensions, matrices, phases) to be audited offline.  Exit
 status: 0 when the queried property holds or the computation succeeds,
-1 when it definitively fails, 2 for usage or infeasibility problems.
+1 when it definitively fails, 2 for usage or infeasibility problems,
+3 for an internal error (any other exception), so that a crash never
+reads as a failed property.
 """
 
 from __future__ import annotations
@@ -14,12 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
+import traceback
 
 from .anyon_lab import (
-    InfeasibleHopError,
-    NoncommutingTermsError,
     NotModularError,
     SpinGeometryError,
     build_hamiltonian,
@@ -28,10 +27,9 @@ from .anyon_lab import (
 )
 from .finite_oracle import (
     FiniteLattice,
-    InstantiationError,
+    _boundary_distance,
+    _invertibility_and_center,
     boundary_algebra_finite,
-    center_at_boundary_distance,
-    check_invertible_finite,
     check_vs,
     instantiate_qca,
     instantiate_spec,
@@ -41,7 +39,6 @@ from .fplinalg import row_space_equal, coordinate_restriction
 from .laurent import LaurentMatrix, determinant, format_poly
 from .pauli import (
     NotInvertibleError,
-    ProjectorUnavailableError,
     SubalgebraSpec,
     build_projector,
     check_invertible,
@@ -164,7 +161,7 @@ def _cmd_oracle(args) -> tuple[int, dict]:
     spec = resolve_spec(args.spec)
     lattice = _lattice_for(args, spec)
     rows = instantiate_spec(spec, lattice)
-    report = check_invertible_finite(rows, lattice, spread=spec.spread)
+    report, center = _invertibility_and_center(rows, lattice, spec.spread)
     reach = args.window if args.window is not None else max(2 * spec.spread, 2)
     vs = check_vs(rows, lattice, reach)
     payload = _payload(
@@ -183,8 +180,8 @@ def _cmd_oracle(args) -> tuple[int, dict]:
         lattice_over_spread=_ratio(lattice, spec.spread),
     )
     if not lattice.periodic:
-        payload["center_boundary_distance"] = center_at_boundary_distance(
-            rows, lattice)
+        payload["center_boundary_distance"] = _boundary_distance(center,
+                                                                 lattice)
     failed = not report.invertible or (args.window is not None and not vs.holds)
     return (1 if failed else 0), payload
 
@@ -445,13 +442,16 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         code, payload = handler(args)
-    except (SpecFormatError, NotInvertibleError, ProjectorUnavailableError,
-            NoncommutingTermsError, InfeasibleHopError, SpinGeometryError,
-            InstantiationError, ValueError) as exc:
+    except Exception as exc:
+        # The package raises a ValueError subclass for every usage or
+        # infeasibility problem; any other exception is an internal error.
         if isinstance(exc, NotInvertibleError):
             code = 1
-        else:
+        elif isinstance(exc, ValueError):
             code = 2
+        else:
+            code = 3
+            traceback.print_exc()
         payload = _payload(args.command, error=str(exc),
                            error_kind=type(exc).__name__)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -216,25 +216,34 @@ class FiniteInvertibilityReport:
     small_lattice_warning: bool
 
 
-def check_invertible_finite(
+def _invertibility_and_center(
     rows, lattice: FiniteLattice, spread: int | None = None
-) -> FiniteInvertibilityReport:
-    """Invertible iff the span meets its commutant only in zero (the
-    form is nondegenerate, so dimensions then add up to the whole
-    register automatically)."""
+) -> tuple[FiniteInvertibilityReport, np.ndarray]:
+    """check_invertible_finite's report, with a basis of the span's
+    center (the span met with its commutant)."""
     span = row_basis(rows, lattice.p)
     comp = symplectic_complement(span, lattice)
     center = row_space_intersection(span, comp, lattice.p)
     warn = spread is not None and any(s <= 4 * spread for s in lattice.sizes)
     ok = (center.shape[0] == 0
           and span.shape[0] + comp.shape[0] == lattice.symplectic_len)
-    return FiniteInvertibilityReport(
+    report = FiniteInvertibilityReport(
         invertible=ok,
         dim_span=int(span.shape[0]),
         dim_commutant=int(comp.shape[0]),
         dim_center=int(center.shape[0]),
         small_lattice_warning=bool(warn),
     )
+    return report, center
+
+
+def check_invertible_finite(
+    rows, lattice: FiniteLattice, spread: int | None = None
+) -> FiniteInvertibilityReport:
+    """Invertible iff the span meets its commutant only in zero (the
+    form is nondegenerate, so dimensions then add up to the whole
+    register automatically)."""
+    return _invertibility_and_center(rows, lattice, spread)[0]
 
 
 @dataclass(frozen=True)
@@ -470,9 +479,12 @@ def center_at_boundary_distance(rows, lattice: FiniteLattice) -> int:
     """
     if lattice.periodic:
         raise ValueError("boundary distance needs an open patch")
-    span = row_basis(rows, lattice.p)
-    comp = symplectic_complement(span, lattice)
-    center = row_space_intersection(span, comp, lattice.p)
+    return _boundary_distance(_invertibility_and_center(rows, lattice)[1],
+                              lattice)
+
+
+def _boundary_distance(center: np.ndarray, lattice: FiniteLattice) -> int:
+    """center_at_boundary_distance for a basis of the center."""
     worst = -1
     for v in center:
         for s in lattice.sites():

@@ -33,6 +33,13 @@ class SpecFormatError(ValueError):
 # length-p cyclotomic vectors of anyon_lab.gauss_sum_phase.
 MAX_PRIME = 65521
 
+# The largest absolute exponent a spec polynomial may carry.  The
+# symbolic certificate's cost grows steeply with the spread: checking
+# a one-qubit chain with z = x^k + x takes seconds at k = 32 and runs
+# past 20 s at k = 64.  Builtin, test and benchmark specs have spread
+# at most 2.
+MAX_SPREAD = 32
+
 
 def check_prime(p: int) -> int:
     """p itself if it is a prime of at most MAX_PRIME, else SpecFormatError."""
@@ -99,11 +106,17 @@ def parse_spec(text: str) -> SubalgebraSpec:
                         f"{where}, {half}[{si}]: expected a string"
                     )
                 try:
-                    halves.append(parse_poly(s, p, dims))
+                    poly = parse_poly(s, p, dims)
                 except PolyParseError as exc:
                     raise SpecFormatError(
                         f"{where}, {half}[{si}]: {exc}"
                     ) from None
+                if poly.spread() > MAX_SPREAD:
+                    raise SpecFormatError(
+                        f"{where}, {half}[{si}]: spread {poly.spread()} "
+                        f"exceeds the supported bound {MAX_SPREAD}"
+                    )
+                halves.append(poly)
         columns.append(halves)
 
     entries = [[col[r] for col in columns] for r in range(2 * q)]

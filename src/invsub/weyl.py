@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 
 def _vec(v, p: int) -> np.ndarray:
@@ -135,6 +134,17 @@ class PauliConjugation:
         return u * w * u.dagger()
 
 
+def _spectral_class(r: PhasedPauli) -> tuple:
+    """All that ||id - R|| depends on, for R over a fixed p: the phase
+    of a scalar, the X/Z overlap parity of a nonscalar qubit Pauli, and
+    nothing else for a nonscalar Pauli over odd p."""
+    if r.is_scalar():
+        return ("scalar", r.phase)
+    if r.p == 2:
+        return ("qubit", int(np.dot(r.a, r.b)) % 2)
+    return ("odd",)
+
+
 def unitary_distance_to_identity(r: PhasedPauli) -> sp.Expr:
     """Operator norm ||id - R|| for a phased Pauli R, exactly.
 
@@ -144,12 +154,14 @@ def unitary_distance_to_identity(r: PhasedPauli) -> sp.Expr:
     out.  Over qubits the square of a nonscalar Pauli is +-id by the
     X/Z overlap parity, putting the spectrum at {+-1} or {+-i}.
     """
+    import sympy as sp
+
     p = r.p
-    if r.is_scalar():
-        return 2 * sp.sin(sp.pi * sp.Rational(r.phase, p))
-    if p == 2:
-        overlap = int(np.dot(r.a, r.b)) % 2
-        return sp.Integer(2) if overlap == 0 else sp.sqrt(2)
+    kind = _spectral_class(r)
+    if kind[0] == "scalar":
+        return 2 * sp.sin(sp.pi * sp.Rational(kind[1], p))
+    if kind[0] == "qubit":
+        return sp.Integer(2) if kind[1] == 0 else sp.sqrt(2)
     return 2 * sp.sin(sp.pi * sp.Rational((p - 1), 2 * p))
 
 
@@ -197,13 +209,23 @@ def dist_bounded(alpha, beta, p: int, m: int, max_support: int = 2
     """
     import itertools
 
+    import sympy as sp
+
     best = BoundedDistance(sp.Integer(0), PhasedPauli.identity(p, m))
     best_num = -1.0
+    # A candidate's distance depends only on the spectral class of
+    # alpha(W)^dagger beta(W) and on the support size, so each distinct
+    # value is built and evaluated once.
+    values = {}
     for size in range(1, max_support + 1):
         for support in itertools.combinations(range(m), size):
             for w in enumerate_support_paulis(p, m, support):
-                d = unitary_distance(alpha.apply(w), beta.apply(w)) / size
-                num = float(d.evalf(50))
+                r = alpha.apply(w).dagger() * beta.apply(w)
+                key = (_spectral_class(r), size)
+                if key not in values:
+                    d = unitary_distance_to_identity(r) / size
+                    values[key] = (d, float(d.evalf(50)))
+                d, num = values[key]
                 if num > best_num + 1e-40:
                     best, best_num = BoundedDistance(d, w), num
     return best

@@ -6,7 +6,10 @@ its inverse) were verified with an independent symbolic oracle before
 being committed.
 """
 
+import itertools
+
 import numpy as np
+import sympy as sp
 
 from invsub.finite_oracle import VsReport
 from invsub.fplinalg import (
@@ -18,6 +21,12 @@ from invsub.fplinalg import (
 )
 from invsub.laurent import LaurentMatrix, parse_poly
 from invsub.pauli import SubalgebraSpec
+from invsub.weyl import (
+    BoundedDistance,
+    PhasedPauli,
+    enumerate_support_paulis,
+    unitary_distance,
+)
 
 
 def mat(p, nvars, rows):
@@ -88,3 +97,18 @@ def check_vs_every_site(rows, lattice, reach):
             if v[here].any():
                 return VsReport(False, tuple(s), v.copy())
     return VsReport(True, None, None)
+
+
+def dist_bounded_every_candidate(alpha, beta, p, m, max_support=2):
+    """weyl.dist_bounded as first written: a sympy distance is built and
+    evaluated for every candidate Pauli."""
+    best = BoundedDistance(sp.Integer(0), PhasedPauli.identity(p, m))
+    best_num = -1.0
+    for size in range(1, max_support + 1):
+        for support in itertools.combinations(range(m), size):
+            for w in enumerate_support_paulis(p, m, support):
+                d = unitary_distance(alpha.apply(w), beta.apply(w)) / size
+                num = float(d.evalf(50))
+                if num > best_num + 1e-40:
+                    best, best_num = BoundedDistance(d, w), num
+    return best

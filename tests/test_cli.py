@@ -4,13 +4,27 @@ Each test drives ``main(argv)`` in process, captures stdout, and checks
 both the exit status and the JSON certificate.
 """
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+import invsub
+from invsub import cli
 from invsub.cli import main
-from invsub.specio import parse_spec, spec_to_json
+from invsub.finite_oracle import (
+    FiniteLattice,
+    center_at_boundary_distance,
+    check_invertible_finite,
+    instantiate_spec,
+)
+from invsub.specio import MAX_SPREAD, parse_spec, resolve_spec, spec_to_json
 
 
 def run(capsys, *argv):
@@ -108,6 +122,88 @@ def test_huge_prime_refused_quickly(tmp_path, capsys):
     assert code == 2
     assert payload["error_kind"] == "SpecFormatError"
     assert "exceeds the supported bound 65521" in payload["error"]
+
+
+def test_huge_spread_refused_quickly(tmp_path, capsys):
+    # Checking this spec ran past 10 s before the spread was bounded.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "prime": 2, "qudits_per_site": 1, "dims": 1,
+        "generators": [{"x": ["1"], "z": ["x^20000 + x"]}],
+    }))
+    start = perf_counter()
+    code, payload, _ = run(capsys, "check", "--spec", str(path))
+    assert perf_counter() - start < 1.0
+    assert code == 2
+    assert payload["error_kind"] == "SpecFormatError"
+    assert payload["error"] == (
+        f"generator 0, z[0]: spread 20000 exceeds the supported bound "
+        f"{MAX_SPREAD}")
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "check", broken)
+    code = main(["check", "--spec", "example-z3"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert code == 3
+    assert payload["error_kind"] == "RuntimeError"
+    assert payload["error"] == "handler bug"
+    assert payload["command"] == "check"
+    assert "Traceback" in captured.err
+
+
+def test_sympy_is_imported_on_first_use():
+    # Fails on any new top-level sympy import in the package.
+    probe = textwrap.dedent("""
+        import sys
+        from invsub.cli import main
+        assert "sympy" not in sys.modules, "import invsub.cli"
+        main(["check", "--spec", "example-z3"])
+        assert "sympy" not in sys.modules, "check"
+        main(["gauss", "--spec", "example-z3"])
+        assert "sympy" in sys.modules, "gauss"
+    """)
+    src = str(Path(invsub.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+# SHA-256 of the certificates printed before the span's center was shared
+# between the invertibility report and the boundary distance.
+PATCH_DIGESTS = {
+    ("example-z3", "12x12"):
+        "add17b45ff28ed19f09717e577a8aa34f0522584f536640a2b726dd9f0b250bb",
+    ("example-z3", "16x16"):
+        "e74e9bf50cdc6d58253b89f0ee8d806cb45cd2074c5a58a19da36598a931492a",
+    ("toric-code-z3", "8x8"):
+        "223ed29808f031e5aadd5fe10a1836f0856940c002c6f8c7be0d9ada27772eab",
+    ("nonexample-1dxz", "12"):
+        "2a02b833d33690d0c9e779dcb8de071eb44433d46a756a9989b3778912978ea6",
+}
+
+
+@pytest.mark.parametrize("name, sizes", sorted(PATCH_DIGESTS))
+def test_oracle_patch_certificate_unchanged(capsys, name, sizes):
+    code, payload, out = run(capsys, "oracle", "--spec", name,
+                             "--patch", sizes)
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == PATCH_DIGESTS[name, sizes]
+    # The shared center gives what the two public calls give.
+    spec = resolve_spec(name)
+    lat = FiniteLattice(spec.p, spec.q,
+                        tuple(int(s) for s in sizes.split("x")),
+                        periodic=False)
+    rows = instantiate_spec(spec, lat)
+    report = check_invertible_finite(rows, lat, spread=spec.spread)
+    assert payload["dim_center"] == report.dim_center
+    assert payload["center_boundary_distance"] == \
+        center_at_boundary_distance(rows, lat)
 
 
 def test_unknown_spec_token(capsys):

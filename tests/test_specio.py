@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from invsub.specio import SpecFormatError, parse_spec, resolve_spec, spec_to_json
+from invsub.specio import (
+    MAX_SPREAD,
+    SpecFormatError,
+    parse_spec,
+    resolve_spec,
+    spec_to_json,
+)
 from invsub.zoo import example_names, get_example
 
 from helpers import xz_chain_spec, z3_spec
@@ -33,6 +39,19 @@ def test_rejects_non_prime_modulus():
     doc = spec_to_json(z3_spec()).replace('"prime": 3', '"prime": 4')
     with pytest.raises(SpecFormatError, match="4 is not prime"):
         parse_spec(doc)
+
+
+def test_spread_bound_is_inclusive():
+    def doc(z):
+        return json.dumps({
+            "prime": 3, "qudits_per_site": 1, "dims": 2,
+            "generators": [{"x": ["1"], "z": [z]}],
+        })
+
+    assert parse_spec(doc(f"y^-{MAX_SPREAD} + x")).spread == MAX_SPREAD
+    with pytest.raises(SpecFormatError,
+                       match=rf"generator 0, z\[0\]: spread {MAX_SPREAD + 1} "):
+        parse_spec(doc(f"x*y^-{MAX_SPREAD + 1}"))
 
 
 def test_rejects_malformed_polynomial_with_position():

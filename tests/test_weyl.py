@@ -10,6 +10,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from helpers import dist_bounded_every_candidate
 from invsub.weyl import (
     PauliConjugation,
     PhasedPauli,
@@ -202,3 +203,46 @@ def test_dist_bounded_metric_axioms_on_random_triples():
                 assert d[i, j] == pytest.approx(d[j, i], abs=1e-12)
                 for k in range(3):
                     assert d[i, k] <= d[i, j] + d[j, k] + 1e-12
+
+
+class SiteShift:
+    """W -> W with its qudits moved one place cyclically: an automorphism
+    that is not a Pauli conjugation."""
+
+    def apply(self, w):
+        return w.permute(np.roll(np.arange(w.size), 1))
+
+
+def _automorphism(name, p, m):
+    if name == "identity":
+        return PauliConjugation(PhasedPauli.identity(p, m))
+    if name == "shift":
+        return SiteShift()
+    # Acts on every other site; the rest are idle.
+    x = [(i + 1) % p if i % 2 == 0 else 0 for i in range(m)]
+    z = [1 if i % 4 == 0 else 0 for i in range(m)]
+    return PauliConjugation(PhasedPauli(p, 0, x, z))
+
+
+@pytest.mark.parametrize("p, m, max_support", [
+    (2, 6, 1), (2, 6, 2),
+    (3, 6, 1), (3, 5, 2),
+    (5, 6, 1), (5, 3, 2),
+    (7, 6, 1), (7, 2, 2),
+])
+@pytest.mark.parametrize("alpha, beta", [
+    ("identity", "identity"),   # distance 0
+    ("idle-sites", "identity"),  # scalar r: the phase classes
+    ("shift", "idle-sites"),     # nonscalar r: the qubit or odd classes
+])
+def test_dist_bounded_matches_every_candidate_scan(p, m, max_support,
+                                                   alpha, beta):
+    a, b = _automorphism(alpha, p, m), _automorphism(beta, p, m)
+    want = dist_bounded_every_candidate(a, b, p, m, max_support)
+    got = dist_bounded(a, b, p, m, max_support)
+    assert got.value == want.value
+    assert str(got.value) == str(want.value)
+    assert got.witness == want.witness
+    assert got.numeric == want.numeric
+    if alpha == beta:
+        assert got.value == 0
