@@ -36,7 +36,7 @@ from .finite_oracle import (
     verify_blend,
 )
 from .fplinalg import row_space_equal, coordinate_restriction
-from .laurent import LaurentMatrix, determinant, format_poly
+from .laurent import LaurentMatrix, format_poly
 from .pauli import (
     NotInvertibleError,
     SubalgebraSpec,
@@ -107,7 +107,7 @@ def _cmd_check(args) -> tuple[int, dict]:
         profile_rank=cert.profile.rank,
         ideal=list(cert.profile.ideal.generator_strings()),
         ideal_unit=cert.profile.is_unit,
-        determinant=format_poly(determinant(cert.xi)),
+        determinant=format_poly(cert.determinant),
         pairing_block_invertible=cert.xi_invertible,
         projector_available=cert.projector_available,
         n_generators=spec.n_generators,

@@ -6,12 +6,15 @@ here is exact modular arithmetic; no external computer-algebra system is
 involved.  The instances this package generates are tiny (at most four
 variables over F_2/F_3/F_5, generators with a handful of terms), so plain
 Buchberger with the coprimality and chain criteria is entirely adequate.
-The practical ceiling is matrices of size about 6x6 when the callers
-enumerate minors; beyond that the number of S-pairs grows quickly.
+The generators are the distinct nonzero minors of a matrix at its rank
+(laurent.determinantal_profile, which bounds how many minors it expands
+by MAX_MINORS); the number of S-pairs grows with their number and
+degree, so a few dozen small minors are cheap whatever the matrix size.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable
 
 Exponent = tuple[int, ...]
@@ -150,29 +153,30 @@ def buchberger(gens: Iterable[Poly], p: int) -> list[Poly]:
     if not basis:
         return []
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    # Leading exponents and pair keys are computed once: the pair queue is
+    # a heap on (grevlex key of the lcm, pair), the same order as taking
+    # the minimum over all open pairs each round.
+    lead = [leading_term(g)[0] for g in basis]
+    pairs: set[tuple[int, int]] = set()
+    queue: list = []
     done: set[tuple[int, int]] = set()
+
+    def _add_pair(i: int, j: int) -> None:
+        pairs.add((i, j))
+        heapq.heappush(queue, (grevlex_key(_exp_lcm(lead[i], lead[j])), (i, j)))
 
     def _treated(i: int, j: int) -> bool:
         key = (max(i, j), min(i, j))
         return key in done or key not in pairs
 
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda ij: (
-                grevlex_key(
-                    _exp_lcm(
-                        leading_term(basis[ij[0]])[0], leading_term(basis[ij[1]])[0]
-                    )
-                ),
-                ij,
-            ),
-        )
+    for i in range(len(basis)):
+        for j in range(i):
+            _add_pair(i, j)
+    while queue:
+        _, (i, j) = heapq.heappop(queue)
         pairs.discard((i, j))
         done.add((i, j))
-        fe = leading_term(basis[i])[0]
-        ge = leading_term(basis[j])[0]
+        fe, ge = lead[i], lead[j]
         l = _exp_lcm(fe, ge)
         # Coprime leading monomials: S-polynomial reduces to zero.
         if all(min(a, b) == 0 for a, b in zip(fe, ge)):
@@ -183,7 +187,7 @@ def buchberger(gens: Iterable[Poly], p: int) -> list[Poly]:
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if _divides_exp(leading_term(basis[k])[0], l):
+            if _divides_exp(lead[k], l):
                 if _treated(i, k) and _treated(j, k):
                     skip = True
                     break
@@ -194,8 +198,9 @@ def buchberger(gens: Iterable[Poly], p: int) -> list[Poly]:
             r = monic(r, p)
             new = len(basis)
             basis.append(r)
+            lead.append(leading_term(r)[0])
             for k in range(new):
-                pairs.add((new, k))
+                _add_pair(new, k)
     return reduce_basis(basis, p)
 
 

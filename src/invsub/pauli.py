@@ -10,11 +10,13 @@ standard symplectic form.
 The central decision procedure: the subalgebra is invertible (it and its
 commutant jointly generate every local operator, with trivial
 intersection) iff the smallest nonzero determinantal ideal of Xi is the
-unit ideal.  Xi = 0 has no nonzero minor; it passes only for the empty
-subalgebra (no nonzero generator), because a nonzero commutative
-subalgebra is its own center and so is never invertible.  When Xi is
-itself invertible over the ring the commutant projector exists in closed
-form and everything downstream (local decompositions, the QCA lift) is
+unit ideal and rank Xi = rank V over the fraction field.  The span's
+center at a point is the kernel of Xi there restricted to the span of V,
+so a rank gap leaves a center at every point even when the ideal is the
+unit ideal; Xi = 0 with V nonzero (a commutative subalgebra, its own
+center) is the rank-0 case of that gap.  When Xi is itself invertible
+over the ring the commutant projector exists in closed form and
+everything downstream (local decompositions, the QCA lift) is
 available.  When the criterion passes but Xi is singular the verdict is
 still "invertible", with the projector honestly reported as unavailable.
 """
@@ -26,12 +28,11 @@ from dataclasses import dataclass
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
-    NotAUnitError,
-    determinant,
     determinantal_profile,
     DeterminantalProfile,
     divides,
     matrix_inverse,
+    matrix_rank,
 )
 
 
@@ -120,10 +121,16 @@ def is_antihermitian(m: LaurentMatrix) -> bool:
 
 @dataclass(frozen=True)
 class InvertibilityCertificate:
+    """The verdict with its evidence: the determinantal profile of Xi,
+    det Xi (zero when Xi is singular), and rank V over the fraction
+    field, which the verdict compares with the profile's rank."""
+
     invertible: bool
     profile: DeterminantalProfile
     xi: LaurentMatrix
     xi_invertible: bool
+    determinant: LaurentPoly
+    generator_rank: int
 
     @property
     def projector_available(self) -> bool:
@@ -131,19 +138,22 @@ class InvertibilityCertificate:
 
 
 def check_invertible(spec: SubalgebraSpec) -> InvertibilityCertificate:
-    """Decide invertibility by the smallest-nonzero-determinantal-ideal
-    criterion, with rank 0 passing only for zero generators.  The verdict
-    is exact; projector availability additionally requires det Xi to be
-    a unit."""
+    """Decide invertibility: the smallest nonzero determinantal ideal of
+    Xi is the unit ideal and rank Xi = rank V.  The verdict is exact;
+    projector availability additionally requires det Xi to be a unit."""
     xi = commutation_matrix(spec)
     profile = determinantal_profile(xi)
-    invertible = profile.is_unit and (
-        profile.rank > 0 or spec.generators.is_zero()
+    generator_rank = matrix_rank(spec.generators)
+    invertible = profile.is_unit and profile.rank == generator_rank
+    # Xi is square; at full rank its one maximal minor is the only
+    # generator of the profile's ideal, and below full rank det Xi = 0.
+    if profile.rank == xi.rows:
+        det = profile.ideal.generators[0]
+    else:
+        det = LaurentPoly.zero(spec.p, spec.dims)
+    return InvertibilityCertificate(
+        invertible, profile, xi, det.is_monomial(), det, generator_rank
     )
-    xi_inv = xi.rows == xi.cols and (
-        xi.rows == 0 or determinant(xi).is_monomial()
-    )
-    return InvertibilityCertificate(invertible, profile, xi, xi_inv)
 
 
 def from_antihermitian(

@@ -19,8 +19,16 @@ from invsub.fplinalg import (
     row_space_intersection,
     rref,
 )
-from invsub.laurent import LaurentMatrix, parse_poly
-from invsub.pauli import SubalgebraSpec
+from invsub.laurent import (
+    DeterminantalProfile,
+    IdealDescription,
+    LaurentMatrix,
+    LaurentPoly,
+    minors,
+    parse_poly,
+)
+from invsub.pauli import SubalgebraSpec, brauer_tensor
+from invsub.zoo import get_example
 from invsub.weyl import (
     BoundedDistance,
     PhasedPauli,
@@ -61,6 +69,39 @@ def xz_chain_spec():
 
 def full_spec():
     return SubalgebraSpec(3, 1, 2, LaurentMatrix.identity(3, 2, 2))
+
+
+def z3_tensor(k):
+    """The builtin example-z3 tensored with itself k times."""
+    base = get_example("example-z3").spec
+    spec = base
+    for _ in range(k - 1):
+        spec = brauer_tensor(spec, base)
+    return spec
+
+
+def with_repeated_columns(spec, extra):
+    """The same subalgebra presented redundantly: the generator columns
+    followed by the first `extra` of them again."""
+    g = spec.generators
+    cols = list(range(g.cols)) + list(range(extra))
+    return SubalgebraSpec(spec.p, spec.q, spec.dims,
+                          g.submatrix(range(g.rows), cols))
+
+
+def determinantal_profile_every_minor(m):
+    """laurent.determinantal_profile as first written: from the largest
+    size down, every k x k minor is expanded until one is nonzero."""
+    for k in range(min(m.rows, m.cols), 0, -1):
+        mins = [f for f in minors(m, k) if not f.is_zero()]
+        if mins:
+            seen = {}
+            for f in mins:
+                seen.setdefault(f, None)
+            ideal = IdealDescription(m.p, m.nvars, list(seen))
+            return DeterminantalProfile(k, ideal, ideal.is_unit())
+    ideal = IdealDescription(m.p, m.nvars, [LaurentPoly.one(m.p, m.nvars)])
+    return DeterminantalProfile(0, ideal, True)
 
 
 def kernel_double_loop(a, p):

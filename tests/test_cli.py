@@ -24,7 +24,10 @@ from invsub.finite_oracle import (
     check_invertible_finite,
     instantiate_spec,
 )
+from invsub.laurent import MAX_MINORS
 from invsub.specio import MAX_SPREAD, parse_spec, resolve_spec, spec_to_json
+
+from helpers import with_repeated_columns, z3_tensor
 
 
 def run(capsys, *argv):
@@ -139,6 +142,47 @@ def test_huge_spread_refused_quickly(tmp_path, capsys):
     assert payload["error"] == (
         f"generator 0, z[0]: spread 20000 exceeds the supported bound "
         f"{MAX_SPREAD}")
+
+
+def test_huge_minor_count_refused_quickly(tmp_path, capsys):
+    # q=6 with 18 generators at rank 6: the profile's two screens alone
+    # would expand 2 * C(18, 6) = 37128 minors.
+    spec = with_repeated_columns(with_repeated_columns(z3_tensor(3), 6), 6)
+    path = tmp_path / "redundant.json"
+    path.write_text(spec_to_json(spec))
+    start = perf_counter()
+    code, payload, _ = run(capsys, "check", "--spec", str(path))
+    assert perf_counter() - start < 1.0
+    assert code == 2
+    assert payload["error_kind"] == "MinorCountError"
+    assert payload["error"] == (
+        f"the rank-6 profile of a 18x18 matrix needs 37128 minors, over "
+        f"the supported bound {MAX_MINORS}")
+
+
+# SHA-256 of `check --spec NAME` for every builtin, as printed before the
+# determinantal profile went rank-first.
+CHECK_DIGESTS = {
+    "empty":
+        "ee17572982e2a098eeb21ec9fd56dbf4d35a5f3b8f5a48d46c188e71785ad9b4",
+    "example-z3":
+        "d4b2b72f30ae36fc973b461762df6d03e1d9c8f05579c00c3bff7b1568b0e7b1",
+    "full":
+        "c834b1142b2070600c1943bcbfd352702b6b0f3d45fa09bc21fd41b35522e530",
+    "nonexample-1dxz":
+        "c4ddb517acdebf8a7107f315f9d4fb1943d683ecc39c7d7be8b7ae5796987348",
+    "toric-code-z3":
+        "d126c84e5b437eb43e818eef7a666e8b643f131587c51f6c4544303c466446eb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_DIGESTS))
+def test_check_certificate_unchanged(capsys, name):
+    assert sorted(CHECK_DIGESTS) == sorted(invsub.example_names())
+    _, payload, out = run(capsys, "check", "--spec", name)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        CHECK_DIGESTS[name]
+    assert "generator_rank" not in payload
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

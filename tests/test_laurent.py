@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,8 +21,18 @@ from invsub.laurent import (
     format_poly,
     ideal_is_unit,
     matrix_inverse,
+    matrix_rank,
     minors,
     parse_poly,
+)
+from invsub.laurent import MinorCountError, _exact_quotient
+from invsub.pauli import brauer_tensor, commutation_matrix
+from invsub.zoo import example_names, get_example
+
+from helpers import (
+    determinantal_profile_every_minor,
+    with_repeated_columns,
+    z3_tensor,
 )
 
 
@@ -108,6 +121,30 @@ def test_ring_axioms(a, b, c):
 def test_bar_is_ring_involution(a, b):
     assert (a * b).bar() == a.bar() * b.bar()
     assert (a + b).bar() == a.bar() + b.bar()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys, _polys, st.integers(-4, 4), _exps)
+def test_closed_operations_return_clean_terms(a, b, c, e):
+    # Ring operations skip the constructor's checks; their results must
+    # be what the checked constructor would build from the same terms.
+    results = [a + b, a - b, -a, a * b, a.scale(c), a.shift(e), a.bar()]
+    if a.is_monomial():
+        results.append(a.inverse())
+    for f in results:
+        assert (f.p, f.nvars) == (3, 2)
+        assert all(type(v) is int for x in f.terms for v in x)
+        assert all(len(x) == 2 and 1 <= v < 3 for x, v in f.terms.items())
+        assert f == LaurentPoly(3, 2, f.terms)
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(ValueError, match="not prime"):
+        LaurentPoly(4, 1, {(0,): 1})
+    with pytest.raises(ValueError, match="wrong arity"):
+        LaurentPoly(3, 2, {(1,): 1})
+    with pytest.raises(ValueError, match="wrong arity"):
+        f3("x").shift((1,))
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +385,120 @@ def test_matrix_inverse_requires_unit_determinant():
     m = LaurentMatrix(3, 2, [[f3("1 + x"), f3("0")], [f3("0"), f3("1")]])
     with pytest.raises(NotAUnitError):
         matrix_inverse(m)
+
+
+# ---------------------------------------------------------------------------
+# rank-first determinantal profile
+# ---------------------------------------------------------------------------
+
+
+def _same_profile(m):
+    """The rank-first profile against every minor expanded top-down:
+    equal rank (the largest size of a nonzero minor), equal Bareiss rank,
+    and the same ideal generators in the same order."""
+    ref = determinantal_profile_every_minor(m)
+    prof = determinantal_profile(m)
+    assert matrix_rank(m) == ref.rank
+    assert prof.rank == ref.rank
+    assert prof.ideal.generators == ref.ideal.generators
+    assert prof.is_unit == ref.is_unit
+    return prof
+
+
+def _builtin_specs():
+    return [get_example(name).spec for name in example_names()]
+
+
+def test_rank_first_profile_on_builtins():
+    for spec in _builtin_specs():
+        _same_profile(commutation_matrix(spec))
+        _same_profile(spec.generators)
+
+
+def test_rank_first_profile_on_brauer_tensors():
+    specs = _builtin_specs()
+    for s1, s2 in itertools.product(specs, repeat=2):
+        if (s1.p, s1.dims) != (s2.p, s2.dims):
+            continue
+        spec = brauer_tensor(s1, s2)
+        _same_profile(commutation_matrix(spec))
+        _same_profile(spec.generators)
+
+
+@pytest.mark.parametrize("k, extra", [(1, 1), (1, 2), (2, 2), (2, 4), (3, 3)])
+def test_rank_first_profile_on_repeated_columns(k, extra):
+    spec = with_repeated_columns(z3_tensor(k), extra)
+    prof = _same_profile(commutation_matrix(spec))
+    assert prof.rank == 2 * k
+    assert prof.is_unit
+    # V itself, where the top-down enumeration stays cheap.
+    if k == 1:
+        _same_profile(spec.generators)
+    assert matrix_rank(spec.generators) == 2 * k
+
+
+def _random_matrix(rng):
+    p = rng.choice((2, 3))
+    nvars = rng.choice((1, 2))
+    rows, cols = rng.randint(1, 3), rng.randint(1, 4)
+
+    def entry():
+        if rng.random() < 0.4:
+            return LaurentPoly.zero(p, nvars)
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            e = tuple(rng.randint(-1, 1) for _ in range(nvars))
+            terms[e] = rng.randint(1, p - 1)
+        return LaurentPoly(p, nvars, terms)
+
+    ent = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.5:
+        # A duplicated column, scaled by a unit, drops the rank.
+        j = rng.randrange(cols)
+        unit = LaurentPoly.monomial(rng.randint(1, p - 1),
+                                    (rng.randint(-1, 1),) * nvars, p, nvars)
+        at = rng.randint(0, cols)
+        for row in ent:
+            row.insert(at, row[j] * unit)
+    if rng.random() < 0.3:
+        # A zero or repeated row on top makes the pivot rows move.
+        top = rng.choice([[LaurentPoly.zero(p, nvars)] * len(ent[0]),
+                          list(ent[-1])])
+        ent.insert(0, top)
+    return LaurentMatrix(p, nvars, ent)
+
+
+def test_rank_first_profile_on_random_matrices():
+    rng = random.Random(6)
+    for _ in range(200):
+        _same_profile(_random_matrix(rng))
+
+
+@pytest.mark.parametrize("rows", [
+    # Pivot rows and columns differ, and the pivot row is not the first.
+    [["0", "0"], ["1 + x", "0"]],
+    [["0", "0", "0"], ["0", "x", "1 + x"], ["0", "x^2", "x + x^2"]],
+    # Wide and tall, so rows and columns cannot stand in for each other.
+    [["0", "1 + x", "x", "1 + x"]],
+    [["0"], ["0"], ["1 + x^-1"], ["x"]],
+    [["x", "x^2", "1"], ["1 + x", "x + x^2", "0"]],
+])
+def test_rank_first_profile_moves_pivot_rows(rows):
+    m = LaurentMatrix(3, 1, [[LaurentPoly.parse(t, 3, 1) for t in row]
+                             for row in rows])
+    prof = _same_profile(m)
+    assert not any(f.is_zero() for f in prof.ideal.generators)
+
+
+def test_bareiss_division_must_be_exact():
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(f3("x"), f3("1 + x"))
+    assert _exact_quotient(f3("x + x^2"), f3("1 + x")) == f3("x")
+
+
+def test_oversized_minor_count_refused_after_the_screens():
+    # Rank 1: the screens need 2 * 150 minors, but all 150^2 pairs survive.
+    one = LaurentPoly.one(3, 1)
+    m = LaurentMatrix(3, 1, [[one] * 150 for _ in range(150)])
+    with pytest.raises(MinorCountError, match="needs 22800 minors"):
+        determinantal_profile(m)

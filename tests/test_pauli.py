@@ -5,10 +5,17 @@ commutation matrix) were computed with an independent symbolic oracle
 before being asserted here.
 """
 
+from time import perf_counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invsub.laurent import LaurentMatrix, LaurentPoly, parse_poly
+from invsub.finite_oracle import (
+    FiniteLattice,
+    check_invertible_finite,
+    instantiate_spec,
+)
+from invsub.laurent import LaurentMatrix, LaurentPoly, determinant, parse_poly
 from invsub.pauli import (
     CommutantProjector,
     NotInvertibleError,
@@ -28,7 +35,18 @@ from invsub.pauli import (
 )
 
 
-from helpers import XI_Z3_INV_ROWS, XI_Z3_ROWS, full_spec, mat, xz_chain_spec, z3_spec
+from invsub.zoo import example_names, get_example
+
+from helpers import (
+    XI_Z3_INV_ROWS,
+    XI_Z3_ROWS,
+    full_spec,
+    mat,
+    with_repeated_columns,
+    xz_chain_spec,
+    z3_spec,
+    z3_tensor,
+)
 
 
 def test_spec_shape_validation():
@@ -297,3 +315,89 @@ def test_spread_values():
     assert z3_spec().spread == 1
     assert xz_chain_spec().spread == 1
     assert full_spec().spread == 0
+
+
+def _torus_report(spec, side):
+    lat = FiniteLattice(spec.p, spec.q, (side,) * spec.dims)
+    rows = instantiate_spec(spec, lat)
+    return check_invertible_finite(rows, lat, spread=spec.spread)
+
+
+def test_rank_gap_is_not_invertible():
+    # Xi is the block sum of example-z3's invertible Xi and the toric
+    # code's zero Xi: its 2x2 minors generate the unit ideal, but rank
+    # Xi = 2 < rank V = 4, and the toric code's center shows on a torus.
+    spec = brauer_tensor(get_example("example-z3").spec,
+                         get_example("toric-code-z3").spec)
+    cert = check_invertible(spec)
+    assert cert.profile.is_unit
+    assert cert.profile.rank == 2
+    assert cert.generator_rank == 4
+    assert not cert.invertible
+    assert not cert.projector_available
+    report = _torus_report(spec, 9)
+    assert not report.invertible
+    assert report.dim_center > 0
+
+
+def _certificate_specs():
+    specs = [get_example(name).spec for name in example_names()]
+    specs += [z3_tensor(2), with_repeated_columns(z3_spec(), 1),
+              with_repeated_columns(z3_tensor(2), 4)]
+    return specs
+
+
+@pytest.mark.parametrize("spec", _certificate_specs())
+def test_certificate_determinant_and_generator_rank(spec):
+    cert = check_invertible(spec)
+    assert cert.determinant == determinant(cert.xi)
+    assert cert.xi_invertible == cert.determinant.is_monomial()
+    assert cert.generator_rank <= spec.n_generators
+    assert cert.profile.rank <= cert.generator_rank
+
+
+def test_repeated_columns_check_is_fast():
+    # example-z3 tensored three times with its first 6 columns repeated
+    # (q=6, 12 generators); the top-down profile took minutes.
+    spec = with_repeated_columns(z3_tensor(3), 6)
+    start = perf_counter()
+    cert = check_invertible(spec)
+    assert perf_counter() - start < 2.0
+    assert cert.invertible
+    assert (cert.profile.rank, cert.generator_rank) == (6, 6)
+    assert not cert.xi_invertible
+    assert cert.determinant.is_zero()
+
+
+@st.composite
+def _non_graph_specs(draw):
+    """Any generator matrix: p in {2, 3, 5}, 1 or 2 directions, 1 or 2
+    qudits per site, 1 to 2q generators, entries of up to two terms with
+    exponents in [-1, 1]."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    dims = draw(st.sampled_from((1, 2)))
+    q = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(1, 2 * q))
+    term = st.tuples(st.tuples(*[st.integers(-1, 1)] * dims),
+                     st.integers(1, p - 1))
+
+    def entry(terms):
+        f = LaurentPoly.zero(p, dims)
+        for e, c in terms:
+            f = f + LaurentPoly.monomial(c, e, p, dims)
+        return f
+
+    entries = st.lists(term, max_size=2).map(entry)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=2 * q, max_size=2 * q))
+    return SubalgebraSpec(p, q, dims, LaurentMatrix(p, dims, rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_non_graph_specs())
+def test_symbolic_invertibility_implies_no_torus_center(spec):
+    cert = check_invertible(spec)
+    if cert.invertible:
+        report = _torus_report(spec, 11 if spec.dims == 1 else 7)
+        assert report.invertible
+        assert report.dim_center == 0
