@@ -55,7 +55,6 @@ class HamiltonianInstance:
     lattice: FiniteLattice
     term_symbols: tuple[LaurentMatrix, ...]
     entries: tuple[tuple[int, tuple[int, ...]], ...]
-    paulis: tuple[PhasedPauli, ...]
     rows: np.ndarray
 
     @property
@@ -73,7 +72,6 @@ def build_hamiltonian(
     pairwise commutation (one bad pair aborts loudly)."""
     symbols = tuple(term_symbols)
     entries = []
-    paulis = []
     rows = []
     for fam, sym in enumerate(symbols):
         for s in lattice.sites():
@@ -81,7 +79,6 @@ def build_hamiltonian(
             if vec is None:
                 continue
             entries.append((fam, s))
-            paulis.append(PhasedPauli.from_symplectic(lattice.p, vec))
             rows.append(vec)
     if not rows:
         raise NoncommutingTermsError("no term fits on the lattice")
@@ -93,8 +90,7 @@ def build_hamiltonian(
         raise NoncommutingTermsError(
             f"terms {entries[i]} and {entries[j]} do not commute"
         )
-    return HamiltonianInstance(lattice, symbols, tuple(entries),
-                               tuple(paulis), rows)
+    return HamiltonianInstance(lattice, symbols, tuple(entries), rows)
 
 
 def syndrome(op: PhasedPauli, h: HamiltonianInstance) -> dict:

@@ -130,15 +130,9 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.nvars: 1}
 
-    def is_constant(self) -> bool:
-        return all(all(v == 0 for v in e) for e in self.terms)
-
     def is_monomial(self) -> bool:
         """Single-term Laurent polynomials are exactly the units of the ring."""
         return len(self.terms) == 1
-
-    def constant_coeff(self) -> int:
-        return self.terms.get((0,) * self.nvars, 0)
 
     def spread(self) -> int:
         """Largest absolute exponent appearing in any direction."""
@@ -853,9 +847,13 @@ def adjugate(m: LaurentMatrix) -> LaurentMatrix:
 
 
 def matrix_inverse(m: LaurentMatrix) -> LaurentMatrix:
-    """Inverse over the Laurent ring; exists iff det is a nonzero monomial."""
-    d = determinant(m)
+    """Inverse over the Laurent ring; exists iff det is a nonzero monomial.
+    det is read off the adjugate: det = sum_j m[0][j] adj[j][0]."""
+    adj = adjugate(m)
+    d = LaurentPoly.zero(m.p, m.nvars) if m.rows else LaurentPoly.one(m.p, m.nvars)
+    for j in range(m.rows):
+        d = d + m.entries[0][j] * adj.entries[j][0]
     if not d.is_monomial():
         raise NotAUnitError(f"determinant {d} is not a unit")
     dinv = d.inverse()
-    return adjugate(m).map(lambda f: f * dinv)
+    return adj.map(lambda f: f * dinv)

@@ -130,8 +130,7 @@ class PauliConjugation:
     conjugator: PhasedPauli
 
     def apply(self, w: PhasedPauli) -> PhasedPauli:
-        u = self.conjugator
-        return u * w * u.dagger()
+        return w.scale_phase(self.conjugator.commutator_exponent(w))
 
 
 def _spectral_class(r: PhasedPauli) -> tuple:

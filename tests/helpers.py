@@ -7,11 +7,16 @@ being committed.
 """
 
 import itertools
+import random
 
 import numpy as np
 import sympy as sp
 
-from invsub.finite_oracle import VsReport
+from invsub.finite_oracle import (
+    FiniteInvertibilityReport,
+    VsReport,
+    symplectic_complement,
+)
 from invsub.fplinalg import (
     coordinate_restriction,
     kernel,
@@ -115,6 +120,45 @@ def kernel_double_loop(a, p):
         for i, pc in enumerate(pivots):
             out[k, pc] = (-m[i, c]) % p
     return out
+
+
+def non_graph_spec(rng: random.Random) -> SubalgebraSpec:
+    """One draw of an arbitrary generator matrix: p in {2, 3, 5}, 1 or 2
+    directions, 1 or 2 qudits per site, 1 to 2q generators, entries of
+    up to two terms with exponents in [-1, 1]."""
+    p = rng.choice((2, 3, 5))
+    dims = rng.choice((1, 2))
+    q = rng.choice((1, 2))
+    n = rng.randint(1, 2 * q)
+
+    def entry():
+        f = LaurentPoly.zero(p, dims)
+        for _ in range(rng.randint(0, 2)):
+            e = tuple(rng.randint(-1, 1) for _ in range(dims))
+            f = f + LaurentPoly.monomial(rng.randint(1, p - 1), e, p, dims)
+        return f
+
+    rows = [[entry() for _ in range(n)] for _ in range(2 * q)]
+    return SubalgebraSpec(p, q, dims, LaurentMatrix(p, dims, rows))
+
+
+def invertibility_and_center_via_complement(rows, lattice, spread=None):
+    """finite_oracle._invertibility_and_center as first written: the
+    whole commutant is built and met with the span."""
+    span = row_basis(rows, lattice.p)
+    comp = symplectic_complement(span, lattice)
+    center = row_space_intersection(span, comp, lattice.p)
+    warn = spread is not None and any(s <= 4 * spread for s in lattice.sizes)
+    ok = (center.shape[0] == 0
+          and span.shape[0] + comp.shape[0] == lattice.symplectic_len)
+    report = FiniteInvertibilityReport(
+        invertible=ok,
+        dim_span=int(span.shape[0]),
+        dim_commutant=int(comp.shape[0]),
+        dim_center=int(center.shape[0]),
+        small_lattice_warning=bool(warn),
+    )
+    return report, center
 
 
 def check_vs_every_site(rows, lattice, reach):

@@ -19,6 +19,7 @@ import invsub
 from invsub import cli
 from invsub.cli import main
 from invsub.finite_oracle import (
+    MAX_SYMPLECTIC_LEN,
     FiniteLattice,
     center_at_boundary_distance,
     check_invertible_finite,
@@ -158,6 +159,20 @@ def test_huge_minor_count_refused_quickly(tmp_path, capsys):
     assert payload["error"] == (
         f"the rank-6 profile of a 18x18 matrix needs 37128 minors, over "
         f"the supported bound {MAX_MINORS}")
+
+
+def test_huge_lattice_refused_quickly(capsys):
+    # 200x200 with q=2 is 160000 symplectic coordinates; its rows alone
+    # would take about 100 GB.
+    start = perf_counter()
+    code, payload, _ = run(capsys, "oracle", "--spec", "example-z3",
+                           "--torus", "200x200")
+    assert perf_counter() - start < 1.0
+    assert code == 2
+    assert payload["error_kind"] == "LatticeSizeError"
+    assert payload["error"] == (
+        f"160000 symplectic coordinates, over the supported bound "
+        f"{MAX_SYMPLECTIC_LEN}")
 
 
 # SHA-256 of `check --spec NAME` for every builtin, as printed before the

@@ -1,12 +1,21 @@
 """Tests for finite-lattice instantiation and the exact referee checks."""
 
+import random
 from time import perf_counter
 
 import numpy as np
 import pytest
 
 import invsub.finite_oracle as finite_oracle
-from helpers import check_vs_every_site, full_spec, mat, xz_chain_spec, z3_spec
+from helpers import (
+    check_vs_every_site,
+    full_spec,
+    invertibility_and_center_via_complement,
+    mat,
+    non_graph_spec,
+    xz_chain_spec,
+    z3_spec,
+)
 from invsub.fplinalg import (
     coordinate_restriction,
     rank,
@@ -14,10 +23,12 @@ from invsub.fplinalg import (
     row_space_equal,
 )
 from invsub.finite_oracle import (
+    MAX_SYMPLECTIC_LEN,
     BoundaryAlgebraReport,
     FiniteLattice,
     FiniteSymplecticMap,
     InstantiationError,
+    LatticeSizeError,
     boundary_algebra_finite,
     center_at_boundary_distance,
     check_invertible_finite,
@@ -32,7 +43,7 @@ from invsub.finite_oracle import (
 from invsub.laurent import LaurentMatrix
 from invsub.pauli import SubalgebraSpec, commutant_generators, commutation_matrix
 from invsub.qca import lift_to_qca, promote_spec, shift_qca
-from invsub.zoo import get_example, random_remark_spec
+from invsub.zoo import example_names, get_example, random_remark_spec
 
 
 def test_lattice_indexing_round_trip():
@@ -56,6 +67,20 @@ def test_lattice_patch_resolve_and_window():
     assert len(tor.window_sites((0, 0), 1)) == 9
     assert tor.displacement((0, 0), (3, 0)) == 1  # shortest way wraps
     assert pat.displacement((0, 0), (3, 0)) == 3
+
+
+def test_lattice_size_bound():
+    # Refused in __post_init__, before any row is allocated.
+    with pytest.raises(LatticeSizeError):
+        FiniteLattice(3, 2, (200, 200))
+    with pytest.raises(LatticeSizeError):
+        FiniteLattice(3, 1, (MAX_SYMPLECTIC_LEN // 2 + 1,))
+    assert FiniteLattice(3, 1, (MAX_SYMPLECTIC_LEN // 2,)).symplectic_len \
+        == MAX_SYMPLECTIC_LEN
+    # The largest lattices the tests, benchmark and README use.
+    for q, sizes in ((2, (8, 8, 8)), (2, (9, 9, 9)), (2, (31, 31)),
+                     (2, (21, 21)), (4, (9, 9))):
+        assert FiniteLattice(3, q, sizes).symplectic_len <= MAX_SYMPLECTIC_LEN
 
 
 def test_instantiate_column_places_terms():
@@ -256,6 +281,55 @@ def test_check_vs_non_invariant_rows_visit_every_site(monkeypatch):
     assert report.failure_site == (2, 2)
     assert visited == lat.site_index((2, 2)) + 1
     assert_same_report(report, check_vs_every_site(rows, lat, 2))
+
+
+def assert_matches_old_route(spec, lattice, reach):
+    """Center basis, report and V_s verdict equal those of the route
+    through the whole commutant, checked at every site."""
+    rows = instantiate_spec(spec, lattice)
+    report, center = finite_oracle._invertibility_and_center(
+        rows, lattice, spec.spread)
+    old_report, old_center = invertibility_and_center_via_complement(
+        rows, lattice, spec.spread)
+    assert report == old_report
+    assert center.shape == old_center.shape
+    assert np.array_equal(center, old_center)
+    assert check_invertible_finite(rows, lattice, spec.spread) == old_report
+    assert_same_report(check_vs(rows, lattice, reach),
+                       check_vs_every_site(rows, lattice, reach))
+
+
+@pytest.mark.parametrize("name", example_names())
+@pytest.mark.parametrize("periodic", [True, False])
+def test_builtins_match_old_route(name, periodic):
+    spec = get_example(name).spec
+    lat = FiniteLattice(spec.p, spec.q, (5,) * spec.dims, periodic)
+    for reach in (0, max(2 * spec.spread, 2)):
+        assert_matches_old_route(spec, lat, reach)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_remark_specs_match_old_route(p, periodic):
+    spec = random_remark_spec(p, np.random.default_rng(p))
+    # A generator of spread k can span 2k + 1 sites along an axis.
+    side = 5 if periodic else 2 * spec.spread + 1
+    lat = FiniteLattice(p, spec.q, (side, side), periodic)
+    for reach in (1, 2 * spec.spread):
+        assert_matches_old_route(spec, lat, reach)
+
+
+@pytest.mark.parametrize("chunk", range(3))
+def test_non_graph_draws_match_old_route(chunk):
+    # 300 draws in all, on a ring of 6 or a 4x4 box, torus and patch.
+    rng = random.Random(chunk)
+    for i in range(100):
+        spec = non_graph_spec(rng)
+        sizes = (6,) if spec.dims == 1 else (4, 4)
+        reach = i % (3 if spec.dims == 1 else 2)
+        for periodic in (True, False):
+            lat = FiniteLattice(spec.p, spec.q, sizes, periodic)
+            assert_matches_old_route(spec, lat, reach)
 
 
 def test_check_vs_torus_time_budget():

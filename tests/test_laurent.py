@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import invsub.laurent as laurent
 from invsub.laurent import (
     IdealDescription,
     LaurentMatrix,
@@ -385,6 +386,21 @@ def test_matrix_inverse_requires_unit_determinant():
     m = LaurentMatrix(3, 2, [[f3("1 + x"), f3("0")], [f3("0"), f3("1")]])
     with pytest.raises(NotAUnitError):
         matrix_inverse(m)
+
+
+def test_matrix_inverse_reads_det_from_adjugate(monkeypatch):
+    def refuse(m):
+        raise AssertionError("matrix_inverse expanded det a second time")
+
+    monkeypatch.setattr(laurent, "determinant", refuse)
+    xi = z3_xi()
+    assert (xi @ matrix_inverse(xi)) == LaurentMatrix.identity(3, 2, 2)
+    one = LaurentMatrix(3, 2, [[f3("2*x*y^-1")]])
+    assert matrix_inverse(one)[0, 0] == f3("2*x^-1*y")
+    empty = LaurentMatrix.zeros(3, 2, 0, 0)
+    assert matrix_inverse(empty).shape == (0, 0)
+    with pytest.raises(NotAUnitError):
+        matrix_inverse(LaurentMatrix(3, 2, [[f3("1 + x")]]))
 
 
 # ---------------------------------------------------------------------------

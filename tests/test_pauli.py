@@ -10,6 +10,7 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import invsub.pauli as pauli
 from invsub.finite_oracle import (
     FiniteLattice,
     check_invertible_finite,
@@ -264,6 +265,21 @@ def test_membership_projector_route():
     assert column_span_contains(spec, w)
     e1 = mat(3, 2, [["1"], ["0"], ["0"], ["0"]])
     assert not column_span_contains(spec, e1)
+
+
+def test_membership_certifies_once(monkeypatch):
+    calls = []
+    real = pauli.determinantal_profile
+
+    def counted(m):
+        calls.append(1)
+        return real(m)
+
+    monkeypatch.setattr(pauli, "determinantal_profile", counted)
+    spec = get_example("example-z3").spec
+    w = spec.generators @ mat(3, 2, [["2 + x*y"], ["x^-1 - y"]])
+    assert column_span_contains(spec, w)
+    assert len(calls) == 1
 
 
 def test_membership_graph_route():

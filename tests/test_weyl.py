@@ -115,8 +115,8 @@ def test_conjugation_shifts_phase_by_pairing():
                        atol=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([2, 3]), st.data())
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
 def test_conjugation_preserves_symbol(p, data):
     size = data.draw(st.integers(1, 2))
     u = data.draw(paulis(p, size))
@@ -124,6 +124,7 @@ def test_conjugation_preserves_symbol(p, data):
     out = PauliConjugation(u).apply(w)
     assert np.array_equal(out.a, w.a) and np.array_equal(out.b, w.b)
     assert out.phase == (w.phase + u.commutator_exponent(w)) % p
+    assert out == u * w * u.dagger()
 
 
 def numeric_distance_to_identity(w: PhasedPauli) -> float:
