@@ -18,6 +18,7 @@ from .fplinalg import solve
 from .finite_oracle import (
     FiniteLattice,
     InstantiationError,
+    _placements,
     instantiate_column,
     pairing_matrix,
 )
@@ -71,18 +72,16 @@ def build_hamiltonian(
     """Place every translate of every term symbol and verify exact
     pairwise commutation (one bad pair aborts loudly)."""
     symbols = tuple(term_symbols)
+    sites = list(lattice.sites())
     entries = []
     rows = []
     for fam, sym in enumerate(symbols):
-        for s in lattice.sites():
-            vec = instantiate_column(lattice, sym, s)
-            if vec is None:
-                continue
-            entries.append((fam, s))
-            rows.append(vec)
-    if not rows:
+        placed, fits = _placements(lattice, sym)
+        entries.extend((fam, sites[i]) for i in np.flatnonzero(fits))
+        rows.append(placed[fits])
+    if not entries:
         raise NoncommutingTermsError("no term fits on the lattice")
-    rows = np.array(rows, dtype=np.int64)
+    rows = np.vstack(rows)
     gram = pairing_matrix(rows, rows, lattice.p)
     bad = np.argwhere(gram != 0)
     if bad.size:

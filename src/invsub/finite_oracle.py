@@ -25,8 +25,8 @@ from .fplinalg import (
     coordinate_restriction,
     kernel,
     matmul_mod,
+    rank,
     row_basis,
-    row_space_equal,
 )
 from .laurent import LaurentMatrix
 from .pauli import SubalgebraSpec
@@ -40,8 +40,8 @@ class InstantiationError(ValueError):
 
 # The most symplectic coordinates (n = 2qN) a lattice may have; dense
 # elimination costs n^2 memory and n^3 time.  example-z3 (q=2), end to
-# end on a 2-core Xeon VM: `boundary` 9^3 (n=2916) 6.9 s, 423 MiB and
-# 10^3 (n=4000) 16 s, 787 MiB; `oracle` 31x31 (n=3844) 4.1 s, 352 MiB,
+# end on a 2-core Xeon VM: `boundary` 9^3 (n=2916) 1.8 s, 344 MiB and
+# 10^3 (n=4000) 3.5 s, 618 MiB; `oracle` 31x31 (n=3844) 4.1 s, 352 MiB,
 # 40x40 (n=6400) 15 s, 846 MiB and 45x45 (n=8100) 19 s, 1.3 GiB.
 MAX_SYMPLECTIC_LEN = 4096
 
@@ -150,15 +150,19 @@ def pairing_matrix(rows1, rows2, p: int) -> np.ndarray:
             - matmul_mod(r1[:, m:], r2[:, :m].T, p)) % p
 
 
+def _check_column(lattice: FiniteLattice, column: LaurentMatrix) -> None:
+    if column.shape != (2 * lattice.q, 1):
+        raise InstantiationError(f"expected a {2 * lattice.q} x 1 symbol column")
+    if column.p != lattice.p or column.nvars != lattice.dims:
+        raise InstantiationError("symbol ring does not match the lattice")
+
+
 def instantiate_column(
     lattice: FiniteLattice, column: LaurentMatrix, base_site
 ) -> np.ndarray | None:
     """Place one symbol column at a base site; None if any term of any
     entry falls off an open patch."""
-    if column.shape != (2 * lattice.q, 1):
-        raise InstantiationError(f"expected a {2 * lattice.q} x 1 symbol column")
-    if column.p != lattice.p or column.nvars != lattice.dims:
-        raise InstantiationError("symbol ring does not match the lattice")
+    _check_column(lattice, column)
     vec = np.zeros(lattice.symplectic_len, dtype=np.int64)
     for r in range(2 * lattice.q):
         f = column[(r, 0)]
@@ -174,6 +178,32 @@ def instantiate_column(
     return vec
 
 
+def _placements(
+    lattice: FiniteLattice, column: LaurentMatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """The column placed at every site, as one row per site in site
+    order, and a mask of the sites where no term falls off an open patch
+    (every site of a torus).  Rows outside the mask are wrapped round
+    the patch and carry no meaning."""
+    _check_column(lattice, column)
+    sizes = np.array(lattice.sizes)
+    grid = np.indices(lattice.sizes).reshape(lattice.dims, -1).T
+    site_rows = np.arange(lattice.n_sites)
+    fits = np.ones(lattice.n_sites, dtype=bool)
+    out = np.zeros((lattice.n_sites, lattice.symplectic_len), dtype=np.int64)
+    for r in range(2 * lattice.q):
+        offset = r % lattice.q + (lattice.n_qudits if r >= lattice.q else 0)
+        for e, c in column[(r, 0)].terms.items():
+            target = grid + np.array(e)
+            if not lattice.periodic:
+                fits &= np.all((target >= 0) & (target < sizes), axis=1)
+            index = np.ravel_multi_index(tuple((target % sizes).T), lattice.sizes)
+            # Terms that wrap onto one coordinate accumulate.
+            np.add.at(out, (site_rows, index * lattice.q + offset), c)
+    out %= lattice.p
+    return out, fits
+
+
 def instantiate_spec(spec: SubalgebraSpec, lattice: FiniteLattice) -> np.ndarray:
     """All surviving generator translates as symplectic rows.
 
@@ -183,22 +213,16 @@ def instantiate_spec(spec: SubalgebraSpec, lattice: FiniteLattice) -> np.ndarray
     """
     if (spec.p, spec.q, spec.dims) != (lattice.p, lattice.q, lattice.dims):
         raise InstantiationError("spec and lattice parameters disagree")
-    rows = []
+    rows = [np.zeros((0, lattice.symplectic_len), dtype=np.int64)]
     for j in range(spec.n_generators):
         col = spec.generators.submatrix(range(2 * spec.q), [j])
-        placed = 0
-        for s in lattice.sites():
-            vec = instantiate_column(lattice, col, s)
-            if vec is not None:
-                rows.append(vec)
-                placed += 1
-        if placed == 0:
+        placed, fits = _placements(lattice, col)
+        if not fits.any():
             raise InstantiationError(
                 f"no translate of generator {j} fits on the patch"
             )
-    if not rows:
-        return np.zeros((0, lattice.symplectic_len), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
+        rows.append(placed[fits])
+    return np.vstack(rows)
 
 
 def pauli_from_column(
@@ -285,7 +309,8 @@ def _translation_invariant(span: np.ndarray, lattice: FiniteLattice) -> bool:
     """Is the span mapped onto itself by a unit shift along every axis
     (and so by every translation of the torus)?"""
     return all(
-        row_space_equal(span[:, _unit_shift(lattice, axis)], span, lattice.p)
+        np.array_equal(row_basis(span[:, _unit_shift(lattice, axis)], lattice.p),
+                       span)
         for axis in range(lattice.dims)
     )
 
@@ -338,10 +363,17 @@ class FiniteSymplecticMap:
         half = self.lattice.n_qudits
         jm = np.vstack([m[half:], (-m[:half]) % self.lattice.p])
         gram = matmul_mod(m.T, jm, self.lattice.p)
-        j = np.zeros((n, n), dtype=np.int64)
-        j[:half, half:] = np.eye(half, dtype=np.int64)
-        j[half:, :half] = (-np.eye(half, dtype=np.int64)) % self.lattice.p
-        if not np.array_equal(gram, j):
+        # M^T J M = J block by block: zero diagonal blocks, I above and
+        # -I below, without a dense J.
+        def scalar_block(block, value):
+            return (np.count_nonzero(block) == (half if value else 0)
+                    and bool(np.all(np.diagonal(block) == value)))
+
+        p = self.lattice.p
+        if not (scalar_block(gram[:half, :half], 0)
+                and scalar_block(gram[half:, half:], 0)
+                and scalar_block(gram[:half, half:], 1)
+                and scalar_block(gram[half:, :half], p - 1)):
             raise ValueError("matrix does not preserve the symplectic form")
         if self.spread < 0:
             object.__setattr__(self, "spread", self._measure_spread())
@@ -357,11 +389,6 @@ class FiniteSymplecticMap:
             out = max(out, lat.displacement(s_in, s_out))
         return out
 
-    def image_of_coords(self, coords) -> np.ndarray:
-        """Row basis of the image of the coordinate subalgebra."""
-        cols = self.matrix[:, list(coords)].T
-        return row_basis(cols, self.lattice.p)
-
 
 def instantiate_qca(qca: CliffordQCA, lattice: FiniteLattice) -> FiniteSymplecticMap:
     if not lattice.periodic:
@@ -370,13 +397,11 @@ def instantiate_qca(qca: CliffordQCA, lattice: FiniteLattice) -> FiniteSymplecti
         raise InstantiationError("QCA and lattice parameters disagree")
     n = lattice.symplectic_len
     big = np.zeros((n, n), dtype=np.int64)
-    cols = [qca.matrix.submatrix(range(2 * qca.q), [c]) for c in range(2 * qca.q)]
-    for s in lattice.sites():
-        for c in range(2 * qca.q):
-            slot = c % qca.q
-            src = (lattice.z_coord(s, slot) if c >= qca.q
-                   else lattice.x_coord(s, slot))
-            big[:, src] = instantiate_column(lattice, cols[c], s)
+    site_x = np.arange(lattice.n_sites) * qca.q
+    for c in range(2 * qca.q):
+        col = qca.matrix.submatrix(range(2 * qca.q), [c])
+        src = site_x + c % qca.q + (lattice.n_qudits if c >= qca.q else 0)
+        big[:, src] = _placements(lattice, col)[0].T
     return FiniteSymplecticMap(lattice, big, spread=qca.spread)
 
 
@@ -406,6 +431,20 @@ def boundary_algebra_finite(
     dim(image) = dim(boundary part) + dim(part supported off the slab):
     equality says the image splits cleanly along the slab boundary,
     which is the finite content of the half-space factorization.
+
+    No elimination of the image is needed: the map M is verified
+    symplectic, so it is invertible with M^-1 = -J M^T J.
+    - The band's columns are independent, so dim(image) = |band|.
+    - v lies in the image of the band iff M^-1 v vanishes outside the
+      band, so the boundary part is the kernel of the block
+      M^-1[outside the band, slab] placed on the slab coordinates.  The
+      block is a signed, transposed slice of M:
+      M^-1[i, j] = s(i) s(j) M[sw(j), sw(i)], where sw swaps the X and
+      Z halves and s is +1 on the X half and -1 on the Z half.  Row
+      signs s(i) leave the kernel alone, so only s(j) is applied.
+    - The off-slab layers are the slab's complement, so the part of the
+      image supported off the slab is the kernel of the image's
+      projection onto the slab: dim = |band| - rank M[slab, band].
     """
     lat = alpha.lattice
     if not 0 <= axis < lat.dims:
@@ -420,25 +459,28 @@ def boundary_algebra_finite(
 
     def layer_coords(layers):
         wanted = {l % L for l in layers}
-        return [c for s in lat.sites() if s[axis] in wanted
-                for c in lat.site_coords(s)]
+        return np.array([c for s in lat.sites() if s[axis] in wanted
+                         for c in lat.site_coords(s)], dtype=np.intp)
 
+    p, n, half = lat.p, lat.symplectic_len, lat.n_qudits
     band = layer_coords(range(cut + 1, cut + depth + 1))
     slab = layer_coords(range(cut + 1, cut + window + 1))
-    off_slab = layer_coords(
-        l for l in range(L) if (l - cut - 1) % L >= window
-    )
-    image = alpha.image_of_coords(band)
-    boundary = coordinate_restriction(image, slab, lat.p)
-    off = coordinate_restriction(image, off_slab, lat.p)
+    outside = np.setdiff1d(np.arange(n), band)
+
+    swapped_slab, swapped_outside = (slab + half) % n, (outside + half) % n
+    inverse_block = (alpha.matrix[np.ix_(swapped_slab, swapped_outside)].T
+                     * np.where(slab < half, 1, -1)) % p
+    coeffs = kernel(inverse_block, p)
+    placed = np.zeros((coeffs.shape[0], n), dtype=np.int64)
+    placed[:, slab] = coeffs
+    boundary = row_basis(placed, p)
+    dim_off_slab = band.size - rank(alpha.matrix[np.ix_(slab, band)], p)
     return BoundaryAlgebraReport(
         basis=boundary,
-        dim_image=int(image.shape[0]),
-        dim_boundary=int(boundary.shape[0]),
-        dim_off_slab=int(off.shape[0]),
-        factorization_holds=bool(
-            image.shape[0] == boundary.shape[0] + off.shape[0]
-        ),
+        dim_image=band.size,
+        dim_boundary=boundary.shape[0],
+        dim_off_slab=dim_off_slab,
+        factorization_holds=band.size == boundary.shape[0] + dim_off_slab,
     )
 
 

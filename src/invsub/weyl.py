@@ -22,7 +22,6 @@ def _vec(v, p: int) -> np.ndarray:
     arr = np.asarray(v, dtype=np.int64) % p
     if arr.ndim != 1:
         raise ValueError("exponent vectors must be 1-d")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 

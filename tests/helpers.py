@@ -13,14 +13,21 @@ import numpy as np
 import sympy as sp
 
 from invsub.finite_oracle import (
+    BoundaryAlgebraReport,
     FiniteInvertibilityReport,
+    InstantiationError,
     VsReport,
+    _unit_shift,
+    instantiate_column,
     symplectic_complement,
 )
 from invsub.fplinalg import (
     coordinate_restriction,
     kernel,
+    matmul_mod,
+    rank,
     row_basis,
+    row_space_equal,
     row_space_intersection,
     rref,
 )
@@ -197,3 +204,122 @@ def dist_bounded_every_candidate(alpha, beta, p, m, max_support=2):
                 if num > best_num + 1e-40:
                     best, best_num = BoundedDistance(d, w), num
     return best
+
+
+def translation_invariant_rereducing(span, lattice):
+    """finite_oracle._translation_invariant as first written: the
+    already canonical span is reduced again for every axis."""
+    return all(
+        row_space_equal(span[:, _unit_shift(lattice, axis)], span, lattice.p)
+        for axis in range(lattice.dims)
+    )
+
+
+def boundary_algebra_via_image(alpha, axis, cut, window, depth=None):
+    """finite_oracle.boundary_algebra_finite as first written: the image
+    of the band is eliminated, then restricted to the slab and to the
+    layers off it."""
+    lat = alpha.lattice
+    if not 0 <= axis < lat.dims:
+        raise ValueError(f"axis {axis} out of range")
+    L = lat.sizes[axis]
+    if window < alpha.spread:
+        raise ValueError(f"window {window} below the map's spread {alpha.spread}")
+    if depth is None:
+        depth = L - 2
+    if not window <= depth <= L - 2:
+        raise ValueError("need window <= depth <= L - 2 for a meaningful band")
+
+    def layer_coords(layers):
+        wanted = {l % L for l in layers}
+        return [c for s in lat.sites() if s[axis] in wanted
+                for c in lat.site_coords(s)]
+
+    band = layer_coords(range(cut + 1, cut + depth + 1))
+    slab = layer_coords(range(cut + 1, cut + window + 1))
+    off_slab = layer_coords(
+        l for l in range(L) if (l - cut - 1) % L >= window
+    )
+    image = row_basis(alpha.matrix[:, band].T, lat.p)
+    boundary = coordinate_restriction(image, slab, lat.p)
+    off = coordinate_restriction(image, off_slab, lat.p)
+    return BoundaryAlgebraReport(
+        basis=boundary,
+        dim_image=int(image.shape[0]),
+        dim_boundary=int(boundary.shape[0]),
+        dim_off_slab=int(off.shape[0]),
+        factorization_holds=bool(
+            image.shape[0] == boundary.shape[0] + off.shape[0]
+        ),
+    )
+
+
+def random_symplectic_matrix(lattice, rng, factors=4):
+    """A seeded random symplectic matrix on the lattice's register, with
+    no translation invariance: a product of [[A, 0], [0, A^-T]] with A
+    invertible, [[I, S], [0, I]] with S symmetric, and J, which swaps
+    the halves so that lower blocks fill in too."""
+    p, half = lattice.p, lattice.n_qudits
+    eye, zero = np.eye(half, dtype=np.int64), np.zeros((half, half), np.int64)
+    out = np.eye(2 * half, dtype=np.int64)
+    for _ in range(factors):
+        a = rng.integers(0, p, (half, half))
+        while rank(a, p) < half:
+            a = rng.integers(0, p, (half, half))
+        a_inv = rref(np.hstack([a, eye]), p)[0][:, half:]
+        s = np.triu(rng.integers(0, p, (half, half)))
+        s = s + np.triu(s, 1).T
+        for f in (np.block([[a, zero], [zero, a_inv.T]]),
+                  np.block([[eye, s], [zero, eye]]),
+                  np.block([[zero, eye], [(-eye) % p, zero]])):
+            out = matmul_mod(out, f, p)
+    return out
+
+
+def instantiate_spec_per_site(spec, lattice):
+    """finite_oracle.instantiate_spec as first written: the generators
+    placed one site at a time."""
+    rows = []
+    for j in range(spec.n_generators):
+        col = spec.generators.submatrix(range(2 * spec.q), [j])
+        placed = 0
+        for s in lattice.sites():
+            vec = instantiate_column(lattice, col, s)
+            if vec is not None:
+                rows.append(vec)
+                placed += 1
+        if placed == 0:
+            raise InstantiationError(
+                f"no translate of generator {j} fits on the patch"
+            )
+    if not rows:
+        return np.zeros((0, lattice.symplectic_len), dtype=np.int64)
+    return np.array(rows, dtype=np.int64)
+
+
+def instantiate_qca_per_site(qca, lattice):
+    """The matrix of finite_oracle.instantiate_qca as first written:
+    each column placed at one site at a time."""
+    n = lattice.symplectic_len
+    big = np.zeros((n, n), dtype=np.int64)
+    cols = [qca.matrix.submatrix(range(2 * qca.q), [c]) for c in range(2 * qca.q)]
+    for s in lattice.sites():
+        for c in range(2 * qca.q):
+            slot = c % qca.q
+            src = (lattice.z_coord(s, slot) if c >= qca.q
+                   else lattice.x_coord(s, slot))
+            big[:, src] = instantiate_column(lattice, cols[c], s)
+    return big
+
+
+def hamiltonian_terms_per_site(lattice, term_symbols):
+    """The entries and rows of anyon_lab.build_hamiltonian as first
+    written: every term symbol placed one site at a time."""
+    entries, rows = [], []
+    for fam, sym in enumerate(term_symbols):
+        for s in lattice.sites():
+            vec = instantiate_column(lattice, sym, s)
+            if vec is not None:
+                entries.append((fam, s))
+                rows.append(vec)
+    return tuple(entries), np.array(rows, dtype=np.int64)

@@ -37,7 +37,7 @@ from invsub.pauli import commutant_generators, symplectic_form
 from invsub.weyl import PhasedPauli
 from invsub.zoo import get_example, plaquette_term
 
-from helpers import mat
+from helpers import hamiltonian_terms_per_site, mat
 
 Z3 = get_example("example-z3")
 TORIC = get_example("toric-code-z3")
@@ -69,6 +69,22 @@ def test_build_hamiltonian_counts_and_span(h9):
     assert h9.spread == 1
     spec_rows = instantiate_spec(Z3.spec, h9.lattice)
     assert row_space_contains(spec_rows, h9.rows, 3)
+
+
+@pytest.mark.parametrize("entry", [Z3, TORIC], ids=["example-z3", "toric-code-z3"])
+def test_build_hamiltonian_matches_per_site(entry):
+    # Sides 1 and 2 make terms of one entry wrap onto one coordinate.
+    for sizes in ((1, 1), (2, 1), (2, 2), (3, 4), (4, 4)):
+        for periodic in (True, False):
+            lat = FiniteLattice(3, 2, sizes, periodic)
+            entries, rows = hamiltonian_terms_per_site(lat, entry.term_symbols)
+            if not entries:
+                with pytest.raises(NoncommutingTermsError, match="no term fits"):
+                    build_hamiltonian(lat, entry.term_symbols)
+                continue
+            h = build_hamiltonian(lat, entry.term_symbols)
+            assert h.entries == entries
+            assert h.rows.tobytes() == rows.tobytes()
 
 
 def test_noncommuting_terms_rejected():

@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 
 import invsub.finite_oracle as finite_oracle
+import invsub.fplinalg as fplinalg
 from helpers import (
+    boundary_algebra_via_image,
     check_vs_every_site,
     full_spec,
+    instantiate_qca_per_site,
+    instantiate_spec_per_site,
     invertibility_and_center_via_complement,
     mat,
     non_graph_spec,
+    random_symplectic_matrix,
+    translation_invariant_rereducing,
     xz_chain_spec,
     z3_spec,
 )
@@ -41,7 +47,12 @@ from invsub.finite_oracle import (
     verify_blend,
 )
 from invsub.laurent import LaurentMatrix
-from invsub.pauli import SubalgebraSpec, commutant_generators, commutation_matrix
+from invsub.pauli import (
+    SubalgebraSpec,
+    check_invertible,
+    commutant_generators,
+    commutation_matrix,
+)
 from invsub.qca import lift_to_qca, promote_spec, shift_qca
 from invsub.zoo import example_names, get_example, random_remark_spec
 
@@ -340,12 +351,58 @@ def test_check_vs_torus_time_budget():
     assert perf_counter() - start < 1.0
 
 
+def rref_calls(monkeypatch, rows, lattice, reach):
+    """check_vs's report and how many eliminations it ran."""
+    calls = []
+    real = fplinalg.rref
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fplinalg, "rref", counted)
+    report = check_vs(rows, lattice, reach)
+    monkeypatch.undo()
+    return report, len(calls)
+
+
+@pytest.mark.parametrize("spec, reach", [(z3_spec(), 2),
+                                         (get_example("toric-code-z3").spec, 1)])
+def test_translation_check_reuses_the_canonical_span(monkeypatch, spec, reach):
+    lat = FiniteLattice(spec.p, spec.q, (6, 6))
+    rows = instantiate_spec(spec, lat)
+    report, calls = rref_calls(monkeypatch, rows, lat, reach)
+    monkeypatch.setattr(finite_oracle, "_translation_invariant",
+                        translation_invariant_rereducing)
+    old_report, old_calls = rref_calls(monkeypatch, rows, lat, reach)
+    assert old_calls - calls == lat.dims
+    assert_same_report(report, old_report)
+
+
 def test_finite_map_validation():
     lat = FiniteLattice(2, 1, (3,))
     with pytest.raises(ValueError):
         FiniteSymplecticMap(lat, np.diag([0, 1, 1, 1, 1, 1]))
     ident = FiniteSymplecticMap(lat, np.eye(6, dtype=np.int64))
     assert ident.spread == 0
+    # Each block of M^T J M is checked: 2I scales J by 4, wrong only on
+    # the diagonals of the off-diagonal blocks for p = 5 ...
+    lat5 = FiniteLattice(5, 1, (3,))
+    with pytest.raises(ValueError):
+        FiniteSymplecticMap(lat5, 2 * np.eye(6, dtype=np.int64))
+    # ... and a shear [[I, S], [0, I]] with S not symmetric breaks only
+    # the lower right block.
+    shear = np.eye(6, dtype=np.int64)
+    shear[0, 4] = 1
+    with pytest.raises(ValueError):
+        FiniteSymplecticMap(lat5, shear)
+    shear[1, 3] = 1
+    assert FiniteSymplecticMap(lat5, shear).spread == 1
+    # An off-diagonal entry in an identity block is refused.
+    swap = np.eye(6, dtype=np.int64)[[1, 0, 2, 4, 3, 5]]
+    swap[0, 2] = 1
+    with pytest.raises(ValueError):
+        FiniteSymplecticMap(lat5, swap)
 
 
 def test_instantiate_shift_qca():
@@ -421,6 +478,148 @@ def test_boundary_algebra_window_below_spread_rejected():
     _, _, _, fin = lift_on_torus(n_sheets=4)
     with pytest.raises(ValueError):
         boundary_algebra_finite(fin, axis=2, cut=0, window=0)
+
+
+def boundary_outcome(route, alpha, *args):
+    try:
+        r = route(alpha, *args)
+    except ValueError as err:
+        return ("refused", str(err))
+    return (r.basis.shape, r.basis.dtype, r.basis.tobytes(), r.dim_image,
+            r.dim_boundary, r.dim_off_slab, r.factorization_holds)
+
+
+def assert_boundary_matches_image_route(alpha):
+    """Byte-equal reports, or the same refusal, for every axis (and one
+    either side), cut, window and depth."""
+    lat = alpha.lattice
+    cases = refused = 0
+    for axis in range(-1, lat.dims + 1):
+        L = lat.sizes[axis % lat.dims]
+        for cut in range(-1, L + 1):
+            for window in range(L):
+                for depth in (None, *range(L)):
+                    args = (axis, cut, window, depth)
+                    new = boundary_outcome(boundary_algebra_finite, alpha, *args)
+                    assert new == boundary_outcome(boundary_algebra_via_image,
+                                                   alpha, *args), args
+                    cases += 1
+                    refused += new[0] == "refused"
+    assert 0 < refused < cases
+
+
+@pytest.mark.parametrize("name", [n for n in example_names() if
+                                  check_invertible(get_example(n).spec).invertible])
+@pytest.mark.parametrize("sheet", [(3, 3), (2, 4)])
+def test_boundary_of_lifts_matches_image_route(name, sheet):
+    qca = lift_to_qca(get_example(name).spec)
+    lat = FiniteLattice(qca.p, qca.q, sheet + (5,))
+    assert_boundary_matches_image_route(instantiate_qca(qca, lat))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_boundary_of_shifts_matches_image_route(p):
+    for power in (-1, 1, 2):
+        for sizes in ((6,), (3, 5)):
+            qca = shift_qca(p, 1, len(sizes), axis=len(sizes) - 1, power=power)
+            lat = FiniteLattice(p, 1, sizes)
+            assert_boundary_matches_image_route(instantiate_qca(qca, lat))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_boundary_of_random_symplectic_maps_matches_image_route(seed):
+    # Not translation-invariant and of long range, so the spread is set
+    # to 0 to reach every window; the two routes are plain linear algebra.
+    rng = np.random.default_rng(seed)
+    p = (2, 3, 5)[seed % 3]
+    for q, sizes in ((1, (5,)), (2, (4,)), (1, (2, 4))):
+        lat = FiniteLattice(p, q, sizes)
+        alpha = FiniteSymplecticMap(lat, random_symplectic_matrix(lat, rng),
+                                    spread=0)
+        assert_boundary_matches_image_route(alpha)
+
+
+def test_boundary_algebra_nine_cubed_time_budget():
+    # The seed target for the lifted example-z3 on 9x9x9 (n = 2916).
+    qca = lift_to_qca(z3_spec())
+    fin = instantiate_qca(qca, FiniteLattice(3, 2, (9, 9, 9)))
+    start = perf_counter()
+    report = boundary_algebra_finite(fin, axis=2, cut=3, window=1)
+    assert perf_counter() - start < 2.0
+    assert report.factorization_holds
+    assert report.dim_boundary == 2 * 81
+
+
+def placement_outcome(build, *args):
+    try:
+        out = build(*args)
+    except InstantiationError as err:
+        return ("refused", str(err))
+    return (out.shape, out.dtype, out.tobytes())
+
+
+def assert_placements_match_per_site(spec, lattice):
+    for j in range(spec.n_generators):
+        col = spec.generators.submatrix(range(2 * spec.q), [j])
+        rows, fits = finite_oracle._placements(lattice, col)
+        for i, s in enumerate(lattice.sites()):
+            vec = instantiate_column(lattice, col, s)
+            assert fits[i] == (vec is not None)
+            if vec is not None:
+                assert np.array_equal(rows[i], vec)
+    assert placement_outcome(instantiate_spec, spec, lattice) == \
+        placement_outcome(instantiate_spec_per_site, spec, lattice)
+
+
+# Sides 1 and 2 make terms of one entry wrap onto one coordinate.
+SMALL_SIZES = {1: [(1,), (2,), (5,)], 2: [(1, 1), (2, 1), (2, 2), (3, 4)]}
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_placements_of_builtins_match_per_site(name):
+    spec = get_example(name).spec
+    for sizes in SMALL_SIZES[spec.dims]:
+        for periodic in (True, False):
+            lat = FiniteLattice(spec.p, spec.q, sizes, periodic)
+            assert_placements_match_per_site(spec, lat)
+
+
+def test_placements_of_non_graph_draws_match_per_site():
+    rng = random.Random(7)
+    refused = 0
+    for _ in range(60):
+        spec = non_graph_spec(rng)
+        for sizes in SMALL_SIZES[spec.dims]:
+            for periodic in (True, False):
+                lat = FiniteLattice(spec.p, spec.q, sizes, periodic)
+                assert_placements_match_per_site(spec, lat)
+                refused += placement_outcome(instantiate_spec, spec,
+                                             lat)[0] == "refused"
+    assert refused > 0
+
+
+def test_placements_accumulate_wrapped_terms():
+    # x + x^-1 + 1 on a ring of one site lands three times on one
+    # coordinate, and x + 2x^-1 twice on a ring of two.
+    lat1 = FiniteLattice(5, 1, (1,))
+    col = mat(5, 1, [["x + x^-1 + 1"], ["0"]])
+    assert instantiate_spec(SubalgebraSpec(5, 1, 1, col), lat1).tolist() == [[3, 0]]
+    lat2 = FiniteLattice(5, 1, (2,))
+    col = mat(5, 1, [["x + 2*x^-1"], ["0"]])
+    assert instantiate_spec(SubalgebraSpec(5, 1, 1, col), lat2).tolist() == \
+        [[0, 3, 0, 0], [3, 0, 0, 0]]
+
+
+def test_instantiate_qca_matches_per_site():
+    maps = [lift_to_qca(get_example(n).spec) for n in ("example-z3", "full")]
+    maps += [shift_qca(p, q, 2, axis=1, power=k)
+             for p, q, k in ((2, 1, 1), (3, 2, -2), (5, 1, 3))]
+    for qca in maps:
+        for side in (1, 2, 3):
+            lat = FiniteLattice(qca.p, qca.q, (side,) * qca.dims)
+            fin = instantiate_qca(qca, lat)
+            assert fin.matrix.tobytes() == \
+                instantiate_qca_per_site(qca, lat).tobytes()
 
 
 def test_verify_blend_trivial_and_corrupted():

@@ -40,6 +40,18 @@ def paulis(p, size):
     return st.builds(lambda c, a, b: PhasedPauli(p, c, a, b), ints, vec, vec)
 
 
+def test_exponent_vectors_are_read_only_snapshots():
+    a = np.array([1, 2, 0], dtype=np.int64)
+    b = np.array([0, 4, 1], dtype=np.int64)
+    w = PhasedPauli(3, 0, a, b)
+    assert not w.a.flags.writeable and not w.b.flags.writeable
+    with pytest.raises(ValueError):
+        w.a[0] = 2
+    a[0], b[2] = 2, 2
+    assert w.a.tolist() == [1, 2, 0]
+    assert w.b.tolist() == [0, 1, 1]
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from([2, 3]), st.data())
 def test_product_matches_matrix_oracle(p, data):
