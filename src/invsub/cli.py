@@ -29,13 +29,13 @@ from .finite_oracle import (
     FiniteLattice,
     _boundary_distance,
     _invertibility_and_center,
+    _vs_of_span,
     boundary_algebra_finite,
-    check_vs,
     instantiate_qca,
     instantiate_spec,
     verify_blend,
 )
-from .fplinalg import row_space_equal, coordinate_restriction
+from .fplinalg import coordinate_restriction, row_basis, row_space_equal
 from .laurent import LaurentMatrix, format_poly
 from .pauli import (
     NotInvertibleError,
@@ -160,10 +160,10 @@ def _cmd_lift(args) -> tuple[int, dict]:
 def _cmd_oracle(args) -> tuple[int, dict]:
     spec = resolve_spec(args.spec)
     lattice = _lattice_for(args, spec)
-    rows = instantiate_spec(spec, lattice)
-    report, center = _invertibility_and_center(rows, lattice, spec.spread)
+    span = row_basis(instantiate_spec(spec, lattice), lattice.p)
+    report, center = _invertibility_and_center(span, lattice, spec.spread)
     reach = args.window if args.window is not None else max(2 * spec.spread, 2)
-    vs = check_vs(rows, lattice, reach)
+    vs = _vs_of_span(span, lattice, reach)
     payload = _payload(
         "oracle",
         invertible=report.invertible,

@@ -323,3 +323,35 @@ def hamiltonian_terms_per_site(lattice, term_symbols):
                 entries.append((fam, s))
                 rows.append(vec)
     return tuple(entries), np.array(rows, dtype=np.int64)
+
+
+def symplectic_gram_dense(matrix, lattice):
+    """Does the matrix preserve the symplectic form?  FiniteSymplecticMap's
+    check as first written: the dense product M^T J M, block by block
+    against 0, I and -I."""
+    p, half = lattice.p, lattice.n_qudits
+    m = np.asarray(matrix, dtype=np.int64) % p
+    jm = np.vstack([m[half:], (-m[:half]) % p])
+    gram = matmul_mod(m.T, jm, p)
+
+    def scalar_block(block, value):
+        return (np.count_nonzero(block) == (half if value else 0)
+                and bool(np.all(np.diagonal(block) == value)))
+
+    return (scalar_block(gram[:half, :half], 0)
+            and scalar_block(gram[half:, half:], 0)
+            and scalar_block(gram[:half, half:], 1)
+            and scalar_block(gram[half:, :half], p - 1))
+
+
+def measure_spread_per_entry(lattice, matrix):
+    """FiniteSymplecticMap._measure_spread as first written: the sites
+    of every nonzero entry compared one entry at a time."""
+    sites = list(lattice.sites())
+    out = 0
+    nz_rows, nz_cols = np.nonzero(np.asarray(matrix) % lattice.p)
+    for r, c in zip(nz_rows, nz_cols):
+        s_in = sites[(int(c) % lattice.n_qudits) // lattice.q]
+        s_out = sites[(int(r) % lattice.n_qudits) // lattice.q]
+        out = max(out, lattice.displacement(s_in, s_out))
+    return out

@@ -10,12 +10,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
 import pytest
 
 import invsub
+import invsub.fplinalg as fplinalg
 from invsub import cli
 from invsub.cli import main
 from invsub.finite_oracle import (
@@ -23,6 +25,7 @@ from invsub.finite_oracle import (
     FiniteLattice,
     center_at_boundary_distance,
     check_invertible_finite,
+    check_vs,
     instantiate_spec,
 )
 from invsub.laurent import MAX_MINORS
@@ -91,6 +94,37 @@ def test_oracle_on_torus(capsys):
     assert payload["dim_center"] == 0
     assert payload["vs_holds"] is True
     assert payload["lattice_over_spread"] == 7.0
+
+
+def rref_shapes(monkeypatch, call):
+    """The shapes of the matrices call() hands to rref, with counts."""
+    shapes = Counter()
+    real = fplinalg.rref
+
+    def counted(a, p):
+        shapes[a.shape] += 1
+        return real(a, p)
+
+    monkeypatch.setattr(fplinalg, "rref", counted)
+    call()
+    monkeypatch.undo()
+    return shapes
+
+
+def test_oracle_reduces_the_rows_once(monkeypatch, capsys):
+    # The command hands the span it reduced for the center to V_s; the
+    # two public calls it stands for reduce the 1152 rows twice.
+    new = rref_shapes(monkeypatch, lambda: main(
+        ["oracle", "--spec", "example-z3", "--torus", "24x24"]))
+    payload = json.loads(capsys.readouterr().out)
+    spec = resolve_spec("example-z3")
+    lat = FiniteLattice(3, 2, (24, 24))
+    rows = instantiate_spec(spec, lat)
+    old = rref_shapes(monkeypatch, lambda: (
+        check_invertible_finite(rows, lat, spec.spread),
+        check_vs(rows, lat, payload["vs_reach"])))
+    assert old - new == Counter({(1152, 2304): 1})
+    assert not new - old
 
 
 def test_oracle_on_patch_reports_boundary_distance(capsys):

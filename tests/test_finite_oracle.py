@@ -16,8 +16,10 @@ from helpers import (
     instantiate_spec_per_site,
     invertibility_and_center_via_complement,
     mat,
+    measure_spread_per_entry,
     non_graph_spec,
     random_symplectic_matrix,
+    symplectic_gram_dense,
     translation_invariant_rereducing,
     xz_chain_spec,
     z3_spec,
@@ -25,6 +27,7 @@ from helpers import (
 from invsub.fplinalg import (
     coordinate_restriction,
     rank,
+    row_basis,
     row_space_contains,
     row_space_equal,
 )
@@ -299,7 +302,7 @@ def assert_matches_old_route(spec, lattice, reach):
     through the whole commutant, checked at every site."""
     rows = instantiate_spec(spec, lattice)
     report, center = finite_oracle._invertibility_and_center(
-        rows, lattice, spec.spread)
+        row_basis(rows, lattice.p), lattice, spec.spread)
     old_report, old_center = invertibility_and_center_via_complement(
         rows, lattice, spec.spread)
     assert report == old_report
@@ -385,6 +388,9 @@ def test_finite_map_validation():
         FiniteSymplecticMap(lat, np.diag([0, 1, 1, 1, 1, 1]))
     ident = FiniteSymplecticMap(lat, np.eye(6, dtype=np.int64))
     assert ident.spread == 0
+    # M^T J M has no nonzero entry at all for M = 0.
+    with pytest.raises(ValueError, match="does not preserve the symplectic"):
+        FiniteSymplecticMap(lat, np.zeros((6, 6), dtype=np.int64))
     # Each block of M^T J M is checked: 2I scales J by 4, wrong only on
     # the diagonals of the off-diagonal blocks for p = 5 ...
     lat5 = FiniteLattice(5, 1, (3,))
@@ -403,6 +409,111 @@ def test_finite_map_validation():
     swap[0, 2] = 1
     with pytest.raises(ValueError):
         FiniteSymplecticMap(lat5, swap)
+
+
+SYMPLECTIC_REFUSAL = "matrix does not preserve the symplectic form"
+
+
+def accepts(lattice, matrix):
+    """FiniteSymplecticMap's verdict on the matrix, asserted equal to the
+    dense block check of M^T J M."""
+    try:
+        FiniteSymplecticMap(lattice, matrix)
+    except ValueError as err:
+        assert str(err) == SYMPLECTIC_REFUSAL
+        verdict = False
+    else:
+        verdict = True
+    assert verdict == symplectic_gram_dense(matrix, lattice)
+    return verdict
+
+
+def corruptions(matrix, lattice, rng):
+    """The matrix with one entry changed, once in each of its four
+    blocks and once on the diagonal of each off-diagonal block."""
+    p, half = lattice.p, lattice.n_qudits
+    out = []
+    for top in (0, half):
+        for left in (0, half):
+            i, j = (int(k) for k in rng.integers(half, size=2))
+            places = [(top + i, left + j)]
+            if top != left:
+                places.append((top + i, left + i))
+            for r, c in places:
+                bad = matrix.copy()
+                bad[r, c] = (bad[r, c] + rng.integers(1, p)) % p
+                out.append(bad)
+    return out
+
+
+def lift_case(name, sizes):
+    qca = lift_to_qca(get_example(name).spec)
+    lat = FiniteLattice(qca.p, qca.q, sizes)
+    return lat, instantiate_qca(qca, lat).matrix
+
+
+def shift_case(p, q, sizes, power):
+    lat = FiniteLattice(p, q, sizes)
+    qca = shift_qca(p, q, len(sizes), axis=len(sizes) - 1, power=power)
+    return lat, instantiate_qca(qca, lat).matrix
+
+
+def random_case(seed, p, q, sizes, periodic=True):
+    lat = FiniteLattice(p, q, sizes, periodic)
+    return lat, random_symplectic_matrix(lat, np.random.default_rng(seed))
+
+
+INVERTIBLE_BUILTINS = [n for n in example_names()
+                       if check_invertible(get_example(n).spec).invertible]
+
+SYMPLECTIC_CASES = {
+    **{f"lift-{name}-{sizes}": (lift_case, name, sizes)
+       for name in INVERTIBLE_BUILTINS for sizes in ((3, 3, 3), (2, 2, 4))},
+    **{f"shift-p{p}-q{q}-{sizes}-{power}": (shift_case, p, q, sizes, power)
+       for p in (2, 3, 5) for q in (1, 2) for sizes in ((6,), (3, 5))
+       for power in (1, -2)},
+    **{f"random-{seed}": (random_case, seed, (2, 3, 5)[seed % 3],
+                          1 + seed % 2, ((5,), (2, 3))[seed % 2], seed < 3)
+       for seed in range(6)},
+    # Products of two reduced entries reach 2^62 at the largest modulus.
+    "random-p65521": (random_case, 6, 65521, 1, (3,)),
+    "random-p2^31-1": (random_case, 7, 2 ** 31 - 1, 2, (8,)),
+    "identity": (lambda: (FiniteLattice(3, 1, (2, 2)),
+                          np.eye(8, dtype=np.int64)),),
+}
+
+
+@pytest.mark.parametrize("label", SYMPLECTIC_CASES)
+def test_symplectic_check_matches_dense_block_check(label):
+    build, *args = SYMPLECTIC_CASES[label]
+    lat, m = build(*args)
+    assert accepts(lat, m)
+    verdicts = [accepts(lat, bad)
+                for bad in corruptions(m, lat, np.random.default_rng(len(m)))]
+    assert not all(verdicts)
+
+
+@pytest.mark.parametrize("label", SYMPLECTIC_CASES)
+def test_measured_spread_matches_per_entry_loop(label):
+    build, *args = SYMPLECTIC_CASES[label]
+    lat, m = build(*args)
+    assert FiniteSymplecticMap(lat, m).spread == measure_spread_per_entry(lat, m)
+
+
+def test_symplectic_check_makes_no_dense_product(monkeypatch):
+    qca = lift_to_qca(z3_spec())
+    lat = FiniteLattice(3, 2, (3, 3, 3))
+    lat5, random_map = random_case(0, 5, 2, (3,))
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return fplinalg.matmul_mod(*args)
+
+    monkeypatch.setattr(finite_oracle, "matmul_mod", counted)
+    instantiate_qca(qca, lat)
+    FiniteSymplecticMap(lat5, random_map)
+    assert calls == []
 
 
 def test_instantiate_shift_qca():
@@ -542,7 +653,9 @@ def test_boundary_of_random_symplectic_maps_matches_image_route(seed):
 def test_boundary_algebra_nine_cubed_time_budget():
     # The seed target for the lifted example-z3 on 9x9x9 (n = 2916).
     qca = lift_to_qca(z3_spec())
+    start = perf_counter()
     fin = instantiate_qca(qca, FiniteLattice(3, 2, (9, 9, 9)))
+    assert perf_counter() - start < 1.0
     start = perf_counter()
     report = boundary_algebra_finite(fin, axis=2, cut=3, window=1)
     assert perf_counter() - start < 2.0
