@@ -370,63 +370,55 @@ def _vs_of_span(span: np.ndarray, lattice: FiniteLattice, reach: int) -> VsRepor
     return VsReport(True, None, None)
 
 
-def _preserves_form(m: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                    p: int) -> bool:
-    """Is M^T J M = J mod p, for M (n x n, reduced) with its nonzeros at
-    rows, cols in row-major order?
+def _preserves_form(m: np.ndarray, p: int) -> bool:
+    """Is M^T J M = J mod p, for M (n x n, reduced)?
 
     Entry (i, j) of M^T J M is sum_r s(r) M[r, i] M[sw(r), j], where sw
     swaps the X and Z halves and s is +1 on the X half and -1 on the Z
     half: its terms pair a nonzero of column i with the nonzeros of the
-    partner row.  Columns are taken in order, so row i is finished once
-    column i + 1 starts; its entries are summed, those that cancel mod p
-    dropped, and what is left must be row i of J: 1 at i + n/2 on the X
-    half, -1 at i - n/2 on the Z half.  Each product is reduced mod p
-    (below 2^62 for p < 2^31) and at most n + 1 terms meet at one entry,
-    so the int64 sums are exact.  Pairs are made at most n^2 / 8 at a
-    time (one nonzero makes at most n).
+    partner row.  The rows of M^T J M are summed n/16 at a time into a
+    dense block, from at most about n^2/16 products at a time; the sums
+    that cancel mod p are dropped, and what is left must be J's rows: 1
+    at i + n/2 on the X half, -1 at i - n/2 on the Z half.  Each product
+    is reduced mod p (below 2^62 for p < 2^31) and one entry sums at most
+    n of them, so the int64 sums are exact.
     """
     n = m.shape[0]
     half = n // 2
-    vals = m[rows, cols]
-    start = np.searchsorted(rows, np.arange(n + 1))
-    count = np.diff(start)
     partner = (np.arange(n) + half) % n
-    by_col = np.argsort(cols)
-    width = count[partner[rows[by_col]]]
-    ends = np.cumsum(width)
-    budget = max(n, n * n // 8)
-    keys = sums = np.zeros(0, dtype=np.int64)
-    lo = done = 0
-    while True:
-        hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + budget,
-                                 side="right"))
-        left = by_col[lo:hi]
-        w = width[lo:hi]
-        # Left nonzero k pairs with the w[k] nonzeros of its partner row.
-        skip = np.cumsum(w) - w
-        right = (np.repeat(start[partner[rows[left]]] - skip, w)
-                 + np.arange(w.sum()))
-        left = np.repeat(left, w)
-        prod = vals[left] * vals[right] % p
-        prod[rows[left] >= half] *= -1
-        keys = np.concatenate([keys, cols[left] * n + cols[right]])
-        sums = np.concatenate([sums, prod])
-        order = np.argsort(keys)
-        keys, sums = keys[order], sums[order]
-        head = np.flatnonzero(np.diff(keys, prepend=-1))
-        keys, sums = keys[head], np.add.reduceat(sums, head) % p
+    nonzero = m != 0
+    # Row-major flat indices of the nonzeros, and where each row starts.
+    flat = np.flatnonzero(nonzero)
+    bounds = np.searchsorted(flat, np.arange(n + 1) * n)
+    start, count = bounds[:-1][partner], np.diff(bounds)[partner]
+    values = m.ravel()
+    width = max(1, n // 16)
+    budget = max(n, n * n // 16)
+    for a in range(0, n, width):
+        b = min(a + width, n)
+        r, i = np.nonzero(nonzero[:, a:b])
+        coef = np.where(r < half, m[r, a + i], p - m[r, a + i])
+        # Nonzero k pairs with the w[k] nonzeros of row sw(r[k]), whose
+        # flat index sw(r[k]) n + j moves to i[k] n + j in the block.
+        w = count[r]
+        shift = (i - partner[r]) * n
+        cuts = np.searchsorted(np.cumsum(w), np.arange(budget, w.sum(), budget),
+                               side="right")
+        block = np.zeros((b - a) * n, dtype=np.int64)
+        for lo, hi in zip([0, *cuts], [*cuts, r.size]):
+            wk = w[lo:hi]
+            right = flat[np.repeat(start[r[lo:hi]] - (np.cumsum(wk) - wk), wk)
+                         + np.arange(wk.sum())]
+            np.add.at(block, np.repeat(shift[lo:hi], wk) + right,
+                      np.repeat(coef[lo:hi], wk) * values[right] % p)
+        keys = np.flatnonzero(block != 0)  # a bool scan is faster
+        sums = block[keys] % p
         keys, sums = keys[sums != 0], sums[sums != 0]
-        stop = int(cols[by_col[hi]]) if hi < by_col.size else n
-        finished = np.searchsorted(keys, stop * n)
-        i = np.arange(done, stop)
-        if not (np.array_equal(keys[:finished], i * n + partner[i])
-                and np.array_equal(sums[:finished], np.where(i < half, 1, p - 1))):
+        rows = np.arange(a, b)
+        if not (np.array_equal(keys, (rows - a) * n + partner[rows])
+                and np.array_equal(sums, np.where(rows < half, 1, p - 1))):
             return False
-        if stop == n:
-            return True
-        keys, sums = keys[finished:], sums[finished:]
-        lo, done = hi, stop
+    return True
 
 
 @dataclass(frozen=True)
@@ -435,12 +427,16 @@ class FiniteSymplecticMap:
 
     The matrix M (n x n, read mod p) is accepted exactly when
     M^T J M = J, with J = [[0, I], [-I, 0]].  The check reads only M's
-    nonzeros (`_preserves_form`): one scan of M finds them, and each
-    entry of M^T J M is summed from products of a nonzero of M with the
-    nonzeros of its partner row in the other half.  That is
-    sum_r nnz(r) nnz(sw r) products: 196 n for the lifted example-z3
-    (14 nonzeros in every row), n^3 for a dense M, which are made
-    n^2 / 8 at a time.
+    nonzeros (`_preserves_form`): each entry of M^T J M is summed from
+    products of a nonzero of M with the nonzeros of its partner row in
+    the other half.  That is sum_r nnz(r) nnz(sw r) products, plus two
+    O(n^2) scans of M and of the sums.  For a lifted automaton the
+    nonzeros of a row or column come from the terms of its symbol, so
+    their number does not grow with the lattice: 14 in each column for
+    example-z3, at most 16 for spread-2 and spread-3 remark specs, about
+    200 n products in all.  A dense M makes n^3 products,
+    n^2/16 at a time: its peak memory stays under that of the dense
+    product M^T (J M), but the time is seconds from n = 512 on.
     """
 
     lattice: FiniteLattice
@@ -454,20 +450,21 @@ class FiniteSymplecticMap:
         if m.shape != (n, n):
             raise ValueError(f"matrix must be {n} x {n}")
         object.__setattr__(self, "matrix", m)
-        rows, cols = np.nonzero(m)
-        if not _preserves_form(m, rows, cols, p):
+        if not _preserves_form(m, p):
             raise ValueError("matrix does not preserve the symplectic form")
         if self.spread < 0:
-            object.__setattr__(self, "spread", self._measure_spread(rows, cols))
+            object.__setattr__(self, "spread", self._measure_spread())
 
-    def _measure_spread(self, rows: np.ndarray, cols: np.ndarray) -> int:
+    def _measure_spread(self) -> int:
         """Largest distance between the sites of the row and the column
-        of a nonzero entry (M's nonzeros at rows[k], cols[k])."""
+        of a nonzero entry of M."""
         lat = self.lattice
-        links = np.unique((rows % lat.n_qudits) // lat.q * lat.n_sites
-                          + (cols % lat.n_qudits) // lat.q)
+        # Rows and columns both run over (half, site, slot).
+        shape = (2, lat.n_sites, lat.q)
+        linked = self.matrix.reshape(shape + shape).any(axis=(0, 2, 3, 5))
+        out, into = np.nonzero(linked)
         grid = _site_grid(lat)
-        d = np.abs(grid[links // lat.n_sites] - grid[links % lat.n_sites])
+        d = np.abs(grid[out] - grid[into])
         if lat.periodic:
             d = np.minimum(d, np.array(lat.sizes) - d)
         return int(d.max(initial=0))

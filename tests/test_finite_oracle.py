@@ -1,6 +1,7 @@
 """Tests for finite-lattice instantiation and the exact referee checks."""
 
 import random
+import tracemalloc
 from time import perf_counter
 
 import numpy as np
@@ -514,6 +515,24 @@ def test_symplectic_check_makes_no_dense_product(monkeypatch):
     instantiate_qca(qca, lat)
     FiniteSymplecticMap(lat5, random_map)
     assert calls == []
+
+
+def test_symplectic_check_on_a_dense_map_stays_under_dense_product_memory():
+    # A dense map makes n^3 products; they are made in batches, so the
+    # check's peak stays under that of the dense product it replaced.
+    lat, m = random_case(8, 3, 1, (128,))
+    assert np.count_nonzero(m) > m.size // 2
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(lambda: FiniteSymplecticMap(lat, m))
+            < peak(lambda: symplectic_gram_dense(m, lat)))
 
 
 def test_instantiate_shift_qca():
