@@ -322,9 +322,19 @@ def _cyclo_equal_int(a: np.ndarray, value: int) -> bool:
     return bool(np.all(diff == diff[0]))
 
 
+# exp(2 pi i k / 8) for k = 0..7, as sympy prints it.
+_EIGHTH_ROOT_TEXT = ("1", "exp(I*pi/4)", "I", "exp(3*I*pi/4)", "-1",
+                     "exp(-3*I*pi/4)", "-I", "exp(-I*pi/4)")
+
+
 @dataclass(frozen=True)
 class GaussSumReport:
     eighth_root_exponent: int
+
+    @property
+    def phase_text(self) -> str:
+        """`str(self.phase)`, without importing sympy."""
+        return _EIGHTH_ROOT_TEXT[self.eighth_root_exponent]
 
     @property
     def phase(self) -> sp.Expr:

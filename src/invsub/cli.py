@@ -349,7 +349,7 @@ def _cmd_gauss(args) -> tuple[int, dict]:
         "gauss",
         modular=True,
         eighth_root_exponent=report.eighth_root_exponent,
-        phase=str(report.phase),
+        phase=report.phase_text,
         n_anyons=len(spins),
         prime=p,
     )

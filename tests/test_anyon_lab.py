@@ -15,6 +15,7 @@ import sympy as sp
 
 from invsub.anyon_lab import (
     DEFAULT_LEG_DIRECTIONS,
+    GaussSumReport,
     InfeasibleHopError,
     NoncommutingTermsError,
     NotModularError,
@@ -264,6 +265,13 @@ def test_gauss_sum_quadratic_collections(p, expected):
     # for p = 1 mod 4 and i*sqrt(p) for p = 3 mod 4.
     spins = [(k * k) % p for k in range(p)]
     assert gauss_sum_phase(p, spins).eighth_root_exponent == expected
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_gauss_sum_phase_text_is_the_sympy_phase(k):
+    rep = GaussSumReport(eighth_root_exponent=k)
+    assert rep.phase_text == str(sp.exp(2 * sp.pi * sp.I * sp.Rational(k, 8)))
+    assert rep.phase_text == str(rep.phase)
 
 
 def test_gauss_sum_rejects_non_modular():

@@ -30,6 +30,7 @@ from invsub.finite_oracle import (
 )
 from invsub.laurent import MAX_MINORS
 from invsub.specio import MAX_SPREAD, parse_spec, resolve_spec, spec_to_json
+from invsub.weyl import MAX_CANDIDATES
 
 from helpers import with_repeated_columns, z3_tensor
 
@@ -209,6 +210,25 @@ def test_huge_lattice_refused_quickly(capsys):
         f"{MAX_SYMPLECTIC_LEN}")
 
 
+@pytest.mark.parametrize("prime, qudits, support", [
+    (65521, 1, 1),   # 65521^2 - 1, about 4.3e9 candidates
+    (7, 12, 3),      # 12 * 48 + 66 * 48^2 + 220 * 48^3, about 2.4e7
+])
+def test_huge_dist_scan_refused_quickly(capsys, prime, qudits, support):
+    # Both ran past 10 s.
+    ones = ",".join(["1"] * qudits)
+    start = perf_counter()
+    code, payload, _ = run(capsys, "dist", "--prime", str(prime), "--x",
+                           ones, "--z", ones, "--max-support", str(support))
+    assert perf_counter() - start < 1.0
+    assert code == 2
+    assert payload["error_kind"] == "CandidateCountError"
+    assert payload["error"] == (
+        f"{qudits} qudits over F_{prime} carry more than "
+        f"weyl.MAX_CANDIDATES = {MAX_CANDIDATES} Paulis on up to "
+        f"{support} sites")
+
+
 # SHA-256 of `check --spec NAME` for every builtin, as printed before the
 # determinantal profile went rank-first.
 CHECK_DIGESTS = {
@@ -258,7 +278,9 @@ def test_sympy_is_imported_on_first_use():
         main(["check", "--spec", "example-z3"])
         assert "sympy" not in sys.modules, "check"
         main(["gauss", "--spec", "example-z3"])
-        assert "sympy" in sys.modules, "gauss"
+        assert "sympy" not in sys.modules, "gauss"
+        main(["dist", "--prime", "3", "--x", "1,2", "--z", "0,1"])
+        assert "sympy" in sys.modules, "dist"
     """)
     src = str(Path(invsub.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

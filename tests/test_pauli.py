@@ -5,6 +5,8 @@ commutation matrix) were computed with an independent symbolic oracle
 before being asserted here.
 """
 
+import json
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -36,6 +38,7 @@ from invsub.pauli import (
 )
 
 
+from invsub.specio import parse_spec
 from invsub.zoo import example_names, get_example
 
 from helpers import (
@@ -352,6 +355,25 @@ def test_rank_gap_is_not_invertible():
     assert not cert.invertible
     assert not cert.projector_available
     report = _torus_report(spec, 9)
+    assert not report.invertible
+    assert report.dim_center > 0
+
+
+# Every spec among the first 400 draws of helpers.non_graph_spec with
+# random.Random(0) whose Xi has a unit determinantal ideal at
+# 0 < rank Xi < rank V, keyed by draw index.
+RANK_GAP_SPECS = json.loads(
+    (Path(__file__).parent / "data" / "rank_gap_specs.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(RANK_GAP_SPECS))
+def test_rank_gap_draws_are_not_invertible(name):
+    spec = parse_spec(json.dumps(RANK_GAP_SPECS[name]))
+    cert = check_invertible(spec)
+    assert cert.profile.is_unit
+    assert 0 < cert.profile.rank < cert.generator_rank
+    assert not cert.invertible
+    report = _torus_report(spec, 11 if spec.dims == 1 else 7)
     assert not report.invertible
     assert report.dim_center > 0
 

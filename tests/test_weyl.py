@@ -5,13 +5,17 @@ matrices times the phase) so every phase bookkeeping rule is checked
 against actual operator products.
 """
 
+from time import perf_counter
+
 import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+import invsub.weyl as weyl
 from helpers import dist_bounded_every_candidate
 from invsub.weyl import (
+    CandidateCountError,
     PauliConjugation,
     PhasedPauli,
     dist_bounded,
@@ -231,6 +235,9 @@ def _automorphism(name, p, m):
         return PauliConjugation(PhasedPauli.identity(p, m))
     if name == "shift":
         return SiteShift()
+    if name == "every-site":
+        return PauliConjugation(PhasedPauli(
+            p, 0, [(2 * i + 1) % p for i in range(m)], [i % p for i in range(m)]))
     # Acts on every other site; the rest are idle.
     x = [(i + 1) % p if i % 2 == 0 else 0 for i in range(m)]
     z = [1 if i % 4 == 0 else 0 for i in range(m)]
@@ -242,10 +249,12 @@ def _automorphism(name, p, m):
     (3, 6, 1), (3, 5, 2),
     (5, 6, 1), (5, 3, 2),
     (7, 6, 1), (7, 2, 2),
+    (3, 4, 0), (2, 2, 3), (3, 2, 4),   # no candidate; support beyond m
 ])
 @pytest.mark.parametrize("alpha, beta", [
     ("identity", "identity"),   # distance 0
     ("idle-sites", "identity"),  # scalar r: the phase classes
+    ("idle-sites", "every-site"),  # two conjugators: D = V - U
     ("shift", "idle-sites"),     # nonscalar r: the qubit or odd classes
 ])
 def test_dist_bounded_matches_every_candidate_scan(p, m, max_support,
@@ -259,3 +268,64 @@ def test_dist_bounded_matches_every_candidate_scan(p, m, max_support,
     assert got.numeric == want.numeric
     if alpha == beta:
         assert got.value == 0
+
+
+def _anyon_dist_input(p=5, m=6):
+    # The benchmark's largest dist input: a conjugator acting on every
+    # site, 8784 candidates at support 2.
+    rng = np.random.default_rng(7)
+    x, z = rng.integers(1, p, m), rng.integers(0, p, m)
+    return (PauliConjugation(PhasedPauli(p, 0, x, z)),
+            PauliConjugation(PhasedPauli.identity(p, m)))
+
+
+def test_dist_bounded_conjugations_time_budget():
+    dist_bounded(*_anyon_dist_input(m=2), 5, 2, max_support=1)  # sympy warm
+    alpha, beta = _anyon_dist_input()
+    start = perf_counter()
+    d = dist_bounded(alpha, beta, 5, 6, max_support=2)
+    # The per-candidate loop took 0.6 s.
+    assert perf_counter() - start < 0.1
+    assert d.numeric == pytest.approx(2 * np.sin(2 * np.pi / 5))
+
+
+def test_dist_bounded_conjugations_build_only_the_witness(monkeypatch):
+    alpha, beta = _anyon_dist_input()
+    calls = {"mul": 0, "built": 0}
+    mul, post_init = PhasedPauli.__mul__, PhasedPauli.__post_init__
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counting_post_init(self):
+        calls["built"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(PhasedPauli, "__mul__", counting_mul)
+    monkeypatch.setattr(PhasedPauli, "__post_init__", counting_post_init)
+    d = dist_bounded(alpha, beta, 5, 6, max_support=2)
+    assert calls == {"mul": 0, "built": 1}
+    assert len(d.witness.support()) == 1
+
+
+def test_dist_bounded_refuses_too_many_candidates(monkeypatch):
+    # 6 * 24 + 15 * 24^2 = 8784 candidates.
+    alpha, beta = _anyon_dist_input()
+    monkeypatch.setattr(weyl, "MAX_CANDIDATES", 8784)
+    dist_bounded(alpha, beta, 5, 6, max_support=2)
+    monkeypatch.setattr(weyl, "MAX_CANDIDATES", 8783)
+    for a, b in ((alpha, beta), (alpha, SiteShift())):
+        with pytest.raises(CandidateCountError, match="more than weyl"):
+            dist_bounded(a, b, 5, 6, max_support=2)
+    # Support beyond m adds no candidates.
+    monkeypatch.setattr(weyl, "MAX_CANDIDATES", 24 ** 2 + 2 * 24)
+    dist_bounded(*_anyon_dist_input(m=2), 5, 2, max_support=10 ** 9)
+
+
+def test_dist_bounded_conjugations_on_another_register():
+    alpha, beta = _anyon_dist_input()
+    with pytest.raises(ValueError, match="different register"):
+        dist_bounded(alpha, beta, 5, 7)
+    with pytest.raises(ValueError, match="different register"):
+        dist_bounded(alpha, beta, 7, 6)
