@@ -19,6 +19,7 @@ from invsub.weyl import (
     PauliConjugation,
     PhasedPauli,
     dist_bounded,
+    enumerate_support_paulis,
     unitary_distance,
     unitary_distance_to_identity,
 )
@@ -268,6 +269,13 @@ def test_dist_bounded_matches_every_candidate_scan(p, m, max_support,
     assert got.numeric == want.numeric
     if alpha == beta:
         assert got.value == 0
+
+
+@pytest.mark.parametrize("p, size", [(2, 1), (2, 3), (3, 2), (5, 2)])
+def test_local_exponents_in_candidate_order(p, size):
+    want = [np.concatenate([w.a, w.b])
+            for w in enumerate_support_paulis(p, size, range(size))]
+    assert np.array_equal(weyl._local_exponents(p, size), np.array(want).T)
 
 
 def _anyon_dist_input(p=5, m=6):
