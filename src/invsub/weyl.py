@@ -239,9 +239,10 @@ def dist_bounded(alpha, beta, p: int, m: int, max_support: int = 2
     maximizes ||alpha(W) - beta(W)|| divided by the support size.  The
     maximum is an exact expression; comparisons between candidates use
     50-digit evaluation while the reported value stays symbolic.  The
-    automorphisms are any objects with an ``apply(PhasedPauli)`` method.
-    More than ``MAX_CANDIDATES`` candidates raise `CandidateCountError`
-    before any is scored.
+    automorphisms are any objects with an ``apply(PhasedPauli)`` method;
+    two `PauliConjugation`s are scored in closed form, without building
+    the candidates.  More than ``MAX_CANDIDATES`` candidates raise
+    `CandidateCountError` before any is scored.
     """
     _check_candidate_count(p, m, max_support)
     if (isinstance(alpha, PauliConjugation)
@@ -288,23 +289,24 @@ def _conjugation_distance(u: PhasedPauli, v: PhasedPauli, p: int, m: int,
     for size in range(1, min(max_support, m) + 1):
         # ||alpha(W) - beta(W)|| <= 2, so no candidate on `size` sites
         # scores above the float 2 / size, and none can replace a larger
-        # best.  Once D is nonzero somewhere, that happens at size 2.
+        # best.  If D is nonzero anywhere, size 1 scores at least
+        # sqrt(3) and is the only size scanned.
         if best_num > 2 / size:
             break
         local = _local_exponents(p, size)
         supports = np.array(list(itertools.combinations(range(m), size)),
                             dtype=np.int64)
-        # Row: one support; column: one choice of local exponents.  Every
-        # entry is below p <= 1000 in size (see below), so the int64
-        # product is exact.
+        # Row: one support; column: one choice of local exponents.  The
+        # candidate count bounds p^2 - 1 by MAX_CANDIDATES, so p <= 1000
+        # and the int64 product is exact.
         c = np.hstack([db[supports], -da[supports]]) @ local
         c %= p
         c = c.ravel()
-        # sin(pi c / p) grows with min(c, p - c).  Under MAX_CANDIDATES
-        # p <= 1000, where 50-digit values at distinct min(c, p - c) lie
-        # far more than a float's spacing apart, so the size's first
-        # maximum has one of the (at most two) classes where min(c, p - c)
-        # is largest, and only those are scored.
+        # sin(pi c / p) grows with min(c, p - c), and for p <= 1000 its
+        # 50-digit values at distinct min(c, p - c) lie far more than a
+        # float's spacing apart.  So the size's first maximum has one of
+        # the (at most two) classes where min(c, p - c) is largest, and
+        # only those are scored.
         counts = np.bincount(c, minlength=p)
         top = max(min(k, p - k) for k in np.flatnonzero(counts).tolist())
         scores = {k: _scored(("scalar", k), p, size)

@@ -237,8 +237,8 @@ def _automorphism(name, p, m):
     if name == "shift":
         return SiteShift()
     if name == "every-site":
-        return PauliConjugation(PhasedPauli(
-            p, 0, [(2 * i + 1) % p for i in range(m)], [i % p for i in range(m)]))
+        x, z = [(2 * i + 1) % p for i in range(m)], [i % p for i in range(m)]
+        return PauliConjugation(PhasedPauli(p, 0, x, z))
     # Acts on every other site; the rest are idle.
     x = [(i + 1) % p if i % 2 == 0 else 0 for i in range(m)]
     z = [1 if i % 4 == 0 else 0 for i in range(m)]
