@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy_numpy import LazyNumpy
 from .fplinalg import solve
 from .finite_oracle import (
     FiniteLattice,
@@ -24,6 +23,8 @@ from .finite_oracle import (
 )
 from .laurent import LaurentMatrix
 from .weyl import PhasedPauli
+
+np = LazyNumpy(globals())
 
 
 class NoncommutingTermsError(ValueError):

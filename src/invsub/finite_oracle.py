@@ -19,8 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy_numpy import LazyNumpy
 from .fplinalg import (
     coordinate_restriction,
     kernel,
@@ -32,6 +31,8 @@ from .laurent import LaurentMatrix
 from .pauli import SubalgebraSpec
 from .qca import CliffordQCA
 from .weyl import PhasedPauli
+
+np = LazyNumpy(globals())
 
 
 class InstantiationError(ValueError):
@@ -354,6 +355,8 @@ def check_vs(rows, lattice: FiniteLattice, reach: int) -> VsReport:
 def _vs_of_span(span: np.ndarray, lattice: FiniteLattice, reach: int) -> VsReport:
     """check_vs for a canonical basis of the span (`row_basis` of the
     rows)."""
+    if reach < 0:
+        raise ValueError(f"reach {reach} is negative")
     p = lattice.p
     sites = lattice.sites()
     if lattice.periodic and _translation_invariant(span, lattice):
@@ -592,6 +595,10 @@ def verify_blend(
     if not maps:
         raise ValueError("need at least one validated map to fix the lattice")
     lat = maps[0].lattice
+    if not 0 <= axis < lat.dims:
+        raise ValueError(f"axis {axis} out of range")
+    if margin < 0:
+        raise ValueError(f"margin {margin} is negative")
     g, a, b = raw(gamma), raw(alpha), raw(beta)
     sites = list(lat.sites())
     for col in range(lat.symplectic_len):

@@ -18,15 +18,17 @@ are exact either way.
 
 from __future__ import annotations
 
-import numpy as np
+from ._lazy_numpy import LazyNumpy
+
+np = LazyNumpy(globals())
 
 # Moduli must stay below this so that products of two reduced entries
 # fit in int64.
 _MODULUS_LIMIT = 2 ** 31
 
-# Float types, narrowest first, with the bound below which each holds
+# Float dtypes, narrowest first, with the bound below which each holds
 # every integer exactly (2 to the power of its significand bits).
-_EXACT_FLOATS = ((np.float32, 2 ** 24), (np.float64, 2 ** 53))
+_EXACT_FLOATS = (("float32", 2 ** 24), ("float64", 2 ** 53))
 
 
 def _check_modulus(p: int) -> None:

@@ -17,7 +17,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy_numpy import LazyNumpy
+
+np = LazyNumpy(globals())
 
 # The most candidate Paulis `dist_bounded` scores in one call.  On one
 # Xeon core, two Pauli conjugations take at most 0.25 s and 75 MiB for
@@ -178,7 +180,12 @@ def unitary_distance_to_identity(r: PhasedPauli) -> sp.Expr:
 
 def unitary_distance(w1: PhasedPauli, w2: PhasedPauli) -> sp.Expr:
     """||W1 - W2|| in operator norm (both unitary, so this is the
-    distance from id to W1^dagger W2)."""
+    distance from id to W1^dagger W2).
+
+    Public API for comparing two phased Paulis.  `dist_bounded` does
+    not call it: it scores the spectral class of alpha(W)^dagger beta(W)
+    by the closed form behind `unitary_distance_to_identity`.
+    """
     return unitary_distance_to_identity(w1.dagger() * w2)
 
 
@@ -242,8 +249,11 @@ def dist_bounded(alpha, beta, p: int, m: int, max_support: int = 2
     automorphisms are any objects with an ``apply(PhasedPauli)`` method;
     two `PauliConjugation`s are scored in closed form, without building
     the candidates.  More than ``MAX_CANDIDATES`` candidates raise
-    `CandidateCountError` before any is scored.
+    `CandidateCountError` before any is scored; a negative
+    ``max_support`` raises `ValueError`.
     """
+    if max_support < 0:
+        raise ValueError(f"max_support {max_support} is negative")
     _check_candidate_count(p, m, max_support)
     if (isinstance(alpha, PauliConjugation)
             and isinstance(beta, PauliConjugation)):

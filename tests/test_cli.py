@@ -269,9 +269,20 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert "Traceback" in captured.err
 
 
+def run_probe(probe: str, *argv: str) -> None:
+    """Run `probe` in a fresh interpreter that imports this package,
+    with `argv` as its sys.argv[1:]; its asserts name the failing step."""
+    src = str(Path(invsub.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(probe), *argv], env=env,
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_sympy_is_imported_on_first_use():
     # Fails on any new top-level sympy import in the package.
-    probe = textwrap.dedent("""
+    run_probe("""
         import sys
         from invsub.cli import main
         assert "sympy" not in sys.modules, "import invsub.cli"
@@ -282,11 +293,53 @@ def test_sympy_is_imported_on_first_use():
         main(["dist", "--prime", "3", "--x", "1,2", "--z", "0,1"])
         assert "sympy" in sys.modules, "dist"
     """)
-    src = str(Path(invsub.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
+
+
+def test_numpy_is_imported_on_first_use(tmp_path):
+    # Fails on any new top-level numpy use in the package.  The spec
+    # file is example-z3 times a unimodular matrix, so its X block is
+    # not the identity and the commutant goes through the projector.
+    spec = invsub.get_example("example-z3").spec
+    unimodular = invsub.LaurentMatrix(spec.p, spec.dims, [
+        [invsub.LaurentPoly.constant(1, spec.p, spec.dims),
+         invsub.LaurentPoly.monomial(1, (1, 0), spec.p, spec.dims)],
+        [invsub.LaurentPoly.zero(spec.p, spec.dims),
+         invsub.LaurentPoly.constant(1, spec.p, spec.dims)],
+    ])
+    path = tmp_path / "represented.json"
+    path.write_text(spec_to_json(invsub.SubalgebraSpec(
+        spec.p, spec.q, spec.dims, spec.generators @ unimodular)))
+    run_probe("""
+        import sys
+        from invsub.cli import main
+        assert "numpy" not in sys.modules, "import invsub.cli"
+        for spec in ("example-z3", sys.argv[1]):
+            for command in ("check", "commutant", "project", "lift"):
+                assert main([command, "--spec", spec]) == 0, (command, spec)
+                assert "numpy" not in sys.modules, (command, spec)
+        main(["oracle", "--spec", "example-z3", "--torus", "7x7"])
+        assert "numpy" in sys.modules, "oracle"
+
+        import numpy
+        from invsub import anyon_lab, finite_oracle, fplinalg, weyl
+        assert fplinalg.np is numpy and finite_oracle.np is numpy, "oracle"
+        main(["gauss", "--spec", "example-z3"])
+        assert anyon_lab.np is numpy, "gauss"
+        main(["dist", "--prime", "3", "--x", "1,2", "--z", "0,1"])
+        assert weyl.np is numpy, "dist"
+    """, str(path))
+
+
+def test_import_loads_every_traced_module():
+    # bench/tracer.py wraps functions in these modules, which it finds
+    # in sys.modules right after `import invsub`.
+    run_probe("""
+        import sys
+        import invsub
+        for name in ("specio", "laurent", "groebner", "pauli", "qca",
+                     "fplinalg", "finite_oracle", "anyon_lab", "weyl"):
+            assert f"invsub.{name}" in sys.modules, name
+    """)
 
 
 # SHA-256 of the certificates printed before the span's center was shared
@@ -341,6 +394,27 @@ def test_blend_verify_self(capsys):
     assert code == 0
     assert payload["agrees"] is True
     assert payload["first_mismatch"] is None
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("blend-verify", "--spec", "example-z3", "--torus", "5x5x5",
+      "--axis", "7"), "axis 7 out of range"),
+    (("blend-verify", "--spec", "example-z3", "--torus", "5x5x5",
+      "--axis", "-1"), "axis -1 out of range"),
+    (("blend-verify", "--spec", "example-z3", "--torus", "5x5x5",
+      "--axis", "2", "--window", "-3"), "margin -3 is negative"),
+    (("oracle", "--spec", "example-z3", "--torus", "7x7", "--window", "-1"),
+     "reach -1 is negative"),
+    (("dist", "--prime", "3", "--x", "1", "--z", "1", "--max-support", "-1"),
+     "max_support -1 is negative"),
+])
+def test_negative_or_out_of_range_arguments_refused(capsys, argv, message):
+    # These exited 3 (an IndexError), or answered: "agrees", "vs fails"
+    # and distance 0.
+    code, payload, _ = run(capsys, *argv)
+    assert code == 2
+    assert payload["error_kind"] == "ValueError"
+    assert payload["error"] == message
 
 
 def test_dist_global_flip(capsys):

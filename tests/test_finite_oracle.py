@@ -242,6 +242,9 @@ def test_check_vs_full_reach_zero():
     lat = FiniteLattice(3, 1, (4, 4))
     rows = instantiate_spec(full_spec(), lat)
     assert check_vs(rows, lat, reach=0).holds
+    # A negative reach answered "fails" instead of being refused.
+    with pytest.raises(ValueError, match="reach -1 is negative"):
+        check_vs(rows, lat, reach=-1)
 
 
 def sites_visited(monkeypatch, rows, lattice, reach):
@@ -770,6 +773,19 @@ def test_verify_blend_trivial_and_corrupted():
     ncol = lat.x_coord((4,), 0)
     near[ncol, ncol] = 2
     assert verify_blend(near, ident, ident, axis=0, interface=4, margin=1).agrees
+
+
+@pytest.mark.parametrize("axis, margin, message", [
+    (1, 1, "axis 1 out of range"),     # raised IndexError
+    (-1, 1, "axis -1 out of range"),   # read the last axis
+    (0, -3, "margin -3 is negative"),  # compared no column and agreed
+])
+def test_verify_blend_refuses_bad_axis_and_margin(axis, margin, message):
+    lat = FiniteLattice(3, 1, (8,))
+    ident = FiniteSymplecticMap(lat, np.eye(16, dtype=np.int64))
+    with pytest.raises(ValueError, match=message):
+        verify_blend(ident, ident, ident, axis=axis, interface=4,
+                     margin=margin)
 
 
 def test_center_at_boundary_on_patch():

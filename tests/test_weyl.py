@@ -331,6 +331,14 @@ def test_dist_bounded_refuses_too_many_candidates(monkeypatch):
     dist_bounded(*_anyon_dist_input(m=2), 5, 2, max_support=10 ** 9)
 
 
+def test_dist_bounded_refuses_negative_support():
+    # It answered distance 0 with the identity as witness.
+    alpha, beta = _anyon_dist_input()
+    for a, b in ((alpha, beta), (alpha, SiteShift())):
+        with pytest.raises(ValueError, match="max_support -1 is negative"):
+            dist_bounded(a, b, 5, 6, max_support=-1)
+
+
 def test_dist_bounded_conjugations_on_another_register():
     alpha, beta = _anyon_dist_input()
     with pytest.raises(ValueError, match="different register"):
