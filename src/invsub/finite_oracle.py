@@ -17,7 +17,7 @@ the Z exponent at q*N + s*q + k, giving symplectic vectors of length
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._lazy_numpy import LazyNumpy
 from .fplinalg import (
@@ -373,104 +373,195 @@ def _vs_of_span(span: np.ndarray, lattice: FiniteLattice, reach: int) -> VsRepor
     return VsReport(True, None, None)
 
 
-def _preserves_form(m: np.ndarray, p: int) -> bool:
-    """Is M^T J M = J mod p, for M (n x n, reduced)?
+# Entries handled at a time when a pass over a map's nonzeros makes
+# temporaries: products in the form check, sites in the spread.
+_CHUNK = 1 << 12
+
+
+def _preserves_form(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                    n: int, p: int) -> bool:
+    """Is M^T J M = J mod p, for the n x n matrix M with the given
+    nonzeros (row-major, distinct, values in [1, p))?
 
     Entry (i, j) of M^T J M is sum_r s(r) M[r, i] M[sw(r), j], where sw
     swaps the X and Z halves and s is +1 on the X half and -1 on the Z
     half: its terms pair a nonzero of column i with the nonzeros of the
-    partner row.  The rows of M^T J M are summed n/16 at a time into a
-    dense block, from at most about n^2/16 products at a time; the sums
-    that cancel mod p are dropped, and what is left must be J's rows: 1
-    at i + n/2 on the X half, -1 at i - n/2 on the Z half.  Each product
-    is reduced mod p (below 2^62 for p < 2^31) and one entry sums at most
-    n of them, so the int64 sums are exact.
+    partner row.  The rows i of M^T J M are summed a run of columns i of
+    M at a time into a dense block of at most 8 _CHUNK entries, from at
+    most _CHUNK products at a time (a run of one column may make more,
+    _CHUNK at a time).  The sums that cancel mod p are dropped, and what
+    is left must be J's rows: 1 at i + n/2 on the X half, -1 at i - n/2
+    on the Z half.  Each product is reduced mod p (below 2^62 for
+    p < 2^31) and one entry sums at most n of them, so the int64 sums are
+    exact.
     """
-    n = m.shape[0]
     half = n // 2
     partner = (np.arange(n) + half) % n
-    nonzero = m != 0
-    # Row-major flat indices of the nonzeros, and where each row starts.
-    flat = np.flatnonzero(nonzero)
-    bounds = np.searchsorted(flat, np.arange(n + 1) * n)
-    start, count = bounds[:-1][partner], np.diff(bounds)[partner]
-    values = m.ravel()
-    width = max(1, n // 16)
-    budget = max(n, n * n // 16)
-    for a in range(0, n, width):
-        b = min(a + width, n)
-        r, i = np.nonzero(nonzero[:, a:b])
-        coef = np.where(r < half, m[r, a + i], p - m[r, a + i])
+    # Row r's nonzeros are entries bounds[r] to bounds[r + 1]; those of
+    # its partner row start at start[r] and number count[r].
+    bounds = np.searchsorted(rows, np.arange(n + 1))
+    start, count = bounds[partner], np.diff(bounds)[partner]
+    # Products made by columns 0 to c (exact in float64).
+    made = np.zeros(n)
+    for lo in range(0, rows.size, _CHUNK):
+        made += np.bincount(cols[lo:lo + _CHUNK],
+                            weights=count[rows[lo:lo + _CHUNK]], minlength=n)
+    made = np.cumsum(made)
+    width = max(1, 8 * _CHUNK // n)
+    a = 0
+    while a < n:
+        done = made[a - 1] if a else 0.0
+        b = min(a + width, max(a + 1, int(np.searchsorted(
+            made, done + _CHUNK, side="right"))))
+        k = np.flatnonzero((cols >= a) & (cols < b))
+        r = rows[k]
+        coef = np.where(r < half, values[k], p - values[k])
         # Nonzero k pairs with the w[k] nonzeros of row sw(r[k]), whose
-        # flat index sw(r[k]) n + j moves to i[k] n + j in the block.
+        # entry (sw(r[k]), j) adds to (cols[k], j) of M^T J M, at
+        # shift[k] + j in the block.
         w = count[r]
-        shift = (i - partner[r]) * n
-        cuts = np.searchsorted(np.cumsum(w), np.arange(budget, w.sum(), budget),
-                               side="right")
+        shift = (cols[k] - a) * n
+        ends = np.cumsum(w)
+        cuts = np.searchsorted(ends, np.arange(_CHUNK, ends[-1] if k.size else 0,
+                                               _CHUNK), side="right")
         block = np.zeros((b - a) * n, dtype=np.int64)
-        for lo, hi in zip([0, *cuts], [*cuts, r.size]):
+        for lo, hi in zip([0, *cuts], [*cuts, k.size]):
             wk = w[lo:hi]
-            right = flat[np.repeat(start[r[lo:hi]] - (np.cumsum(wk) - wk), wk)
-                         + np.arange(wk.sum())]
-            np.add.at(block, np.repeat(shift[lo:hi], wk) + right,
+            right = (np.repeat(start[r[lo:hi]] - (np.cumsum(wk) - wk), wk)
+                     + np.arange(wk.sum()))
+            np.add.at(block, np.repeat(shift[lo:hi], wk) + cols[right],
                       np.repeat(coef[lo:hi], wk) * values[right] % p)
-        keys = np.flatnonzero(block != 0)  # a bool scan is faster
+        keys = np.flatnonzero(block)
         sums = block[keys] % p
         keys, sums = keys[sums != 0], sums[sums != 0]
-        rows = np.arange(a, b)
-        if not (np.array_equal(keys, (rows - a) * n + partner[rows])
-                and np.array_equal(sums, np.where(rows < half, 1, p - 1))):
+        i = np.arange(a, b)
+        if not (np.array_equal(keys, (i - a) * n + partner[i])
+                and np.array_equal(sums, np.where(i < half, 1, p - 1))):
             return False
+        a = b
     return True
 
 
-@dataclass(frozen=True)
+def _dense_entries(matrix, lattice: FiniteLattice):
+    """Row-major nonzeros (rows, cols, values mod p) of a dense n x n
+    matrix on the lattice's register."""
+    m = np.asarray(matrix, dtype=np.int64)
+    n = lattice.symplectic_len
+    if m.shape != (n, n):
+        raise ValueError(f"matrix must be {n} x {n}")
+    rows, cols = np.nonzero(m)
+    values = m[rows, cols]
+    values %= lattice.p
+    if not values.all():
+        keep = values != 0
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+    return rows, cols, values
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class FiniteSymplecticMap:
     """An exact symplectic automorphism of the finite symbol space.
 
-    The matrix M (n x n, read mod p) is accepted exactly when
-    M^T J M = J, with J = [[0, I], [-I, 0]].  The check reads only M's
-    nonzeros (`_preserves_form`): each entry of M^T J M is summed from
-    products of a nonzero of M with the nonzeros of its partner row in
-    the other half.  That is sum_r nnz(r) nnz(sw r) products, plus two
-    O(n^2) scans of M and of the sums.  For a lifted automaton the
-    nonzeros of a row or column come from the terms of its symbol, so
-    their number does not grow with the lattice: 14 in each column for
-    example-z3, at most 16 for spread-2 and spread-3 remark specs, about
-    200 n products in all.  A dense M makes n^3 products,
-    n^2/16 at a time: its peak memory stays under that of the dense
-    product M^T (J M), but the time is seconds from n = 512 on.
+    The matrix M (n x n, read mod p) is kept as its nonzeros: `rows`,
+    `cols` and `values` in [1, p), in row-major order.  `matrix` makes
+    the dense M on each read.  A dense matrix given to the constructor
+    is converted once; `from_entries` takes the nonzeros directly and
+    sums repeated coordinates.
+
+    M is accepted exactly when M^T J M = J, with J = [[0, I], [-I, 0]]
+    (`_preserves_form`): each entry of M^T J M is summed from products of
+    a nonzero of M with the nonzeros of its partner row in the other
+    half, sum_r nnz(r) nnz(sw r) products in all, a bounded number at a
+    time.  For a lifted automaton the nonzeros of a row or column come
+    from the terms of its symbol, so their number does not grow with the
+    lattice: 14 in each column for example-z3, at most 16 for spread-2
+    and spread-3 remark specs, about 200 n products.  A dense M still
+    makes n^3 products: memory stays under that of the dense product
+    M^T (J M), but the time is seconds from n = 512 on.
     """
 
     lattice: FiniteLattice
-    matrix: np.ndarray
-    spread: int = field(default=-1)
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    spread: int
 
-    def __post_init__(self):
-        p = self.lattice.p
-        m = np.asarray(self.matrix, dtype=np.int64) % p
-        n = self.lattice.symplectic_len
-        if m.shape != (n, n):
-            raise ValueError(f"matrix must be {n} x {n}")
-        object.__setattr__(self, "matrix", m)
-        if not _preserves_form(m, p):
+    def __init__(self, lattice: FiniteLattice, matrix, spread: int = -1):
+        self._validate(lattice, *_dense_entries(matrix, lattice), spread)
+
+    @classmethod
+    def from_entries(cls, lattice: FiniteLattice, rows, cols, values,
+                     spread: int = -1) -> FiniteSymplecticMap:
+        """The map whose matrix has, at each (rows[k], cols[k]), the sum
+        of the values given there."""
+        n, p = lattice.symplectic_len, lattice.p
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if rows.size and (min(rows.min(), cols.min()) < 0
+                          or max(rows.max(), cols.max()) >= n):
+            raise ValueError(f"entry outside the {n} x {n} matrix")
+        keys = rows * n + cols
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        values = np.asarray(values, dtype=np.int64)[order]
+        values %= p
+        del order
+        # One sum per distinct coordinate, of values below p, so exact.
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        sums = np.add.reduceat(values, first) % p if keys.size else values
+        keys, keep = keys[first], sums != 0
+        out = cls.__new__(cls)
+        out._validate(lattice, keys[keep] // n, keys[keep] % n, sums[keep],
+                      spread)
+        return out
+
+    def _validate(self, lattice, rows, cols, values, spread) -> None:
+        object.__setattr__(self, "lattice", lattice)
+        for name, array in (("rows", rows), ("cols", cols), ("values", values)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        if not _preserves_form(rows, cols, values, lattice.symplectic_len,
+                               lattice.p):
             raise ValueError("matrix does not preserve the symplectic form")
-        if self.spread < 0:
-            object.__setattr__(self, "spread", self._measure_spread())
+        object.__setattr__(self, "spread",
+                           spread if spread >= 0 else self._measure_spread())
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """M as a fresh dense n x n int64 array."""
+        n = self.lattice.symplectic_len
+        out = np.zeros((n, n), dtype=np.int64)
+        out[self.rows, self.cols] = self.values
+        return out
+
+    def _block(self, row_coords: np.ndarray, col_coords: np.ndarray) -> np.ndarray:
+        """The dense block M[np.ix_(row_coords, col_coords)], for distinct
+        coordinates."""
+        n = self.lattice.symplectic_len
+        at_row = np.full(n, -1)
+        at_row[row_coords] = np.arange(len(row_coords))
+        at_col = np.full(n, -1)
+        at_col[col_coords] = np.arange(len(col_coords))
+        i, j = at_row[self.rows], at_col[self.cols]
+        hit = (i >= 0) & (j >= 0)
+        out = np.zeros((len(row_coords), len(col_coords)), dtype=np.int64)
+        out[i[hit], j[hit]] = self.values[hit]
+        return out
 
     def _measure_spread(self) -> int:
         """Largest distance between the sites of the row and the column
         of a nonzero entry of M."""
         lat = self.lattice
-        # Rows and columns both run over (half, site, slot).
-        shape = (2, lat.n_sites, lat.q)
-        linked = self.matrix.reshape(shape + shape).any(axis=(0, 2, 3, 5))
-        out, into = np.nonzero(linked)
         grid = _site_grid(lat)
-        d = np.abs(grid[out] - grid[into])
-        if lat.periodic:
-            d = np.minimum(d, np.array(lat.sizes) - d)
-        return int(d.max(initial=0))
+        sizes = np.array(lat.sizes)
+        out = 0
+        for lo in range(0, self.rows.size, _CHUNK):
+            d = np.abs(grid[self.rows[lo:lo + _CHUNK] % lat.n_qudits // lat.q]
+                       - grid[self.cols[lo:lo + _CHUNK] % lat.n_qudits // lat.q])
+            if lat.periodic:
+                d = np.minimum(d, sizes - d)
+            out = max(out, int(d.max()))
+        return out
 
 
 def instantiate_qca(qca: CliffordQCA, lattice: FiniteLattice) -> FiniteSymplecticMap:
@@ -479,8 +570,8 @@ def instantiate_qca(qca: CliffordQCA, lattice: FiniteLattice) -> FiniteSymplecti
     if (qca.p, qca.q, qca.dims) != (lattice.p, lattice.q, lattice.dims):
         raise InstantiationError("QCA and lattice parameters disagree")
     # Column src(c, s) of M is symbol column c placed at site s: every
-    # term of every column lands in one scatter, which adds the terms
-    # that wrap onto one coordinate.
+    # term of every column is one entry, and the terms that wrap onto
+    # one coordinate are summed.
     rows, cols, coeffs = [], [], []
     site_x = np.arange(lattice.n_sites) * qca.q
     for c in range(2 * qca.q):
@@ -490,11 +581,9 @@ def instantiate_qca(qca: CliffordQCA, lattice: FiniteLattice) -> FiniteSymplecti
         rows.append(coords.ravel())
         cols.append(np.broadcast_to(src, coords.shape).ravel())
         coeffs.append(np.repeat(terms, lattice.n_sites))
-    n = lattice.symplectic_len
-    big = np.zeros((n, n), dtype=np.int64)
-    np.add.at(big, (np.concatenate(rows), np.concatenate(cols)),
-              np.concatenate(coeffs))
-    return FiniteSymplecticMap(lattice, big, spread=qca.spread)
+    rows, cols, coeffs = (np.concatenate(x) for x in (rows, cols, coeffs))
+    return FiniteSymplecticMap.from_entries(lattice, rows, cols, coeffs,
+                                            spread=qca.spread)
 
 
 @dataclass(frozen=True)
@@ -560,13 +649,13 @@ def boundary_algebra_finite(
     outside = np.setdiff1d(np.arange(n), band)
 
     swapped_slab, swapped_outside = (slab + half) % n, (outside + half) % n
-    inverse_block = (alpha.matrix[np.ix_(swapped_slab, swapped_outside)].T
+    inverse_block = (alpha._block(swapped_slab, swapped_outside).T
                      * np.where(slab < half, 1, -1)) % p
     coeffs = kernel(inverse_block, p)
     placed = np.zeros((coeffs.shape[0], n), dtype=np.int64)
     placed[:, slab] = coeffs
     boundary = row_basis(placed, p)
-    dim_off_slab = band.size - rank(alpha.matrix[np.ix_(slab, band)], p)
+    dim_off_slab = band.size - rank(alpha._block(slab, band), p)
     return BoundaryAlgebraReport(
         basis=boundary,
         dim_image=band.size,
@@ -587,10 +676,9 @@ def verify_blend(
 ) -> BlendReport:
     """Does gamma act like alpha well below the interface and like beta
     well above it?  Columns are compared on every basis vector whose
-    site sits strictly outside the margin."""
-    def raw(x):
-        return x.matrix if isinstance(x, FiniteSymplecticMap) else np.asarray(x)
-
+    site sits strictly outside the margin; each side must hold a layer
+    of such sites.  Maps are compared by their nonzeros, and a dense
+    array given instead of a map is read mod p."""
     maps = [x for x in (gamma, alpha, beta) if isinstance(x, FiniteSymplecticMap)]
     if not maps:
         raise ValueError("need at least one validated map to fix the lattice")
@@ -599,18 +687,33 @@ def verify_blend(
         raise ValueError(f"axis {axis} out of range")
     if margin < 0:
         raise ValueError(f"margin {margin} is negative")
-    g, a, b = raw(gamma), raw(alpha), raw(beta)
-    sites = list(lat.sites())
-    for col in range(lat.symplectic_len):
-        coord_axis = sites[(col % lat.n_qudits) // lat.q][axis]
-        if coord_axis < interface - margin:
-            ref = a
-        elif coord_axis > interface + margin:
-            ref = b
-        else:
-            continue
-        if not np.array_equal(g[:, col], ref[:, col]):
-            return BlendReport(False, col)
+    L = lat.sizes[axis]
+    if not margin < interface < L - 1 - margin:
+        raise ValueError(f"interface {interface} with margin {margin} leaves "
+                         f"one side of the axis empty: need {margin} < "
+                         f"interface < {L - 1 - margin}")
+    p, n = lat.p, lat.symplectic_len
+    layer = _site_grid(lat)[np.arange(n) % lat.n_qudits // lat.q, axis]
+    below, above = layer < interface - margin, layer > interface + margin
+
+    def coded(x, in_columns):
+        """Each nonzero in the wanted columns as one integer, ordered by
+        column, then row, then value (below 2^55)."""
+        rows, cols, values = ((x.rows, x.cols, x.values)
+                              if isinstance(x, FiniteSymplecticMap)
+                              else _dense_entries(x, lat))
+        keep = in_columns[cols]
+        return (cols[keep] * n + rows[keep]) * p + values[keep]
+
+    # Columns are equal exactly when their nonzeros are, so the first
+    # nonzero in only one of gamma and the reference is in the first
+    # column that differs.
+    differ = np.setxor1d(coded(gamma, below | above),
+                         np.concatenate([coded(alpha, below),
+                                         coded(beta, above)]),
+                         assume_unique=True)
+    if differ.size:
+        return BlendReport(False, int(differ[0] // p // n))
     return BlendReport(True, None)
 
 

@@ -39,9 +39,12 @@ def _check_modulus(p: int) -> None:
 
 
 def as_fp(a, p: int) -> np.ndarray:
-    """Copy input as an int64 array reduced mod p."""
+    """Copy input as a C-ordered int64 array reduced mod p.
+
+    C order keeps each row contiguous for the row operations of `rref`,
+    also when the input is a transpose or a column-permuted copy."""
     _check_modulus(p)
-    arr = np.array(a, dtype=np.int64)
+    arr = np.array(a, dtype=np.int64, order="C")
     arr %= p
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -72,7 +75,12 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
 
 def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot column list."""
-    m = as_fp(a, p)
+    return _rref_in_place(as_fp(a, p), p)
+
+
+def _rref_in_place(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """`rref` of m, overwriting m: a 2-d C-ordered int64 array with
+    entries in [0, p) that the caller no longer needs."""
     nrows, ncols = m.shape
     pivots: list[int] = []
     r = 0
@@ -144,8 +152,7 @@ def solve(a, b, p: int) -> np.ndarray | None:
     """One solution x of a @ x = b (1-d), or None if inconsistent."""
     m = as_fp(a, p)
     rhs = np.atleast_1d(np.array(b, dtype=np.int64) % p)
-    aug = np.hstack([m, rhs.reshape(-1, 1)])
-    red, pivots = rref(aug, p)
+    red, pivots = _rref_in_place(np.hstack([m, rhs.reshape(-1, 1)]), p)
     ncols = m.shape[1]
     if ncols in pivots:
         return None
@@ -175,17 +182,23 @@ def coordinate_restriction(a, coords, p: int) -> np.ndarray:
     the given coordinate set.
 
     Eliminating the complement columns first leaves exactly the rows
-    that vanish there, which span the restriction.
+    that vanish there, which span the restriction: the nonzero rows
+    whose pivot is not a complement column.  The column-permuted copy
+    is the only copy of a that is eliminated.
     """
-    m = as_fp(a, p)
-    ncols = m.shape[1]
+    _check_modulus(p)
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
+    ncols = a.shape[1]
     outside = np.ones(ncols, dtype=bool)
     outside[[int(c) for c in coords]] = False
     n_out = int(outside.sum())
     perm = np.concatenate([np.flatnonzero(outside), np.flatnonzero(~outside)])
-    red, _ = rref(m[:, perm], p)
-    keep = np.all(red[:, :n_out] == 0, axis=1) & np.any(red != 0, axis=1)
-    rows = red[keep]
-    out = np.zeros((rows.shape[0], ncols), dtype=np.int64)
-    out[:, perm] = rows
-    return row_basis(out, p)
+    m = np.take(a, perm, axis=1)
+    m %= p
+    red, pivots = _rref_in_place(m, p)
+    first = int(np.searchsorted(pivots, n_out))
+    out = np.zeros((len(pivots) - first, ncols), dtype=np.int64)
+    out[:, perm] = red[first:len(pivots)]
+    del m, red  # the reduced copy can go before the kept rows are reduced
+    out, pivots = _rref_in_place(out, p)
+    return out[: len(pivots)]

@@ -22,6 +22,7 @@ from invsub.finite_oracle import (
     symplectic_complement,
 )
 from invsub.fplinalg import (
+    as_fp,
     coordinate_restriction,
     kernel,
     matmul_mod,
@@ -252,6 +253,24 @@ def boundary_algebra_via_image(alpha, axis, cut, window, depth=None):
             image.shape[0] == boundary.shape[0] + off.shape[0]
         ),
     )
+
+
+def coordinate_restriction_via_scans(a, coords, p):
+    """fplinalg.coordinate_restriction as first written: the input is
+    copied, permuted and copied again before elimination, and the kept
+    rows are found by scanning the reduced form."""
+    m = as_fp(a, p)
+    ncols = m.shape[1]
+    outside = np.ones(ncols, dtype=bool)
+    outside[[int(c) for c in coords]] = False
+    n_out = int(outside.sum())
+    perm = np.concatenate([np.flatnonzero(outside), np.flatnonzero(~outside)])
+    red, _ = rref(m[:, perm], p)
+    keep = np.all(red[:, :n_out] == 0, axis=1) & np.any(red != 0, axis=1)
+    rows = red[keep]
+    out = np.zeros((rows.shape[0], ncols), dtype=np.int64)
+    out[:, perm] = rows
+    return row_basis(out, p)
 
 
 def random_symplectic_matrix(lattice, rng, factors=4):

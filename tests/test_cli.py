@@ -254,6 +254,29 @@ def test_check_certificate_unchanged(capsys, name):
     assert "generator_rank" not in payload
 
 
+# Certificates of the 3-d lift on example-z3, axis 2: (command, torus,
+# cut) -> SHA-256 of stdout.
+LIFT_DIGESTS = {
+    ("boundary", "5x5x5", "2"):
+        "08fb1158a17db31302ea476d06a126dff0b924819c6c6f3e086e034666246236",
+    ("boundary", "7x7x7", "3"):
+        "bf1a94f8c97184188f1ebf28c635bc1f277ec314509144c64f5693e654b8d6d6",
+    ("blend-verify", "5x5x5", "2"):
+        "f99065fc8c35d2dc41184b24db48cce7cc61d890afb65f9ebb04b0469ce5f4d7",
+    ("blend-verify", "7x7x7", "3"):
+        "8e8a1aece436ce629e7c1d8ef1db206927d78f5673af3220161acccd00721c80",
+}
+
+
+@pytest.mark.parametrize("command, torus, cut", sorted(LIFT_DIGESTS))
+def test_lift_certificate_unchanged(capsys, command, torus, cut):
+    code, _, out = run(capsys, command, "--spec", "example-z3", "--torus",
+                       torus, "--axis", "2", "--cut", cut)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        LIFT_DIGESTS[command, torus, cut]
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("handler bug")
@@ -407,10 +430,18 @@ def test_blend_verify_self(capsys):
      "reach -1 is negative"),
     (("dist", "--prime", "3", "--x", "1", "--z", "1", "--max-support", "-1"),
      "max_support -1 is negative"),
+    (("blend-verify", "--spec", "example-z3", "--torus", "5x5x5",
+      "--axis", "2", "--cut", "9"),
+     "interface 9 with margin 1 leaves one side of the axis empty: "
+     "need 1 < interface < 3"),
+    (("blend-verify", "--spec", "example-z3", "--torus", "5x5x5",
+      "--axis", "2"),
+     "interface 0 with margin 1 leaves one side of the axis empty: "
+     "need 1 < interface < 3"),
 ])
 def test_negative_or_out_of_range_arguments_refused(capsys, argv, message):
-    # These exited 3 (an IndexError), or answered: "agrees", "vs fails"
-    # and distance 0.
+    # These exited 3 (an IndexError), or answered: "agrees" (also with
+    # an interface leaving one side empty), "vs fails" and distance 0.
     code, payload, _ = run(capsys, *argv)
     assert code == 2
     assert payload["error_kind"] == "ValueError"

@@ -1,5 +1,6 @@
 """Tests for finite-lattice instantiation and the exact referee checks."""
 
+import itertools
 import random
 import tracemalloc
 from time import perf_counter
@@ -786,6 +787,125 @@ def test_verify_blend_refuses_bad_axis_and_margin(axis, margin, message):
     with pytest.raises(ValueError, match=message):
         verify_blend(ident, ident, ident, axis=axis, interface=4,
                      margin=margin)
+
+
+@pytest.mark.parametrize("interface", [-3, 0, 1, 6, 7, 20])
+def test_verify_blend_refuses_an_interface_with_an_empty_side(interface):
+    # With interface 20 no site is above interface + margin, so beta was
+    # never read and a beta of 2 I was reported to agree.
+    lat = FiniteLattice(3, 1, (8,))
+    ident = FiniteSymplecticMap(lat, np.eye(16, dtype=np.int64))
+    doubled = 2 * np.eye(16, dtype=np.int64)
+    with pytest.raises(ValueError, match=f"interface {interface} with margin 1 "
+                       "leaves one side of the axis empty: need 1 < interface < 6"):
+        verify_blend(ident, ident, doubled, axis=0, interface=interface,
+                     margin=1)
+    # The bounds move with the margin, and the first layers outside
+    # them are compared.
+    assert verify_blend(ident, ident, ident, axis=0, interface=2, margin=1).agrees
+    assert verify_blend(ident, ident, doubled, axis=0, interface=5,
+                        margin=1).first_mismatch == 7
+    assert verify_blend(ident, ident, doubled, axis=0, interface=1,
+                        margin=0).first_mismatch == 2
+    with pytest.raises(ValueError, match="need 2 < interface < 5"):
+        verify_blend(ident, ident, ident, axis=0, interface=2, margin=2)
+
+
+def test_finite_map_keeps_its_nonzeros():
+    lat = FiniteLattice(5, 1, (3,))
+    shear = np.eye(6, dtype=np.int64)
+    shear[0, 4] = shear[1, 3] = 6  # read mod 5
+    fin = FiniteSymplecticMap(lat, shear - 5 * np.eye(6, dtype=np.int64))
+    assert fin.rows.tolist() == [0, 0, 1, 1, 2, 3, 4, 5]
+    assert fin.cols.tolist() == [0, 4, 1, 3, 2, 3, 4, 5]
+    assert fin.values.tolist() == [1, 1, 1, 1, 1, 1, 1, 1]
+    assert fin.matrix.tolist() == (shear % 5).tolist()
+    with pytest.raises(ValueError):
+        fin.values[0] = 2
+    # Entries at one coordinate are summed, and sums of 0 dropped.
+    same = FiniteSymplecticMap.from_entries(
+        lat, [4, 0, 0, 1, 2, 3, 5, 1, 2, 2, 0], [4, 0, 4, 1, 2, 3, 5, 3, 2, 1, 4],
+        [1, 1, 3, 1, 1, 1, 1, 6, 5, 0, 3], spread=1)
+    for name in ("rows", "cols", "values"):
+        assert getattr(same, name).tolist() == getattr(fin, name).tolist()
+    with pytest.raises(ValueError, match="does not preserve"):
+        FiniteSymplecticMap.from_entries(lat, [0], [0], [1])
+    with pytest.raises(ValueError, match="entry outside the 6 x 6 matrix"):
+        FiniteSymplecticMap.from_entries(lat, [6], [0], [1])
+    with pytest.raises(ValueError, match="matrix must be 6 x 6"):
+        FiniteSymplecticMap(lat, np.eye(5, dtype=np.int64))
+
+
+def traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_instantiate_qca_keeps_no_dense_matrix():
+    # The dense 2048 x 2048 M alone is 32 MiB; the scatter peaked at
+    # 73 MiB.
+    qca = lift_to_qca(z3_spec())
+    lat = FiniteLattice(3, 2, (8, 8, 8))
+    assert traced_peak(lambda: instantiate_qca(qca, lat)) < 4 * 2 ** 20
+
+
+def test_boundary_and_spec_span_restriction_memory():
+    # The boundary blocks are densified alone, and the restriction of
+    # the 1024 x 2048 per-sheet rows (16 MiB) eliminates one copy in
+    # place; with the dense M this step peaked at 99 MiB.
+    spec = z3_spec()
+    lat = FiniteLattice(3, 2, (8, 8, 8))
+    fin = instantiate_qca(lift_to_qca(spec), lat)
+
+    def boundary_and_restriction():
+        report = boundary_algebra_finite(fin, axis=2, cut=3, window=1)
+        target = instantiate_spec(promote_spec(spec), lat)
+        per_sheet = coordinate_restriction(target, sheet_coords(lat, 4), 3)
+        assert row_space_equal(report.basis, per_sheet, 3)
+
+    assert traced_peak(boundary_and_restriction) < 48 * 2 ** 20
+
+
+def blend_outcome(gamma, alpha, beta, **where):
+    report = verify_blend(gamma, alpha, beta, axis=2, margin=1, **where)
+    return report.agrees, report.first_mismatch
+
+
+def test_dense_built_maps_report_as_instantiated():
+    spec, qca, lat, fin = lift_on_torus()
+    dense = fin.matrix
+    rebuilt = FiniteSymplecticMap(lat, dense)
+    assert rebuilt.spread == fin.spread
+    for name in ("rows", "cols", "values"):
+        assert getattr(rebuilt, name).tobytes() == getattr(fin, name).tobytes()
+    for cut in range(5):
+        assert (boundary_outcome(boundary_algebra_finite, rebuilt, 2, cut, 1, None)
+                == boundary_outcome(boundary_algebra_finite, fin, 2, cut, 1, None))
+    shift = instantiate_qca(shift_qca(3, 2, 3, axis=2), lat)
+    outcomes = []
+    for gamma, alpha, beta in ((fin, fin, fin), (fin, fin, shift),
+                               (fin, shift, fin), (shift, fin, fin)):
+        want = blend_outcome(gamma, alpha, beta, interface=2)
+        outcomes.append(want)
+        # Each role as instantiated, rebuilt from its dense matrix, or
+        # that dense array itself (one role at least must be a map).
+        for forms in itertools.product(("map", "rebuilt", "array"), repeat=3):
+            if set(forms) != {"array"}:
+                maps = [x if f == "map" else FiniteSymplecticMap(lat, x.matrix)
+                        if f == "rebuilt" else x.matrix
+                        for x, f in zip((gamma, alpha, beta), forms)]
+                assert blend_outcome(*maps, interface=2) == want
+    # The first column compared on either side is the first X slot of
+    # the first site of its layer.
+    above, below = lat.x_coord((0, 0, 4), 0), lat.x_coord((0, 0, 0), 0)
+    assert outcomes == [(True, None), (False, above), (False, below),
+                        (False, below)]
+    # A dense array is read mod p, like a map.
+    assert blend_outcome(fin, fin, dense + 3, interface=2) == (True, None)
 
 
 def test_center_at_boundary_on_patch():

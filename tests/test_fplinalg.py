@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import kernel_double_loop
+from helpers import coordinate_restriction_via_scans, kernel_double_loop
 from invsub.fplinalg import (
     as_fp,
     coordinate_restriction,
@@ -146,6 +146,38 @@ def test_coordinate_restriction_property(p, data):
     # Maximality: restricting again changes nothing.
     assert row_space_equal(res, coordinate_restriction(res, coords, p), p) \
         or res.shape[0] == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_coordinate_restriction_matches_first_route(p):
+    # The restriction eliminates its permuted copy in place and keeps the
+    # rows whose pivot is on the coordinates; the first route copied
+    # twice more and scanned the reduced form for rows vanishing off them.
+    rng = np.random.default_rng(p % 1000)
+    for rows, cols in ((1, 1), (3, 8), (8, 3), (12, 20), (30, 24)):
+        for density in (0.2, 0.9):
+            a = rng.integers(-2 * p, 2 * p, size=(rows, cols))
+            a[rng.random((rows, cols)) > density] = 0
+            for size in (0, 1, cols // 2, cols):
+                coords = rng.choice(cols, size=size, replace=False)
+                before = a.copy()
+                res = coordinate_restriction(a, coords, p)
+                old = coordinate_restriction_via_scans(a, coords, p)
+                assert res.dtype == old.dtype and res.shape == old.shape
+                assert res.tobytes() == old.tobytes()
+                assert np.array_equal(a, before)
+    assert coordinate_restriction([1, 0, 2], [0, 2], 3).tolist() == [[1, 0, 2]]
+    with pytest.raises(ValueError):
+        coordinate_restriction([[1, 2]], [0], 2**31)
+
+
+def test_as_fp_rows_are_contiguous():
+    m = np.arange(24).reshape(4, 6)
+    for view in (m.T, m[:, [5, 0, 3, 1, 2, 4]], np.asfortranarray(m)):
+        arr = as_fp(view, 5)
+        assert arr.flags["C_CONTIGUOUS"]
+        assert np.array_equal(arr, np.asarray(view) % 5)
+        assert np.array_equal(rref(view, 5)[0], rref(np.ascontiguousarray(view), 5)[0])
 
 
 def test_solve_returns_none_not_exception_on_wide_system():
