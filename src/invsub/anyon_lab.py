@@ -5,21 +5,30 @@ are symplectic pairings over F_p, string operators come out of F_p
 linear solves, the exchange phase is read off a literal operator
 product, and the chiral-central-charge phase is evaluated in the
 cyclotomic integers with no floating point on the critical path.
+
+A Hamiltonian keeps its terms as their nonzeros, so a pairing with the
+terms is a gather of a few coordinates per term, and the all-pairs
+commutation check joins X entries with Z entries on the same qudit.
+String operators rest on translation invariance: the one-step
+transporter for each (generators, step, charge, family) is solved once
+per Hamiltonian, instantiated once at the origin and moved along a leg
+by site permutations.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._lazy_numpy import LazyNumpy
 from .fplinalg import solve
 from .finite_oracle import (
     FiniteLattice,
     InstantiationError,
-    _placements,
+    _placement_terms,
+    _site_grid,
     instantiate_column,
-    pairing_matrix,
 )
 from .laurent import LaurentMatrix
 from .weyl import PhasedPauli
@@ -51,13 +60,23 @@ class HamiltonianInstance:
 
     Families index the distinct term symbols (one for the worked
     example, vertex/plaquette style pairs for stabilizer codes); terms
-    whose footprint crosses an open boundary are dropped.
+    whose footprint crosses an open boundary are dropped.  `rows` holds
+    the terms as dense symplectic rows.  The pairings read the terms
+    from their nonzeros instead: term i pairs with a symplectic vector v
+    as sum_t weights[i, t] * v[partners[i, t]] mod p, with t running
+    over the terms of its symbol (padded with zero weights).  One-step
+    transporters solved on this instance are cached on it, keyed by
+    (generators, step, charge mod p, family).
     """
 
     lattice: FiniteLattice
     term_symbols: tuple[LaurentMatrix, ...]
     entries: tuple[tuple[int, tuple[int, ...]], ...]
     rows: np.ndarray
+    _partners: np.ndarray = field(repr=False, compare=False)
+    _weights: np.ndarray = field(repr=False, compare=False)
+    _transporters: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
     @property
     def spread(self) -> int:
@@ -65,6 +84,48 @@ class HamiltonianInstance:
 
     def index_of(self, family: int, site) -> int:
         return self.entries.index((family, tuple(site)))
+
+    def pairings(self, vecs) -> np.ndarray:
+        """Symplectic pairing of every term (rows of the result) with
+        every column of vecs, a 2m x k array, mod p."""
+        p = self.lattice.p
+        gathered = np.asarray(vecs, dtype=np.int64)[self._partners] % p
+        return (self._weights[:, :, None] * gathered % p).sum(axis=1) % p
+
+
+def _first_noncommuting_pair(coords, coeffs, lattice: FiniteLattice):
+    """The first pair (i, j), in row-major order, of terms that fail to
+    commute, or None.  Term i holds coeffs[i, t] at symplectic
+    coordinate coords[i, t].  Every X entry is joined with every Z
+    entry on the same qudit; the pair contributes x*z to pairing (i, j)
+    and -x*z to (j, i), and pairings are summed per (i, j) mod p."""
+    p, m = lattice.p, lattice.n_qudits
+    n_terms = coords.shape[0]
+    live = coeffs.ravel() != 0
+    term = np.repeat(np.arange(n_terms), coords.shape[1])[live]
+    coord, coeff = coords.ravel()[live], coeffs.ravel()[live]
+    is_x = coord < m
+    xt, xq, xv = term[is_x], coord[is_x], coeff[is_x] % p
+    order = np.argsort(coord[~is_x], kind="stable")
+    zt, zq, zv = (term[~is_x][order], coord[~is_x][order] - m,
+                  coeff[~is_x][order] % p)
+    lo = np.searchsorted(zq, xq, "left")
+    counts = np.searchsorted(zq, xq, "right") - lo
+    if not counts.any():
+        return None
+    xi = np.repeat(np.arange(len(xq)), counts)
+    # The Z entries joined with X entry k are lo[k], lo[k] + 1, ...
+    zi = np.arange(xi.size) + np.repeat(lo - np.cumsum(counts) + counts,
+                                        counts)
+    i, j = xt[xi], zt[zi]
+    prod = xv[xi] * zv[zi] % p
+    keys = np.concatenate([i * n_terms + j, j * n_terms + i])
+    vals = np.concatenate([prod, (-prod) % p])
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    bad = keys[starts][np.add.reduceat(vals, starts) % p != 0]
+    return divmod(int(bad[0]), n_terms) if bad.size else None
 
 
 def build_hamiltonian(
@@ -74,29 +135,44 @@ def build_hamiltonian(
     pairwise commutation (one bad pair aborts loudly)."""
     symbols = tuple(term_symbols)
     sites = list(lattice.sites())
-    entries = []
-    rows = []
+    entries, families = [], []
     for fam, sym in enumerate(symbols):
-        placed, fits = _placements(lattice, sym)
-        entries.extend((fam, sites[i]) for i in np.flatnonzero(fits))
-        rows.append(placed[fits])
+        placed, values, fits = _placement_terms(lattice, sym)
+        keep = np.flatnonzero(fits)
+        entries.extend((fam, sites[i]) for i in keep)
+        families.append((placed[:, keep].T, np.tile(values, (len(keep), 1))))
     if not entries:
         raise NoncommutingTermsError("no term fits on the lattice")
-    rows = np.vstack(rows)
-    gram = pairing_matrix(rows, rows, lattice.p)
-    bad = np.argwhere(gram != 0)
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
+    # One row per term, padded with zero coefficients to the longest
+    # symbol.
+    width = max(c.shape[1] for c, _ in families)
+    coord = np.vstack([np.pad(c, ((0, 0), (0, width - c.shape[1])))
+                       for c, _ in families])
+    coeff = np.vstack([np.pad(v, ((0, 0), (0, width - v.shape[1])))
+                       for _, v in families])
+    p, m = lattice.p, lattice.n_qudits
+    rows = np.zeros((len(entries), lattice.symplectic_len), dtype=np.int64)
+    np.add.at(rows, (np.arange(len(entries))[:, None], coord), coeff)
+    rows %= p
+    bad = _first_noncommuting_pair(coord, coeff, lattice)
+    if bad is not None:
+        i, j = bad
         raise NoncommutingTermsError(
             f"terms {entries[i]} and {entries[j]} do not commute"
         )
-    return HamiltonianInstance(lattice, symbols, tuple(entries), rows)
+    # u.v = u_X.v_Z - u_Z.v_X: an X entry reads v's Z half, a Z entry
+    # reads v's X half with the opposite sign.
+    is_x = coord < m
+    partners = np.where(is_x, coord + m, coord - m)
+    weights = np.where(is_x, coeff, -coeff) % p
+    return HamiltonianInstance(lattice, symbols, tuple(entries), rows,
+                               partners, weights)
 
 
 def syndrome(op: PhasedPauli, h: HamiltonianInstance) -> dict:
     """Nonzero commutation exponents of the operator against each term:
     op . P = omega^k P . op for the term P at the reported key."""
-    vals = pairing_matrix(h.rows, op.to_symplectic(), h.lattice.p)[:, 0]
+    vals = h.pairings(op.to_symplectic()[:, None])[:, 0]
     return {h.entries[i]: int(v) for i, v in enumerate(vals) if v}
 
 
@@ -113,21 +189,13 @@ def _segment_box(step, margin: int):
     return list(itertools.product(*ranges))
 
 
-@dataclass(frozen=True)
-class _Mover:
-    """A one-step charge transporter, stored shift-covariantly as
-    (generator index, offset, exponent) factors so the same solution
-    can be stamped out anywhere on the torus."""
-
-    step: tuple[int, ...]
-    factors: tuple[tuple[int, tuple[int, ...], int], ...]
-
-
-def _solve_mover(
+def _solve_transporter(
     h: HamiltonianInstance, cols, step, charge: int, family: int
-) -> _Mover:
+) -> PhasedPauli:
     """Solve for a product of generator translates whose syndrome is
-    +charge one step away from -charge at the origin."""
+    +charge one step away from -charge at the origin, and return it
+    placed at the origin: the factors in solution order, each raised to
+    its exponent."""
     lat = h.lattice
     target = np.zeros(len(h.entries), dtype=np.int64)
     target[h.index_of(family, lat.resolve(step))] = charge % lat.p
@@ -136,32 +204,40 @@ def _solve_mover(
     for margin in (spread, spread + 1):
         cands = [(j, off) for off in _segment_box(step, margin)
                  for j in range(len(cols))]
-        placed = [instantiate_column(lat, cols[j], off) for j, off in cands]
-        mat = pairing_matrix(h.rows, placed, lat.p)
-        coeffs = solve(mat, target, lat.p)
+        placed = np.array([instantiate_column(lat, cols[j], off)
+                           for j, off in cands])
+        coeffs = solve(h.pairings(placed.T), target, lat.p)
         if coeffs is not None:
             break
     else:
         raise InfeasibleHopError(
             f"no one-step transporter for charge {charge} along {tuple(step)}"
         )
-    factors = tuple(
-        (j, off, int(c)) for (j, off), c in zip(cands, coeffs) if c
-    )
-    return _Mover(step=tuple(step), factors=factors)
-
-
-def _stamp(h: HamiltonianInstance, cols, mover: _Mover, at) -> PhasedPauli:
-    lat = h.lattice
     op = PhasedPauli.identity(lat.p, lat.n_qudits)
-    for j, off, c in mover.factors:
-        site = tuple(a + o for a, o in zip(at, off))
-        factor = PhasedPauli.from_symplectic(
-            lat.p, instantiate_column(lat, cols[j], site)
-        )
-        for _ in range(c):
+    for vec, c in zip(placed, coeffs):
+        factor = PhasedPauli.from_symplectic(lat.p, vec)
+        for _ in range(int(c)):
             op = op * factor
     return op
+
+
+def _transporter(h: HamiltonianInstance, generators: LaurentMatrix, step,
+                 charge: int, family: int) -> PhasedPauli:
+    """The one-step transporter at the origin, solved once per
+    Hamiltonian."""
+    key = (generators, tuple(step), charge % h.lattice.p, family)
+    if key not in h._transporters:
+        h._transporters[key] = _solve_transporter(
+            h, _columns(generators), step, charge, family)
+    return h._transporters[key]
+
+
+def _translation(lat: FiniteLattice, shift) -> np.ndarray:
+    """The qudit permutation moving an operator by shift on the torus:
+    W.permute(perm) acts at site s as W acts at s - shift."""
+    grid = (_site_grid(lat) - np.array(shift)) % np.array(lat.sizes)
+    src = np.ravel_multi_index(tuple(grid.T), lat.sizes)
+    return (src[:, None] * lat.q + np.arange(lat.q)).ravel()
 
 
 def leg_string(
@@ -177,16 +253,16 @@ def leg_string(
     to junction + length*direction: a product of translates of a single
     one-step transporter, so its microscopic shape is uniform along the
     leg and depends only on the direction.  Torus only: the transporter
-    is stamped out by translation, which an open boundary breaks."""
+    is moved along the leg by translation, which an open boundary
+    breaks."""
     lat = h.lattice
     if not lat.periodic:
         raise InstantiationError("string operators need a torus")
-    cols = _columns(generators)
-    mover = _solve_mover(h, cols, direction, charge, family)
+    transporter = _transporter(h, generators, direction, charge, family)
     op = PhasedPauli.identity(lat.p, lat.n_qudits)
     for m in range(length):
         at = tuple(j + m * d for j, d in zip(junction, direction))
-        op = _stamp(h, cols, mover, at) * op
+        op = transporter.permute(_translation(lat, at)) * op
     near = lat.resolve(junction)
     far = lat.resolve(tuple(j + length * d
                             for j, d in zip(junction, direction)))
@@ -304,23 +380,35 @@ def topological_spin(
 # -- chiral central charge from the spin collection ---------------------
 
 
-def _cyclo_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    full = np.convolve(a, b)
-    out = full[:p].copy()
-    out[: len(full) - p] += full[p:]
-    return out
+# Elements of Z[z]/(z^p - 1) with nonnegative coefficients are packed
+# into one Python int by Kronecker substitution: coefficient k sits in
+# bytes [k*width, (k+1)*width).  A product is one big-int multiply; its
+# slots do not overlap as long as every coefficient of the product fits
+# in `width` bytes.
 
 
-def _cyclo_conj(a: np.ndarray) -> np.ndarray:
-    return a[(-np.arange(len(a))) % len(a)]
+def _cyclo_pack(coeffs, width: int) -> int:
+    return int.from_bytes(
+        b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
 
 
-def _cyclo_equal_int(a: np.ndarray, value: int) -> bool:
+def _cyclo_mul(a: int, b: int, p: int, width: int) -> list[int]:
+    """The coefficients of a*b mod z^p - 1.  Folding adds the slots of
+    z^p .. z^(2p-2) onto those of z^0 .. z^(p-2); the caller sizes the
+    slots to hold the folded coefficients too."""
+    full = a * b
+    bits = 8 * width * p
+    folded = (full & ((1 << bits) - 1)) + (full >> bits)
+    raw = folded.to_bytes(width * p, "little")
+    return [int.from_bytes(raw[k * width:(k + 1) * width], "little")
+            for k in range(p)]
+
+
+def _cyclo_equal_int(a: list[int], value: int) -> bool:
     # a - value is a multiple of 1 + z + ... + z^(p-1) iff all its
     # coefficients agree.
-    diff = a.astype(np.int64).copy()
-    diff[0] -= value
-    return bool(np.all(diff == diff[0]))
+    first = a[0] - value
+    return all(c == first for c in a[1:])
 
 
 # exp(2 pi i k / 8) for k = 0..7, as sympy prints it.
@@ -358,14 +446,19 @@ def gauss_sum_phase(p: int, spin_exponents) -> GaussSumReport:
     n = len(exps)
     if n == 0:
         raise NotModularError("empty spin collection")
-    s = np.zeros(p, dtype=np.int64)
+    counts = [0] * p
     for t in exps:
-        s[t] += 1
-    if not _cyclo_equal_int(_cyclo_mul(s, _cyclo_conj(s), p), n):
+        counts[t] += 1
+    # Every coefficient of a product of two count vectors, folded or
+    # not, is at most n^2.
+    width = ((n * n).bit_length() + 7) // 8
+    s = _cyclo_pack(counts, width)
+    conj = _cyclo_pack(counts[:1] + counts[:0:-1], width)
+    if not _cyclo_equal_int(_cyclo_mul(s, conj, p, width), n):
         raise NotModularError("|sum of spins|^2 differs from the anyon count")
-    square = _cyclo_mul(s, s, p)
-    omega = np.exp(2j * np.pi / p)
-    value = complex(sum(int(c) * omega ** k for k, c in enumerate(s)))
+    square = _cyclo_mul(s, s, p, width)
+    value = sum(c * cmath.exp(2j * cmath.pi * k / p)
+                for k, c in enumerate(counts) if c)
     if _cyclo_equal_int(square, n):
         k = 0 if value.real > 0 else 4
     elif _cyclo_equal_int(square, -n):

@@ -33,9 +33,10 @@ from .finite_oracle import (
     boundary_algebra_finite,
     instantiate_qca,
     instantiate_spec,
+    spec_span_on_sheet,
     verify_blend,
 )
-from .fplinalg import coordinate_restriction, row_basis, row_space_equal
+from .fplinalg import row_basis, row_space_equal
 from .laurent import LaurentMatrix, format_poly
 from .pauli import (
     NotInvertibleError,
@@ -44,7 +45,7 @@ from .pauli import (
     check_invertible,
     commutant_generators,
 )
-from .qca import lift_to_qca, promote_spec, qca_inverse
+from .qca import lift_to_qca, qca_inverse
 from .specio import SpecFormatError, check_prime, resolve_spec, spec_to_json
 from .weyl import PauliConjugation, PhasedPauli, dist_bounded
 from .zoo import example_names, get_example, plaquette_term
@@ -209,11 +210,7 @@ def _cmd_boundary(args) -> tuple[int, dict]:
     )
     ok = report.factorization_holds
     if args.axis == spec.dims and window == 1:
-        target = instantiate_spec(promote_spec(spec), lattice)
-        sheet = (args.cut + 1) % lattice.sizes[args.axis]
-        coords = [c for s in lattice.sites() if s[args.axis] == sheet
-                  for c in lattice.site_coords(s)]
-        per_sheet = coordinate_restriction(target, coords, spec.p)
+        per_sheet = spec_span_on_sheet(spec, lattice, args.cut + 1)
         equals = row_space_equal(report.basis, per_sheet, spec.p)
         payload["equals_spec_span"] = equals
         ok = ok and equals
@@ -395,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
         if cutset:
             p.add_argument("--axis", type=int, default=0,
                            help="lattice axis the cut is normal to")
+            # blend-verify refuses interface 0, so it has no default.
             p.add_argument("--cut", type=int, default=0,
+                           required=(name == "blend-verify"),
                            help="layer index of the cut")
         p.add_argument("--out", default=None,
                        help="also write the certificate to this path")

@@ -244,6 +244,32 @@ def instantiate_spec(spec: SubalgebraSpec, lattice: FiniteLattice) -> np.ndarray
     return np.vstack(rows)
 
 
+def spec_span_on_sheet(spec: SubalgebraSpec, lattice: FiniteLattice,
+                       sheet: int) -> np.ndarray:
+    """The canonical basis of the part of the promoted spec's span on
+    `lattice` (one axis more than the spec, appended last) supported on
+    one sheet of that last axis.
+
+    Promoted generators have a zero exponent on the new axis, so that
+    span is the direct sum over sheets of the spec's span on each
+    sheet: the answer is the spec instantiated on the sheet's own
+    lattice, with the sheet's coordinates embedded in the larger
+    register.  The embedding keeps the coordinate order, so the sheet's
+    canonical basis embeds to the canonical basis."""
+    if lattice.dims != spec.dims + 1:
+        raise InstantiationError("the lattice needs exactly one more axis")
+    flat = FiniteLattice(lattice.p, lattice.q, lattice.sizes[:-1],
+                         lattice.periodic)
+    basis = row_basis(instantiate_spec(spec, flat), lattice.p)
+    site, slot = np.divmod(np.arange(flat.n_qudits), lattice.q)
+    target = (site * lattice.sizes[-1] + sheet % lattice.sizes[-1]) \
+        * lattice.q + slot
+    out = np.zeros((basis.shape[0], lattice.symplectic_len), dtype=np.int64)
+    out[:, target] = basis[:, :flat.n_qudits]
+    out[:, lattice.n_qudits + target] = basis[:, flat.n_qudits:]
+    return out
+
+
 def pauli_from_column(
     lattice: FiniteLattice, column: LaurentMatrix, base_site, phase: int = 0
 ) -> PhasedPauli:

@@ -12,6 +12,7 @@ import random
 import numpy as np
 import sympy as sp
 
+from invsub.anyon_lab import InfeasibleHopError
 from invsub.finite_oracle import (
     BoundaryAlgebraReport,
     FiniteInvertibilityReport,
@@ -19,6 +20,7 @@ from invsub.finite_oracle import (
     VsReport,
     _unit_shift,
     instantiate_column,
+    pairing_matrix,
     symplectic_complement,
 )
 from invsub.fplinalg import (
@@ -31,6 +33,7 @@ from invsub.fplinalg import (
     row_space_equal,
     row_space_intersection,
     rref,
+    solve,
 )
 from invsub.laurent import (
     DeterminantalProfile,
@@ -374,3 +377,102 @@ def measure_spread_per_entry(lattice, matrix):
         s_out = sites[(int(r) % lattice.n_qudits) // lattice.q]
         out = max(out, lattice.displacement(s_in, s_out))
     return out
+
+
+def first_noncommuting_pair_dense(rows, p):
+    """The pair anyon_lab.build_hamiltonian reported as first written:
+    the first nonzero of the dense Gram matrix of the term rows, in
+    row-major order, or None when every pair commutes."""
+    bad = np.argwhere(pairing_matrix(rows, rows, p) != 0)
+    return tuple(int(v) for v in bad[0]) if bad.size else None
+
+
+def syndrome_dense(op, h):
+    """anyon_lab.syndrome as first written: a dense pairing of every
+    term row with the operator."""
+    vals = pairing_matrix(h.rows, op.to_symplectic(), h.lattice.p)[:, 0]
+    return {h.entries[i]: int(v) for i, v in enumerate(vals) if v}
+
+
+def _transporter_factors(h, cols, step, charge, family):
+    """The one-step transporter as first solved, on every call: the
+    candidates are placed densely and paired with every term row."""
+    lat = h.lattice
+    target = np.zeros(len(h.entries), dtype=np.int64)
+    target[h.index_of(family, lat.resolve(step))] = charge % lat.p
+    target[h.index_of(family, (0,) * lat.dims)] = -charge % lat.p
+    spread = max(max(c.spread() for c in cols), 1)
+    for margin in (spread, spread + 1):
+        ranges = [range(min(0, s) - margin, max(0, s) + margin + 1)
+                  for s in step]
+        cands = [(j, off) for off in itertools.product(*ranges)
+                 for j in range(len(cols))]
+        placed = [instantiate_column(lat, cols[j], off) for j, off in cands]
+        coeffs = solve(pairing_matrix(h.rows, placed, lat.p), target, lat.p)
+        if coeffs is not None:
+            return [(j, off, int(c)) for (j, off), c in zip(cands, coeffs) if c]
+    raise InfeasibleHopError(
+        f"no one-step transporter for charge {charge} along {tuple(step)}")
+
+
+def leg_string_per_step(h, generators, junction, direction, length,
+                        charge=1, family=0):
+    """anyon_lab.leg_string as first written: the transporter solved on
+    every call and instantiated factor by factor at every step."""
+    lat = h.lattice
+    cols = [generators.submatrix(range(generators.rows), [j])
+            for j in range(generators.cols)]
+    factors = _transporter_factors(h, cols, direction, charge, family)
+    op = PhasedPauli.identity(lat.p, lat.n_qudits)
+    for m in range(length):
+        at = tuple(j + m * d for j, d in zip(junction, direction))
+        step = PhasedPauli.identity(lat.p, lat.n_qudits)
+        for j, off, c in factors:
+            site = tuple(a + o for a, o in zip(at, off))
+            factor = PhasedPauli.from_symplectic(
+                lat.p, instantiate_column(lat, cols[j], site))
+            for _ in range(c):
+                step = step * factor
+        op = step * op
+    near = lat.resolve(junction)
+    far = lat.resolve(tuple(j + length * d
+                            for j, d in zip(junction, direction)))
+    want = {}
+    if charge % lat.p:
+        want = {(family, far): charge % lat.p,
+                (family, near): -charge % lat.p}
+    if syndrome_dense(op, h) != want:
+        raise InfeasibleHopError("leg string syndrome failed to telescope")
+    return op
+
+
+def hopping_operator_per_step(h, generators, charge_at, charge_removed_at,
+                              charge=1, family=0):
+    """anyon_lab.hopping_operator on leg_string_per_step."""
+    lat = h.lattice
+    a, b = tuple(charge_at), tuple(charge_removed_at)
+    op = PhasedPauli.identity(lat.p, lat.n_qudits)
+    cur = list(b)
+    for axis, size in enumerate(lat.sizes):
+        delta = (a[axis] - b[axis]) % size
+        if not delta:
+            continue
+        step, count = (1, delta) if delta <= size // 2 else (-1, size - delta)
+        direction = tuple(step if k == axis else 0 for k in range(lat.dims))
+        op = leg_string_per_step(h, generators, tuple(cur), direction, count,
+                                 charge=charge, family=family) * op
+        cur[axis] = a[axis]
+    return op
+
+
+def exchange_exponent_per_step(h, generators, charge, junction, leg_length,
+                               leg_directions, family=0):
+    """The exchange exponent of anyon_lab.topological_spin, from three
+    legs built by leg_string_per_step (no geometry checks)."""
+    u1, u2, u3 = (leg_string_per_step(h, generators, tuple(junction), d,
+                                      leg_length, charge=charge,
+                                      family=family)
+                  for d in leg_directions)
+    ratio = (u1 * u2 * u3) * (u3 * u2 * u1).dagger()
+    assert ratio.is_scalar()
+    return ratio.phase

@@ -38,7 +38,15 @@ from invsub.pauli import commutant_generators, symplectic_form
 from invsub.weyl import PhasedPauli
 from invsub.zoo import get_example, plaquette_term
 
-from helpers import hamiltonian_terms_per_site, mat
+from helpers import (
+    exchange_exponent_per_step,
+    first_noncommuting_pair_dense,
+    hamiltonian_terms_per_site,
+    hopping_operator_per_step,
+    leg_string_per_step,
+    mat,
+    syndrome_dense,
+)
 
 Z3 = get_example("example-z3")
 TORIC = get_example("toric-code-z3")
@@ -93,6 +101,52 @@ def test_noncommuting_terms_rejected():
     bad = tuple(_gen_column(Z3, j) for j in range(2))
     with pytest.raises(NoncommutingTermsError, match="do not commute"):
         build_hamiltonian(lat, bad)
+
+
+def _message_pair(lat, symbols):
+    with pytest.raises(NoncommutingTermsError) as exc:
+        build_hamiltonian(lat, symbols)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["torus", "patch"])
+def test_noncommuting_pair_is_the_dense_grams_first(periodic):
+    # Term sets mixing the commuting terms with generators and with each
+    # other's conjugates: the reported pair is the first nonzero of the
+    # dense Gram matrix, on tori and on open patches alike.
+    z3 = [Z3.term_symbols[0], _gen_column(Z3, 0), _gen_column(Z3, 1)]
+    toric = list(TORIC.term_symbols) + [_gen_column(Z3, 1)]
+    cases = [z3, z3[1:], z3[::-1], toric, toric[::-1],
+             [_gen_column(TORIC, 0), _gen_column(TORIC, 1)]]
+    reported = 0
+    for sizes in ((2, 2), (3, 4), (5, 5), (6, 3)):
+        lat = FiniteLattice(3, 2, sizes, periodic)
+        for symbols in cases:
+            entries, rows = hamiltonian_terms_per_site(lat, symbols)
+            if not entries:
+                continue
+            pair = first_noncommuting_pair_dense(rows, 3)
+            if pair is None:
+                build_hamiltonian(lat, symbols)
+                continue
+            i, j = pair
+            assert _message_pair(lat, symbols) == \
+                f"terms {entries[i]} and {entries[j]} do not commute"
+            reported += 1
+    assert reported >= 12
+
+
+def test_pairings_match_the_dense_pairing(h9, h13_toric):
+    rng = np.random.default_rng(7)
+    for h in (h9, h13_toric):
+        vecs = rng.integers(0, 3, (h.lattice.symplectic_len, 5))
+        want = (h.rows[:, :h.lattice.n_qudits] @ vecs[h.lattice.n_qudits:]
+                - h.rows[:, h.lattice.n_qudits:]
+                @ vecs[:h.lattice.n_qudits]) % 3
+        assert np.array_equal(h.pairings(vecs), want)
+        for k in range(5):
+            op = PhasedPauli.from_symplectic(3, vecs[:, k])
+            assert syndrome(op, h) == syndrome_dense(op, h)
 
 
 def test_syndrome_sites_of_the_two_generators(h9):
@@ -160,6 +214,65 @@ def test_hopping_infeasible_with_wrong_strings():
 def test_leg_string_telescopes(h13):
     op = leg_string(h13, Z3.hopping_generators, (2, 3), (-1, -1), 6)
     assert syndrome(op, h13) == {(0, (9, 10)): 1, (0, (2, 3)): 2}
+
+
+@pytest.mark.parametrize("entry", [Z3, TORIC], ids=["example-z3", "toric-code-z3"])
+def test_leg_string_equals_the_per_step_engine(entry):
+    # Translating the origin transporter gives the same operator, phase
+    # included, as solving per call and instantiating every step.
+    gens = entry.hopping_generators
+    for side in (11, 13, 21):
+        h = build_hamiltonian(FiniteLattice(3, 2, (side, side)),
+                              entry.term_symbols)
+        for direction in ((1, 0), (0, 1), (-1, -1), (0, -1)):
+            for charge in (1, 2):
+                for junction in ((0, 0), (3, side - 2)):
+                    got = leg_string(h, gens, junction, direction, 7,
+                                     charge=charge)
+                    assert got == leg_string_per_step(
+                        h, gens, junction, direction, 7, charge=charge)
+
+
+@pytest.mark.parametrize("entry", [Z3, TORIC], ids=["example-z3", "toric-code-z3"])
+def test_hopping_and_spin_equal_the_per_step_engine(entry):
+    gens = entry.hopping_generators
+    for side in (11, 13):
+        h = build_hamiltonian(FiniteLattice(3, 2, (side, side)),
+                              entry.term_symbols)
+        for a, b, charge in (((5, 0), (0, 0), 1), ((3, 8), (0, 0), 2),
+                             ((1, 1), (9, 4), 1)):
+            assert hopping_operator(h, gens, a, b, charge=charge) == \
+                hopping_operator_per_step(h, gens, a, b, charge=charge)
+    h = build_hamiltonian(FiniteLattice(3, 2, (21, 21)), entry.term_symbols)
+    for charge in (1, 2):
+        for junction in ((0, 0), (3, 2)):
+            for legs in (DEFAULT_LEG_DIRECTIONS,
+                         ((0, 1), (-1, -1), (1, 0))):
+                rep = topological_spin(h, gens, charge=charge,
+                                       junction=junction,
+                                       leg_directions=legs)
+                assert rep.exponent == exchange_exponent_per_step(
+                    h, gens, charge, junction, rep.leg_length, legs)
+
+
+def test_transporters_are_solved_once_per_hamiltonian():
+    gens = Z3.hopping_generators
+    h11, h13 = (build_hamiltonian(FiniteLattice(3, 2, (s, s)),
+                                  Z3.term_symbols) for s in (11, 13))
+    topological_spin(h13, gens, charge=1)
+    assert len(h13._transporters) == 3
+    # Charge 4 is charge 1 mod 3 and a junction move is a translation:
+    # neither solves again.
+    topological_spin(h13, gens, charge=4, junction=(3, 2))
+    assert len(h13._transporters) == 3
+    assert h11._transporters == {}
+    # The other torus solves its own transporters, sized to its register.
+    op = leg_string(h11, gens, (2, 3), (1, 0), 5)
+    assert op == leg_string_per_step(h11, gens, (2, 3), (1, 0), 5)
+    assert len(h11._transporters) == 1
+    assert len(h13._transporters) == 3
+    assert all(t.size == 242 for t in h11._transporters.values())
+    assert all(t.size == 338 for t in h13._transporters.values())
 
 
 def test_string_operators_need_a_torus():
@@ -272,6 +385,16 @@ def test_gauss_sum_phase_text_is_the_sympy_phase(k):
     rep = GaussSumReport(eighth_root_exponent=k)
     assert rep.phase_text == str(sp.exp(2 * sp.pi * sp.I * sp.Rational(k, 8)))
     assert rep.phase_text == str(rep.phase)
+
+
+def test_gauss_sum_at_the_largest_prime():
+    # p = 65521 is 1 mod 4: the quadratic sum is +sqrt(p).  Its square
+    # has coefficients up to p, which need three-byte slots.
+    p = 65521
+    assert gauss_sum_phase(p, [(k * k) % p for k in range(p)]) \
+        .eighth_root_exponent == 0
+    with pytest.raises(NotModularError):
+        gauss_sum_phase(p, [0, 1])
 
 
 def test_gauss_sum_rejects_non_modular():

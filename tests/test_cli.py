@@ -340,14 +340,17 @@ def test_numpy_is_imported_on_first_use(tmp_path):
             for command in ("check", "commutant", "project", "lift"):
                 assert main([command, "--spec", spec]) == 0, (command, spec)
                 assert "numpy" not in sys.modules, (command, spec)
+        assert main(["gauss", "--spec", "example-z3"]) == 0
+        assert main(["gauss", "--spins", "0,1,1", "--prime", "3"]) == 0
+        assert "numpy" not in sys.modules, "gauss"
         main(["oracle", "--spec", "example-z3", "--torus", "7x7"])
         assert "numpy" in sys.modules, "oracle"
 
         import numpy
         from invsub import anyon_lab, finite_oracle, fplinalg, weyl
         assert fplinalg.np is numpy and finite_oracle.np is numpy, "oracle"
-        main(["gauss", "--spec", "example-z3"])
-        assert anyon_lab.np is numpy, "gauss"
+        main(["spin", "--spec", "example-z3", "--torus", "13x13"])
+        assert anyon_lab.np is numpy, "spin"
         main(["dist", "--prime", "3", "--x", "1,2", "--z", "0,1"])
         assert weyl.np is numpy, "dist"
     """, str(path))
@@ -421,11 +424,12 @@ def test_blend_verify_self(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("blend-verify", "--spec", "example-z3", "--torus", "5x5x5",
-      "--axis", "7"), "axis 7 out of range"),
+      "--axis", "7", "--cut", "2"), "axis 7 out of range"),
     (("blend-verify", "--spec", "example-z3", "--torus", "5x5x5",
-      "--axis", "-1"), "axis -1 out of range"),
+      "--axis", "-1", "--cut", "2"), "axis -1 out of range"),
     (("blend-verify", "--spec", "example-z3", "--torus", "5x5x5",
-      "--axis", "2", "--window", "-3"), "margin -3 is negative"),
+      "--axis", "2", "--window", "-3", "--cut", "2"),
+     "margin -3 is negative"),
     (("oracle", "--spec", "example-z3", "--torus", "7x7", "--window", "-1"),
      "reach -1 is negative"),
     (("dist", "--prime", "3", "--x", "1", "--z", "1", "--max-support", "-1"),
@@ -436,12 +440,19 @@ def test_blend_verify_self(capsys):
      "need 1 < interface < 3"),
     (("blend-verify", "--spec", "example-z3", "--torus", "5x5x5",
       "--axis", "2"),
-     "interface 0 with margin 1 leaves one side of the axis empty: "
-     "need 1 < interface < 3"),
+     "the following arguments are required: --cut"),
 ])
 def test_negative_or_out_of_range_arguments_refused(capsys, argv, message):
     # These exited 3 (an IndexError), or answered: "agrees" (also with
     # an interface leaving one side empty), "vs fails" and distance 0.
+    # blend-verify without --cut took the default interface 0, which
+    # always leaves one side empty; argparse now refuses it.
+    if "--cut" in message:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        return
     code, payload, _ = run(capsys, *argv)
     assert code == 2
     assert payload["error_kind"] == "ValueError"
@@ -467,6 +478,28 @@ def test_spin_example(capsys):
     assert payload["p"] == 3
     assert len(payload["invariance_checks"]) == 3
     assert all(c["agrees"] for c in payload["invariance_checks"])
+
+
+# SHA-256 of the spin certificates the benchmark's anyon workload
+# prints, recorded before the spin engine moved onto the terms'
+# nonzeros and translated transporters.
+SPIN_DIGESTS = {
+    ("example-z3", "21x21", "1"):
+        "b6eb4f4d76a1e3740818a71152c703923cd7d877f988286f1fb6e0fb581496c9",
+    ("example-z3", "21x21", "2"):
+        "c4deb31394c73ab339343a92e1f6164451410e91ad161a89801a5a88f7f63d49",
+    ("toric-code-z3", "17x17", "1"):
+        "2e18ecf6518839647f4b40688ff8de0d0b3026fe2abfefb8db5aded0caa1a311",
+}
+
+
+@pytest.mark.parametrize("name, torus, charge", sorted(SPIN_DIGESTS))
+def test_spin_certificate_unchanged(capsys, name, torus, charge):
+    code, _, out = run(capsys, "spin", "--spec", name, "--torus", torus,
+                       "--charge", charge)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        SPIN_DIGESTS[name, torus, charge]
 
 
 def test_spin_refuses_small_torus(capsys):

@@ -870,6 +870,25 @@ def test_boundary_and_spec_span_restriction_memory():
     assert traced_peak(boundary_and_restriction) < 48 * 2 ** 20
 
 
+def test_spec_span_on_sheet_is_the_restricted_promoted_span():
+    # The sheet's own translates, embedded, give the canonical basis the
+    # 3-d promoted span restricted to the sheet gives.
+    cases = [(z3_spec(), (n, n, n), True, cut)
+             for n in (5, 7) for cut in (0, 3)]
+    cases += [(spec, (4, 5, 3), periodic, 1)
+              for spec in (full_spec(), get_example("toric-code-z3").spec)
+              for periodic in (True, False)]
+    for spec, sizes, periodic, cut in cases:
+        lat = FiniteLattice(spec.p, spec.q, sizes, periodic)
+        target = instantiate_spec(promote_spec(spec), lat)
+        want = coordinate_restriction(
+            target, sheet_coords(lat, (cut + 1) % sizes[-1]), spec.p)
+        got = finite_oracle.spec_span_on_sheet(spec, lat, cut + 1)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    with pytest.raises(InstantiationError, match="one more axis"):
+        finite_oracle.spec_span_on_sheet(z3_spec(), FiniteLattice(3, 2, (5, 5)), 1)
+
+
 def blend_outcome(gamma, alpha, beta, **where):
     report = verify_blend(gamma, alpha, beta, axis=2, margin=1, **where)
     return report.agrees, report.first_mismatch
