@@ -18,6 +18,7 @@ by site permutations.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -60,19 +61,18 @@ class HamiltonianInstance:
 
     Families index the distinct term symbols (one for the worked
     example, vertex/plaquette style pairs for stabilizer codes); terms
-    whose footprint crosses an open boundary are dropped.  `rows` holds
-    the terms as dense symplectic rows.  The pairings read the terms
-    from their nonzeros instead: term i pairs with a symplectic vector v
+    whose footprint crosses an open boundary are dropped.  The terms
+    are kept as their nonzeros: term i pairs with a symplectic vector v
     as sum_t weights[i, t] * v[partners[i, t]] mod p, with t running
-    over the terms of its symbol (padded with zero weights).  One-step
-    transporters solved on this instance are cached on it, keyed by
-    (generators, step, charge mod p, family).
+    over the terms of its symbol (padded with zero weights).  `rows`,
+    the terms as dense symplectic rows, is built from them on first
+    read.  One-step transporters solved on this instance are cached on
+    it, keyed by (generators, step, charge mod p, family).
     """
 
     lattice: FiniteLattice
     term_symbols: tuple[LaurentMatrix, ...]
     entries: tuple[tuple[int, tuple[int, ...]], ...]
-    rows: np.ndarray
     _partners: np.ndarray = field(repr=False, compare=False)
     _weights: np.ndarray = field(repr=False, compare=False)
     _transporters: dict = field(default_factory=dict, init=False,
@@ -81,6 +81,20 @@ class HamiltonianInstance:
     @property
     def spread(self) -> int:
         return max(sym.spread() for sym in self.term_symbols)
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """One dense symplectic row per term, mod p."""
+        p, m = self.lattice.p, self.lattice.n_qudits
+        # Undo the pairing's swap of halves and sign of the Z entries.
+        is_x = self._partners >= m
+        coord = np.where(is_x, self._partners - m, self._partners + m)
+        coeff = np.where(is_x, self._weights, -self._weights)
+        rows = np.zeros((len(self.entries), self.lattice.symplectic_len),
+                        dtype=np.int64)
+        np.add.at(rows, (np.arange(len(self.entries))[:, None], coord),
+                  coeff)
+        return rows % p
 
     def index_of(self, family: int, site) -> int:
         return self.entries.index((family, tuple(site)))
@@ -151,9 +165,6 @@ def build_hamiltonian(
     coeff = np.vstack([np.pad(v, ((0, 0), (0, width - v.shape[1])))
                        for _, v in families])
     p, m = lattice.p, lattice.n_qudits
-    rows = np.zeros((len(entries), lattice.symplectic_len), dtype=np.int64)
-    np.add.at(rows, (np.arange(len(entries))[:, None], coord), coeff)
-    rows %= p
     bad = _first_noncommuting_pair(coord, coeff, lattice)
     if bad is not None:
         i, j = bad
@@ -165,8 +176,8 @@ def build_hamiltonian(
     is_x = coord < m
     partners = np.where(is_x, coord + m, coord - m)
     weights = np.where(is_x, coeff, -coeff) % p
-    return HamiltonianInstance(lattice, symbols, tuple(entries), rows,
-                               partners, weights)
+    return HamiltonianInstance(lattice, symbols, tuple(entries), partners,
+                               weights)
 
 
 def syndrome(op: PhasedPauli, h: HamiltonianInstance) -> dict:

@@ -254,7 +254,7 @@ def _cmd_dist(args) -> tuple[int, dict]:
                           max_support=args.max_support)
     payload = _payload(
         "dist",
-        distance=str(result.value),
+        distance=result.text,
         distance_numeric=result.numeric,
         witness={"x": result.witness.a.tolist(),
                  "z": result.witness.b.tolist()},

@@ -9,10 +9,14 @@ ordering effects that vanish at the symbol level become visible.
 Operator-norm distances between phased Paulis are tiny exact
 expressions: a unitary's distance to the identity depends only on its
 spectrum, and a Pauli's spectrum is read off its symbol and phase.
+Every such distance is 2 sin(pi t) for a rational t in [0, 1/2], so its
+correctly rounded float and its text are computed from integers; sympy
+builds the expression only when a caller asks for it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -156,6 +160,20 @@ def _spectral_class(r: PhasedPauli) -> tuple:
     return ("odd",)
 
 
+def _class_angle(kind: tuple, p: int) -> tuple[int, int]:
+    """The t = n / d in [0, 1/2], in lowest terms, with ||id - R|| =
+    2 sin(pi t) for R of this spectral class."""
+    if kind[0] == "scalar":
+        k = kind[1] % p
+        n, d = min(k, p - k), p
+    elif kind[0] == "qubit":
+        n, d = (1, 2) if kind[1] == 0 else (1, 4)
+    else:
+        n, d = p - 1, 2 * p
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
 def _class_distance(kind: tuple, p: int) -> sp.Expr:
     import sympy as sp
 
@@ -164,6 +182,76 @@ def _class_distance(kind: tuple, p: int) -> sp.Expr:
     if kind[0] == "qubit":
         return sp.Integer(2) if kind[1] == 0 else sp.sqrt(2)
     return 2 * sp.sin(sp.pi * sp.Rational((p - 1), 2 * p))
+
+
+# Bits after the binary point of the fixed-point pi and sine below.
+_FIXED_BITS = 320
+
+
+def _arctan_inverse(n: int) -> int:
+    """atan(1/n) in fixed point, by its Taylor series."""
+    power = (1 << _FIXED_BITS) // n
+    total, k = power, 1
+    while power:
+        power //= n * n
+        k += 2
+        total += -(power // k) if k % 4 == 3 else power // k
+    return total
+
+
+@functools.cache
+def _fixed_pi() -> int:
+    # Machin: pi = 16 atan(1/5) - 4 atan(1/239).
+    return 16 * _arctan_inverse(5) - 4 * _arctan_inverse(239)
+
+
+def _fixed_sin_pi(n: int, d: int) -> int:
+    """sin(pi n / d) in fixed point for n / d in [0, 1/2], by its Taylor
+    series; the error is a few units in the last of `_FIXED_BITS`
+    places."""
+    x = _fixed_pi() * n // d
+    x2 = x * x >> _FIXED_BITS
+    term, total, k = x, x, 1
+    while term:
+        term = -(term * x2 >> _FIXED_BITS) // ((k + 1) * (k + 2))
+        total += term
+        k += 2
+    return total
+
+
+def _scored(kind: tuple, p: int, size: int) -> float:
+    """2 sin(pi t) / size for the class's t, rounded once to a float."""
+    # Python's int / int is correctly rounded.
+    return (2 * _fixed_sin_pi(*_class_angle(kind, p))
+            / (size << _FIXED_BITS))
+
+
+# 2 sin(pi t) = coefficient * factor, for the t of a class whose sine
+# sympy evaluates, with the factor as sympy prints it.
+_CLOSED_SINES = {
+    (1, 2): (2, ""),
+    (1, 3): (1, "sqrt(3)"),
+    (1, 4): (1, "sqrt(2)"),
+    (1, 5): (2, "sqrt(5/8 - sqrt(5)/8)"),
+    (2, 5): (2, "sqrt(sqrt(5)/8 + 5/8)"),
+}
+
+
+def _class_text(kind: tuple, p: int, size: int) -> str:
+    """`str(_class_distance(kind, p) / size)`, without sympy."""
+    n, d = _class_angle(kind, p)
+    if n == 0:
+        return "0"
+    # Every other t a class reaches has a prime denominator of at least
+    # 7, and sympy leaves its sine unevaluated.
+    coefficient, factor = _CLOSED_SINES.get(
+        (n, d), (2, f"sin({'' if n == 1 else f'{n}*'}pi/{d})"))
+    g = math.gcd(coefficient, size)
+    num, den = coefficient // g, size // g
+    if not factor:
+        return str(num) if den == 1 else f"{num}/{den}"
+    return (("" if num == 1 else f"{num}*") + factor
+            + ("" if den == 1 else f"/{den}"))
 
 
 def unitary_distance_to_identity(r: PhasedPauli) -> sp.Expr:
@@ -212,12 +300,27 @@ def enumerate_support_paulis(p: int, m: int, support):
 
 @dataclass(frozen=True)
 class BoundedDistance:
-    value: sp.Expr
+    """The distance 2 sin(pi t) / size of a spectral class scored on
+    `size` sites, and the first candidate Pauli that reaches it."""
+
+    kind: tuple
+    p: int
+    size: int
     witness: PhasedPauli
 
     @property
     def numeric(self) -> float:
-        return float(self.value.evalf(50))
+        """The distance, correctly rounded to a float."""
+        return _scored(self.kind, self.p, self.size)
+
+    @property
+    def text(self) -> str:
+        """`str(self.value)`, without importing sympy."""
+        return _class_text(self.kind, self.p, self.size)
+
+    @property
+    def value(self) -> sp.Expr:
+        return _class_distance(self.kind, self.p) / self.size
 
 
 def _check_candidate_count(p: int, m: int, max_support: int) -> None:
@@ -232,11 +335,6 @@ def _check_candidate_count(p: int, m: int, max_support: int) -> None:
             )
 
 
-def _scored(kind: tuple, p: int, size: int) -> tuple:
-    d = _class_distance(kind, p) / size
-    return d, float(d.evalf(50))
-
-
 def dist_bounded(alpha, beta, p: int, m: int, max_support: int = 2
                  ) -> BoundedDistance:
     """Support-normalized distance between two automorphisms of the
@@ -244,8 +342,9 @@ def dist_bounded(alpha, beta, p: int, m: int, max_support: int = 2
 
     Scans every Pauli supported on at most ``max_support`` sites and
     maximizes ||alpha(W) - beta(W)|| divided by the support size.  The
-    maximum is an exact expression; comparisons between candidates use
-    50-digit evaluation while the reported value stays symbolic.  The
+    maximum is exact: candidates are ranked by the correctly rounded
+    floats of their closed forms, and the result keeps the spectral
+    class, from which its text and sympy value are built.  The
     automorphisms are any objects with an ``apply(PhasedPauli)`` method;
     two `PauliConjugation`s are scored in closed form, without building
     the candidates.  More than ``MAX_CANDIDATES`` candidates raise
@@ -259,13 +358,11 @@ def dist_bounded(alpha, beta, p: int, m: int, max_support: int = 2
             and isinstance(beta, PauliConjugation)):
         return _conjugation_distance(alpha.conjugator, beta.conjugator,
                                      p, m, max_support)
-    import sympy as sp
-
-    best = BoundedDistance(sp.Integer(0), PhasedPauli.identity(p, m))
+    best = BoundedDistance(("scalar", 0), p, 1, PhasedPauli.identity(p, m))
     best_num = -1.0
     # A candidate's distance depends only on the spectral class of
     # alpha(W)^dagger beta(W) and on the support size, so each distinct
-    # value is built and evaluated once.
+    # value is scored once.
     values = {}
     for size in range(1, max_support + 1):
         for support in itertools.combinations(range(m), size):
@@ -274,9 +371,9 @@ def dist_bounded(alpha, beta, p: int, m: int, max_support: int = 2
                 key = (_spectral_class(r), size)
                 if key not in values:
                     values[key] = _scored(key[0], p, size)
-                d, num = values[key]
-                if num > best_num + 1e-40:
-                    best, best_num = BoundedDistance(d, w), num
+                if values[key] > best_num + 1e-40:
+                    best = BoundedDistance(key[0], p, size, w)
+                    best_num = values[key]
     return best
 
 
@@ -290,8 +387,6 @@ def _conjugation_distance(u: PhasedPauli, v: PhasedPauli, p: int, m: int,
     so each candidate's class is ("scalar", c).  The winner is the first
     maximum in the scan order of the per-candidate loop.
     """
-    import sympy as sp
-
     if {u.p, v.p} != {p} or {u.size, v.size} != {m}:
         raise ValueError("conjugators act on a different register")
     da, db = v.a - u.a, v.b - u.b
@@ -312,28 +407,23 @@ def _conjugation_distance(u: PhasedPauli, v: PhasedPauli, p: int, m: int,
         c = np.hstack([db[supports], -da[supports]]) @ local
         c %= p
         c = c.ravel()
-        # sin(pi c / p) grows with min(c, p - c), and for p <= 1000 its
-        # 50-digit values at distinct min(c, p - c) lie far more than a
-        # float's spacing apart.  So the size's first maximum has one of
-        # the (at most two) classes where min(c, p - c) is largest, and
-        # only those are scored.
-        counts = np.bincount(c, minlength=p)
-        top = max(min(k, p - k) for k in np.flatnonzero(counts).tolist())
-        scores = {k: _scored(("scalar", k), p, size)
-                  for k in {top, (p - top) % p} if counts[k]}
-        num = max(score[1] for score in scores.values())
-        wins = np.zeros(p, dtype=bool)
-        wins[[k for k, score in scores.items() if score[1] == num]] = True
-        first = int(np.flatnonzero(wins[c])[0])
+        # sin(pi c / p) depends only on min(c, p - c) and grows with it,
+        # and for p <= 1000 its floats at distinct min(c, p - c) lie far
+        # more than a float's spacing apart.  So the size's first maximum
+        # is the first candidate where min(c, p - c) is largest.
+        first = int(np.argmax(np.minimum(c, p - c)))
+        kind = ("scalar", int(c[first]))
+        num = _scored(kind, p, size)
         if num > best_num + 1e-40:
             row, col = divmod(first, local.shape[1])
             best_num = num
-            best = (scores[int(c[first])][0], supports[row],
+            best = (kind, size, supports[row],
                     local[:size, col], local[size:, col])
     if best is None:
-        return BoundedDistance(sp.Integer(0), PhasedPauli.identity(p, m))
-    d, support, x, z = best
+        return BoundedDistance(("scalar", 0), p, 1,
+                               PhasedPauli.identity(p, m))
+    kind, size, support, x, z = best
     a = np.zeros(m, dtype=np.int64)
     b = np.zeros(m, dtype=np.int64)
     a[support], b[support] = x, z
-    return BoundedDistance(d, PhasedPauli(p, 0, a, b))
+    return BoundedDistance(kind, p, size, PhasedPauli(p, 0, a, b))

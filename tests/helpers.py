@@ -10,7 +10,6 @@ import itertools
 import random
 
 import numpy as np
-import sympy as sp
 
 from invsub.anyon_lab import InfeasibleHopError
 from invsub.finite_oracle import (
@@ -48,6 +47,7 @@ from invsub.zoo import get_example
 from invsub.weyl import (
     BoundedDistance,
     PhasedPauli,
+    _spectral_class,
     enumerate_support_paulis,
     unitary_distance,
 )
@@ -197,16 +197,21 @@ def check_vs_every_site(rows, lattice, reach):
 
 def dist_bounded_every_candidate(alpha, beta, p, m, max_support=2):
     """weyl.dist_bounded as first written: a sympy distance is built and
-    evaluated for every candidate Pauli."""
-    best = BoundedDistance(sp.Integer(0), PhasedPauli.identity(p, m))
+    evaluated for every candidate Pauli.  Each new best is checked to
+    carry that sympy value and its 50-digit float."""
+    best = BoundedDistance(("scalar", 0), p, 1, PhasedPauli.identity(p, m))
     best_num = -1.0
     for size in range(1, max_support + 1):
         for support in itertools.combinations(range(m), size):
             for w in enumerate_support_paulis(p, m, support):
-                d = unitary_distance(alpha.apply(w), beta.apply(w)) / size
+                a, b = alpha.apply(w), beta.apply(w)
+                d = unitary_distance(a, b) / size
                 num = float(d.evalf(50))
                 if num > best_num + 1e-40:
-                    best, best_num = BoundedDistance(d, w), num
+                    best = BoundedDistance(_spectral_class(a.dagger() * b),
+                                           p, size, w)
+                    best_num = num
+                    assert best.value == d and best.numeric == num
     return best
 
 

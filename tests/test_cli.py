@@ -314,7 +314,7 @@ def test_sympy_is_imported_on_first_use():
         main(["gauss", "--spec", "example-z3"])
         assert "sympy" not in sys.modules, "gauss"
         main(["dist", "--prime", "3", "--x", "1,2", "--z", "0,1"])
-        assert "sympy" in sys.modules, "dist"
+        assert "sympy" not in sys.modules, "dist"
     """)
 
 
@@ -468,6 +468,40 @@ def test_dist_global_flip(capsys):
     assert payload["distance_numeric"] == 2.0
     w = payload["witness"]
     assert sum(1 for xi, zi in zip(w["x"], w["z"]) if xi or zi) == 1
+
+
+# `dist` stdout as printed while its distances were scored by sympy:
+# the distance text and the SHA-256 of the whole certificate.
+DIST_CERTIFICATES = {
+    ("2", "1,0,1,1,0,1", "0,1,1,0,0,1", "1"): (
+        "2",
+        "1ba9d917147c8fb1263a88ccaa9cdcf4eba7949ead1de950b2693ab0b3918eae"),
+    ("3", "1,0,2,1,1,2,0,1", "0,1,1,2,0,2,2,1", "2"): (
+        "sqrt(3)",
+        "158f7b80669d48a86e8bbe27df25ca35f670d2c8b393fdd420b2e6c19bc0ab2c"),
+    ("5", "1,4,0,2,3,1", "2,0,3,1,4,4", "2"): (
+        "2*sqrt(sqrt(5)/8 + 5/8)",
+        "faaa1e90932a63010f48e20d165633f8e8176cd926052ae8c572258509e0dac3"),
+    ("7", "3,0,5", "1,2,0", "2"): (
+        "2*sin(3*pi/7)",
+        "906dd6a57c076f7a33125f5f3527350e2c94d04deeaed9c96986833af2815bed"),
+    ("997", "5", "3", "1"): (
+        "2*sin(498*pi/997)",
+        "432815d2b19098087f20a64a27e2addb5b99a34b6a50486a996bf3f2db789eaf"),
+    ("5", "0,0,0", "0,0,0", "2"): (
+        "0",
+        "8d0dd0d39747e3ca38b5efb72a43be158a50dcaeed427cf799382a29d070bd57"),
+}
+
+
+@pytest.mark.parametrize("prime, x, z, support", sorted(DIST_CERTIFICATES))
+def test_dist_certificate_unchanged(capsys, prime, x, z, support):
+    code, payload, out = run(capsys, "dist", "--prime", prime, "--x", x,
+                             "--z", z, "--max-support", support)
+    assert code == 0
+    text, digest = DIST_CERTIFICATES[prime, x, z, support]
+    assert payload["distance"] == text
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_spin_example(capsys):

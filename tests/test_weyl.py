@@ -265,10 +265,38 @@ def test_dist_bounded_matches_every_candidate_scan(p, m, max_support,
     got = dist_bounded(a, b, p, m, max_support)
     assert got.value == want.value
     assert str(got.value) == str(want.value)
+    assert got.text == str(got.value)
     assert got.witness == want.witness
     assert got.numeric == want.numeric
     if alpha == beta:
         assert got.value == 0
+
+
+_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                 53, 59]
+
+
+@pytest.mark.parametrize("p", _SMALL_PRIMES + [61, 257, 997])
+def test_class_text_and_float_are_the_sympy_ones(p):
+    # The counterpart of the Gauss-sum phase text: a distance class's
+    # text and float come from integers, and must be what sympy prints
+    # and evaluates for the value it stands for.  Every phase for the
+    # small primes; the edge phases (evalf takes about 14 ms a value at
+    # p = 997) for the others.
+    if p in _SMALL_PRIMES:
+        phases, sizes = range(p), range(1, 5)
+    else:
+        phases, sizes = {0, 1, 2, p // 2, p // 2 + 1, p - 1}, (1, 2)
+    kinds = [("scalar", k) for k in phases] + [("odd",)] * (p > 2)
+    if p == 2:
+        kinds += [("qubit", 0), ("qubit", 1)]
+    for kind in kinds:
+        for size in sizes:
+            d = weyl.BoundedDistance(kind, p, size,
+                                     PhasedPauli.identity(p, 1))
+            assert d.value == weyl._class_distance(kind, p) / size
+            assert d.text == str(d.value), (kind, size)
+            assert d.numeric == float(d.value.evalf(50)), (kind, size)
 
 
 @pytest.mark.parametrize("p, size", [(2, 1), (2, 3), (3, 2), (5, 2)])
@@ -288,7 +316,6 @@ def _anyon_dist_input(p=5, m=6):
 
 
 def test_dist_bounded_conjugations_time_budget():
-    dist_bounded(*_anyon_dist_input(m=2), 5, 2, max_support=1)  # sympy warm
     alpha, beta = _anyon_dist_input()
     start = perf_counter()
     d = dist_bounded(alpha, beta, 5, 6, max_support=2)
