@@ -7,9 +7,12 @@ involved.  The instances this package generates are tiny (at most four
 variables over F_2/F_3/F_5, generators with a handful of terms), so plain
 Buchberger with the coprimality and chain criteria is entirely adequate.
 The generators are the distinct nonzero minors of a matrix at its rank
-(laurent.determinantal_profile, which bounds how many minors it expands
+(laurent.determinantal_profile, which bounds how many minors it needs
 by MAX_MINORS); the number of S-pairs grows with their number and
 degree, so a few dozen small minors are cheap whatever the matrix size.
+The other heavy caller is laurent's fraction-free elimination, whose
+every step is an exact division (divide_single) by a pivot that, on a
+dense matrix, is a polynomial with many terms.
 """
 
 from __future__ import annotations
@@ -117,21 +120,40 @@ def normal_form(g: Poly, basis: list[Poly], p: int) -> Poly:
 def divide_single(g: Poly, f: Poly, p: int) -> Poly | None:
     """Quotient of g by the single divisor f, or None if any term survives
     reduction.  A single polynomial is a Groebner basis of the ideal it
-    generates, so a zero remainder decides principal-ideal membership."""
+    generates, so a zero remainder decides principal-ideal membership.
+
+    The remainder's exponents wait in a heap keyed (-degree, reversed
+    exponent), whose least entry is the grevlex-largest.  A step only adds
+    exponents below the one it cancels, so the remainder is never scanned
+    again; entries for exponents that cancelled since are skipped."""
     if not f:
         raise ZeroDivisionError("division by zero polynomial")
     lfe, lfc = leading_term(f)
     inv = pow(lfc, p - 2, p)
+    tail = [(fe, fc) for fe, fc in f.items() if fe != lfe]
     q: Poly = {}
     h = dict(g)
-    while h:
-        e, c = leading_term(h)
+    heap = [(-sum(e), e[::-1]) for e in h]
+    heapq.heapify(heap)
+    while heap:
+        e = heapq.heappop(heap)[1][::-1]
+        c = h.pop(e, 0)
+        if not c:
+            continue
         if not _divides_exp(lfe, e):
             return None
         factor = (c * inv) % p
         qe = _exp_sub(e, lfe)
         q[qe] = factor
-        h = add(h, term_mul(qe, p - factor, f, p), p)
+        for fe, fc in tail:
+            te = tuple(x + y for x, y in zip(fe, qe))
+            v = (h.get(te, 0) - factor * fc) % p
+            if not v:
+                h.pop(te, None)
+                continue
+            if te not in h:
+                heapq.heappush(heap, (-sum(te), te[::-1]))
+            h[te] = v
     return q
 
 

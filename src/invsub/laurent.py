@@ -10,10 +10,10 @@ a multiple of that one?) are answered by clearing denominators with a
 minimal monomial and passing to an ordinary polynomial ring with one
 auxiliary variable t subject to t*x_1*...*x_D = 1, which realizes the
 localization at the coordinate monomials.  Groebner bases are computed in
-grevlex order with t last.  Matrix ranks come from one fraction-free
-(Bareiss) elimination, and the determinantal profile expands only the
-nonzero minors at that rank; the minors it still has to expand are
-counted first and bounded by MAX_MINORS.
+grevlex order with t last.  Ranks, determinants, minors, inverses and
+the determinantal profile all come from one fraction-free (Bareiss)
+elimination with back substitution (_eliminate); the profile counts the
+minors it needs first and refuses more than MAX_MINORS.
 """
 
 from __future__ import annotations
@@ -656,69 +656,26 @@ class LaurentMatrix:
         return m
 
 
-def determinant(m: LaurentMatrix) -> LaurentPoly:
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    return _det(m, tuple(range(m.rows)), tuple(range(m.cols)), {})
+def _parity(seq) -> int:
+    """1 or -1, the sign of the permutation sorting seq (distinct items)."""
+    return -1 if sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :]) % 2 else 1
 
 
-def _det(m, rows, cols, cache) -> LaurentPoly:
-    key = (rows, cols)
-    if key in cache:
-        return cache[key]
-    k = len(rows)
-    if k == 0:
-        out = LaurentPoly.one(m.p, m.nvars)
-    elif k == 1:
-        out = m.entries[rows[0]][cols[0]]
-    else:
-        out = LaurentPoly.zero(m.p, m.nvars)
-        i = rows[0]
-        rest = rows[1:]
-        for t, j in enumerate(cols):
-            a = m.entries[i][j]
-            if a.is_zero():
-                continue
-            sub = _det(m, rest, cols[:t] + cols[t + 1 :], cache)
-            term = a * sub
-            out = out + (term if t % 2 == 0 else -term)
-    cache[key] = out
-    return out
+def _eliminate(m: LaurentMatrix) -> tuple:
+    """Fraction-free (Bareiss) elimination of m, then fraction-free back
+    substitution on the non-pivot columns.  Returns the pivot rows in the
+    order taken, the pivot columns c_0 < ... < c_{r-1}, the last pivot
+    d' = det m[rows, cols] (1 at rank 0), the parity of rows (so det
+    m[sorted(rows), cols] = sign * d') and, per non-pivot column j, the
+    list E[j] of E[k][j] = det m[rows, cols with c_k replaced by j]: d'
+    times the coordinates of column j in the pivot columns (Cramer).
 
-
-def minors(m: LaurentMatrix, k: int) -> list[LaurentPoly]:
-    """All k x k minors, in lexicographic order of (row set, column set)."""
-    if k < 0 or k > min(m.rows, m.cols):
-        raise ValueError(f"no {k}x{k} minors of a {m.rows}x{m.cols} matrix")
-    if k == 0:
-        return [LaurentPoly.one(m.p, m.nvars)]
-    cache: dict = {}
-    out = []
-    for rows in itertools.combinations(range(m.rows), k):
-        for cols in itertools.combinations(range(m.cols), k):
-            out.append(_det(m, rows, cols, cache))
-    return out
-
-
-def _exact_quotient(num: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    if d.is_one():
-        return num
-    q = divides(d, num)
-    if q is None:
-        raise ArithmeticError(f"fraction-free step: {d} does not divide {num}")
-    return q
-
-
-def _bareiss(m: LaurentMatrix) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Fraction-free (Bareiss) elimination of m over the Laurent ring.
-
-    Returns the rank over the fraction field, the original indices of the
-    pivot rows (sorted) and the pivot columns.  After k pivots each entry
-    still to be eliminated is, up to the row swaps, the (k+1)-minor on the
-    pivot rows and columns bordered by its own row and column (Sylvester's
-    identity), so every division by the previous pivot is exact; an
-    inexact one raises ArithmeticError.  Bareiss, Math. Comp. 22 (1968).
-    """
+    After k pivots each entry still to be eliminated is, up to the row
+    swaps, the (k+1)-minor on the pivot rows and columns bordered by its
+    own row and column (Sylvester's identity), so every division by the
+    last pivot is exact, as is U[k][c_k] E[k][j] = d' U[k][j] - sum_{l>k}
+    U[k][c_l] E[l][j] for the final pivot rows U; an inexact one raises
+    ArithmeticError.  Bareiss, Math. Comp. 22 (1968)."""
     a = [list(row) for row in m.entries]
     order = list(range(m.rows))
     prev = LaurentPoly.one(m.p, m.nvars)
@@ -744,25 +701,62 @@ def _bareiss(m: LaurentMatrix) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         prev = pc
         pivot_cols.append(c)
         r += 1
-    return r, tuple(sorted(order[:r])), tuple(pivot_cols)
+    coords = {}
+    for j in sorted(set(range(m.cols)) - set(pivot_cols)):
+        e = coords[j] = [None] * r
+        for k in range(r - 1, -1, -1):
+            u = a[k]
+            num = prev * u[j]
+            for l in range(k + 1, r):
+                if e[l].terms and u[pivot_cols[l]].terms:
+                    num = num - u[pivot_cols[l]] * e[l]
+            e[k] = _exact_quotient(num, u[pivot_cols[k]])
+    return tuple(order[:r]), tuple(pivot_cols), prev, _parity(order[:r]), coords
+
+
+def _determinant(m: LaurentMatrix) -> LaurentPoly:
+    _, cols, d, sign, _ = _eliminate(m)
+    return d.scale(sign) if len(cols) == m.rows else LaurentPoly.zero(m.p, m.nvars)
+
+
+def determinant(m: LaurentMatrix) -> LaurentPoly:
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    return _determinant(m)
+
+
+def minors(m: LaurentMatrix, k: int) -> list[LaurentPoly]:
+    """All k x k minors, in lexicographic order of (row set, column set)."""
+    if k < 0 or k > min(m.rows, m.cols):
+        raise ValueError(f"no {k}x{k} minors of a {m.rows}x{m.cols} matrix")
+    sets = itertools.product(*(itertools.combinations(range(n), k) for n in m.shape))
+    return [_determinant(m.submatrix(rows, cols)) for rows, cols in sets]
+
+
+def _exact_quotient(num: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
+    if d.is_one():
+        return num
+    q = divides(d, num)
+    if q is None:
+        raise ArithmeticError(f"fraction-free step: {d} does not divide {num}")
+    return q
 
 
 def matrix_rank(m: LaurentMatrix) -> int:
     """Rank over the fraction field, by one fraction-free elimination."""
-    return _bareiss(m)[0]
+    return len(_eliminate(m)[1])
 
 
-# The most minors determinantal_profile will expand: the row and column
+# The most minors determinantal_profile will compute: the row and column
 # screens plus the surviving pairs.  On redundant presentations of the
-# qutrit example each costs about 0.1 ms (one Xeon core): the largest
-# count among the builtin, test and benchmark specs is 5944 (q=6, 12
-# generators, rank 6; 0.7 s), and 10102 minors took 1.5 s, 56666 took
-# 5.5 s and 568569 took 52 s.
+# qutrit example each costs 0.01-0.02 ms (one Xeon core): the largest
+# count among builtin, test and benchmark specs is 5944 (q=6, 12
+# generators, rank 6; 0.13 s); 56666 took 1.0 s and 568569 took 7.1 s.
 MAX_MINORS = 20_000
 
 
 class MinorCountError(ValueError):
-    """The determinantal profile would expand more than MAX_MINORS minors."""
+    """The determinantal profile would need more than MAX_MINORS minors."""
 
 
 def _check_minor_count(count: int, m: LaurentMatrix, r: int) -> None:
@@ -787,73 +781,78 @@ class DeterminantalProfile:
     is_unit: bool
 
 
+def _column_screen(ncols: int, cols, d, sign, coords) -> dict:
+    """The nonzero det m[R0, C], R0 the sorted pivot rows, for the
+    r-subsets C of the ncols columns in lexicographic order, from
+    _eliminate(m).  With S = C minus the pivot columns and K the pivot
+    positions of the columns not in C, det m[R0, C] = +-det E[K, S] /
+    d'^(|S|-1) (Sylvester's identity), signed by sign and the parity of
+    C's pivot positions, each column of S taking the next one of K."""
+    position = {c: k for k, c in enumerate(cols)}
+    out = {}
+    for subset in itertools.combinations(range(ncols), len(cols)):
+        free = [j for j in subset if j not in position]
+        gone = [k for k, c in enumerate(cols) if c not in subset]
+        nxt = iter(gone)
+        sigma = [position[j] if j in position else next(nxt) for j in subset]
+        block = [[coords[j][k] for j in free] for k in gone]
+        if len(free) < 2:
+            f = block[0][0] if free else d
+        else:
+            det = _determinant(LaurentMatrix(d.p, d.nvars, block))
+            f = _exact_quotient(det, d ** (len(free) - 1))
+        if f.terms:
+            out[subset] = f.scale(sign * _parity(sigma))
+    return out
+
+
 def determinantal_profile(m: LaurentMatrix) -> DeterminantalProfile:
     """Rank first, then only the nonzero minors at that rank.
 
-    One Bareiss elimination gives the rank r, an independent row set R0
-    and an independent column set C0.  For a rank-r matrix the minor on
-    rows R and columns C is nonzero exactly when rows R are independent
-    and columns C are independent, so a row set is kept when its minor
-    against C0 is nonzero, a column set when its minor against R0 is,
-    and only the kept pairs are expanded, with one cofactor cache shared
-    by all of them.  The pairs are visited in the lexicographic order of
-    (R, C), so the generators are listed as a scan of every r x r minor
-    would list them.  Refuses with MinorCountError when that would take
-    more than MAX_MINORS minors.
-    """
-    r, pivot_rows, pivot_cols = _bareiss(m)
+    The elimination of m gives the rank r, independent rows R0 and det
+    m[R0, C] for each r-subset C of the columns (the column screen); that
+    of the transpose gives independent columns C1 and det m[R, C1] for
+    each row set R (the row screen, skipped when R0 is every row).  At
+    rank r, det m[R, C] = det m[R, C1] det m[R0, C] / det m[R0, C1] is
+    nonzero exactly when R and C are independent: one product and one
+    exact division per pair of kept sets, visited in the lexicographic
+    order of (R, C) as a scan of every r x r minor would.  Refuses with
+    MinorCountError, right after the first elimination, when that would
+    take more than MAX_MINORS minors."""
+    el = _eliminate(m)
+    r = len(el[1])
+    one = LaurentPoly.one(m.p, m.nvars)
     if r == 0:
-        ideal = IdealDescription(m.p, m.nvars, [LaurentPoly.one(m.p, m.nvars)])
-        return DeterminantalProfile(0, ideal, True)
+        return DeterminantalProfile(0, IdealDescription(m.p, m.nvars, [one]), True)
     screen = math.comb(m.rows, r) + math.comb(m.cols, r)
     _check_minor_count(screen, m, r)
-    cache: dict = {}
-    row_sets = [
-        rows
-        for rows in itertools.combinations(range(m.rows), r)
-        if _det(m, rows, pivot_cols, cache).terms
-    ]
-    col_sets = [
-        cols
-        for cols in itertools.combinations(range(m.cols), r)
-        if _det(m, pivot_rows, cols, cache).terms
-    ]
-    _check_minor_count(screen + len(row_sets) * len(col_sets), m, r)
+    col_minors = _column_screen(m.cols, *el[1:])
+    row_minors, pivot = {(): one}, one
+    if r < m.rows:
+        el_t = _eliminate(m.transpose())
+        row_minors = _column_screen(m.rows, *el_t[1:])
+        pivot = col_minors[tuple(sorted(el_t[0]))]
+    _check_minor_count(screen + len(row_minors) * len(col_minors), m, r)
     # Deduplicate while preserving order; identical minors are common.
     seen: dict[LaurentPoly, None] = {}
-    for rows in row_sets:
-        for cols in col_sets:
-            seen.setdefault(_det(m, rows, cols, cache), None)
+    for a in row_minors.values():
+        for b in col_minors.values():
+            seen.setdefault(_exact_quotient(a * b, pivot), None)
     ideal = IdealDescription(m.p, m.nvars, list(seen))
     return DeterminantalProfile(r, ideal, ideal.is_unit())
 
 
-def adjugate(m: LaurentMatrix) -> LaurentMatrix:
-    if m.rows != m.cols:
-        raise ValueError("adjugate of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return LaurentMatrix.zeros(m.p, m.nvars, 0, 0)
-    cache: dict = {}
-    all_rows = tuple(range(n))
-    ent = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rows = tuple(r for r in all_rows if r != j)
-            cols = tuple(c for c in all_rows if c != i)
-            cof = _det(m, rows, cols, cache)
-            ent[i][j] = cof if (i + j) % 2 == 0 else -cof
-    return LaurentMatrix(m.p, m.nvars, ent)
-
-
 def matrix_inverse(m: LaurentMatrix) -> LaurentMatrix:
     """Inverse over the Laurent ring; exists iff det is a nonzero monomial.
-    det is read off the adjugate: det = sum_j m[0][j] adj[j][0]."""
-    adj = adjugate(m)
-    d = LaurentPoly.zero(m.p, m.nvars) if m.rows else LaurentPoly.one(m.p, m.nvars)
-    for j in range(m.rows):
-        d = d + m.entries[0][j] * adj.entries[j][0]
-    if not d.is_monomial():
-        raise NotAUnitError(f"determinant {d} is not a unit")
+    One elimination of [m | I]: m is singular when a pivot lands in the
+    I block, and otherwise the I block of E is d' m^-1."""
+    if m.rows != m.cols:
+        raise ValueError("inverse of a non-square matrix")
+    n = m.rows
+    _, cols, d, sign, coords = _eliminate(m.hstack(LaurentMatrix.identity(m.p, m.nvars, n)))
+    det = d.scale(sign) if cols == tuple(range(n)) else LaurentPoly.zero(m.p, m.nvars)
+    if not det.is_monomial():
+        raise NotAUnitError(f"determinant {det} is not a unit")
     dinv = d.inverse()
-    return adj.map(lambda f: f * dinv)
+    inverse = [[coords[n + j][k] * dinv for j in range(n)] for k in range(n)]
+    return LaurentMatrix(m.p, m.nvars, inverse)

@@ -40,6 +40,16 @@ MAX_PRIME = 65521
 # at most 2.
 MAX_SPREAD = 32
 
+# The most qudits per site and generators a spec may list.  The symbolic
+# commands work on 2q x 2q symplectic forms and n x n commutation
+# matrices, so their cost grows steeply with both (end to end, one Xeon
+# core): `lift` on a spec with no generators took 0.4 s at q = 32, 2.4 s
+# at q = 64 and 15 s at q = 128; `check` on q = 1 with n copies of one
+# generator took 1.2 s at n = 64 and 4.3 s at n = 128.  Builtin, test and
+# benchmark specs have q <= 16 and at most 18 generators.
+MAX_QUDITS = 64
+MAX_GENERATORS = 64
+
 
 def check_prime(p: int) -> int:
     """p itself if it is a prime of at most MAX_PRIME, else SpecFormatError."""
@@ -81,11 +91,19 @@ def parse_spec(text: str) -> SubalgebraSpec:
 
     p = check_prime(_require_int(data, "prime", 2))
     q = _require_int(data, "qudits_per_site", 1)
+    if q > MAX_QUDITS:
+        raise SpecFormatError(
+            f"{q} qudits per site exceed the supported bound {MAX_QUDITS}"
+        )
     dims = _require_int(data, "dims", 1)
 
     gens = data["generators"]
     if not isinstance(gens, list):
         raise SpecFormatError("'generators' must be a list")
+    if len(gens) > MAX_GENERATORS:
+        raise SpecFormatError(
+            f"{len(gens)} generators exceed the supported bound {MAX_GENERATORS}"
+        )
     columns: list[list] = []
     for gi, gen in enumerate(gens):
         where = f"generator {gi}"

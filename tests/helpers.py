@@ -39,7 +39,6 @@ from invsub.laurent import (
     IdealDescription,
     LaurentMatrix,
     LaurentPoly,
-    minors,
     parse_poly,
 )
 from invsub.pauli import SubalgebraSpec, brauer_tensor
@@ -105,11 +104,59 @@ def with_repeated_columns(spec, extra):
                           g.submatrix(range(g.rows), cols))
 
 
+def cofactor_det(m, rows, cols, cache):
+    """det m[rows, cols] by Laplace expansion along the first row, with a
+    cache over (row subset, column subset) shared between calls: how
+    laurent computed determinants, minors and adjugates before its one
+    fraction-free elimination."""
+    key = (rows, cols)
+    if key in cache:
+        return cache[key]
+    if not rows:
+        out = LaurentPoly.one(m.p, m.nvars)
+    else:
+        out = LaurentPoly.zero(m.p, m.nvars)
+        for t, j in enumerate(cols):
+            a = m.entries[rows[0]][j]
+            if a.terms:
+                term = a * cofactor_det(m, rows[1:], cols[:t] + cols[t + 1:],
+                                        cache)
+                out = out + (term if t % 2 == 0 else -term)
+    cache[key] = out
+    return out
+
+
+def cofactor_minors(m, k):
+    """Every k x k minor by cofactor expansion, in the lexicographic order
+    of (row set, column set)."""
+    cache = {}
+    return [cofactor_det(m, rows, cols, cache)
+            for rows in itertools.combinations(range(m.rows), k)
+            for cols in itertools.combinations(range(m.cols), k)]
+
+
+def cofactor_inverse(m):
+    """m^-1 = adj(m) / det m from cofactors, or None when det m is not a
+    monomial (a unit of the Laurent ring)."""
+    n, cache = m.rows, {}
+    full = tuple(range(n))
+    det = cofactor_det(m, full, full, cache)
+    if not det.is_monomial():
+        return None
+    dinv = det.inverse()
+    ent = [[cofactor_det(m, full[:j] + full[j + 1:], full[:i] + full[i + 1:],
+                         cache) * dinv for j in range(n)] for i in range(n)]
+    return LaurentMatrix(m.p, m.nvars, [
+        [f if (i + j) % 2 == 0 else -f for j, f in enumerate(row)]
+        for i, row in enumerate(ent)])
+
+
 def determinantal_profile_every_minor(m):
     """laurent.determinantal_profile as first written: from the largest
-    size down, every k x k minor is expanded until one is nonzero."""
+    size down, every k x k minor is expanded by cofactors until one is
+    nonzero."""
     for k in range(min(m.rows, m.cols), 0, -1):
-        mins = [f for f in minors(m, k) if not f.is_zero()]
+        mins = [f for f in cofactor_minors(m, k) if not f.is_zero()]
         if mins:
             seen = {}
             for f in mins:

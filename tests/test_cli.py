@@ -29,7 +29,14 @@ from invsub.finite_oracle import (
     instantiate_spec,
 )
 from invsub.laurent import MAX_MINORS
-from invsub.specio import MAX_SPREAD, parse_spec, resolve_spec, spec_to_json
+from invsub.specio import (
+    MAX_GENERATORS,
+    MAX_QUDITS,
+    MAX_SPREAD,
+    parse_spec,
+    resolve_spec,
+    spec_to_json,
+)
 from invsub.weyl import MAX_CANDIDATES
 
 from helpers import with_repeated_columns, z3_tensor
@@ -178,6 +185,30 @@ def test_huge_spread_refused_quickly(tmp_path, capsys):
     assert payload["error"] == (
         f"generator 0, z[0]: spread 20000 exceeds the supported bound "
         f"{MAX_SPREAD}")
+
+
+@pytest.mark.parametrize("qudits, generators, error", [
+    # The 2q x 2q symplectic form alone would have 4 * 10^18 entries.
+    (10**9, 0, f"1000000000 qudits per site exceed the supported bound "
+               f"{MAX_QUDITS}"),
+    # Before the bound, `check` ran 33 s here before MinorCountError.
+    (1, 1000, f"1000 generators exceed the supported bound "
+              f"{MAX_GENERATORS}"),
+])
+@pytest.mark.parametrize("command", ["check", "commutant", "project", "lift"])
+def test_oversized_spec_document_refused_quickly(tmp_path, capsys, command,
+                                                 qudits, generators, error):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "prime": 3, "qudits_per_site": qudits, "dims": 1,
+        "generators": [{"x": ["1"], "z": ["x"]}] * generators,
+    }))
+    start = perf_counter()
+    code, payload, _ = run(capsys, command, "--spec", str(path))
+    assert perf_counter() - start < 1.0
+    assert code == 2
+    assert payload["error_kind"] == "SpecFormatError"
+    assert payload["error"] == error
 
 
 def test_huge_minor_count_refused_quickly(tmp_path, capsys):

@@ -31,6 +31,9 @@ from invsub.pauli import brauer_tensor, commutation_matrix
 from invsub.zoo import example_names, get_example
 
 from helpers import (
+    cofactor_det,
+    cofactor_inverse,
+    cofactor_minors,
     determinantal_profile_every_minor,
     with_repeated_columns,
     z3_tensor,
@@ -488,6 +491,73 @@ def test_rank_first_profile_on_random_matrices():
     rng = random.Random(6)
     for _ in range(200):
         _same_profile(_random_matrix(rng))
+
+
+def _monomial(rng, p, nvars):
+    return LaurentPoly.monomial(rng.randint(1, p - 1),
+                                tuple(rng.randint(-1, 1) for _ in range(nvars)),
+                                p, nvars)
+
+
+def _shaped_random_matrix(rng):
+    """Up to 5 x 5, wide or tall or square, over F_2, F_3 or F_5, with
+    repeated rows and columns scaled by units, zero rows on top that
+    force pivot swaps, and square matrices with a monomial determinant (a
+    lower triangular matrix with a monomial diagonal times its
+    bar-transpose, rows shuffled)."""
+    p, nvars = rng.choice((2, 3, 5)), rng.choice((1, 2))
+    zero = LaurentPoly.zero(p, nvars)
+
+    def entry():
+        if rng.random() < 0.4:
+            return zero
+        return sum((_monomial(rng, p, nvars) for _ in range(rng.randint(1, 2))),
+                   zero)
+
+    if rng.random() < 0.25:
+        n = rng.randint(1, 4)
+        lower = LaurentMatrix(p, nvars, [
+            [_monomial(rng, p, nvars) if i == j else entry() if j < i else zero
+             for j in range(n)] for i in range(n)])
+        m = lower @ lower.bar_transpose()
+        ent = m.entries
+        rng.shuffle(ent)
+        return LaurentMatrix(p, nvars, ent)
+    rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+    ent = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.5:
+        j, unit = rng.randrange(cols), _monomial(rng, p, nvars)
+        at = rng.randint(0, cols)
+        for row in ent:
+            row.insert(at, row[j] * unit)
+    if rng.random() < 0.5:
+        i, unit = rng.randrange(len(ent)), _monomial(rng, p, nvars)
+        ent.insert(rng.randint(0, len(ent)), [f * unit for f in ent[i]])
+    if rng.random() < 0.3:
+        ent.insert(0, [zero] * len(ent[0]))
+    return LaurentMatrix(p, nvars, ent)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_elimination_matches_cofactor_reference(seed):
+    rng = random.Random(100 + seed)
+    inverted = 0
+    for _ in range(80):
+        m = _shaped_random_matrix(rng)
+        for k in range(min(m.shape) + 1):
+            assert minors(m, k) == cofactor_minors(m, k)
+        if m.rows == m.cols:
+            full = tuple(range(m.rows))
+            assert determinant(m) == cofactor_det(m, full, full, {})
+            ref = cofactor_inverse(m)
+            if ref is None:
+                with pytest.raises(NotAUnitError):
+                    matrix_inverse(m)
+            else:
+                assert matrix_inverse(m) == ref
+                inverted += 1
+        _same_profile(m)
+    assert inverted >= 10
 
 
 @pytest.mark.parametrize("rows", [

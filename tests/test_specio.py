@@ -5,6 +5,8 @@ import json
 import pytest
 
 from invsub.specio import (
+    MAX_GENERATORS,
+    MAX_QUDITS,
     MAX_SPREAD,
     SpecFormatError,
     parse_spec,
@@ -52,6 +54,23 @@ def test_spread_bound_is_inclusive():
     with pytest.raises(SpecFormatError,
                        match=rf"generator 0, z\[0\]: spread {MAX_SPREAD + 1} "):
         parse_spec(doc(f"x*y^-{MAX_SPREAD + 1}"))
+
+
+def test_qudit_and_generator_bounds_are_inclusive():
+    def doc(q, n):
+        return json.dumps({
+            "prime": 3, "qudits_per_site": q, "dims": 1,
+            "generators": [{"x": ["1"] * q, "z": ["x"] * q}] * n,
+        })
+
+    assert parse_spec(doc(MAX_QUDITS, 1)).q == MAX_QUDITS
+    assert parse_spec(doc(1, MAX_GENERATORS)).n_generators == MAX_GENERATORS
+    with pytest.raises(SpecFormatError,
+                       match=f"^{MAX_QUDITS + 1} qudits per site exceed"):
+        parse_spec(doc(MAX_QUDITS + 1, 1))
+    with pytest.raises(SpecFormatError,
+                       match=f"^{MAX_GENERATORS + 1} generators exceed"):
+        parse_spec(doc(1, MAX_GENERATORS + 1))
 
 
 def test_rejects_malformed_polynomial_with_position():
