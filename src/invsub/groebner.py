@@ -1,23 +1,21 @@
-"""Buchberger's algorithm over F_p in graded reverse lexicographic order.
+"""F_p polynomial arithmetic and Buchberger's algorithm in grevlex order.
 
-Polynomials live in F_p[x_1..x_n] and are represented as dicts mapping
-exponent tuples (nonnegative ints) to coefficients in [1, p).  Everything
-here is exact modular arithmetic; no external computer-algebra system is
-involved.  The instances this package generates are tiny (at most four
-variables over F_2/F_3/F_5, generators with a handful of terms), so plain
-Buchberger with the coprimality and chain criteria is entirely adequate.
-The generators are the distinct nonzero minors of a matrix at its rank
-(laurent.determinantal_profile, which bounds how many minors it needs
-by MAX_MINORS); the number of S-pairs grows with their number and
-degree, so a few dozen small minors are cheap whatever the matrix size.
-The other heavy caller is laurent's fraction-free elimination, whose
-every step is an exact division (divide_single) by a pivot that, on a
-dense matrix, is a polynomial with many terms.
+Polynomials are dicts mapping exponent tuples to coefficients in [1, p);
+everything is exact modular arithmetic.  This is the one kernel for that
+arithmetic: laurent.LaurentPoly adds, scales and multiplies its terms
+with add, scale and mul, and one division, divide, serves both the exact
+quotients of laurent's fraction-free elimination (divide_single, by
+pivots that on a dense matrix have many terms) and Buchberger's
+reductions (normal_form).  Buchberger's generators are the distinct
+nonzero minors of a matrix at its rank (laurent.determinantal_profile
+bounds their number by MAX_MINORS), so a few dozen small polynomials in
+a few variables; the coprimality and chain criteria are enough for them.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from typing import Iterable
 
 Exponent = tuple[int, ...]
@@ -50,19 +48,22 @@ def scale(a: Poly, c: int, p: int) -> Poly:
     c %= p
     if c == 0:
         return {}
+    # p is prime, so a product of nonzero residues is nonzero.
     return {e: (v * c) % p for e, v in a.items()}
 
 
 def mul(a: Poly, b: Poly, p: int) -> Poly:
-    out: Poly = {}
+    # Sums are reduced once, after every product has been added in.
+    acc: Poly = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = (out.get(e, 0) + ca * cb) % p
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            e = tuple(map(operator.add, ea, eb))
+            acc[e] = acc.get(e, 0) + ca * cb
+    out: Poly = {}
+    for e, c in acc.items():
+        c %= p
+        if c:
+            out[e] = c
     return out
 
 
@@ -71,7 +72,7 @@ def term_mul(exp: Exponent, coeff: int, a: Poly, p: int) -> Poly:
     for e, c in a.items():
         v = (c * coeff) % p
         if v:
-            out[tuple(x + y for x, y in zip(e, exp))] = v
+            out[tuple(map(operator.add, e, exp))] = v
     return out
 
 
@@ -88,50 +89,36 @@ def monic(a: Poly, p: int) -> Poly:
 
 
 def _divides_exp(e: Exponent, f: Exponent) -> bool:
-    return all(x <= y for x, y in zip(e, f))
+    return all(map(operator.le, e, f))
 
 
 def _exp_sub(e: Exponent, f: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(e, f))
+    return tuple(map(operator.sub, e, f))
 
 
 def _exp_lcm(e: Exponent, f: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(e, f))
 
 
-def normal_form(g: Poly, basis: list[Poly], p: int) -> Poly:
-    """Remainder of g on full division by an ordered list of polynomials."""
-    rem: Poly = {}
-    h = dict(g)
-    lts = [leading_term(b) for b in basis]
-    while h:
-        e, c = leading_term(h)
-        for b, (lbe, lbc) in zip(basis, lts):
-            if _divides_exp(lbe, e):
-                factor = (c * pow(lbc, p - 2, p)) % p
-                h = add(h, term_mul(_exp_sub(e, lbe), p - factor, b, p), p)
-                break
-        else:
-            rem[e] = c
-            del h[e]
-    return rem
+def divide(g: Poly, divisors: list[Poly], p: int) -> tuple[list[Poly], Poly]:
+    """Division of g by an ordered list of polynomials (Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, section 2.3): quotients
+    q_i and a remainder r with g = sum q_i f_i + r, no term of r divisible
+    by any leading term.  The largest remaining term is reduced by the
+    first divisor whose leading term divides it, or else moves to r.
 
-
-def divide_single(g: Poly, f: Poly, p: int) -> Poly | None:
-    """Quotient of g by the single divisor f, or None if any term survives
-    reduction.  A single polynomial is a Groebner basis of the ideal it
-    generates, so a zero remainder decides principal-ideal membership.
-
-    The remainder's exponents wait in a heap keyed (-degree, reversed
+    The remaining exponents wait in a heap keyed (-degree, reversed
     exponent), whose least entry is the grevlex-largest.  A step only adds
-    exponents below the one it cancels, so the remainder is never scanned
-    again; entries for exponents that cancelled since are skipped."""
-    if not f:
+    exponents below the one it cancels, so nothing is scanned twice;
+    entries for exponents that cancelled since are skipped."""
+    if not all(divisors):
         raise ZeroDivisionError("division by zero polynomial")
-    lfe, lfc = leading_term(f)
-    inv = pow(lfc, p - 2, p)
-    tail = [(fe, fc) for fe, fc in f.items() if fe != lfe]
-    q: Poly = {}
+    steps = []
+    for f in divisors:
+        lfe, lfc = leading_term(f)
+        tail = [(fe, fc) for fe, fc in f.items() if fe != lfe]
+        steps.append((lfe, pow(lfc, p - 2, p), tail, {}))
+    rem: Poly = {}
     h = dict(g)
     heap = [(-sum(e), e[::-1]) for e in h]
     heapq.heapify(heap)
@@ -140,13 +127,17 @@ def divide_single(g: Poly, f: Poly, p: int) -> Poly | None:
         c = h.pop(e, 0)
         if not c:
             continue
-        if not _divides_exp(lfe, e):
-            return None
+        for lfe, inv, tail, q in steps:
+            if _divides_exp(lfe, e):
+                break
+        else:
+            rem[e] = c
+            continue
         factor = (c * inv) % p
         qe = _exp_sub(e, lfe)
         q[qe] = factor
         for fe, fc in tail:
-            te = tuple(x + y for x, y in zip(fe, qe))
+            te = tuple(map(operator.add, fe, qe))
             v = (h.get(te, 0) - factor * fc) % p
             if not v:
                 h.pop(te, None)
@@ -154,7 +145,20 @@ def divide_single(g: Poly, f: Poly, p: int) -> Poly | None:
             if te not in h:
                 heapq.heappush(heap, (-sum(te), te[::-1]))
             h[te] = v
-    return q
+    return [s[3] for s in steps], rem
+
+
+def normal_form(g: Poly, basis: list[Poly], p: int) -> Poly:
+    """Remainder of g on full division by an ordered list of polynomials."""
+    return divide(g, basis, p)[1]
+
+
+def divide_single(g: Poly, f: Poly, p: int) -> Poly | None:
+    """Quotient of g by the single divisor f, or None if a remainder is
+    left.  A single polynomial is a Groebner basis of the ideal it
+    generates, so a zero remainder decides principal-ideal membership."""
+    (q,), rem = divide(g, [f], p)
+    return None if rem else q
 
 
 def s_poly(f: Poly, g: Poly, p: int) -> Poly:

@@ -3,7 +3,9 @@
 The coefficient ring is F_p for a small prime p; exponents are integer
 vectors of a fixed length (one slot per lattice direction), so an element
 represents a finite formal sum of translations.  Everything is exact:
-coefficients are residues in [0, p), never floats.
+coefficients are residues in [0, p), never floats.  The terms are
+added, scaled and multiplied by groebner's add, scale and mul, the one
+kernel for F_p arithmetic on dicts of exponent tuples.
 
 Ideal-theoretic questions (is this ideal the whole ring? is this element
 a multiple of that one?) are answered by clearing denominators with a
@@ -13,14 +15,15 @@ localization at the coordinate monomials.  Groebner bases are computed in
 grevlex order with t last.  Ranks, determinants, minors, inverses and
 the determinantal profile all come from one fraction-free (Bareiss)
 elimination with back substitution (_eliminate); the profile counts the
-minors it needs first and refuses more than MAX_MINORS.
+minors it needs first and refuses more than MAX_MINORS.  The exact
+divisions of that elimination and the reductions of Buchberger are one
+routine, groebner.divide.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 from . import groebner
@@ -150,39 +153,25 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        p = self.p
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = (out.get(e, 0) + c) % p
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly._trusted(p, self.nvars, out)
-
-    def __neg__(self) -> "LaurentPoly":
-        p = self.p
         return LaurentPoly._trusted(
-            p, self.nvars, {e: p - c for e, c in self.terms.items()}
+            self.p, self.nvars, groebner.add(self.terms, other.terms, self.p)
         )
 
+    def __neg__(self) -> "LaurentPoly":
+        return self.scale(-1)
+
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        self._check(other)
+        p = self.p
+        return LaurentPoly._trusted(
+            p, self.nvars, groebner.add(self.terms, groebner.scale(other.terms, -1, p), p)
+        )
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        p = self.p
-        acc: dict[tuple[int, ...], int] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(map(operator.add, ea, eb))
-                acc[e] = acc.get(e, 0) + ca * cb
-        out = {}
-        for e, c in acc.items():
-            c %= p
-            if c:
-                out[e] = c
-        return LaurentPoly._trusted(p, self.nvars, out)
+        return LaurentPoly._trusted(
+            self.p, self.nvars, groebner.mul(self.terms, other.terms, self.p)
+        )
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -199,13 +188,8 @@ class LaurentPoly:
         return out
 
     def scale(self, c: int) -> "LaurentPoly":
-        p = self.p
-        c %= p
-        if not c:
-            return LaurentPoly._trusted(p, self.nvars, {})
-        # p is prime, so a product of nonzero residues is nonzero.
         return LaurentPoly._trusted(
-            p, self.nvars, {e: v * c % p for e, v in self.terms.items()}
+            self.p, self.nvars, groebner.scale(self.terms, c, self.p)
         )
 
     def shift(self, exps: tuple[int, ...]) -> "LaurentPoly":
@@ -214,9 +198,7 @@ class LaurentPoly:
             raise ValueError(f"shift {exps} has wrong arity for {self.nvars} variables")
         exps = tuple(int(v) for v in exps)
         return LaurentPoly._trusted(
-            self.p,
-            self.nvars,
-            {tuple(map(operator.add, e, exps)): c for e, c in self.terms.items()},
+            self.p, self.nvars, groebner.term_mul(exps, 1, self.terms, self.p)
         )
 
     def bar(self) -> "LaurentPoly":
@@ -476,15 +458,15 @@ def divides(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if g.is_zero():
-        return LaurentPoly.zero(f.p, f.nvars)
+        return g
     fc, fshift = clear_minimal(f)
     gc, gshift = clear_minimal(g)
     q = groebner.divide_single(gc, fc, f.p)
     if q is None:
         return None
-    quotient = LaurentPoly(f.p, f.nvars, q)
-    # g * x^gshift = quotient_poly * (f * x^fshift)
-    return quotient.shift(tuple(a - b for a, b in zip(fshift, gshift)))
+    # g * x^gshift = q * (f * x^fshift)
+    shift = tuple(a - b for a, b in zip(fshift, gshift))
+    return LaurentPoly._trusted(f.p, f.nvars, groebner.term_mul(shift, 1, q, f.p))
 
 
 # ---------------------------------------------------------------------------
@@ -512,16 +494,25 @@ class LaurentMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", [list(r) for r in entries])
 
+    @classmethod
+    def _trusted(
+        cls, p: int, nvars: int, rows: int, cols: int, entries: list[list[LaurentPoly]]
+    ) -> "LaurentMatrix":
+        """Wrap rows x cols entries from (p, nvars) without re-checking
+        them, taking the list as it is.  Only for matrices built from the
+        entries of checked matrices; also keeps cols when rows is 0."""
+        m = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (p, nvars, rows, cols, entries)):
+            object.__setattr__(m, name, value)
+        return m
+
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("LaurentMatrix is immutable")
 
     @classmethod
     def zeros(cls, p: int, nvars: int, rows: int, cols: int) -> "LaurentMatrix":
         z = LaurentPoly.zero(p, nvars)
-        m = cls(p, nvars, [[z] * cols for _ in range(rows)])
-        if rows == 0:
-            object.__setattr__(m, "cols", cols)
-        return m
+        return cls._trusted(p, nvars, rows, cols, [[z] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, p: int, nvars: int, n: int) -> "LaurentMatrix":
@@ -559,10 +550,8 @@ class LaurentMatrix:
         return self.map(lambda f: f.scale(c))
 
     def map(self, fn) -> "LaurentMatrix":
-        m = LaurentMatrix.zeros(self.p, self.nvars, self.rows, self.cols)
         ent = [[fn(e) for e in row] for row in self.entries]
-        object.__setattr__(m, "entries", ent)
-        return m
+        return LaurentMatrix._trusted(self.p, self.nvars, self.rows, self.cols, ent)
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         self._check(other)
@@ -581,22 +570,15 @@ class LaurentMatrix:
                         acc = acc + a * b
                 row.append(acc)
             out.append(row)
-        m = LaurentMatrix.zeros(self.p, self.nvars, self.rows, other.cols)
-        object.__setattr__(m, "entries", out)
-        return m
+        return LaurentMatrix._trusted(self.p, self.nvars, self.rows, other.cols, out)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def transpose(self) -> "LaurentMatrix":
-        m = LaurentMatrix.zeros(self.p, self.nvars, self.cols, self.rows)
-        object.__setattr__(
-            m,
-            "entries",
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-        return m
+        ent = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
+        return LaurentMatrix._trusted(self.p, self.nvars, self.cols, self.rows, ent)
 
     def bar(self) -> "LaurentMatrix":
         return self.map(lambda f: f.bar())
@@ -634,26 +616,23 @@ class LaurentMatrix:
         self._check(other)
         if self.rows != other.rows:
             raise ValueError("row mismatch")
-        m = LaurentMatrix.zeros(self.p, self.nvars, self.rows, self.cols + other.cols)
-        object.__setattr__(
-            m, "entries", [a + b for a, b in zip(self.entries, other.entries)]
+        ent = [a + b for a, b in zip(self.entries, other.entries)]
+        return LaurentMatrix._trusted(
+            self.p, self.nvars, self.rows, self.cols + other.cols, ent
         )
-        return m
 
     def vstack(self, other: "LaurentMatrix") -> "LaurentMatrix":
         self._check(other)
         if self.cols != other.cols:
             raise ValueError("column mismatch")
-        m = LaurentMatrix.zeros(self.p, self.nvars, self.rows + other.rows, self.cols)
-        object.__setattr__(m, "entries", self.entries + other.entries)
-        return m
+        return LaurentMatrix._trusted(
+            self.p, self.nvars, self.rows + other.rows, self.cols,
+            self.entries + other.entries,
+        )
 
     def submatrix(self, row_idx, col_idx) -> "LaurentMatrix":
         ent = [[self.entries[i][j] for j in col_idx] for i in row_idx]
-        m = LaurentMatrix.zeros(self.p, self.nvars, len(row_idx), len(col_idx))
-        if ent:
-            object.__setattr__(m, "entries", ent)
-        return m
+        return LaurentMatrix._trusted(self.p, self.nvars, len(ent), len(col_idx), ent)
 
 
 def _parity(seq) -> int:
@@ -815,10 +794,11 @@ def determinantal_profile(m: LaurentMatrix) -> DeterminantalProfile:
     each row set R (the row screen, skipped when R0 is every row).  At
     rank r, det m[R, C] = det m[R, C1] det m[R0, C] / det m[R0, C1] is
     nonzero exactly when R and C are independent: one product and one
-    exact division per pair of kept sets, visited in the lexicographic
-    order of (R, C) as a scan of every r x r minor would.  Refuses with
-    MinorCountError, right after the first elimination, when that would
-    take more than MAX_MINORS minors."""
+    exact division per pair of distinct screen values, visited in the
+    lexicographic order of their first (R, C), as a scan of every r x r
+    minor would.  Refuses with MinorCountError, right after the first
+    elimination, when the screens and every pair of kept sets would take
+    more than MAX_MINORS minors."""
     el = _eliminate(m)
     r = len(el[1])
     one = LaurentPoly.one(m.p, m.nvars)
@@ -833,10 +813,13 @@ def determinantal_profile(m: LaurentMatrix) -> DeterminantalProfile:
         row_minors = _column_screen(m.rows, *el_t[1:])
         pivot = col_minors[tuple(sorted(el_t[0]))]
     _check_minor_count(screen + len(row_minors) * len(col_minors), m, r)
-    # Deduplicate while preserving order; identical minors are common.
+    # A pair's minor depends only on the two screen values, and the first
+    # pair giving each minor pairs first occurrences, so pairing each
+    # screen's distinct values in first-occurrence order lists the same
+    # minors in the same order.
     seen: dict[LaurentPoly, None] = {}
-    for a in row_minors.values():
-        for b in col_minors.values():
+    for a in dict.fromkeys(row_minors.values()):
+        for b in dict.fromkeys(col_minors.values()):
             seen.setdefault(_exact_quotient(a * b, pivot), None)
     ideal = IdealDescription(m.p, m.nvars, list(seen))
     return DeterminantalProfile(r, ideal, ideal.is_unit())

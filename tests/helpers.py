@@ -6,11 +6,13 @@ its inverse) were verified with an independent symbolic oracle before
 being committed.
 """
 
+import heapq
 import itertools
 import random
 
 import numpy as np
 
+from invsub import groebner
 from invsub.anyon_lab import InfeasibleHopError
 from invsub.finite_oracle import (
     BoundaryAlgebraReport,
@@ -165,6 +167,63 @@ def determinantal_profile_every_minor(m):
             return DeterminantalProfile(k, ideal, ideal.is_unit())
     ideal = IdealDescription(m.p, m.nvars, [LaurentPoly.one(m.p, m.nvars)])
     return DeterminantalProfile(0, ideal, True)
+
+
+def normal_form_rescanning(g, basis, p):
+    """groebner.normal_form before its one heap division: the remainder's
+    leading term is found again, by a max over all its terms, at every
+    reduction step."""
+    rem = {}
+    h = dict(g)
+    lts = [groebner.leading_term(b) for b in basis]
+    while h:
+        e, c = groebner.leading_term(h)
+        for b, (lbe, lbc) in zip(basis, lts):
+            if groebner._divides_exp(lbe, e):
+                factor = (c * pow(lbc, p - 2, p)) % p
+                shift = groebner._exp_sub(e, lbe)
+                h = groebner.add(h, groebner.term_mul(shift, p - factor, b, p),
+                                 p)
+                break
+        else:
+            rem[e] = c
+            del h[e]
+    return rem
+
+
+def divide_single_early_exit(g, f, p):
+    """groebner.divide_single before its one heap division: the same heap
+    of exponents, but None as soon as the top term is not divisible by
+    f's leading term."""
+    if not f:
+        raise ZeroDivisionError("division by zero polynomial")
+    lfe, lfc = groebner.leading_term(f)
+    inv = pow(lfc, p - 2, p)
+    tail = [(fe, fc) for fe, fc in f.items() if fe != lfe]
+    q = {}
+    h = dict(g)
+    heap = [(-sum(e), e[::-1]) for e in h]
+    heapq.heapify(heap)
+    while heap:
+        e = heapq.heappop(heap)[1][::-1]
+        c = h.pop(e, 0)
+        if not c:
+            continue
+        if not groebner._divides_exp(lfe, e):
+            return None
+        factor = (c * inv) % p
+        qe = groebner._exp_sub(e, lfe)
+        q[qe] = factor
+        for fe, fc in tail:
+            te = tuple(x + y for x, y in zip(fe, qe))
+            v = (h.get(te, 0) - factor * fc) % p
+            if not v:
+                h.pop(te, None)
+                continue
+            if te not in h:
+                heapq.heappush(heap, (-sum(te), te[::-1]))
+            h[te] = v
+    return q
 
 
 def kernel_double_loop(a, p):

@@ -18,6 +18,7 @@ import pytest
 
 import invsub
 import invsub.fplinalg as fplinalg
+import invsub.laurent as laurent
 from invsub import cli
 from invsub.cli import main
 from invsub.finite_oracle import (
@@ -30,6 +31,7 @@ from invsub.finite_oracle import (
 )
 from invsub.laurent import MAX_MINORS
 from invsub.specio import (
+    MAX_DIMS,
     MAX_GENERATORS,
     MAX_QUDITS,
     MAX_SPREAD,
@@ -209,6 +211,53 @@ def test_oversized_spec_document_refused_quickly(tmp_path, capsys, command,
     assert code == 2
     assert payload["error_kind"] == "SpecFormatError"
     assert payload["error"] == error
+
+
+@pytest.mark.parametrize("command", ["check", "commutant", "project", "lift"])
+def test_oversized_dims_refused_quickly(tmp_path, capsys, command):
+    # Every exponent tuple would have 10^9 entries.  Refused before the
+    # polynomials are read: "x" names no variable at this many dims.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "prime": 3, "qudits_per_site": 1, "dims": 10**9,
+        "generators": [{"x": ["1"], "z": ["x"]}],
+    }))
+    start = perf_counter()
+    code, payload, _ = run(capsys, command, "--spec", str(path))
+    assert perf_counter() - start < 1.0
+    assert code == 2
+    assert payload["error_kind"] == "SpecFormatError"
+    assert payload["error"] == (
+        f"1000000000 dims exceed the supported bound {MAX_DIMS}")
+
+
+def test_repeated_generator_pairs_distinct_screen_values(tmp_path, capsys,
+                                                        monkeypatch):
+    # 64 copies of one generator: Xi is 64 x 64 of rank 1, and each screen
+    # holds one value 64 times.  Pairing every kept set made 4096 products
+    # and 4285 exact divisions in all, 0.4 s in process.
+    path = tmp_path / "copies.json"
+    path.write_text(json.dumps({
+        "prime": 3, "qudits_per_site": 1, "dims": 1,
+        "generators": [{"x": ["1"], "z": ["x"]}] * MAX_GENERATORS,
+    }))
+    divisions = Counter()
+    divides = laurent.divides
+
+    def counted(f, g):
+        divisions["calls"] += 1
+        return divides(f, g)
+
+    monkeypatch.setattr(laurent, "divides", counted)
+    start = perf_counter()
+    code, payload, _ = run(capsys, "check", "--spec", str(path))
+    assert perf_counter() - start < 0.3
+    # One back substitution per non-pivot column in each of the two
+    # eliminations (of Xi and its transpose), and a single pair.
+    assert divisions["calls"] <= 2 * 63 + 1
+    assert code == 1
+    # At rank 1 the ideal is that of the distinct nonzero entries.
+    assert payload["ideal"] == ["2*x^-1 + x"]
 
 
 def test_huge_minor_count_refused_quickly(tmp_path, capsys):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 from invsub import groebner as gb
+
+from helpers import divide_single_early_exit, normal_form_rescanning
 
 
 def P(d):
@@ -76,3 +80,62 @@ def test_reduce_basis_removes_redundant():
     # x and x^2 generate (x); the reduced basis drops x^2.
     out = gb.reduce_basis([{(1,): 1}, {(2,): 1}], 5)
     assert out == [{(1,): 1}]
+
+
+def _random_poly(rng, p, nvars, terms, degree):
+    """Up to `terms` terms in nvars variables plus t (always last), every
+    exponent at most `degree`; t appears in about a third of them."""
+    out = {}
+    for _ in range(terms):
+        e = tuple(rng.randint(0, degree) for _ in range(nvars))
+        t = rng.randint(0, degree) if rng.random() < 1 / 3 else 0
+        out[e + (t,)] = rng.randrange(1, p)
+    return out
+
+
+def _with_t_relation(gens, p, nvars):
+    # t * x_1 * ... * x_n - 1, as laurent appends to every ideal.
+    return gens + [{(1,) * (nvars + 1): 1, (0,) * (nvars + 1): p - 1}]
+
+
+def test_one_division_matches_the_former_loops(monkeypatch):
+    rng = random.Random(16)
+    exact = inexact = 0
+    for trial in range(3000):
+        p = rng.choice((2, 3, 5))
+        nvars = rng.randint(1, 3)
+        divisors = [_random_poly(rng, p, nvars, rng.randint(1, 4), 2)
+                    for _ in range(rng.randint(1, 4))]
+        kind = trial % 3
+        if kind == 0:
+            g = _random_poly(rng, p, nvars, rng.randint(0, 8), 4)
+        else:
+            # A multiple of the first divisor, or a member of the ideal
+            # of all of them.
+            g = {}
+            for f in divisors[:1] if kind == 1 else divisors:
+                h = _random_poly(rng, p, nvars, rng.randint(1, 4), 2)
+                g = gb.add(g, gb.mul(h, f, p), p)
+        quotients, rem = gb.divide(g, divisors, p)
+        assert rem == normal_form_rescanning(g, divisors, p)
+        assert gb.normal_form(g, divisors, p) == rem
+        total = rem
+        for q, f in zip(quotients, divisors):
+            total = gb.add(total, gb.mul(q, f, p), p)
+        assert total == g
+        q = gb.divide_single(g, divisors[0], p)
+        assert q == divide_single_early_exit(g, divisors[0], p)
+        if q is None:
+            inexact += 1
+        else:
+            exact += 1
+            assert gb.mul(q, divisors[0], p) == g
+        if trial % 10 == 0:
+            gens = _with_t_relation(divisors, p, nvars)
+            basis = gb.buchberger(gens, p)
+            with monkeypatch.context() as patch:
+                patch.setattr(gb, "normal_form", normal_form_rescanning)
+                assert gb.buchberger(gens, p) == basis
+            assert gb.normal_form(g, basis, p) == normal_form_rescanning(
+                g, basis, p)
+    assert exact > 1000 and inexact > 1000

@@ -27,7 +27,7 @@ from invsub.laurent import (
     parse_poly,
 )
 from invsub.laurent import MinorCountError, _exact_quotient
-from invsub.pauli import brauer_tensor, commutation_matrix
+from invsub.pauli import SubalgebraSpec, brauer_tensor, commutation_matrix
 from invsub.zoo import example_names, get_example
 
 from helpers import (
@@ -35,6 +35,7 @@ from helpers import (
     cofactor_inverse,
     cofactor_minors,
     determinantal_profile_every_minor,
+    mat,
     with_repeated_columns,
     z3_tensor,
 )
@@ -454,6 +455,14 @@ def test_rank_first_profile_on_repeated_columns(k, extra):
     if k == 1:
         _same_profile(spec.generators)
     assert matrix_rank(spec.generators) == 2 * k
+
+
+@pytest.mark.parametrize("copies", [2, 5, 8])
+def test_rank_first_profile_on_copies_of_one_generator(copies):
+    # Xi has rank 1 and its screens repeat one value copies times.
+    v = mat(3, 1, [["1"] * copies, ["x"] * copies])
+    prof = _same_profile(commutation_matrix(SubalgebraSpec(3, 1, 1, v)))
+    assert prof.rank == 1
 
 
 def _random_matrix(rng):

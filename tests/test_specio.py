@@ -5,6 +5,7 @@ import json
 import pytest
 
 from invsub.specio import (
+    MAX_DIMS,
     MAX_GENERATORS,
     MAX_QUDITS,
     MAX_SPREAD,
@@ -71,6 +72,14 @@ def test_qudit_and_generator_bounds_are_inclusive():
     with pytest.raises(SpecFormatError,
                        match=f"^{MAX_GENERATORS + 1} generators exceed"):
         parse_spec(doc(1, MAX_GENERATORS + 1))
+    wide = json.dumps({
+        "prime": 3, "qudits_per_site": 1, "dims": MAX_DIMS,
+        "generators": [{"x": ["1"], "z": [f"x{MAX_DIMS}"]}],
+    })
+    assert parse_spec(wide).dims == MAX_DIMS
+    with pytest.raises(SpecFormatError, match=f"^{MAX_DIMS + 1} dims exceed"):
+        parse_spec(wide.replace(f'"dims": {MAX_DIMS}',
+                                f'"dims": {MAX_DIMS + 1}'))
 
 
 def test_rejects_malformed_polynomial_with_position():
