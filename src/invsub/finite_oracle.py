@@ -675,7 +675,9 @@ def boundary_algebra_finite(
     p, n, half = lat.p, lat.symplectic_len, lat.n_qudits
     band = layer_coords(range(cut + 1, cut + depth + 1))
     slab = layer_coords(range(cut + 1, cut + window + 1))
-    outside = np.setdiff1d(np.arange(n), band)
+    is_outside = np.ones(n, dtype=bool)
+    is_outside[band] = False
+    outside = np.flatnonzero(is_outside)
 
     swapped_slab, swapped_outside = (slab + half) % n, (outside + half) % n
     inverse_block = (alpha._block(swapped_slab, swapped_outside).T

@@ -1,19 +1,29 @@
 """Exact linear algebra over prime fields on numpy integer arrays.
 
 All matrices are 2-d int64 arrays with entries reduced into [0, p).
-Everything here is deterministic: pivots are always the first usable
-row/column in index order, so reduced forms are canonical and safe to
-compare across runs.
+Everything here is deterministic, and the reduced row echelon form of a
+matrix is unique, so reduced forms are canonical and safe to compare
+across runs.
 
-Sizes in this package stay in the low thousands, where vectorized
-Gauss-Jordan over F_p is comfortably fast.  Elimination multiplies two
-reduced entries in int64, which is exact while (p - 1)^2 < 2^63, so
-`as_fp` (and with it every elimination) refuses p >= 2^31.  Matrix
-products go through `matmul_mod`, which uses float BLAS only while
-every accumulated sum, at most k*(p - 1)^2 for inner dimension k, is
-an integer the float type holds exactly (below 2^24 for float32, 2^53
-for float64), and exact Python-integer arithmetic otherwise.  Results
-are exact either way.
+One kernel, `_rref_in_place`, eliminates for `rref`, `row_basis`,
+`kernel`, `solve` and `coordinate_restriction`.  Its Python-level steps
+follow the pivots and the fill-in, not the column count.  Each row's
+leading column is found in one pass.  Then, in rounds, the first row to
+reach a leading column no pivot owns yet becomes that column's pivot,
+and every other row subtracts the pivot that owns its leading column,
+all in one vectorized update.  Back substitution visits only the pivot
+columns with a nonzero above their pivot.  Row-gathered temporaries are
+built a block of rows at a time, so no step copies a large matrix whole.
+
+Elimination multiplies two reduced entries in int64, which is exact
+while (p - 1)^2 < 2^63, so `as_fp` (and with it every elimination)
+refuses p >= 2^31.  Each update adds nonnegative terms whose sum stays
+below p^2, so `np.fmod` gives the remainder exactly, and in about half
+the time of `np.mod`.  Matrix products go through `matmul_mod`, which
+uses float BLAS only while every accumulated sum, at most k*(p - 1)^2
+for inner dimension k, is an integer the float type holds exactly
+(below 2^24 for float32, 2^53 for float64), and exact Python-integer
+arithmetic otherwise.  Results are exact either way.
 """
 
 from __future__ import annotations
@@ -45,18 +55,23 @@ def as_fp(a, p: int) -> np.ndarray:
     also when the input is a transpose or a column-permuted copy."""
     _check_modulus(p)
     arr = np.array(a, dtype=np.int64, order="C")
-    arr %= p
+    if not _is_reduced(arr, p):
+        arr %= p
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     return arr
 
 
+def _is_reduced(a: np.ndarray, p: int) -> bool:
+    """Are all entries in [0, p)?  Two scans cost far less than one
+    int64 division."""
+    return not a.size or (a.min() >= 0 and a.max() < p)
+
+
 def _reduced(a, p: int) -> np.ndarray:
     """a as int64 with entries in [0, p), copied only when needed."""
     a = np.asarray(a, dtype=np.int64)
-    if a.size and (a.min() < 0 or a.max() >= p):
-        a = a % p
-    return a
+    return a if _is_reduced(a, p) else a % p
 
 
 def matmul_mod(a, b, p: int) -> np.ndarray:
@@ -68,8 +83,10 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
         if bound < exact:
             # Every partial sum is an integer below `exact`, so BLAS
             # computes it without rounding in any summation order.
+            # fmod is exact here and, on nonnegative operands, equal to
+            # the remainder; np.mod takes about ten times as long.
             prod = a.astype(dtype) @ b.astype(dtype)
-            return np.mod(prod, p, out=prod).astype(np.int64)
+            return np.fmod(prod, p, out=prod).astype(np.int64)
     return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
 
 
@@ -80,32 +97,138 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
 
 def _rref_in_place(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """`rref` of m, overwriting m: a 2-d C-ordered int64 array with
-    entries in [0, p) that the caller no longer needs."""
-    nrows, ncols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.flatnonzero(m[r:, c])
-        if nz.size == 0:
-            continue
-        # Rows r and below are zero left of column c, so only the
-        # trailing columns c: ever change.
-        lead = r + nz[0]
-        if lead != r:
-            m[[r, lead], c:] = m[[lead, r], c:]
-        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), -1, p)) % p
-        hit = np.flatnonzero(m[:, c])
-        hit = hit[hit != r]
-        if hit.size:
-            block = m[hit, c:]
-            block -= np.outer(block[:, 0], m[r, c:])
-            block %= p
-            m[hit, c:] = block
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    entries in [0, p) that the caller no longer needs.
+
+    The forward pass runs in rounds.  A row is a pivot once it owns its
+    leading column: the first row to reach an unowned leading column
+    takes it and is scaled to a leading 1.  Every other nonzero row then
+    subtracts the pivot that owns its leading column, all in one
+    vectorized step, which moves its leading column right or zeroes it.
+    Only those rows have their leading column found again.  The pivots
+    then move to the top in column order, and back substitution, last
+    pivot first, clears only the pivot columns with a nonzero above the
+    pivot.  The reduced form is unique, so the order of the row
+    operations does not show in the result.
+    """
+    ncols = m.shape[1]
+    lead = _leading_columns(m)
+    owner = np.full(ncols, -1, dtype=np.intp)  # pivot row of each column
+    rows = np.flatnonzero(lead >= 0)  # nonzero rows that are not pivots
+    while rows.size:
+        cols = lead[rows]
+        fresh = owner[cols] < 0
+        if fresh.any():
+            _take_pivots(m, rows[fresh], cols[fresh], owner, p)
+            reduce = owner[cols] != rows
+            rows, cols = rows[reduce], cols[reduce]
+        for part in _row_blocks(rows.size, ncols):
+            sub, at = rows[part], cols[part]
+            lo = int(at.min())
+            # Both terms are nonnegative and the sum is below p^2, so
+            # fmod is the exact remainder.
+            block = m[sub, lo:]
+            step = m[owner[at], lo:]
+            step *= (p - m[sub, at])[:, None]
+            block += step
+            del step  # freed before _leading_columns makes its temporaries
+            np.fmod(block, p, out=block)
+            m[sub, lo:] = block
+            found = _leading_columns(block)
+            lead[sub] = np.where(found >= 0, found + lo, -1)
+        rows = rows[lead[rows] >= 0]
+    pivots = np.flatnonzero(owner >= 0)
+    _move_rows(m, owner[pivots].tolist())
+    _back_substitute(m, pivots, p)
+    return m, pivots.tolist()
+
+
+# Row-gathered temporaries hold at most this many entries, so that no
+# step of the elimination copies a large matrix whole.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(nrows: int, width: int):
+    """Slices covering range(nrows) in blocks of at most _BLOCK_ENTRIES
+    entries of the given row width."""
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    return [slice(start, start + step) for start in range(0, nrows, step)]
+
+
+def _leading_columns(m: np.ndarray) -> np.ndarray:
+    """Column of each row's first nonzero, -1 for a zero row."""
+    lead = np.full(m.shape[0], -1, dtype=np.intp)
+    if m.shape[1]:
+        for part in _row_blocks(m.shape[0], m.shape[1]):
+            nonzero = m[part] != 0
+            first = nonzero.argmax(axis=1)
+            hit = nonzero[np.arange(first.size), first]
+            lead[part][hit] = first[hit]
+    return lead
+
+
+def _take_pivots(m, rows, cols, owner, p: int) -> None:
+    """Make the first row of each distinct leading column in cols the
+    pivot that owns it, scaled to a leading 1.  rows ascend."""
+    order = np.argsort(cols, kind="stable")
+    cols = cols[order]
+    first = np.ones(cols.size, dtype=bool)
+    first[1:] = cols[1:] != cols[:-1]
+    rows, cols = rows[order[first]], cols[first]
+    owner[cols] = rows
+    values = m[rows, cols]
+    scale = values != 1
+    rows, cols = rows[scale], cols[scale]
+    inverses = np.array([pow(v, -1, p) for v in values[scale].tolist()],
+                        dtype=np.int64)
+    for part in _row_blocks(rows.size, m.shape[1]):
+        sub, lo = rows[part], int(cols[part].min())
+        block = m[sub, lo:]
+        block *= inverses[part, None]
+        m[sub, lo:] = np.fmod(block, p, out=block)
+
+
+def _move_rows(m: np.ndarray, source: list[int]) -> None:
+    """Put row source[i] of m at row i and zero the rows below
+    len(source).  Rows are copied one at a time along the paths and
+    cycles of the permutation, so m is never copied whole."""
+    into = {i: s for i, s in enumerate(source) if i != s}  # row i gets row s
+    taken = set(into.values())
+    for start in [i for i in into if i not in taken]:
+        i = start
+        while i in into:
+            s = into.pop(i)
+            m[i] = m[s]
+            i = s
+    while into:  # what remains are cycles
+        first, s = into.popitem()
+        spare = m[first].copy()
+        i = first
+        while s != first:
+            m[i] = m[s]
+            i, s = s, into.pop(s)
+        m[i] = spare
+    m[len(source):] = 0
+
+
+def _back_substitute(m: np.ndarray, pivots: np.ndarray, p: int) -> None:
+    """Clear each pivot column above its pivot, last pivot first.
+
+    Row i's operations change only columns at or right of pivots[i], so
+    the nonzero counts of the columns left of it, taken once before the
+    loop, still say which of them need clearing when their turn comes.
+    """
+    k = pivots.size
+    counts = np.zeros(m.shape[1], dtype=np.intp)
+    for part in _row_blocks(k, m.shape[1]):
+        counts += np.count_nonzero(m[:k][part], axis=0)
+    cols = pivots.tolist()
+    for i in np.flatnonzero(counts[pivots] > 1)[::-1].tolist():
+        c = cols[i]
+        hit = np.flatnonzero(m[:i, c])
+        block = m[hit, c:]
+        block += (p - block[:, :1]) * m[i, c:]
+        np.fmod(block, p, out=block)
+        m[hit, c:] = block
 
 
 def rank(a, p: int) -> int:
@@ -137,7 +260,9 @@ def kernel(a, p: int) -> np.ndarray:
     """
     m, pivots = rref(a, p)
     ncols = m.shape[1]
-    free = np.setdiff1d(np.arange(ncols), pivots)
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     block = m[: len(pivots), free]
     del m  # the reduced form can go before the basis is allocated
     np.negative(block, out=block)
@@ -194,7 +319,8 @@ def coordinate_restriction(a, coords, p: int) -> np.ndarray:
     n_out = int(outside.sum())
     perm = np.concatenate([np.flatnonzero(outside), np.flatnonzero(~outside)])
     m = np.take(a, perm, axis=1)
-    m %= p
+    if not _is_reduced(m, p):
+        m %= p
     red, pivots = _rref_in_place(m, p)
     first = int(np.searchsorted(pivots, n_out))
     out = np.zeros((len(pivots) - first, ncols), dtype=np.int64)

@@ -226,6 +226,36 @@ def divide_single_early_exit(g, f, p):
     return q
 
 
+def rref_every_column(m, p):
+    """fplinalg._rref_in_place as first written: Gauss-Jordan that scans
+    every column for a pivot below the current row, swaps it up, scales
+    it and clears its column in every other row.  Overwrites m, a 2-d
+    C-ordered int64 array with entries in [0, p)."""
+    nrows, ncols = m.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            continue
+        lead = r + nz[0]
+        if lead != r:
+            m[[r, lead], c:] = m[[lead, r], c:]
+        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), -1, p)) % p
+        hit = np.flatnonzero(m[:, c])
+        hit = hit[hit != r]
+        if hit.size:
+            block = m[hit, c:]
+            block -= np.outer(block[:, 0], m[r, c:])
+            block %= p
+            m[hit, c:] = block
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
 def kernel_double_loop(a, p):
     """fplinalg.kernel as first written: the basis filled entry by entry."""
     m, pivots = rref(a, p)

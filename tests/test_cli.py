@@ -436,6 +436,27 @@ def test_numpy_is_imported_on_first_use(tmp_path):
     """, str(path))
 
 
+def test_finite_commands_do_not_load_numpy_ma():
+    # From numpy 2 on, np.unique (under setdiff1d) imports numpy.ma,
+    # about 10 ms and 1.4 MiB, on its first call.  No oracle, boundary
+    # or blend-verify path needs it.  numpy 1.x imports numpy.ma with
+    # numpy itself, so the commands must only leave that state as is.
+    run_probe("""
+        import sys
+        import numpy
+        from invsub.cli import main
+        baseline = "numpy.ma" in sys.modules
+        for argv in (["oracle", "--spec", "example-z3", "--torus", "7x7"],
+                     ["oracle", "--spec", "example-z3", "--patch", "6x6"],
+                     ["boundary", "--spec", "example-z3", "--torus",
+                      "5x5x5", "--axis", "2", "--cut", "2"],
+                     ["blend-verify", "--spec", "example-z3", "--torus",
+                      "5x5x5", "--axis", "2", "--cut", "2"]):
+            assert main(argv) == 0, argv
+            assert ("numpy.ma" in sys.modules) == baseline, argv
+    """)
+
+
 def test_import_loads_every_traced_module():
     # bench/tracer.py wraps functions in these modules, which it finds
     # in sys.modules right after `import invsub`.
@@ -581,6 +602,27 @@ def test_dist_certificate_unchanged(capsys, prime, x, z, support):
     assert code == 0
     text, digest = DIST_CERTIFICATES[prime, x, z, support]
     assert payload["distance"] == text
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# `oracle` stdout, recorded before the elimination kernel moved from
+# column-by-column Gauss-Jordan to rounds: (spec, lattice flag, sizes)
+# -> (exit status, SHA-256 of the certificate).
+ORACLE_CERTIFICATES = {
+    ("example-z3", "--torus", "7x7"): (
+        0, "344dea9c7a222bc44e815b289b2ba15f238aaf2479ab519944b7e11667d5cab0"),
+    ("toric-code-z3", "--torus", "6x6"): (
+        1, "f987a1816ddcc6a640c2f36ed8c15a988f31760cfa047997fc81a408b270e705"),
+    ("full", "--patch", "6x6"): (
+        0, "59f2c18ef30e10b55e54083e7f92ab215b1f7e04c5b2295c8672bb8e74125f11"),
+}
+
+
+@pytest.mark.parametrize("name, flag, sizes", sorted(ORACLE_CERTIFICATES))
+def test_oracle_certificate_unchanged(capsys, name, flag, sizes):
+    code, _, out = run(capsys, "oracle", "--spec", name, flag, sizes)
+    status, digest = ORACLE_CERTIFICATES[name, flag, sizes]
+    assert code == status
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import coordinate_restriction_via_scans, kernel_double_loop
+from helpers import (
+    coordinate_restriction_via_scans,
+    kernel_double_loop,
+    rref_every_column,
+)
+from invsub.finite_oracle import FiniteLattice, instantiate_spec, pairing_matrix
 from invsub.fplinalg import (
+    _rref_in_place,
     as_fp,
     coordinate_restriction,
     kernel,
@@ -18,6 +24,7 @@ from invsub.fplinalg import (
     rref,
     solve,
 )
+from invsub.zoo import get_example
 
 
 def small_matrix(p, max_rows=5, max_cols=6):
@@ -233,15 +240,25 @@ def test_kernel_of_zero_and_full_rank():
     (3, 2048),      # float32: 2048 * 2^2 < 2^24
     (1021, 16),     # float32 at its edge: 16 * 1020^2 < 2^24
     (1021, 17),     # float64 just past it: 17 * 1020^2 > 2^24
+    # The largest inner dimension k of each path, k * (p - 1)^2 just
+    # below the bound and (k + 1) * (p - 1)^2 above it.
+    (257, 255),     # float32
+    (2097143, 2048),  # float64
+    (8388593, 128),   # float64
 ])
 def test_matmul_mod_float_paths_are_exact(p, inner):
-    # Entries near p - 1 push the partial sums towards each limit.
+    # Entries near p - 1 push the partial sums towards each limit, and
+    # all entries p - 1 reach it; an inexact reduction would show
+    # against the Python-integer product.
     rng = np.random.default_rng(inner)
-    a = rng.integers(max(0, p - 50), p, size=(6, inner))
-    b = rng.integers(max(0, p - 50), p, size=(inner, 5))
-    out = matmul_mod(a, b, p)
-    assert out.dtype == np.int64
-    assert np.array_equal(out, object_product(a, b, p))
+    near = (rng.integers(max(0, p - 50), p, size=(6, inner)),
+            rng.integers(max(0, p - 50), p, size=(inner, 5)))
+    top = (np.full((6, inner), p - 1), np.full((inner, 5), p - 1))
+    for a, b in (near, top):
+        out = matmul_mod(a, b, p)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, object_product(a, b, p))
+    assert (matmul_mod(*top, p) == inner % p).all()  # (p - 1)^2 = 1 mod p
 
 
 def test_matmul_mod_object_path_beyond_float_range():
@@ -279,3 +296,75 @@ def test_modulus_guard():
     k = kernel(a, p)
     assert k.shape == (7 - rank(a, p), 7)
     assert not object_product(a, k.T, p).any()
+
+
+PRIMES = [2, 3, 5, 7, 2**31 - 1]
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(m, p): a reduced int64 matrix of one of several shapes of input:
+    dense or sparse draws, with repeated rows, already reduced, or
+    reduced with its columns permuted.  Zero rows and columns and empty
+    shapes come up among them."""
+    p = draw(st.sampled_from(PRIMES))
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    density = draw(st.sampled_from([0.0, 0.15, 0.5, 1.0]))
+    nonzero = st.integers(1, p - 1)
+    m = np.zeros((nrows, ncols), dtype=np.int64)
+    for i in range(nrows):
+        for j in range(ncols):
+            if density and draw(st.floats(0, 1)) <= density:
+                m[i, j] = draw(nonzero)
+    kind = draw(st.sampled_from(["draw", "repeated", "reduced", "permuted"]))
+    if kind == "repeated" and nrows:
+        m = m[draw(st.lists(st.integers(0, nrows - 1), max_size=12))]
+    elif kind in ("reduced", "permuted"):
+        m = rref_every_column(m, p)[0]
+        if kind == "permuted":
+            m = m[:, draw(st.permutations(range(ncols)))]
+    return np.ascontiguousarray(m, dtype=np.int64), p
+
+
+def assert_same_elimination(m, p):
+    """_rref_in_place gives the reference's whole array, zero rows
+    included, and its pivot list."""
+    red, pivots = _rref_in_place(m.copy(), p)
+    want, want_pivots = rref_every_column(m.copy(), p)
+    assert pivots == want_pivots
+    assert red.dtype == np.int64 and red.shape == m.shape
+    assert red.tobytes() == want.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(elimination_inputs())
+def test_rref_kernel_matches_every_column_reference(case):
+    assert_same_elimination(*case)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rref_kernel_on_seeded_sparse_and_dense_draws(p):
+    rng = np.random.default_rng(p % 997)
+    for shape in ((0, 0), (0, 7), (7, 0), (1, 1), (3, 40), (40, 3),
+                  (25, 25), (60, 90), (90, 60)):
+        for density in (0.02, 0.1, 0.5, 1.0):
+            m = rng.integers(1, p, size=shape)
+            m[rng.random(shape) > density] = 0
+            assert_same_elimination(m, p)
+            # Rows repeated and shuffled, columns permuted.
+            if shape[0] and shape[1]:
+                rows = rng.integers(0, shape[0], size=shape[0] + 3)
+                cols = rng.permutation(shape[1])
+                assert_same_elimination(
+                    np.ascontiguousarray(m[rows][:, cols]), p)
+
+
+def test_rref_kernel_on_patch_pairing_matrix():
+    # The span's pairing matrix of example-z3 on a 16x16 patch, 420 x 420:
+    # sparse at first, it fills in as the rounds go.
+    spec = get_example("example-z3").spec
+    lattice = FiniteLattice(spec.p, spec.q, (16, 16), periodic=False)
+    span = row_basis(instantiate_spec(spec, lattice), spec.p)
+    pairing = pairing_matrix(span, span, spec.p)
+    assert pairing.shape == (420, 420)
+    assert_same_elimination(as_fp(pairing, spec.p), spec.p)
