@@ -392,10 +392,9 @@ def _vs_of_span(span: np.ndarray, lattice: FiniteLattice, reach: int) -> VsRepor
                   for c in lattice.site_coords(t)]
         w_s = coordinate_restriction(span, window, p)
         blind = _orthogonal_part(span, w_s, p)
-        here = lattice.site_coords(s)
-        for v in blind:
-            if v[here].any():
-                return VsReport(False, tuple(s), v.copy())
+        hits = np.flatnonzero(blind[:, lattice.site_coords(s)].any(axis=1))
+        if hits.size:
+            return VsReport(False, tuple(s), blind[hits[0]].copy())
     return VsReport(True, None, None)
 
 
@@ -765,12 +764,9 @@ def center_at_boundary_distance(rows, lattice: FiniteLattice) -> int:
 
 def _boundary_distance(center: np.ndarray, lattice: FiniteLattice) -> int:
     """center_at_boundary_distance for a basis of the center."""
-    worst = -1
-    for v in center:
-        for s in lattice.sites():
-            if v[lattice.site_coords(s)].any():
-                edge = min(
-                    min(c, size - 1 - c) for c, size in zip(s, lattice.sizes)
-                )
-                worst = max(worst, edge)
-    return worst
+    supported = center.any(axis=0)
+    return max(
+        (min(min(c, size - 1 - c) for c, size in zip(s, lattice.sizes))
+         for s in lattice.sites() if supported[lattice.site_coords(s)].any()),
+        default=-1,
+    )

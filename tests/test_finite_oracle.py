@@ -12,6 +12,7 @@ import invsub.finite_oracle as finite_oracle
 import invsub.fplinalg as fplinalg
 from helpers import (
     boundary_algebra_via_image,
+    boundary_distance_every_vector,
     check_vs_every_site,
     full_spec,
     instantiate_qca_per_site,
@@ -300,6 +301,25 @@ def test_check_vs_non_invariant_rows_visit_every_site(monkeypatch):
     assert report.failure_site == (2, 2)
     assert visited == lat.site_index((2, 2)) + 1
     assert_same_report(report, check_vs_every_site(rows, lat, 2))
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_boundary_distance_matches_per_vector_loop(name):
+    spec = get_example(name).spec
+    lat = FiniteLattice(spec.p, spec.q, (5,) * spec.dims, periodic=False)
+    rows = instantiate_spec(spec, lat)
+    center = finite_oracle._invertibility_and_center(
+        row_basis(rows, lat.p), lat, spec.spread)[1]
+    want = boundary_distance_every_vector(center, lat)
+    assert finite_oracle._boundary_distance(center, lat) == want
+    assert center_at_boundary_distance(rows, lat) == want
+    # Sparse vectors reach the interior; no vector gives -1.
+    rng = np.random.default_rng(3)
+    for k in (0, 1, 4):
+        sparse = rng.integers(0, lat.p, (k, 2 * lat.n_qudits))
+        sparse *= rng.random(sparse.shape) < 0.02
+        assert (finite_oracle._boundary_distance(sparse, lat)
+                == boundary_distance_every_vector(sparse, lat))
 
 
 def assert_matches_old_route(spec, lattice, reach):

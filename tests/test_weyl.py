@@ -5,7 +5,9 @@ matrices times the phase) so every phase bookkeeping rule is checked
 against actual operator products.
 """
 
+import math
 from time import perf_counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from invsub.weyl import (
     PauliConjugation,
     PhasedPauli,
     dist_bounded,
-    enumerate_support_paulis,
     unitary_distance,
     unitary_distance_to_identity,
 )
@@ -223,26 +224,29 @@ def test_dist_bounded_metric_axioms_on_random_triples():
                     assert d[i, k] <= d[i, j] + d[j, k] + 1e-12
 
 
-class SiteShift:
-    """W -> W with its qudits moved one place cyclically: an automorphism
-    that is not a Pauli conjugation."""
-
-    def apply(self, w):
-        return w.permute(np.roll(np.arange(w.size), 1))
-
-
 def _automorphism(name, p, m):
     if name == "identity":
         return PauliConjugation(PhasedPauli.identity(p, m))
-    if name == "shift":
-        return SiteShift()
     if name == "every-site":
         x, z = [(2 * i + 1) % p for i in range(m)], [i % p for i in range(m)]
         return PauliConjugation(PhasedPauli(p, 0, x, z))
-    # Acts on every other site; the rest are idle.
+    # Acts on every other site; the rest are idle.  "rephased" has the
+    # same symbols and another phase, so D = 0.
     x = [(i + 1) % p if i % 2 == 0 else 0 for i in range(m)]
     z = [1 if i % 4 == 0 else 0 for i in range(m)]
-    return PauliConjugation(PhasedPauli(p, 0, x, z))
+    return PauliConjugation(PhasedPauli(p, name == "rephased", x, z))
+
+
+def _assert_matches_every_candidate_scan(alpha, beta, p, m, max_support):
+    want = dist_bounded_every_candidate(alpha, beta, p, m, max_support)
+    got = dist_bounded(alpha, beta, p, m, max_support)
+    assert (got.kind, got.size) == (want.kind, want.size)
+    assert got.value == want.value
+    assert str(got.value) == str(want.value)
+    assert got.text == str(got.value)
+    assert got.witness == want.witness
+    assert got.numeric == want.numeric
+    return got
 
 
 @pytest.mark.parametrize("p, m, max_support", [
@@ -256,20 +260,72 @@ def _automorphism(name, p, m):
     ("identity", "identity"),   # distance 0
     ("idle-sites", "identity"),  # scalar r: the phase classes
     ("idle-sites", "every-site"),  # two conjugators: D = V - U
-    ("shift", "idle-sites"),     # nonscalar r: the qubit or odd classes
+    ("rephased", "idle-sites"),  # other phases, D = 0: distance 0
 ])
 def test_dist_bounded_matches_every_candidate_scan(p, m, max_support,
                                                    alpha, beta):
-    a, b = _automorphism(alpha, p, m), _automorphism(beta, p, m)
-    want = dist_bounded_every_candidate(a, b, p, m, max_support)
-    got = dist_bounded(a, b, p, m, max_support)
-    assert got.value == want.value
-    assert str(got.value) == str(want.value)
-    assert got.text == str(got.value)
-    assert got.witness == want.witness
-    assert got.numeric == want.numeric
-    if alpha == beta:
+    got = _assert_matches_every_candidate_scan(
+        _automorphism(alpha, p, m), _automorphism(beta, p, m),
+        p, m, max_support)
+    if alpha == beta or alpha == "rephased":
         assert got.value == 0
+
+
+def _candidate_count(p, m, max_support):
+    return sum(math.comb(m, size) * (p * p - 1) ** size
+               for size in range(1, min(max_support, m) + 1))
+
+
+# (p, m, max_support) with p in {2, 3, 5, 7}, m <= 4 and max_support <= 3.
+# The reference evaluates a sympy distance for every candidate, about
+# 0.2 ms each, so the draws with more than 2500 candidates (p = 5 or 7
+# on 3 or more qudits at support 2 or more) are left out.
+_SCAN_SHAPES = [(p, m, s) for p in (2, 3, 5, 7) for m in range(5)
+                for s in range(4) if _candidate_count(p, m, s) <= 2500]
+
+
+@st.composite
+def _conjugation_pairs(draw):
+    p, m, max_support = draw(st.sampled_from(_SCAN_SHAPES))
+    ints = st.integers(0, p - 1)
+    # Idle sites carry X^0 Z^0.
+    site = st.one_of(st.just((0, 0)), st.tuples(ints, ints))
+    sites = [draw(st.lists(site, min_size=m, max_size=m)) for _ in range(2)]
+    if draw(st.booleans()):
+        sites[1] = sites[0]   # D = 0
+    alpha, beta = (
+        PauliConjugation(PhasedPauli(p, draw(ints), [x for x, _ in s],
+                                     [z for _, z in s]))
+        for s in sites)
+    return alpha, beta, p, m, max_support
+
+
+@settings(max_examples=60, deadline=None)
+@given(_conjugation_pairs())
+def test_dist_bounded_matches_every_candidate_scan_on_random_pairs(pair):
+    _assert_matches_every_candidate_scan(*pair)
+
+
+@pytest.mark.parametrize("p", [11, 31])
+@pytest.mark.parametrize("x, z", [(0, 5), (4, 2)])
+def test_dist_bounded_matches_every_candidate_scan_at_larger_primes(p, x, z):
+    # Site 0 is idle; on site 1, D_x = 0 puts the witness on X alone,
+    # and D_x != 0 on Z alone.
+    alpha = PauliConjugation(PhasedPauli(p, 3, [0, x], [0, z]))
+    beta = PauliConjugation(PhasedPauli(p, 1, [0, 0], [0, 0]))
+    got = _assert_matches_every_candidate_scan(alpha, beta, p, 2, 1)
+    assert got.witness.support() == (1,)
+    assert got.kind[1] in (p // 2, p - p // 2)
+
+
+def test_dist_bounded_refuses_non_conjugations():
+    alpha, beta = _anyon_dist_input()
+    # Any other automorphism, even one with an `apply` method.
+    shift = SimpleNamespace(
+        apply=lambda w: w.permute(np.roll(np.arange(w.size), 1)))
+    for a, b in ((alpha, shift), (alpha.conjugator, beta), (None, None)):
+        with pytest.raises(TypeError, match="two PauliConjugations"):
+            dist_bounded(a, b, 5, 6, max_support=2)
 
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -297,13 +353,6 @@ def test_class_text_and_float_are_the_sympy_ones(p):
             assert d.value == weyl._class_distance(kind, p) / size
             assert d.text == str(d.value), (kind, size)
             assert d.numeric == float(d.value.evalf(50)), (kind, size)
-
-
-@pytest.mark.parametrize("p, size", [(2, 1), (2, 3), (3, 2), (5, 2)])
-def test_local_exponents_in_candidate_order(p, size):
-    want = [np.concatenate([w.a, w.b])
-            for w in enumerate_support_paulis(p, size, range(size))]
-    assert np.array_equal(weyl._local_exponents(p, size), np.array(want).T)
 
 
 def _anyon_dist_input(p=5, m=6):
@@ -350,9 +399,8 @@ def test_dist_bounded_refuses_too_many_candidates(monkeypatch):
     monkeypatch.setattr(weyl, "MAX_CANDIDATES", 8784)
     dist_bounded(alpha, beta, 5, 6, max_support=2)
     monkeypatch.setattr(weyl, "MAX_CANDIDATES", 8783)
-    for a, b in ((alpha, beta), (alpha, SiteShift())):
-        with pytest.raises(CandidateCountError, match="more than weyl"):
-            dist_bounded(a, b, 5, 6, max_support=2)
+    with pytest.raises(CandidateCountError, match="more than weyl"):
+        dist_bounded(alpha, beta, 5, 6, max_support=2)
     # Support beyond m adds no candidates.
     monkeypatch.setattr(weyl, "MAX_CANDIDATES", 24 ** 2 + 2 * 24)
     dist_bounded(*_anyon_dist_input(m=2), 5, 2, max_support=10 ** 9)
@@ -361,9 +409,8 @@ def test_dist_bounded_refuses_too_many_candidates(monkeypatch):
 def test_dist_bounded_refuses_negative_support():
     # It answered distance 0 with the identity as witness.
     alpha, beta = _anyon_dist_input()
-    for a, b in ((alpha, beta), (alpha, SiteShift())):
-        with pytest.raises(ValueError, match="max_support -1 is negative"):
-            dist_bounded(a, b, 5, 6, max_support=-1)
+    with pytest.raises(ValueError, match="max_support -1 is negative"):
+        dist_bounded(alpha, beta, 5, 6, max_support=-1)
 
 
 def test_dist_bounded_conjugations_on_another_register():
