@@ -222,9 +222,11 @@ def _cmd_blend_verify(args) -> tuple[int, dict]:
     spec_b = resolve_spec(args.spec_b) if args.spec_b else spec
     blend = resolve_spec(args.blend) if args.blend else spec
     lattice = _lattice_for(args, spec, extra_axis=True)
-    alpha = instantiate_qca(lift_to_qca(spec), lattice)
-    beta = instantiate_qca(lift_to_qca(spec_b), lattice)
-    gamma = instantiate_qca(lift_to_qca(blend), lattice)
+    # One lift and one instantiation per distinct spec, in argument order.
+    maps = dict.fromkeys((spec, spec_b, blend))
+    for key in maps:
+        maps[key] = instantiate_qca(lift_to_qca(key), lattice)
+    alpha, beta, gamma = maps[spec], maps[spec_b], maps[blend]
     margin = args.window if args.window is not None else 1
     report = verify_blend(gamma, alpha, beta, axis=args.axis,
                           interface=args.cut, margin=margin)

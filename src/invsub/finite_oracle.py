@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from ._lazy_numpy import LazyNumpy
 from .fplinalg import (
+    as_fp,
     coordinate_restriction,
     kernel,
     matmul_mod,
@@ -143,10 +144,15 @@ class FiniteLattice:
 
 
 def pairing_matrix(rows1, rows2, p: int) -> np.ndarray:
-    """Symplectic pairings u_X.w_Z - u_Z.w_X for all row pairs."""
+    """Symplectic pairings u_X.w_Z - u_Z.w_X for all row pairs.  The
+    pairings of a set of rows with itself are A - A^T for the one
+    product A = U_X U_Z^T."""
     r1 = np.atleast_2d(np.asarray(rows1, dtype=np.int64))
-    r2 = np.atleast_2d(np.asarray(rows2, dtype=np.int64))
     m = r1.shape[1] // 2
+    if rows2 is rows1:
+        first = matmul_mod(r1[:, :m], r1[:, m:].T, p)
+        return (first - first.T) % p
+    r2 = np.atleast_2d(np.asarray(rows2, dtype=np.int64))
     return (matmul_mod(r1[:, :m], r2[:, m:].T, p)
             - matmul_mod(r1[:, m:], r2[:, :m].T, p)) % p
 
@@ -380,20 +386,44 @@ def check_vs(rows, lattice: FiniteLattice, reach: int) -> VsReport:
 
 def _vs_of_span(span: np.ndarray, lattice: FiniteLattice, reach: int) -> VsReport:
     """check_vs for a canonical basis of the span (`row_basis` of the
-    rows)."""
+    rows).
+
+    W_s is built from the span rows whose pivot lies in the window.  The
+    span is in reduced row echelon form, so an element's weight on row i
+    is its entry at row i's pivot: an element supported in the window
+    has zero weight on every row whose pivot lies outside it.
+
+    With P the pairing matrix of W_s against the span, the elements of
+    V_s are c . span for c in the kernel of P, and their entries at s
+    are S c, for S the span's columns at s transposed.  Some element of
+    V_s has support at s exactly when ker P is not inside ker S, that is
+    when rank [P; S] > rank P.  V_s itself is built only at the site
+    that fails, to report its first element touching s.
+    """
     if reach < 0:
         raise ValueError(f"reach {reach} is negative")
-    p = lattice.p
+    p, n = lattice.p, lattice.symplectic_len
+    pivots = (span != 0).argmax(axis=1)  # each canonical row's leading 1
     sites = lattice.sites()
     if lattice.periodic and _translation_invariant(span, lattice):
         sites = itertools.islice(sites, 1)
     for s in sites:
         window = [c for t in lattice.window_sites(s, reach)
                   for c in lattice.site_coords(t)]
-        w_s = coordinate_restriction(span, window, p)
-        blind = _orthogonal_part(span, w_s, p)
-        hits = np.flatnonzero(blind[:, lattice.site_coords(s)].any(axis=1))
-        if hits.size:
+        inside = np.zeros(n, dtype=bool)
+        inside[window] = True
+        w_s = coordinate_restriction(span[inside[pivots]], window, p)
+        # W_s lives on the window, so P and S read only the window's
+        # columns (X half, then Z half), and only the span rows that
+        # touch the window give them nonzero columns.
+        cols = np.flatnonzero(inside)
+        near = span[:, cols]
+        near = near[near.any(axis=1)]
+        pairing = pairing_matrix(w_s[:, cols], near, p)
+        here = near[:, np.searchsorted(cols, lattice.site_coords(s))].T
+        if rank(np.vstack([pairing, here]), p) > rank(pairing, p):
+            blind = _orthogonal_part(span, w_s, p)
+            hits = np.flatnonzero(blind[:, lattice.site_coords(s)].any(axis=1))
             return VsReport(False, tuple(s), blind[hits[0]].copy())
     return VsReport(True, None, None)
 
@@ -467,20 +497,46 @@ def _preserves_form(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     return True
 
 
-def _dense_entries(matrix, lattice: FiniteLattice):
-    """Row-major nonzeros (rows, cols, values mod p) of a dense n x n
-    matrix on the lattice's register."""
-    m = np.asarray(matrix, dtype=np.int64)
+# Rows of M^T J M made at a time by the dense form check.  Each block
+# reads all of M once, so blocks are few; its temporaries hold a few
+# times 64 n entries.
+_DENSE_ROWS = 64
+
+
+def _dense_preserves_form(m: np.ndarray, p: int) -> bool:
+    """Is M^T J M = J mod p, for a dense n x n M with entries in [0, p)?
+
+    Entry (i, j) of M^T J M is the symplectic pairing of columns i and j
+    of M, so a block of its rows is `pairing_matrix` of those columns
+    with all of them: two exact `matmul_mod` products.  Each block must
+    be J's rows: 1 at i + n/2 on the X half, -1 at i - n/2 on the Z half.
+    """
+    n = m.shape[0]
+    half = n // 2
+    columns = m.T
+    for lo in range(0, n, _DENSE_ROWS):
+        i = np.arange(lo, min(lo + _DENSE_ROWS, n))
+        block = pairing_matrix(columns[i], columns, p)
+        want = np.zeros_like(block)
+        want[np.arange(i.size), (i + half) % n] = np.where(i < half, 1, p - 1)
+        if not np.array_equal(block, want):
+            return False
+    return True
+
+
+def _dense_matrix(matrix, lattice: FiniteLattice) -> np.ndarray:
+    """A dense n x n matrix on the lattice's register, as int64 mod p."""
+    m = as_fp(matrix, lattice.p)
     n = lattice.symplectic_len
     if m.shape != (n, n):
         raise ValueError(f"matrix must be {n} x {n}")
+    return m
+
+
+def _dense_entries(m: np.ndarray):
+    """Row-major nonzeros (rows, cols, values) of a `_dense_matrix`."""
     rows, cols = np.nonzero(m)
-    values = m[rows, cols]
-    values %= lattice.p
-    if not values.all():
-        keep = values != 0
-        rows, cols, values = rows[keep], cols[keep], values[keep]
-    return rows, cols, values
+    return rows, cols, m[rows, cols]
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -493,16 +549,16 @@ class FiniteSymplecticMap:
     is converted once; `from_entries` takes the nonzeros directly and
     sums repeated coordinates.
 
-    M is accepted exactly when M^T J M = J, with J = [[0, I], [-I, 0]]
-    (`_preserves_form`): each entry of M^T J M is summed from products of
-    a nonzero of M with the nonzeros of its partner row in the other
-    half, sum_r nnz(r) nnz(sw r) products in all, a bounded number at a
-    time.  For a lifted automaton the nonzeros of a row or column come
-    from the terms of its symbol, so their number does not grow with the
-    lattice: 14 in each column for example-z3, at most 16 for spread-2
-    and spread-3 remark specs, about 200 n products.  A dense M still
-    makes n^3 products: memory stays under that of the dense product
-    M^T (J M), but the time is seconds from n = 512 on.
+    M is accepted exactly when M^T J M = J, with J = [[0, I], [-I, 0]].
+    `from_entries` checks it from the nonzeros (`_preserves_form`): each
+    entry of M^T J M is summed from products of a nonzero of M with the
+    nonzeros of its partner row in the other half, sum_r nnz(r) nnz(sw r)
+    products in all, a bounded number at a time.  For a lifted automaton
+    the nonzeros of a row or column come from the terms of its symbol,
+    so their number does not grow with the lattice: 14 in each column
+    for example-z3, at most 16 for spread-2 and spread-3 remark specs,
+    about 200 n products.  The dense constructor checks it with blocked
+    `matmul_mod` products (`_dense_preserves_form`).
     """
 
     lattice: FiniteLattice
@@ -512,10 +568,11 @@ class FiniteSymplecticMap:
     spread: int
 
     def __init__(self, lattice: FiniteLattice, matrix, spread: int = -1):
-        """The map with the dense n x n matrix M.  The form check costs
-        about n^3 products when M is dense (1.6 s at n = 512 and 7.6 s at
-        n = 1024 on a 2-core Xeon VM); a sparse M costs its nonzeros."""
-        self._validate(lattice, *_dense_entries(matrix, lattice), spread)
+        """The map with the dense n x n matrix M, checked with blocked
+        exact products before its nonzeros are taken."""
+        m = _dense_matrix(matrix, lattice)
+        preserves = _dense_preserves_form(m, lattice.p)
+        self._validate(lattice, *_dense_entries(m), spread, preserves)
 
     @classmethod
     def from_entries(cls, lattice: FiniteLattice, rows, cols, values,
@@ -538,18 +595,19 @@ class FiniteSymplecticMap:
         first = np.flatnonzero(np.diff(keys, prepend=-1))
         sums = np.add.reduceat(values, first) % p if keys.size else values
         keys, keep = keys[first], sums != 0
+        rows, cols, values = keys[keep] // n, keys[keep] % n, sums[keep]
         out = cls.__new__(cls)
-        out._validate(lattice, keys[keep] // n, keys[keep] % n, sums[keep],
-                      spread)
+        out._validate(lattice, rows, cols, values, spread,
+                      _preserves_form(rows, cols, values, n, p))
         return out
 
-    def _validate(self, lattice, rows, cols, values, spread) -> None:
+    def _validate(self, lattice, rows, cols, values, spread,
+                  preserves: bool) -> None:
         object.__setattr__(self, "lattice", lattice)
         for name, array in (("rows", rows), ("cols", cols), ("values", values)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        if not _preserves_form(rows, cols, values, lattice.symplectic_len,
-                               lattice.p):
+        if not preserves:
             raise ValueError("matrix does not preserve the symplectic form")
         object.__setattr__(self, "spread",
                            spread if spread >= 0 else self._measure_spread())
@@ -650,10 +708,14 @@ def boundary_algebra_finite(
       block is a signed, transposed slice of M:
       M^-1[i, j] = s(i) s(j) M[sw(j), sw(i)], where sw swaps the X and
       Z halves and s is +1 on the X half and -1 on the Z half.  Row
-      signs s(i) leave the kernel alone, so only s(j) is applied.
+      signs s(i) leave the kernel alone, so only s(j) is applied.  The
+      kernel is row-reduced on the slab's coordinates alone, taken in
+      ascending order; placing the rows back keeps that column order,
+      so they are the canonical basis of the boundary part.
     - The off-slab layers are the slab's complement, so the part of the
       image supported off the slab is the kernel of the image's
-      projection onto the slab: dim = |band| - rank M[slab, band].
+      projection onto the slab: dim = |band| - rank M[slab, band], the
+      rank taken on the block's columns that hold a nonzero.
     """
     lat = alpha.lattice
     if not 0 <= axis < lat.dims:
@@ -673,7 +735,7 @@ def boundary_algebra_finite(
 
     p, n, half = lat.p, lat.symplectic_len, lat.n_qudits
     band = layer_coords(range(cut + 1, cut + depth + 1))
-    slab = layer_coords(range(cut + 1, cut + window + 1))
+    slab = np.sort(layer_coords(range(cut + 1, cut + window + 1)))
     is_outside = np.ones(n, dtype=bool)
     is_outside[band] = False
     outside = np.flatnonzero(is_outside)
@@ -681,11 +743,11 @@ def boundary_algebra_finite(
     swapped_slab, swapped_outside = (slab + half) % n, (outside + half) % n
     inverse_block = (alpha._block(swapped_slab, swapped_outside).T
                      * np.where(slab < half, 1, -1)) % p
-    coeffs = kernel(inverse_block, p)
-    placed = np.zeros((coeffs.shape[0], n), dtype=np.int64)
-    placed[:, slab] = coeffs
-    boundary = row_basis(placed, p)
-    dim_off_slab = band.size - rank(alpha._block(slab, band), p)
+    reduced = row_basis(kernel(inverse_block, p), p)
+    boundary = np.zeros((reduced.shape[0], n), dtype=np.int64)
+    boundary[:, slab] = reduced
+    image = alpha._block(slab, band)
+    dim_off_slab = band.size - rank(image[:, image.any(axis=0)], p)
     return BoundaryAlgebraReport(
         basis=boundary,
         dim_image=band.size,
@@ -731,7 +793,7 @@ def verify_blend(
         column, then row, then value (below 2^55)."""
         rows, cols, values = ((x.rows, x.cols, x.values)
                               if isinstance(x, FiniteSymplecticMap)
-                              else _dense_entries(x, lat))
+                              else _dense_entries(_dense_matrix(x, lat)))
         keep = in_columns[cols]
         return (cols[keep] * n + rows[keep]) * p + values[keep]
 

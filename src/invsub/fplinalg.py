@@ -11,9 +11,12 @@ follow the pivots and the fill-in, not the column count.  Each row's
 leading column is found in one pass.  Then, in rounds, the first row to
 reach a leading column no pivot owns yet becomes that column's pivot,
 and every other row subtracts the pivot that owns its leading column,
-all in one vectorized update.  Back substitution visits only the pivot
-columns with a nonzero above their pivot.  Row-gathered temporaries are
-built a block of rows at a time, so no step copies a large matrix whole.
+all in one vectorized update.  Each row keeps a bound on its last
+nonzero column, and every row operation stops there, so a banded matrix
+costs its band.  At full column rank the reduced form is written as the
+identity; otherwise back substitution visits only the pivot columns with
+a nonzero above their pivot.  Row-gathered temporaries are built a block
+of rows at a time, so no step copies a large matrix whole.
 
 Elimination multiplies two reduced entries in int64, which is exact
 while (p - 1)^2 < 2^63, so `as_fp` (and with it every elimination)
@@ -104,41 +107,65 @@ def _rref_in_place(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     takes it and is scaled to a leading 1.  Every other nonzero row then
     subtracts the pivot that owns its leading column, all in one
     vectorized step, which moves its leading column right or zeroes it.
-    Only those rows have their leading column found again.  The pivots
-    then move to the top in column order, and back substitution, last
-    pivot first, clears only the pivot columns with a nonzero above the
-    pivot.  The reduced form is unique, so the order of the row
-    operations does not show in the result.
+    Only those rows have their leading column found again.
+
+    Each row also keeps a trailing bound: a column at or after its last
+    nonzero.  Subtracting a pivot changes no column after the pivot's
+    bound, so the row's new bound is the larger of the two, and every
+    scaling and update touches only the columns from the leading column
+    to that bound.  On a banded matrix, or one whose data sits in a few
+    columns, a step costs the band's width, not the matrix's.
+
+    When every column holds a pivot the reduced form is the identity on
+    top of zero rows, written in place.  Otherwise the pivots move to the
+    top in column order, and back substitution, last pivot first, clears
+    only the pivot columns with a nonzero above the pivot, each up to the
+    pivot row's trailing bound.  The reduced form is unique, so the order
+    of the row operations does not show in the result.
     """
     ncols = m.shape[1]
-    lead = _leading_columns(m)
+    lead, trail = _row_extents(m)
     owner = np.full(ncols, -1, dtype=np.intp)  # pivot row of each column
     rows = np.flatnonzero(lead >= 0)  # nonzero rows that are not pivots
+    cols = lead[rows]
     while rows.size:
-        cols = lead[rows]
         fresh = owner[cols] < 0
         if fresh.any():
-            _take_pivots(m, rows[fresh], cols[fresh], owner, p)
+            _take_pivots(m, rows[fresh], cols[fresh], owner, trail, p)
             reduce = owner[cols] != rows
             rows, cols = rows[reduce], cols[reduce]
         for part in _row_blocks(rows.size, ncols):
             sub, at = rows[part], cols[part]
-            lo = int(at.min())
+            pivot = owner[at]
+            bound = np.maximum(trail[sub], trail[pivot])
+            trail[sub] = bound
+            lo, hi = int(at.min()), int(bound.max()) + 1
             # Both terms are nonnegative and the sum is below p^2, so
             # fmod is the exact remainder.
-            block = m[sub, lo:]
-            step = m[owner[at], lo:]
+            block = m[sub, lo:hi]
+            step = m[pivot, lo:hi]
             step *= (p - m[sub, at])[:, None]
             block += step
-            del step  # freed before _leading_columns makes its temporaries
+            del step  # freed before the leading columns are searched
             np.fmod(block, p, out=block)
-            m[sub, lo:] = block
-            found = _leading_columns(block)
-            lead[sub] = np.where(found >= 0, found + lo, -1)
-        rows = rows[lead[rows] >= 0]
+            m[sub, lo:hi] = block
+            # The block holds each row's nonzeros from lo on, so its
+            # leading column is found there (hi > lo: a bound is at or
+            # after the leading column).
+            nonzero = block != 0
+            lead[sub] = np.where(nonzero.any(axis=1),
+                                 nonzero.argmax(axis=1) + lo, -1)
+        cols = lead[rows]
+        keep = cols >= 0
+        rows, cols = rows[keep], cols[keep]
     pivots = np.flatnonzero(owner >= 0)
-    _move_rows(m, owner[pivots].tolist())
-    _back_substitute(m, pivots, p)
+    if pivots.size == ncols:
+        m[:] = 0
+        np.fill_diagonal(m, 1)
+    else:
+        source = owner[pivots]
+        _move_rows(m, source.tolist())
+        _back_substitute(m, pivots, trail[source], p)
     return m, pivots.tolist()
 
 
@@ -154,21 +181,25 @@ def _row_blocks(nrows: int, width: int):
     return [slice(start, start + step) for start in range(0, nrows, step)]
 
 
-def _leading_columns(m: np.ndarray) -> np.ndarray:
-    """Column of each row's first nonzero, -1 for a zero row."""
+def _row_extents(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of each row's first and last nonzero, -1 for a zero row."""
     lead = np.full(m.shape[0], -1, dtype=np.intp)
+    trail = lead.copy()
     if m.shape[1]:
         for part in _row_blocks(m.shape[0], m.shape[1]):
             nonzero = m[part] != 0
             first = nonzero.argmax(axis=1)
             hit = nonzero[np.arange(first.size), first]
             lead[part][hit] = first[hit]
-    return lead
+            last = nonzero[hit, ::-1].argmax(axis=1)
+            trail[part][hit] = m.shape[1] - 1 - last
+    return lead, trail
 
 
-def _take_pivots(m, rows, cols, owner, p: int) -> None:
+def _take_pivots(m, rows, cols, owner, trail, p: int) -> None:
     """Make the first row of each distinct leading column in cols the
-    pivot that owns it, scaled to a leading 1.  rows ascend."""
+    pivot that owns it, scaled to a leading 1 up to its trailing bound.
+    rows ascend."""
     order = np.argsort(cols, kind="stable")
     cols = cols[order]
     first = np.ones(cols.size, dtype=bool)
@@ -181,10 +212,11 @@ def _take_pivots(m, rows, cols, owner, p: int) -> None:
     inverses = np.array([pow(v, -1, p) for v in values[scale].tolist()],
                         dtype=np.int64)
     for part in _row_blocks(rows.size, m.shape[1]):
-        sub, lo = rows[part], int(cols[part].min())
-        block = m[sub, lo:]
+        sub = rows[part]
+        lo, hi = int(cols[part].min()), int(trail[sub].max()) + 1
+        block = m[sub, lo:hi]
         block *= inverses[part, None]
-        m[sub, lo:] = np.fmod(block, p, out=block)
+        m[sub, lo:hi] = np.fmod(block, p, out=block)
 
 
 def _move_rows(m: np.ndarray, source: list[int]) -> None:
@@ -210,25 +242,29 @@ def _move_rows(m: np.ndarray, source: list[int]) -> None:
     m[len(source):] = 0
 
 
-def _back_substitute(m: np.ndarray, pivots: np.ndarray, p: int) -> None:
-    """Clear each pivot column above its pivot, last pivot first.
+def _back_substitute(m: np.ndarray, pivots: np.ndarray, trail: np.ndarray,
+                     p: int) -> None:
+    """Clear each pivot column above its pivot, last pivot first.  Row i
+    is zero after column trail[i]; trail is updated as rows change.
 
     Row i's operations change only columns at or right of pivots[i], so
     the nonzero counts of the columns left of it, taken once before the
     loop, still say which of them need clearing when their turn comes.
+    Adding a multiple of row i changes no column after trail[i].
     """
     k = pivots.size
     counts = np.zeros(m.shape[1], dtype=np.intp)
     for part in _row_blocks(k, m.shape[1]):
-        counts += np.count_nonzero(m[:k][part], axis=0)
+        counts += (m[:k][part] != 0).sum(axis=0)
     cols = pivots.tolist()
     for i in np.flatnonzero(counts[pivots] > 1)[::-1].tolist():
-        c = cols[i]
+        c, hi = cols[i], int(trail[i]) + 1
         hit = np.flatnonzero(m[:i, c])
-        block = m[hit, c:]
-        block += (p - block[:, :1]) * m[i, c:]
+        block = m[hit, c:hi]
+        block += (p - block[:, :1]) * m[i, c:hi]
         np.fmod(block, p, out=block)
-        m[hit, c:] = block
+        m[hit, c:hi] = block
+        trail[hit] = np.maximum(trail[hit], hi - 1)
 
 
 def rank(a, p: int) -> int:

@@ -3,7 +3,8 @@
 Polynomials are dicts mapping exponent tuples to coefficients in [1, p);
 everything is exact modular arithmetic.  This is the one kernel for that
 arithmetic: laurent.LaurentPoly adds, scales and multiplies its terms
-with add, scale and mul, and one division, divide, serves both the exact
+with add, scale and mul, each entry of a LaurentMatrix product is one
+dot, and one division, divide, serves both the exact
 quotients of laurent's fraction-free elimination (divide_single, by
 pivots that on a dense matrix have many terms) and Buchberger's
 reductions (normal_form).  Buchberger's generators are the distinct
@@ -53,12 +54,18 @@ def scale(a: Poly, c: int, p: int) -> Poly:
 
 
 def mul(a: Poly, b: Poly, p: int) -> Poly:
-    # Sums are reduced once, after every product has been added in.
+    return dot((a,), (b,), p)
+
+
+def dot(left: Iterable[Poly], right: Iterable[Poly], p: int) -> Poly:
+    """sum_k left[k] * right[k].  Every product of every pair is added
+    into one dict, and each sum is reduced once at the end."""
     acc: Poly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(operator.add, ea, eb))
-            acc[e] = acc.get(e, 0) + ca * cb
+    for a, b in zip(left, right):
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(map(operator.add, ea, eb))
+                acc[e] = acc.get(e, 0) + ca * cb
     out: Poly = {}
     for e, c in acc.items():
         c %= p

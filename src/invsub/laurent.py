@@ -557,20 +557,13 @@ class LaurentMatrix:
         self._check(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        z = LaurentPoly.zero(self.p, self.nvars)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return LaurentMatrix._trusted(self.p, self.nvars, self.rows, other.cols, out)
+        p, nvars = self.p, self.nvars
+        rows = [[e.terms for e in row] for row in self.entries]
+        cols = [[row[j].terms for row in other.entries]
+                for j in range(other.cols)]
+        out = [[LaurentPoly._trusted(p, nvars, groebner.dot(r, c, p))
+                for c in cols] for r in rows]
+        return LaurentMatrix._trusted(p, nvars, self.rows, other.cols, out)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -364,6 +364,66 @@ def test_lift_certificate_unchanged(capsys, command, torus, cut):
         LIFT_DIGESTS[command, torus, cut]
 
 
+# Certificates of `oracle --spec SPEC LATTICE SIZES` -> SHA-256 of stdout.
+ORACLE_DIGESTS = {
+    ("full", "--patch", "16x16"):
+        "0327c4d42b917707b6dbff47e8a377d810d15919153034fe9053efc9722618fc",
+    ("example-z3", "--torus", "31x31"):
+        "23e4e81b0a60825e7c155c4d1b88e339c9353649d7a1053ba2a27324dcd308ce",
+}
+
+
+@pytest.mark.parametrize("spec, lattice, sizes", sorted(ORACLE_DIGESTS))
+def test_oracle_certificate_unchanged(capsys, spec, lattice, sizes):
+    code, _, out = run(capsys, "oracle", "--spec", spec, lattice, sizes)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        ORACLE_DIGESTS[spec, lattice, sizes]
+
+
+def test_oracle_full_patch_time_budget(capsys):
+    # VS holds at every site, so check_vs visits all 256 windows of the
+    # patch; it took 3.4 s when each window eliminated the whole span.
+    start = perf_counter()
+    code, payload, _ = run(capsys, "oracle", "--spec", "full", "--patch",
+                           "16x16")
+    assert perf_counter() - start < 2.0
+    assert code == 0
+    assert payload["vs_holds"] is True
+
+
+@pytest.mark.parametrize("extra, lifts", [
+    ((), 1),
+    (("--spec-b", "example-z3", "--blend", "example-z3"), 1),
+    (("--spec-b", "SWAPPED"), 2),
+    (("--spec-b", "SWAPPED", "--blend", "SWAPPED"), 2),
+])
+def test_blend_verify_lifts_each_distinct_spec_once(tmp_path, monkeypatch,
+                                                    capsys, extra, lifts):
+    # example-z3 with its two generators swapped: another presentation,
+    # whose lift is the same automaton.
+    spec = invsub.get_example("example-z3").spec
+    swapped = invsub.SubalgebraSpec(
+        spec.p, spec.q, spec.dims,
+        spec.generators.submatrix(range(2 * spec.q), [1, 0]))
+    path = tmp_path / "swapped.json"
+    path.write_text(spec_to_json(swapped))
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return invsub.lift_to_qca(spec)
+
+    monkeypatch.setattr(cli, "lift_to_qca", counted)
+    argv = [str(path) if a == "SWAPPED" else a for a in extra]
+    code, payload, _ = run(capsys, "blend-verify", "--spec", "example-z3",
+                           "--torus", "5x5x5", "--axis", "2", "--cut", "2",
+                           *argv)
+    assert len(calls) == lifts
+    assert code == 0
+    assert payload["agrees"] is True
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("handler bug")

@@ -303,6 +303,30 @@ def test_check_vs_non_invariant_rows_visit_every_site(monkeypatch):
     assert_same_report(report, check_vs_every_site(rows, lat, 2))
 
 
+@pytest.mark.parametrize("sizes, reach, hole", [
+    ((6, 6), 1, None),
+    ((5, 4), 2, None),
+    ((6, 6), 1, (3, 3)),
+    ((6, 6), 2, (3, 3)),
+    ((5, 4), 2, (2, 3)),
+])
+def test_check_vs_on_open_patches_matches_every_site(monkeypatch, sizes,
+                                                     reach, hole):
+    # The full algebra has VS at every site of a patch.  Without X at the
+    # hole, Z there has no witness, and the hole is the first failure.
+    spec = full_spec()
+    lat = FiniteLattice(spec.p, spec.q, sizes, periodic=False)
+    rows = instantiate_spec(spec, lat)
+    if hole is not None:
+        rows = np.delete(rows, lat.site_index(hole), axis=0)
+    report, visited = sites_visited(monkeypatch, rows, lat, reach)
+    assert report.failure_site == hole
+    assert report.holds is (hole is None)
+    assert visited == (lat.n_sites if hole is None
+                       else lat.site_index(hole) + 1)
+    assert_same_report(report, check_vs_every_site(rows, lat, reach))
+
+
 @pytest.mark.parametrize("name", example_names())
 def test_boundary_distance_matches_per_vector_loop(name):
     spec = get_example(name).spec
@@ -441,16 +465,22 @@ SYMPLECTIC_REFUSAL = "matrix does not preserve the symplectic form"
 
 def accepts(lattice, matrix):
     """FiniteSymplecticMap's verdict on the matrix, asserted equal to the
-    dense block check of M^T J M."""
-    try:
-        FiniteSymplecticMap(lattice, matrix)
-    except ValueError as err:
-        assert str(err) == SYMPLECTIC_REFUSAL
-        verdict = False
-    else:
-        verdict = True
-    assert verdict == symplectic_gram_dense(matrix, lattice)
-    return verdict
+    dense block check of M^T J M, for the dense constructor and for
+    from_entries alike."""
+    rows, cols = np.nonzero(matrix)
+    verdicts = []
+    for build in (lambda: FiniteSymplecticMap(lattice, matrix),
+                  lambda: FiniteSymplecticMap.from_entries(
+                      lattice, rows, cols, matrix[rows, cols])):
+        try:
+            build()
+        except ValueError as err:
+            assert str(err) == SYMPLECTIC_REFUSAL
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    assert verdicts[0] == verdicts[1] == symplectic_gram_dense(matrix, lattice)
+    return verdicts[0]
 
 
 def corruptions(matrix, lattice, rng):
@@ -526,6 +556,8 @@ def test_measured_spread_matches_per_entry_loop(label):
 
 
 def test_symplectic_check_makes_no_dense_product(monkeypatch):
+    # The nonzeros route (instantiate_qca, from_entries) makes no matrix
+    # product; a dense matrix is checked with blocks of them.
     qca = lift_to_qca(z3_spec())
     lat = FiniteLattice(3, 2, (3, 3, 3))
     lat5, random_map = random_case(0, 5, 2, (3,))
@@ -537,8 +569,11 @@ def test_symplectic_check_makes_no_dense_product(monkeypatch):
 
     monkeypatch.setattr(finite_oracle, "matmul_mod", counted)
     instantiate_qca(qca, lat)
-    FiniteSymplecticMap(lat5, random_map)
+    rows, cols = np.nonzero(random_map)
+    FiniteSymplecticMap.from_entries(lat5, rows, cols, random_map[rows, cols])
     assert calls == []
+    FiniteSymplecticMap(lat5, random_map)
+    assert len(calls) == 2
 
 
 def test_symplectic_check_on_a_dense_map_stays_under_dense_product_memory():

@@ -359,6 +359,54 @@ def test_rref_kernel_on_seeded_sparse_and_dense_draws(p):
                     np.ascontiguousarray(m[rows][:, cols]), p)
 
 
+def banded(rng, shape, width, p):
+    """Row i holds nonzeros only within width columns of column
+    i * ncols / nrows.  For p > 2 a row's largest entry is mostly not its
+    leading one."""
+    nrows, ncols = shape
+    m = np.zeros(shape, dtype=np.int64)
+    for i in range(nrows):
+        start = i * ncols // nrows
+        stop = min(ncols, start + width)
+        m[i, start:stop] = rng.integers(0, p, size=stop - start)
+        m[i, start] = 1
+    m[rng.random(nrows) < 0.1] = 0
+    return m
+
+
+def full_column_rank(rng, nrows, ncols, p):
+    """A random nrows x ncols matrix of rank ncols (nrows >= ncols): a
+    unit upper triangle with random entries above the diagonal, its rows
+    mixed and stacked on random rows, then shuffled."""
+    top = np.triu(rng.integers(0, p, size=(ncols, ncols)), 1)
+    top[np.arange(ncols), np.arange(ncols)] = rng.integers(1, p, size=ncols)
+    mix = np.tril(rng.integers(0, p, size=(ncols, ncols)), -1) + np.eye(
+        ncols, dtype=np.int64)
+    m = np.vstack([matmul_mod(mix, top, p),
+                   rng.integers(0, p, size=(nrows - ncols, ncols))])
+    return np.ascontiguousarray(m[rng.permutation(nrows)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rref_kernel_on_banded_and_full_column_rank_draws(p):
+    rng = np.random.default_rng(10 + p)
+    for shape, width in (((60, 60), 3), ((80, 120), 5), ((120, 80), 4),
+                         ((40, 200), 12), ((200, 40), 2)):
+        m = banded(rng, shape, width, p)
+        assert_same_elimination(m, p)
+        # The same rows out of band order.
+        assert_same_elimination(np.ascontiguousarray(
+            m[rng.permutation(shape[0])]), p)
+    for nrows, ncols in ((1, 1), (30, 30), (50, 20), (200, 33), (64, 64)):
+        m = full_column_rank(rng, nrows, ncols, p)
+        assert rank(m, p) == ncols
+        assert_same_elimination(m, p)
+        red, pivots = _rref_in_place(m.copy(), p)
+        assert pivots == list(range(ncols))
+        assert np.array_equal(red[:ncols], np.eye(ncols, dtype=np.int64))
+        assert not red[ncols:].any()
+
+
 def test_rref_kernel_on_patch_pairing_matrix():
     # The span's pairing matrix of example-z3 on a 16x16 patch, 420 x 420:
     # sparse at first, it fills in as the rounds go.

@@ -139,3 +139,19 @@ def test_one_division_matches_the_former_loops(monkeypatch):
             assert gb.normal_form(g, basis, p) == normal_form_rescanning(
                 g, basis, p)
     assert exact > 1000 and inexact > 1000
+
+
+def test_dot_equals_sum_of_products():
+    rng = random.Random(19)
+    for trial in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        nvars = rng.randint(1, 3)
+        k = rng.randint(0, 5)
+        left = [_random_poly(rng, p, nvars, rng.randint(0, 4), 2)
+                for _ in range(k)]
+        right = [_random_poly(rng, p, nvars, rng.randint(0, 4), 2)
+                 for _ in range(k)]
+        total = {}
+        for a, b in zip(left, right):
+            total = gb.add(total, gb.mul(a, b, p), p)
+        assert gb.dot(left, right, p) == total
