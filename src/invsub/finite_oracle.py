@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from ._lazy_numpy import LazyNumpy
 from .fplinalg import (
-    as_fp,
     coordinate_restriction,
     kernel,
     matmul_mod,
@@ -144,15 +143,10 @@ class FiniteLattice:
 
 
 def pairing_matrix(rows1, rows2, p: int) -> np.ndarray:
-    """Symplectic pairings u_X.w_Z - u_Z.w_X for all row pairs.  The
-    pairings of a set of rows with itself are A - A^T for the one
-    product A = U_X U_Z^T."""
+    """Symplectic pairings u_X.w_Z - u_Z.w_X for all row pairs."""
     r1 = np.atleast_2d(np.asarray(rows1, dtype=np.int64))
-    m = r1.shape[1] // 2
-    if rows2 is rows1:
-        first = matmul_mod(r1[:, :m], r1[:, m:].T, p)
-        return (first - first.T) % p
     r2 = np.atleast_2d(np.asarray(rows2, dtype=np.int64))
+    m = r1.shape[1] // 2
     return (matmul_mod(r1[:, :m], r2[:, m:].T, p)
             - matmul_mod(r1[:, m:], r2[:, :m].T, p)) % p
 
@@ -497,46 +491,20 @@ def _preserves_form(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     return True
 
 
-# Rows of M^T J M made at a time by the dense form check.  Each block
-# reads all of M once, so blocks are few; its temporaries hold a few
-# times 64 n entries.
-_DENSE_ROWS = 64
-
-
-def _dense_preserves_form(m: np.ndarray, p: int) -> bool:
-    """Is M^T J M = J mod p, for a dense n x n M with entries in [0, p)?
-
-    Entry (i, j) of M^T J M is the symplectic pairing of columns i and j
-    of M, so a block of its rows is `pairing_matrix` of those columns
-    with all of them: two exact `matmul_mod` products.  Each block must
-    be J's rows: 1 at i + n/2 on the X half, -1 at i - n/2 on the Z half.
-    """
-    n = m.shape[0]
-    half = n // 2
-    columns = m.T
-    for lo in range(0, n, _DENSE_ROWS):
-        i = np.arange(lo, min(lo + _DENSE_ROWS, n))
-        block = pairing_matrix(columns[i], columns, p)
-        want = np.zeros_like(block)
-        want[np.arange(i.size), (i + half) % n] = np.where(i < half, 1, p - 1)
-        if not np.array_equal(block, want):
-            return False
-    return True
-
-
-def _dense_matrix(matrix, lattice: FiniteLattice) -> np.ndarray:
-    """A dense n x n matrix on the lattice's register, as int64 mod p."""
-    m = as_fp(matrix, lattice.p)
+def _dense_entries(matrix, lattice: FiniteLattice):
+    """Row-major nonzeros (rows, cols, values mod p) of a dense n x n
+    matrix on the lattice's register."""
+    m = np.asarray(matrix, dtype=np.int64)
     n = lattice.symplectic_len
     if m.shape != (n, n):
         raise ValueError(f"matrix must be {n} x {n}")
-    return m
-
-
-def _dense_entries(m: np.ndarray):
-    """Row-major nonzeros (rows, cols, values) of a `_dense_matrix`."""
     rows, cols = np.nonzero(m)
-    return rows, cols, m[rows, cols]
+    values = m[rows, cols]
+    values %= lattice.p
+    if not values.all():
+        keep = values != 0
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+    return rows, cols, values
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -549,16 +517,16 @@ class FiniteSymplecticMap:
     is converted once; `from_entries` takes the nonzeros directly and
     sums repeated coordinates.
 
-    M is accepted exactly when M^T J M = J, with J = [[0, I], [-I, 0]].
-    `from_entries` checks it from the nonzeros (`_preserves_form`): each
-    entry of M^T J M is summed from products of a nonzero of M with the
-    nonzeros of its partner row in the other half, sum_r nnz(r) nnz(sw r)
-    products in all, a bounded number at a time.  For a lifted automaton
-    the nonzeros of a row or column come from the terms of its symbol,
-    so their number does not grow with the lattice: 14 in each column
-    for example-z3, at most 16 for spread-2 and spread-3 remark specs,
-    about 200 n products.  The dense constructor checks it with blocked
-    `matmul_mod` products (`_dense_preserves_form`).
+    M is accepted exactly when M^T J M = J, with J = [[0, I], [-I, 0]]
+    (`_preserves_form`): each entry of M^T J M is summed from products of
+    a nonzero of M with the nonzeros of its partner row in the other
+    half, sum_r nnz(r) nnz(sw r) products in all, a bounded number at a
+    time.  For a lifted automaton the nonzeros of a row or column come
+    from the terms of its symbol, so their number does not grow with the
+    lattice: 14 in each column for example-z3, at most 16 for spread-2
+    and spread-3 remark specs, about 200 n products.  A dense M still
+    makes n^3 products: memory stays under that of the dense product
+    M^T (J M), but the time is seconds from n = 512 on.
     """
 
     lattice: FiniteLattice
@@ -568,11 +536,10 @@ class FiniteSymplecticMap:
     spread: int
 
     def __init__(self, lattice: FiniteLattice, matrix, spread: int = -1):
-        """The map with the dense n x n matrix M, checked with blocked
-        exact products before its nonzeros are taken."""
-        m = _dense_matrix(matrix, lattice)
-        preserves = _dense_preserves_form(m, lattice.p)
-        self._validate(lattice, *_dense_entries(m), spread, preserves)
+        """The map with the dense n x n matrix M.  The form check costs
+        about n^3 products when M is dense (1.6 s at n = 512 and 7.6 s at
+        n = 1024 on a 2-core Xeon VM); a sparse M costs its nonzeros."""
+        self._validate(lattice, *_dense_entries(matrix, lattice), spread)
 
     @classmethod
     def from_entries(cls, lattice: FiniteLattice, rows, cols, values,
@@ -595,19 +562,18 @@ class FiniteSymplecticMap:
         first = np.flatnonzero(np.diff(keys, prepend=-1))
         sums = np.add.reduceat(values, first) % p if keys.size else values
         keys, keep = keys[first], sums != 0
-        rows, cols, values = keys[keep] // n, keys[keep] % n, sums[keep]
         out = cls.__new__(cls)
-        out._validate(lattice, rows, cols, values, spread,
-                      _preserves_form(rows, cols, values, n, p))
+        out._validate(lattice, keys[keep] // n, keys[keep] % n, sums[keep],
+                      spread)
         return out
 
-    def _validate(self, lattice, rows, cols, values, spread,
-                  preserves: bool) -> None:
+    def _validate(self, lattice, rows, cols, values, spread) -> None:
         object.__setattr__(self, "lattice", lattice)
         for name, array in (("rows", rows), ("cols", cols), ("values", values)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        if not preserves:
+        if not _preserves_form(rows, cols, values, lattice.symplectic_len,
+                               lattice.p):
             raise ValueError("matrix does not preserve the symplectic form")
         object.__setattr__(self, "spread",
                            spread if spread >= 0 else self._measure_spread())
@@ -793,7 +759,7 @@ def verify_blend(
         column, then row, then value (below 2^55)."""
         rows, cols, values = ((x.rows, x.cols, x.values)
                               if isinstance(x, FiniteSymplecticMap)
-                              else _dense_entries(_dense_matrix(x, lat)))
+                              else _dense_entries(x, lat))
         keep = in_columns[cols]
         return (cols[keep] * n + rows[keep]) * p + values[keep]
 

@@ -465,22 +465,16 @@ SYMPLECTIC_REFUSAL = "matrix does not preserve the symplectic form"
 
 def accepts(lattice, matrix):
     """FiniteSymplecticMap's verdict on the matrix, asserted equal to the
-    dense block check of M^T J M, for the dense constructor and for
-    from_entries alike."""
-    rows, cols = np.nonzero(matrix)
-    verdicts = []
-    for build in (lambda: FiniteSymplecticMap(lattice, matrix),
-                  lambda: FiniteSymplecticMap.from_entries(
-                      lattice, rows, cols, matrix[rows, cols])):
-        try:
-            build()
-        except ValueError as err:
-            assert str(err) == SYMPLECTIC_REFUSAL
-            verdicts.append(False)
-        else:
-            verdicts.append(True)
-    assert verdicts[0] == verdicts[1] == symplectic_gram_dense(matrix, lattice)
-    return verdicts[0]
+    dense block check of M^T J M."""
+    try:
+        FiniteSymplecticMap(lattice, matrix)
+    except ValueError as err:
+        assert str(err) == SYMPLECTIC_REFUSAL
+        verdict = False
+    else:
+        verdict = True
+    assert verdict == symplectic_gram_dense(matrix, lattice)
+    return verdict
 
 
 def corruptions(matrix, lattice, rng):
@@ -556,8 +550,6 @@ def test_measured_spread_matches_per_entry_loop(label):
 
 
 def test_symplectic_check_makes_no_dense_product(monkeypatch):
-    # The nonzeros route (instantiate_qca, from_entries) makes no matrix
-    # product; a dense matrix is checked with blocks of them.
     qca = lift_to_qca(z3_spec())
     lat = FiniteLattice(3, 2, (3, 3, 3))
     lat5, random_map = random_case(0, 5, 2, (3,))
@@ -569,11 +561,8 @@ def test_symplectic_check_makes_no_dense_product(monkeypatch):
 
     monkeypatch.setattr(finite_oracle, "matmul_mod", counted)
     instantiate_qca(qca, lat)
-    rows, cols = np.nonzero(random_map)
-    FiniteSymplecticMap.from_entries(lat5, rows, cols, random_map[rows, cols])
-    assert calls == []
     FiniteSymplecticMap(lat5, random_map)
-    assert len(calls) == 2
+    assert calls == []
 
 
 def test_symplectic_check_on_a_dense_map_stays_under_dense_product_memory():
