@@ -27,9 +27,7 @@ from .fplinalg import solve
 from .finite_oracle import (
     FiniteLattice,
     InstantiationError,
-    _placement_terms,
-    _site_grid,
-    instantiate_column,
+    placements,
 )
 from .laurent import LaurentMatrix
 from .weyl import PhasedPauli
@@ -151,7 +149,7 @@ def build_hamiltonian(
     sites = list(lattice.sites())
     entries, families = [], []
     for fam, sym in enumerate(symbols):
-        placed, values, fits = _placement_terms(lattice, sym)
+        placed, values, fits = lattice.place(sym)
         keep = np.flatnonzero(fits)
         entries.extend((fam, sites[i]) for i in keep)
         families.append((placed[:, keep].T, np.tile(values, (len(keep), 1))))
@@ -213,10 +211,11 @@ def _solve_transporter(
     target[h.index_of(family, (0,) * lat.dims)] = -charge % lat.p
     spread = max(max(c.spread() for c in cols), 1)
     for margin in (spread, spread + 1):
-        cands = [(j, off) for off in _segment_box(step, margin)
-                 for j in range(len(cols))]
-        placed = np.array([instantiate_column(lat, cols[j], off)
-                           for j, off in cands])
+        # Candidate (offset, j) is generator j placed at the offset, for
+        # the offsets in box order and the generators in turn.
+        offsets = _segment_box(step, margin)
+        placed = np.stack([placements(lat, col, offsets)[0] for col in cols],
+                          axis=1).reshape(-1, lat.symplectic_len)
         coeffs = solve(h.pairings(placed.T), target, lat.p)
         if coeffs is not None:
             break
@@ -226,9 +225,8 @@ def _solve_transporter(
         )
     op = PhasedPauli.identity(lat.p, lat.n_qudits)
     for vec, c in zip(placed, coeffs):
-        factor = PhasedPauli.from_symplectic(lat.p, vec)
-        for _ in range(int(c)):
-            op = op * factor
+        if c:
+            op = op * PhasedPauli.from_symplectic(lat.p, vec) ** int(c)
     return op
 
 
@@ -241,14 +239,6 @@ def _transporter(h: HamiltonianInstance, generators: LaurentMatrix, step,
         h._transporters[key] = _solve_transporter(
             h, _columns(generators), step, charge, family)
     return h._transporters[key]
-
-
-def _translation(lat: FiniteLattice, shift) -> np.ndarray:
-    """The qudit permutation moving an operator by shift on the torus:
-    W.permute(perm) acts at site s as W acts at s - shift."""
-    grid = (_site_grid(lat) - np.array(shift)) % np.array(lat.sizes)
-    src = np.ravel_multi_index(tuple(grid.T), lat.sizes)
-    return (src[:, None] * lat.q + np.arange(lat.q)).ravel()
 
 
 def leg_string(
@@ -273,7 +263,7 @@ def leg_string(
     op = PhasedPauli.identity(lat.p, lat.n_qudits)
     for m in range(length):
         at = tuple(j + m * d for j, d in zip(junction, direction))
-        op = transporter.permute(_translation(lat, at)) * op
+        op = transporter.permute(lat.translation(at)) * op
     near = lat.resolve(junction)
     far = lat.resolve(tuple(j + length * d
                             for j, d in zip(junction, direction)))

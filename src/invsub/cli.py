@@ -74,7 +74,14 @@ def _parse_vector(text: str) -> list[int]:
         raise SpecFormatError(f"bad exponent vector {text!r}") from None
 
 
+# What --window is, by command.
+_WINDOW_NAMES = {"oracle": "reach", "blend-verify": "margin"}
+
+
 def _lattice_for(args, spec: SubalgebraSpec, extra_axis: bool = False):
+    if args.window is not None and args.window < 0:
+        name = _WINDOW_NAMES.get(args.command, "window")
+        raise ValueError(f"{name} {args.window} is negative")
     wanted = spec.dims + (1 if extra_axis else 0)
     if args.torus and args.patch:
         raise SpecFormatError("--torus and --patch are mutually exclusive")

@@ -8,14 +8,18 @@ algebra.  This module is the independent referee for the rest of the
 package: it never touches Laurent-ring reasoning beyond reading off
 coefficients.
 
-Coordinate layout: site index is row-major over the lattice sizes; the
-X exponent of qudit slot k at site s lives at coordinate s*q + k, and
-the Z exponent at q*N + s*q + k, giving symplectic vectors of length
-2qN.
+Coordinate layout, known only to `FiniteLattice`: site index is
+row-major over the lattice sizes (`grid` lists the sites in that order);
+the X exponent of qudit slot k at site s lives at coordinate s*q + k,
+and the Z exponent at q*N + s*q + k, giving symplectic vectors of
+length 2qN.  `coords_of` and `site_of` convert between sites and
+coordinates, `place` lays a symbol column's terms at any array of base
+sites, and `translation` is the qudit permutation of a shift.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -87,10 +91,23 @@ class FiniteLattice:
     def symplectic_len(self) -> int:
         return 2 * self.n_qudits
 
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        """The coordinates of every site, one row per site in site order
+        (row-major over the sizes); read-only."""
+        out = np.indices(self.sizes).reshape(self.dims, -1).T
+        out.flags.writeable = False
+        return out
+
     def sites(self):
         return itertools.product(*(range(s) for s in self.sizes))
 
+    def _check_site(self, site) -> None:
+        if len(site) != self.dims:
+            raise ValueError(f"sites must have {self.dims} coordinates")
+
     def site_index(self, site) -> int:
+        self._check_site(site)
         idx = 0
         for c, size in zip(site, self.sizes):
             idx = idx * size + (c % size)
@@ -99,6 +116,7 @@ class FiniteLattice:
     def resolve(self, site) -> tuple[int, ...] | None:
         """Wrap a site into the lattice, or None if it falls off an
         open patch."""
+        self._check_site(site)
         out = []
         for c, size in zip(site, self.sizes):
             if self.periodic:
@@ -109,16 +127,69 @@ class FiniteLattice:
                 return None
         return tuple(out)
 
+    def coords_of(self, site_indices) -> np.ndarray:
+        """The symplectic coordinates of sites given by index: entry
+        [r, ...] is the coordinate of row r of a symbol column (X slots
+        0..q-1, then Z slots) at each site."""
+        sites = np.asarray(site_indices, dtype=np.int64)
+        rows = np.arange(2 * self.q)
+        offset = rows % self.q + np.where(rows < self.q, 0, self.n_qudits)
+        return offset.reshape((-1,) + (1,) * sites.ndim) + self.q * sites
+
+    def site_of(self, coords) -> np.ndarray:
+        """The index of the site holding each symplectic coordinate."""
+        return np.asarray(coords) % self.n_qudits // self.q
+
     def x_coord(self, site, slot: int) -> int:
-        return self.site_index(site) * self.q + slot
+        return self.site_coords(site)[slot]
 
     def z_coord(self, site, slot: int) -> int:
-        return self.n_qudits + self.x_coord(site, slot)
+        return self.site_coords(site)[self.q + slot]
 
     def site_coords(self, site) -> list[int]:
-        base = self.site_index(site) * self.q
-        xs = [base + k for k in range(self.q)]
-        return xs + [self.n_qudits + c for c in xs]
+        return self.coords_of(self.site_index(site)).tolist()
+
+    def translation(self, shift) -> np.ndarray:
+        """The qudit permutation moving an operator by shift, wrapping
+        round every axis: W.permute(perm) acts at site s as W acts at
+        s - shift."""
+        self._check_site(shift)
+        src = np.ravel_multi_index(tuple(((self.grid - shift) % self.sizes).T),
+                                   self.sizes)
+        return self.coords_of(src)[:self.q].T.ravel()
+
+    def place(self, column: LaurentMatrix, at=None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The terms of a symbol column placed at each base site of `at`
+        (a k x dims array of sites, any integers; default every site in
+        site order): the symplectic coordinate of term t at base s is
+        coords[t, s], its coefficient coeffs[t].  Terms that wrap onto
+        one coordinate stay separate, so a scatter must add them.  Also
+        a mask of the bases where no term falls off an open patch (every
+        base on a torus); the other bases' terms are wrapped round the
+        patch and carry no meaning."""
+        if column.shape != (2 * self.q, 1):
+            raise InstantiationError(f"expected a {2 * self.q} x 1 symbol column")
+        if column.p != self.p or column.nvars != self.dims:
+            raise InstantiationError("symbol ring does not match the lattice")
+        bases = self.grid if at is None else np.asarray(at, dtype=np.int64)
+        if bases.ndim != 2 or bases.shape[1] != self.dims:
+            raise ValueError(f"sites must have {self.dims} coordinates")
+        sizes = np.array(self.sizes)
+        fits = np.ones(len(bases), dtype=bool)
+        at_site = self.coords_of(np.arange(self.n_sites))
+        coords, coeffs = [], []
+        for r in range(2 * self.q):
+            for e, c in column[(r, 0)].terms.items():
+                target = bases + np.array(e)
+                if not self.periodic:
+                    fits &= np.all((target >= 0) & (target < sizes), axis=1)
+                index = np.ravel_multi_index(tuple((target % sizes).T),
+                                             self.sizes)
+                coords.append(at_site[r, index])
+                coeffs.append(c)
+        return (np.array(coords, dtype=np.intp).reshape(len(coeffs), len(bases)),
+                np.array(coeffs, dtype=np.int64), fits)
 
     def window_sites(self, center, radius: int) -> list[tuple[int, ...]]:
         """Sites within sup-distance radius of center (wrapped or
@@ -151,11 +222,16 @@ def pairing_matrix(rows1, rows2, p: int) -> np.ndarray:
             - matmul_mod(r1[:, m:], r2[:, :m].T, p)) % p
 
 
-def _check_column(lattice: FiniteLattice, column: LaurentMatrix) -> None:
-    if column.shape != (2 * lattice.q, 1):
-        raise InstantiationError(f"expected a {2 * lattice.q} x 1 symbol column")
-    if column.p != lattice.p or column.nvars != lattice.dims:
-        raise InstantiationError("symbol ring does not match the lattice")
+def placements(
+    lattice: FiniteLattice, column: LaurentMatrix, at=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The column placed at each base of `at` (default every site), as
+    one row per base, and the mask of `FiniteLattice.place`."""
+    coords, coeffs, fits = lattice.place(column, at)
+    out = np.zeros((len(fits), lattice.symplectic_len), dtype=np.int64)
+    np.add.at(out, (np.arange(len(fits)), coords), coeffs[:, None])
+    out %= lattice.p
+    return out, fits
 
 
 def instantiate_column(
@@ -163,64 +239,8 @@ def instantiate_column(
 ) -> np.ndarray | None:
     """Place one symbol column at a base site; None if any term of any
     entry falls off an open patch."""
-    _check_column(lattice, column)
-    vec = np.zeros(lattice.symplectic_len, dtype=np.int64)
-    for r in range(2 * lattice.q):
-        f = column[(r, 0)]
-        slot = r % lattice.q
-        z_half = r >= lattice.q
-        for e, c in f.terms.items():
-            target = lattice.resolve(tuple(b + d for b, d in zip(base_site, e)))
-            if target is None:
-                return None
-            coord = (lattice.z_coord(target, slot) if z_half
-                     else lattice.x_coord(target, slot))
-            vec[coord] = (vec[coord] + c) % lattice.p
-    return vec
-
-
-def _site_grid(lattice: FiniteLattice) -> np.ndarray:
-    """The coordinates of every site, one row per site in site order."""
-    return np.indices(lattice.sizes).reshape(lattice.dims, -1).T
-
-
-def _placement_terms(
-    lattice: FiniteLattice, column: LaurentMatrix
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The terms of the column placed at every site: the symplectic
-    coordinate of term t at site s is coords[t, s], its coefficient
-    coeffs[t].  Terms that wrap onto one coordinate stay separate, so a
-    scatter must add them.  Also a mask of the sites where no term falls
-    off an open patch (every site of a torus); the other sites' terms
-    are wrapped round the patch and carry no meaning."""
-    _check_column(lattice, column)
-    sizes = np.array(lattice.sizes)
-    grid = _site_grid(lattice)
-    fits = np.ones(lattice.n_sites, dtype=bool)
-    coords, coeffs = [], []
-    for r in range(2 * lattice.q):
-        offset = r % lattice.q + (lattice.n_qudits if r >= lattice.q else 0)
-        for e, c in column[(r, 0)].terms.items():
-            target = grid + np.array(e)
-            if not lattice.periodic:
-                fits &= np.all((target >= 0) & (target < sizes), axis=1)
-            index = np.ravel_multi_index(tuple((target % sizes).T), lattice.sizes)
-            coords.append(index * lattice.q + offset)
-            coeffs.append(c)
-    return (np.array(coords, dtype=np.intp).reshape(-1, lattice.n_sites),
-            np.array(coeffs, dtype=np.int64), fits)
-
-
-def _placements(
-    lattice: FiniteLattice, column: LaurentMatrix
-) -> tuple[np.ndarray, np.ndarray]:
-    """The column placed at every site, as one row per site in site
-    order, and the mask of `_placement_terms`."""
-    coords, coeffs, fits = _placement_terms(lattice, column)
-    out = np.zeros((lattice.n_sites, lattice.symplectic_len), dtype=np.int64)
-    np.add.at(out, (np.arange(lattice.n_sites), coords), coeffs[:, None])
-    out %= lattice.p
-    return out, fits
+    rows, fits = placements(lattice, column, [base_site])
+    return rows[0] if fits[0] else None
 
 
 def instantiate_spec(spec: SubalgebraSpec, lattice: FiniteLattice) -> np.ndarray:
@@ -235,7 +255,7 @@ def instantiate_spec(spec: SubalgebraSpec, lattice: FiniteLattice) -> np.ndarray
     rows = [np.zeros((0, lattice.symplectic_len), dtype=np.int64)]
     for j in range(spec.n_generators):
         col = spec.generators.submatrix(range(2 * spec.q), [j])
-        placed, fits = _placements(lattice, col)
+        placed, fits = placements(lattice, col)
         if not fits.any():
             raise InstantiationError(
                 f"no translate of generator {j} fits on the patch"
@@ -261,12 +281,10 @@ def spec_span_on_sheet(spec: SubalgebraSpec, lattice: FiniteLattice,
     flat = FiniteLattice(lattice.p, lattice.q, lattice.sizes[:-1],
                          lattice.periodic)
     basis = row_basis(instantiate_spec(spec, flat), lattice.p)
-    site, slot = np.divmod(np.arange(flat.n_qudits), lattice.q)
-    target = (site * lattice.sizes[-1] + sheet % lattice.sizes[-1]) \
-        * lattice.q + slot
+    on_sheet = np.flatnonzero(lattice.grid[:, -1] == sheet % lattice.sizes[-1])
     out = np.zeros((basis.shape[0], lattice.symplectic_len), dtype=np.int64)
-    out[:, target] = basis[:, :flat.n_qudits]
-    out[:, lattice.n_qudits + target] = basis[:, flat.n_qudits:]
+    out[:, lattice.coords_of(on_sheet)] = \
+        basis[:, flat.coords_of(np.arange(flat.n_sites))]
     return out
 
 
@@ -342,23 +360,16 @@ class VsReport:
     failure_element: np.ndarray | None
 
 
-def _unit_shift(lattice: FiniteLattice, axis: int) -> np.ndarray:
-    """Coordinate permutation that moves every operator one site along
-    an axis of the torus: column j of the moved rows is column src[j]."""
-    grid = np.arange(lattice.n_sites).reshape(lattice.sizes)
-    src_sites = np.roll(grid, 1, axis=axis).ravel()
-    xs = (src_sites[:, None] * lattice.q + np.arange(lattice.q)).ravel()
-    return np.concatenate([xs, lattice.n_qudits + xs])
-
-
 def _translation_invariant(span: np.ndarray, lattice: FiniteLattice) -> bool:
     """Is the span mapped onto itself by a unit shift along every axis
     (and so by every translation of the torus)?"""
-    return all(
-        np.array_equal(row_basis(span[:, _unit_shift(lattice, axis)], lattice.p),
-                       span)
-        for axis in range(lattice.dims)
-    )
+    # Both halves of a row move by the same qudit permutation.
+    halves = span.reshape(-1, 2, lattice.n_qudits)
+    for unit in np.eye(lattice.dims, dtype=np.int64):
+        moved = halves[:, :, lattice.translation(unit)].reshape(span.shape)
+        if not np.array_equal(row_basis(moved, lattice.p), span):
+            return False
+    return True
 
 
 def check_vs(rows, lattice: FiniteLattice, reach: int) -> VsReport:
@@ -402,22 +413,23 @@ def _vs_of_span(span: np.ndarray, lattice: FiniteLattice, reach: int) -> VsRepor
     if lattice.periodic and _translation_invariant(span, lattice):
         sites = itertools.islice(sites, 1)
     for s in sites:
-        window = [c for t in lattice.window_sites(s, reach)
-                  for c in lattice.site_coords(t)]
+        # The window's columns, X half then Z half.
         inside = np.zeros(n, dtype=bool)
-        inside[window] = True
-        w_s = coordinate_restriction(span[inside[pivots]], window, p)
-        # W_s lives on the window, so P and S read only the window's
-        # columns (X half, then Z half), and only the span rows that
-        # touch the window give them nonzero columns.
+        inside[lattice.coords_of([lattice.site_index(t) for t in
+                                  lattice.window_sites(s, reach)])] = True
         cols = np.flatnonzero(inside)
+        w_s = coordinate_restriction(span[inside[pivots]], cols, p)
+        # W_s lives on the window, so P and S read only its columns, and
+        # only the span rows that touch the window give them nonzero
+        # columns.
         near = span[:, cols]
         near = near[near.any(axis=1)]
         pairing = pairing_matrix(w_s[:, cols], near, p)
-        here = near[:, np.searchsorted(cols, lattice.site_coords(s))].T
-        if rank(np.vstack([pairing, here]), p) > rank(pairing, p):
+        here = lattice.site_coords(s)
+        at_s = near[:, np.searchsorted(cols, here)].T
+        if rank(np.vstack([pairing, at_s]), p) > rank(pairing, p):
             blind = _orthogonal_part(span, w_s, p)
-            hits = np.flatnonzero(blind[:, lattice.site_coords(s)].any(axis=1))
+            hits = np.flatnonzero(blind[:, here].any(axis=1))
             return VsReport(False, tuple(s), blind[hits[0]].copy())
     return VsReport(True, None, None)
 
@@ -604,12 +616,12 @@ class FiniteSymplecticMap:
         """Largest distance between the sites of the row and the column
         of a nonzero entry of M."""
         lat = self.lattice
-        grid = _site_grid(lat)
+        grid = lat.grid
         sizes = np.array(lat.sizes)
         out = 0
         for lo in range(0, self.rows.size, _CHUNK):
-            d = np.abs(grid[self.rows[lo:lo + _CHUNK] % lat.n_qudits // lat.q]
-                       - grid[self.cols[lo:lo + _CHUNK] % lat.n_qudits // lat.q])
+            d = np.abs(grid[lat.site_of(self.rows[lo:lo + _CHUNK])]
+                       - grid[lat.site_of(self.cols[lo:lo + _CHUNK])])
             if lat.periodic:
                 d = np.minimum(d, sizes - d)
             out = max(out, int(d.max()))
@@ -625,11 +637,10 @@ def instantiate_qca(qca: CliffordQCA, lattice: FiniteLattice) -> FiniteSymplecti
     # term of every column is one entry, and the terms that wrap onto
     # one coordinate are summed.
     rows, cols, coeffs = [], [], []
-    site_x = np.arange(lattice.n_sites) * qca.q
-    for c in range(2 * qca.q):
+    sources = lattice.coords_of(np.arange(lattice.n_sites))
+    for c, src in enumerate(sources):
         col = qca.matrix.submatrix(range(2 * qca.q), [c])
-        coords, terms, _ = _placement_terms(lattice, col)
-        src = site_x + c % qca.q + (lattice.n_qudits if c >= qca.q else 0)
+        coords, terms, _ = lattice.place(col)
         rows.append(coords.ravel())
         cols.append(np.broadcast_to(src, coords.shape).ravel())
         coeffs.append(np.repeat(terms, lattice.n_sites))
@@ -695,9 +706,9 @@ def boundary_algebra_finite(
         raise ValueError("need window <= depth <= L - 2 for a meaningful band")
 
     def layer_coords(layers):
-        wanted = {l % L for l in layers}
-        return np.array([c for s in lat.sites() if s[axis] in wanted
-                         for c in lat.site_coords(s)], dtype=np.intp)
+        wanted = [l % L for l in layers]
+        return lat.coords_of(
+            np.flatnonzero(np.isin(lat.grid[:, axis], wanted))).ravel()
 
     p, n, half = lat.p, lat.symplectic_len, lat.n_qudits
     band = layer_coords(range(cut + 1, cut + depth + 1))
@@ -751,7 +762,7 @@ def verify_blend(
                          f"one side of the axis empty: need {margin} < "
                          f"interface < {L - 1 - margin}")
     p, n = lat.p, lat.symplectic_len
-    layer = _site_grid(lat)[np.arange(n) % lat.n_qudits // lat.q, axis]
+    layer = lat.grid[lat.site_of(np.arange(n)), axis]
     below, above = layer < interface - margin, layer > interface + margin
 
     def coded(x, in_columns):
@@ -792,9 +803,6 @@ def center_at_boundary_distance(rows, lattice: FiniteLattice) -> int:
 
 def _boundary_distance(center: np.ndarray, lattice: FiniteLattice) -> int:
     """center_at_boundary_distance for a basis of the center."""
-    supported = center.any(axis=0)
-    return max(
-        (min(min(c, size - 1 - c) for c, size in zip(s, lattice.sizes))
-         for s in lattice.sites() if supported[lattice.site_coords(s)].any()),
-        default=-1,
-    )
+    sites = lattice.grid[lattice.site_of(np.flatnonzero(center.any(axis=0)))]
+    edge = np.minimum(sites, np.array(lattice.sizes) - 1 - sites).min(axis=1)
+    return int(edge.max(initial=-1))

@@ -104,6 +104,15 @@ class PhasedPauli:
             self.b + other.b,
         )
 
+    def __pow__(self, c: int) -> "PhasedPauli":
+        """W^c in closed form, for any integer c: the k-th product of W
+        with W^k picks up k (b.a) from the Z factors sweeping past the X
+        factors, so W^c = omega^(c phase + C(c, 2) b.a) X^(ca) Z^(cb)."""
+        cross = int(np.dot(self.b, self.a)) % self.p
+        k = c % self.p
+        return PhasedPauli(self.p, c * self.phase + c * (c - 1) // 2 * cross,
+                           k * self.a, k * self.b)
+
     def dagger(self) -> "PhasedPauli":
         cross = int(np.dot(self.a, self.b)) % self.p
         return PhasedPauli(self.p, -self.phase + cross, -self.a, -self.b)

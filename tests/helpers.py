@@ -19,8 +19,6 @@ from invsub.finite_oracle import (
     FiniteInvertibilityReport,
     InstantiationError,
     VsReport,
-    _unit_shift,
-    instantiate_column,
     pairing_matrix,
     symplectic_complement,
 )
@@ -51,6 +49,37 @@ from invsub.weyl import (
     _spectral_class,
     unitary_distance,
 )
+
+
+def instantiate_column_per_term(lattice, column, base_site):
+    """finite_oracle.instantiate_column as first written: every term of
+    every entry resolved and added one at a time, with the coordinate
+    layout written out (X slot k of site s at s*q + k, Z at q*N + s*q +
+    k).  None if a term falls off an open patch."""
+    q = lattice.q
+    if column.shape != (2 * q, 1):
+        raise InstantiationError(f"expected a {2 * q} x 1 symbol column")
+    if column.p != lattice.p or column.nvars != lattice.dims:
+        raise InstantiationError("symbol ring does not match the lattice")
+    vec = np.zeros(lattice.symplectic_len, dtype=np.int64)
+    for r in range(2 * q):
+        for e, c in column[(r, 0)].terms.items():
+            target = lattice.resolve(tuple(b + d for b, d in zip(base_site, e)))
+            if target is None:
+                return None
+            coord = (lattice.site_index(target) * q + r % q
+                     + (lattice.n_qudits if r >= q else 0))
+            vec[coord] = (vec[coord] + c) % lattice.p
+    return vec
+
+
+def translation_by_roll(lattice, shift):
+    """The qudit permutation of FiniteLattice.translation as first
+    written, from np.roll of the site-index array: qudit k of site s
+    reads qudit k of site s - shift."""
+    grid = np.arange(lattice.n_sites).reshape(lattice.sizes)
+    src = np.roll(grid, tuple(shift), axis=tuple(range(lattice.dims))).ravel()
+    return (src[:, None] * lattice.q + np.arange(lattice.q)).ravel()
 
 
 def mat(p, nvars, rows):
@@ -380,10 +409,12 @@ def dist_bounded_every_candidate(alpha, beta, p, m, max_support=2):
 def translation_invariant_rereducing(span, lattice):
     """finite_oracle._translation_invariant as first written: the
     already canonical span is reduced again for every axis."""
-    return all(
-        row_space_equal(span[:, _unit_shift(lattice, axis)], span, lattice.p)
-        for axis in range(lattice.dims)
-    )
+    for unit in np.eye(lattice.dims, dtype=int):
+        perm = translation_by_roll(lattice, unit)
+        moved = span[:, np.concatenate([perm, lattice.n_qudits + perm])]
+        if not row_space_equal(moved, span, lattice.p):
+            return False
+    return True
 
 
 def boundary_algebra_via_image(alpha, axis, cut, window, depth=None):
@@ -473,7 +504,7 @@ def instantiate_spec_per_site(spec, lattice):
         col = spec.generators.submatrix(range(2 * spec.q), [j])
         placed = 0
         for s in lattice.sites():
-            vec = instantiate_column(lattice, col, s)
+            vec = instantiate_column_per_term(lattice, col, s)
             if vec is not None:
                 rows.append(vec)
                 placed += 1
@@ -497,7 +528,7 @@ def instantiate_qca_per_site(qca, lattice):
             slot = c % qca.q
             src = (lattice.z_coord(s, slot) if c >= qca.q
                    else lattice.x_coord(s, slot))
-            big[:, src] = instantiate_column(lattice, cols[c], s)
+            big[:, src] = instantiate_column_per_term(lattice, cols[c], s)
     return big
 
 
@@ -507,7 +538,7 @@ def hamiltonian_terms_per_site(lattice, term_symbols):
     entries, rows = [], []
     for fam, sym in enumerate(term_symbols):
         for s in lattice.sites():
-            vec = instantiate_column(lattice, sym, s)
+            vec = instantiate_column_per_term(lattice, sym, s)
             if vec is not None:
                 entries.append((fam, s))
                 rows.append(vec)
@@ -574,7 +605,8 @@ def _transporter_factors(h, cols, step, charge, family):
                   for s in step]
         cands = [(j, off) for off in itertools.product(*ranges)
                  for j in range(len(cols))]
-        placed = [instantiate_column(lat, cols[j], off) for j, off in cands]
+        placed = [instantiate_column_per_term(lat, cols[j], off)
+                  for j, off in cands]
         coeffs = solve(pairing_matrix(h.rows, placed, lat.p), target, lat.p)
         if coeffs is not None:
             return [(j, off, int(c)) for (j, off), c in zip(cands, coeffs) if c]
@@ -597,7 +629,7 @@ def leg_string_per_step(h, generators, junction, direction, length,
         for j, off, c in factors:
             site = tuple(a + o for a, o in zip(at, off))
             factor = PhasedPauli.from_symplectic(
-                lat.p, instantiate_column(lat, cols[j], site))
+                lat.p, instantiate_column_per_term(lat, cols[j], site))
             for _ in range(c):
                 step = step * factor
         op = step * op

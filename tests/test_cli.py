@@ -41,7 +41,7 @@ from invsub.specio import (
 )
 from invsub.weyl import MAX_CANDIDATES
 
-from helpers import with_repeated_columns, z3_tensor
+from helpers import XI_Z3_ROWS, mat, with_repeated_columns, z3_tensor
 
 
 def run(capsys, *argv):
@@ -792,3 +792,44 @@ def test_output_is_deterministic(capsys):
     _, _, first = run(capsys, "commutant", "--spec", "example-z3")
     _, _, second = run(capsys, "commutant", "--spec", "example-z3")
     assert first == second
+
+
+def test_spin_over_a_large_prime_in_closed_form(tmp_path, capsys):
+    # The example-z3 form over F_65521: the transporter's factors carry
+    # exponents up to p - 1, and raising them by repeated products made
+    # 393 263 products and took 7.9 s.
+    p = 65521
+    xi = mat(p, 2, XI_Z3_ROWS)
+    path = tmp_path / "z3_65521.json"
+    path.write_text(spec_to_json(invsub.from_antihermitian(xi)))
+    start = perf_counter()
+    code, payload, out = run(capsys, "spin", "--spec", str(path),
+                             "--torus", "21x21")
+    assert perf_counter() - start < 1.5
+    assert code == 0
+    assert payload["theta_exponent"] == 49141
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "552cdbc8c428fd763a74c382b9c80947e0c6600a1ae96f2255046f972146e9dd"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("oracle", "--spec", "example-z3", "--torus", "31x31"), "reach -1"),
+    (("boundary", "--spec", "example-z3", "--torus", "9x9x9", "--axis", "2"),
+     "window -1"),
+    (("blend-verify", "--spec", "example-z3", "--torus", "9x9x9",
+      "--axis", "2", "--cut", "3"), "margin -1"),
+    (("spin", "--spec", "example-z3", "--torus", "9x9"), "window -1"),
+])
+def test_negative_window_refused_before_any_work(monkeypatch, capsys, argv,
+                                                 message):
+    # oracle at 31x31 exited 2 only after 1.5 s of instantiation and
+    # elimination, boundary and blend-verify after lifting.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the window was checked")
+
+    for name in ("instantiate_spec", "lift_to_qca", "build_hamiltonian"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, payload, _ = run(capsys, *argv, "--window", "-1")
+    assert code == 2
+    assert payload["error_kind"] == "ValueError"
+    assert payload["error"] == f"{message} is negative"

@@ -15,6 +15,7 @@ from helpers import (
     boundary_distance_every_vector,
     check_vs_every_site,
     full_spec,
+    instantiate_column_per_term,
     instantiate_qca_per_site,
     instantiate_spec_per_site,
     invertibility_and_center_via_complement,
@@ -23,6 +24,7 @@ from helpers import (
     non_graph_spec,
     random_symplectic_matrix,
     symplectic_gram_dense,
+    translation_by_roll,
     translation_invariant_rereducing,
     xz_chain_spec,
     z3_spec,
@@ -52,7 +54,7 @@ from invsub.finite_oracle import (
     symplectic_complement,
     verify_blend,
 )
-from invsub.laurent import LaurentMatrix
+from invsub.laurent import LaurentMatrix, LaurentPoly
 from invsub.pauli import (
     SubalgebraSpec,
     check_invertible,
@@ -116,6 +118,133 @@ def test_instantiate_column_patch_drop():
     col = mat(3, 2, [["1 - y"], ["0"]])
     assert instantiate_column(pat, col, (0, 2)) is None
     assert instantiate_column(pat, col, (0, 1)) is not None
+
+
+def random_column(rng, p, q, dims, reach=2):
+    """A 2q x 1 symbol column whose entries have up to three terms with
+    exponents in [-reach, reach]."""
+    entries = []
+    for _ in range(2 * q):
+        f = LaurentPoly.zero(p, dims)
+        for _ in range(rng.randint(0, 3)):
+            e = tuple(rng.randint(-reach, reach) for _ in range(dims))
+            f = f + LaurentPoly.monomial(rng.randint(1, p - 1), e, p, dims)
+        entries.append([f])
+    return LaurentMatrix(p, dims, entries)
+
+
+LAYOUT_SIZES = {1: [(1,), (2,), (5,)], 2: [(1, 3), (2, 2), (3, 4)],
+                3: [(1, 2, 2), (2, 3, 2)]}
+
+
+def layout_cases():
+    """Seeded (lattice, column, bases) draws on tori and patches, p in
+    {2, 3, 5}, dims 1 to 3; the bases include sites off the patch and
+    negative ones."""
+    rng = random.Random(20)
+    for dims, sizes_list in LAYOUT_SIZES.items():
+        for sizes in sizes_list:
+            for p in (2, 3, 5):
+                for periodic in (True, False):
+                    q = rng.choice((1, 2))
+                    lat = FiniteLattice(p, q, sizes, periodic)
+                    for _ in range(3):
+                        bases = [tuple(rng.randint(-3, s + 2) for s in sizes)
+                                 for _ in range(6)]
+                        yield lat, random_column(rng, p, q, dims), bases
+
+
+def test_placement_matches_per_term_reference():
+    offs = fits = 0
+    for lat, col, bases in layout_cases():
+        rows, mask = finite_oracle.placements(lat, col, bases)
+        coords, coeffs, place_mask = lat.place(col, bases)
+        assert coords.shape == (len(coeffs), len(bases))
+        assert np.array_equal(mask, place_mask)
+        for i, base in enumerate(bases):
+            want = instantiate_column_per_term(lat, col, base)
+            got = instantiate_column(lat, col, base)
+            assert (got is None) == (want is None) == (not mask[i])
+            if want is not None:
+                assert np.array_equal(got, want)
+                assert np.array_equal(rows[i], want)
+                fits += 1
+            offs += lat.resolve(base) is None
+    # Both outcomes and bases off the patch were drawn.
+    assert fits and offs
+
+
+def test_place_at_every_site_by_default():
+    for lat, col, _ in itertools.islice(layout_cases(), 0, None, 5):
+        every = lat.place(col)
+        listed = lat.place(col, list(lat.sites()))
+        for a, b in zip(every, listed):
+            assert np.array_equal(a, b)
+
+
+def test_translation_matches_roll_reference():
+    rng = random.Random(21)
+    for lat, _, bases in itertools.islice(layout_cases(), 0, None, 3):
+        for shift in bases + [(0,) * lat.dims]:
+            want = translation_by_roll(lat, shift)
+            assert np.array_equal(lat.translation(shift), want)
+        axis = rng.randrange(lat.dims)
+        unit = tuple(int(k == axis) for k in range(lat.dims))
+        assert np.array_equal(lat.translation(unit),
+                              translation_by_roll(lat, unit))
+
+
+def test_translation_moves_a_placed_column():
+    # Placing at s then translating by t is placing at s + t.
+    for lat, col, bases in itertools.islice(layout_cases(), 0, None, 2):
+        if not lat.periodic:
+            continue
+        base, shift = bases[0], bases[1]
+        perm = lat.translation(shift)
+        vec = instantiate_column(lat, col, base)
+        moved = vec.reshape(2, -1)[:, perm].ravel()
+        assert np.array_equal(
+            moved,
+            instantiate_column(lat, col, tuple(b + t for b, t in
+                                               zip(base, shift))))
+
+
+def test_layout_coordinates():
+    lat = FiniteLattice(3, 2, (3, 4), periodic=False)
+    assert lat.grid.tolist()[:5] == [[0, 0], [0, 1], [0, 2], [0, 3], [1, 0]]
+    assert not lat.grid.flags.writeable
+    assert lat.grid is lat.grid
+    for i, s in enumerate(lat.sites()):
+        assert tuple(lat.grid[i]) == s
+        here = lat.site_coords(s)
+        assert here == [2 * i, 2 * i + 1, 24 + 2 * i, 25 + 2 * i]
+        assert lat.coords_of(i).tolist() == here
+        assert lat.site_of(here).tolist() == [i] * 4
+    assert lat.coords_of([0, 5]).tolist() == [[0, 10], [1, 11],
+                                              [24, 34], [25, 35]]
+    assert lat.site_of(np.arange(48)).tolist() == \
+        list(np.repeat(np.arange(12), 2)) * 2
+
+
+def test_wrong_arity_sites_are_refused():
+    # zip truncated them: site_index((7,)) was 2, and the column placed
+    # at (0,) was not its placement at (0, 0).
+    lat = FiniteLattice(3, 2, (5, 5))
+    col = z3_spec().generators.submatrix(range(4), [0])
+    for site in ((7,), (0,), (1, 2, 3), ()):
+        with pytest.raises(ValueError, match="2 coordinates"):
+            lat.site_index(site)
+        with pytest.raises(ValueError, match="2 coordinates"):
+            lat.resolve(site)
+        with pytest.raises(ValueError, match="2 coordinates"):
+            lat.translation(site)
+        with pytest.raises(ValueError, match="2 coordinates"):
+            instantiate_column(lat, col, site)
+        with pytest.raises(ValueError, match="2 coordinates"):
+            lat.place(col, [site])
+    with pytest.raises(ValueError, match="2 coordinates"):
+        lat.place(col, [(0, 0, 0), (1, 1, 1)])
+    assert lat.site_index((7, 0)) == 10
 
 
 def test_instantiate_spec_ranks():
@@ -741,9 +870,9 @@ def placement_outcome(build, *args):
 def assert_placements_match_per_site(spec, lattice):
     for j in range(spec.n_generators):
         col = spec.generators.submatrix(range(2 * spec.q), [j])
-        rows, fits = finite_oracle._placements(lattice, col)
+        rows, fits = finite_oracle.placements(lattice, col)
         for i, s in enumerate(lattice.sites()):
-            vec = instantiate_column(lattice, col, s)
+            vec = instantiate_column_per_term(lattice, col, s)
             assert fits[i] == (vec is not None)
             if vec is not None:
                 assert np.array_equal(rows[i], vec)

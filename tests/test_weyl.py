@@ -419,3 +419,17 @@ def test_dist_bounded_conjugations_on_another_register():
         dist_bounded(alpha, beta, 5, 7)
     with pytest.raises(ValueError, match="different register"):
         dist_bounded(alpha, beta, 7, 6)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_power_matches_repeated_products(p):
+    rng = np.random.default_rng(p)
+    for _ in range(4):
+        w = PhasedPauli(p, int(rng.integers(p)), rng.integers(0, p, 5),
+                        rng.integers(0, p, 5))
+        product = PhasedPauli.identity(p, 5)
+        for c in range(3 * p + 1):
+            assert w ** c == product
+            product = product * w
+        assert w ** -1 == w.dagger()
+        assert w ** -p == (w ** p).dagger()
