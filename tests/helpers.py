@@ -74,9 +74,9 @@ def instantiate_column_per_term(lattice, column, base_site):
 
 
 def translation_by_roll(lattice, shift):
-    """The qudit permutation of FiniteLattice.translation as first
-    written, from np.roll of the site-index array: qudit k of site s
-    reads qudit k of site s - shift."""
+    """The qudit permutation of FiniteLattice.translation, built the way
+    the torus unit shifts first were, by np.roll of the site-index
+    array: qudit k of site s reads qudit k of site s - shift."""
     grid = np.arange(lattice.n_sites).reshape(lattice.sizes)
     src = np.roll(grid, tuple(shift), axis=tuple(range(lattice.dims))).ravel()
     return (src[:, None] * lattice.q + np.arange(lattice.q)).ravel()
