@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ._lazy_numpy import LazyNumpy
 from .fplinalg import solve
@@ -53,7 +53,6 @@ class NotModularError(ValueError):
     """The spin collection fails the Gauss-sum modularity test."""
 
 
-@dataclass(frozen=True)
 class HamiltonianInstance:
     """One commuting Pauli term per (family, site) on a finite lattice.
 
@@ -68,13 +67,19 @@ class HamiltonianInstance:
     it, keyed by (generators, step, charge mod p, family).
     """
 
-    lattice: FiniteLattice
-    term_symbols: tuple[LaurentMatrix, ...]
-    entries: tuple[tuple[int, tuple[int, ...]], ...]
-    _partners: np.ndarray = field(repr=False, compare=False)
-    _weights: np.ndarray = field(repr=False, compare=False)
-    _transporters: dict = field(default_factory=dict, init=False,
-                                repr=False, compare=False)
+    def __init__(self, lattice: FiniteLattice,
+                 term_symbols: tuple[LaurentMatrix, ...],
+                 entries: tuple[tuple[int, tuple[int, ...]], ...],
+                 partners: np.ndarray, weights: np.ndarray):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "term_symbols", term_symbols)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_partners", partners)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_transporters", {})
+
+    def __setattr__(self, *a):
+        raise AttributeError("HamiltonianInstance is immutable")
 
     @property
     def spread(self) -> int:
@@ -314,8 +319,7 @@ def hopping_operator(
 DEFAULT_LEG_DIRECTIONS = ((1, 0), (0, 1), (-1, -1))
 
 
-@dataclass(frozen=True)
-class SpinReport:
+class SpinReport(NamedTuple):
     exponent: int
     p: int
     junction: tuple[int, ...]
@@ -417,8 +421,7 @@ _EIGHTH_ROOT_TEXT = ("1", "exp(I*pi/4)", "I", "exp(3*I*pi/4)", "-1",
                      "exp(-3*I*pi/4)", "-I", "exp(-I*pi/4)")
 
 
-@dataclass(frozen=True)
-class GaussSumReport:
+class GaussSumReport(NamedTuple):
     eighth_root_exponent: int
 
     @property

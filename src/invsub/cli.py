@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
+from . import __version__
 from .anyon_lab import (
     NotModularError,
     SpinGeometryError,
@@ -49,8 +49,6 @@ from .qca import lift_to_qca, qca_inverse
 from .specio import SpecFormatError, check_prime, resolve_spec, spec_to_json
 from .weyl import PauliConjugation, PhasedPauli, dist_bounded
 from .zoo import example_names, get_example, plaquette_term
-
-VERSION = "0.1.0"
 
 
 def _matrix_strings(m: LaurentMatrix) -> list[list[str]]:
@@ -101,7 +99,7 @@ def _ratio(lattice: FiniteLattice, spread: int) -> float:
 
 
 def _payload(command: str, **fields) -> dict:
-    fields["version"] = VERSION
+    fields["version"] = __version__
     fields["command"] = command
     return fields
 
@@ -293,6 +291,10 @@ def _spin_inputs(token: str):
 def _cmd_spin(args) -> tuple[int, dict]:
     spec, term_symbols, hop_gens = _spin_inputs(args.spec)
     lattice = _lattice_for(args, spec)
+    if args.window is not None:
+        # The junction's legs are sized from the terms' spread; spin has
+        # no window to set.
+        raise ValueError("spin takes no --window")
     h = build_hamiltonian(lattice, term_symbols)
     base = topological_spin(h, hop_gens, charge=args.charge)
     min_leg = base.leg_length
@@ -458,6 +460,8 @@ def main(argv=None) -> int:
         elif isinstance(exc, ValueError):
             code = 2
         else:
+            import traceback
+
             code = 3
             traceback.print_exc()
         payload = _payload(args.command, error=str(exc),

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._lazy_numpy import LazyNumpy
 from .fplinalg import (
@@ -55,22 +55,35 @@ class LatticeSizeError(ValueError):
     """The lattice's register is longer than MAX_SYMPLECTIC_LEN."""
 
 
-@dataclass(frozen=True)
 class FiniteLattice:
     """A finite qudit array: q qudits on each site of a torus (periodic)
-    or an open box (translates crossing the boundary are dropped)."""
+    or an open box (translates crossing the boundary are dropped).
+    Immutable; equal lattices hash alike."""
 
-    p: int
-    q: int
-    sizes: tuple[int, ...]
-    periodic: bool = True
-
-    def __post_init__(self):
-        if any(s < 1 for s in self.sizes) or not self.sizes:
+    def __init__(self, p: int, q: int, sizes: tuple[int, ...],
+                 periodic: bool = True):
+        sizes = tuple(sizes)
+        if any(s < 1 for s in sizes) or not sizes:
             raise ValueError("lattice sizes must be positive")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "periodic", periodic)
         if self.symplectic_len > MAX_SYMPLECTIC_LEN:
             raise LatticeSizeError(f"{self.symplectic_len} symplectic coordinates, "
                                    f"over the supported bound {MAX_SYMPLECTIC_LEN}")
+
+    def __setattr__(self, *a):
+        raise AttributeError("FiniteLattice is immutable")
+
+    def _key(self) -> tuple:
+        return self.p, self.q, self.sizes, self.periodic
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FiniteLattice) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def dims(self) -> int:
@@ -308,8 +321,7 @@ def symplectic_complement(rows, lattice: FiniteLattice) -> np.ndarray:
     return kernel(sj, lattice.p)
 
 
-@dataclass(frozen=True)
-class FiniteInvertibilityReport:
+class FiniteInvertibilityReport(NamedTuple):
     invertible: bool
     dim_span: int
     dim_commutant: int
@@ -353,8 +365,7 @@ def check_invertible_finite(
                                      spread)[0]
 
 
-@dataclass(frozen=True)
-class VsReport:
+class VsReport(NamedTuple):
     holds: bool
     failure_site: tuple[int, ...] | None
     failure_element: np.ndarray | None
@@ -503,31 +514,13 @@ def _preserves_form(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     return True
 
 
-def _dense_entries(matrix, lattice: FiniteLattice):
-    """Row-major nonzeros (rows, cols, values mod p) of a dense n x n
-    matrix on the lattice's register."""
-    m = np.asarray(matrix, dtype=np.int64)
-    n = lattice.symplectic_len
-    if m.shape != (n, n):
-        raise ValueError(f"matrix must be {n} x {n}")
-    rows, cols = np.nonzero(m)
-    values = m[rows, cols]
-    values %= lattice.p
-    if not values.all():
-        keep = values != 0
-        rows, cols, values = rows[keep], cols[keep], values[keep]
-    return rows, cols, values
-
-
-@dataclass(frozen=True, init=False, eq=False)
 class FiniteSymplecticMap:
     """An exact symplectic automorphism of the finite symbol space.
 
     The matrix M (n x n, read mod p) is kept as its nonzeros: `rows`,
-    `cols` and `values` in [1, p), in row-major order.  `matrix` makes
-    the dense M on each read.  A dense matrix given to the constructor
-    is converted once; `from_entries` takes the nonzeros directly and
-    sums repeated coordinates.
+    `cols` and `values` in [1, p), in row-major order, read-only.
+    `matrix` makes the dense M on each read.  `from_entries` is the one
+    constructor: it takes nonzeros and sums repeated coordinates.
 
     M is accepted exactly when M^T J M = J, with J = [[0, I], [-I, 0]]
     (`_preserves_form`): each entry of M^T J M is summed from products of
@@ -536,22 +529,13 @@ class FiniteSymplecticMap:
     time.  For a lifted automaton the nonzeros of a row or column come
     from the terms of its symbol, so their number does not grow with the
     lattice: 14 in each column for example-z3, at most 16 for spread-2
-    and spread-3 remark specs, about 200 n products.  A dense M still
-    makes n^3 products: memory stays under that of the dense product
-    M^T (J M), but the time is seconds from n = 512 on.
+    and spread-3 remark specs, about 200 n products.  A dense M makes
+    n^3 products (1.6 s at n = 512 and 7.6 s at n = 1024 on a 2-core
+    Xeon VM): memory stays under that of the dense product M^T (J M),
+    but the time is seconds from n = 512 on.
     """
 
-    lattice: FiniteLattice
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    spread: int
-
-    def __init__(self, lattice: FiniteLattice, matrix, spread: int = -1):
-        """The map with the dense n x n matrix M.  The form check costs
-        about n^3 products when M is dense (1.6 s at n = 512 and 7.6 s at
-        n = 1024 on a 2-core Xeon VM); a sparse M costs its nonzeros."""
-        self._validate(lattice, *_dense_entries(matrix, lattice), spread)
+    __slots__ = ("lattice", "rows", "cols", "values", "spread")
 
     @classmethod
     def from_entries(cls, lattice: FiniteLattice, rows, cols, values,
@@ -589,6 +573,9 @@ class FiniteSymplecticMap:
             raise ValueError("matrix does not preserve the symplectic form")
         object.__setattr__(self, "spread",
                            spread if spread >= 0 else self._measure_spread())
+
+    def __setattr__(self, *a):
+        raise AttributeError("FiniteSymplecticMap is immutable")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -649,8 +636,7 @@ def instantiate_qca(qca: CliffordQCA, lattice: FiniteLattice) -> FiniteSymplecti
                                             spread=qca.spread)
 
 
-@dataclass(frozen=True)
-class BoundaryAlgebraReport:
+class BoundaryAlgebraReport(NamedTuple):
     basis: np.ndarray
     dim_image: int
     dim_boundary: int
@@ -734,24 +720,23 @@ def boundary_algebra_finite(
     )
 
 
-@dataclass(frozen=True)
-class BlendReport:
+class BlendReport(NamedTuple):
     agrees: bool
     first_mismatch: int | None
 
 
 def verify_blend(
-    gamma, alpha, beta, axis: int, interface: int, margin: int
+    gamma: FiniteSymplecticMap, alpha: FiniteSymplecticMap,
+    beta: FiniteSymplecticMap, axis: int, interface: int, margin: int
 ) -> BlendReport:
     """Does gamma act like alpha well below the interface and like beta
     well above it?  Columns are compared on every basis vector whose
     site sits strictly outside the margin; each side must hold a layer
-    of such sites.  Maps are compared by their nonzeros, and a dense
-    array given instead of a map is read mod p."""
-    maps = [x for x in (gamma, alpha, beta) if isinstance(x, FiniteSymplecticMap)]
-    if not maps:
-        raise ValueError("need at least one validated map to fix the lattice")
-    lat = maps[0].lattice
+    of such sites.  The three maps live on one lattice and are compared
+    by their nonzeros."""
+    lat = gamma.lattice
+    if alpha.lattice != lat or beta.lattice != lat:
+        raise ValueError("the maps live on different lattices")
     if not 0 <= axis < lat.dims:
         raise ValueError(f"axis {axis} out of range")
     if margin < 0:
@@ -768,11 +753,8 @@ def verify_blend(
     def coded(x, in_columns):
         """Each nonzero in the wanted columns as one integer, ordered by
         column, then row, then value (below 2^55)."""
-        rows, cols, values = ((x.rows, x.cols, x.values)
-                              if isinstance(x, FiniteSymplecticMap)
-                              else _dense_entries(x, lat))
-        keep = in_columns[cols]
-        return (cols[keep] * n + rows[keep]) * p + values[keep]
+        keep = in_columns[x.cols]
+        return (x.cols[keep] * n + x.rows[keep]) * p + x.values[keep]
 
     # Columns are equal exactly when their nonzeros are, so the first
     # nonzero in only one of gamma and the reference is in the first

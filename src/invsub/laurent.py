@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import groebner
 from .groebner import Poly
@@ -390,29 +390,30 @@ def _t_relation(p: int, nvars: int) -> Poly:
     return {(1,) * nvars + (1,): 1, (0,) * (nvars + 1): p - 1}
 
 
-@dataclass
 class IdealDescription:
     """A finitely generated ideal of the Laurent ring, with a cached
     Groebner basis of its cleared-and-localized polynomial image."""
 
-    p: int
-    nvars: int
-    generators: list[LaurentPoly]
-    monomial_order: str = field(init=False)
-    _gb: list[Poly] | None = field(default=None, repr=False)
+    __slots__ = ("p", "nvars", "generators", "monomial_order", "_gb")
 
-    def __post_init__(self):
-        names = var_names(self.nvars) + ["t"]
-        self.monomial_order = f"grevlex({','.join(names)})"
+    def __init__(self, p: int, nvars: int, generators: list[LaurentPoly]):
+        names = var_names(nvars) + ["t"]
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "monomial_order", f"grevlex({','.join(names)})")
+        object.__setattr__(self, "_gb", None)
+
+    def __setattr__(self, *a):
+        raise AttributeError("IdealDescription is immutable")
 
     def groebner_basis(self) -> list[Poly]:
         if self._gb is None:
             gens = [_localized(g) for g in self.generators if not g.is_zero()]
-            if not gens:
-                self._gb = []
-            else:
+            if gens:
                 gens.append(_t_relation(self.p, self.nvars))
-                self._gb = groebner.buchberger(gens, self.p)
+                gens = groebner.buchberger(gens, self.p)
+            object.__setattr__(self, "_gb", gens)
         return self._gb
 
     def is_zero(self) -> bool:
@@ -739,8 +740,7 @@ def _check_minor_count(count: int, m: LaurentMatrix, r: int) -> None:
         )
 
 
-@dataclass
-class DeterminantalProfile:
+class DeterminantalProfile(NamedTuple):
     """The rank r of a matrix over the fraction field (the largest k with
     a nonzero k x k minor), together with the ideal of its r x r minors.
     The generators are the distinct nonzero r x r minors, in the

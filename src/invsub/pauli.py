@@ -24,7 +24,7 @@ still "invertible", with the projector honestly reported as unavailable.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .laurent import (
     LaurentMatrix,
@@ -52,30 +52,42 @@ class ProjectorUnavailableError(ValueError):
     congruence normal form that is out of scope here."""
 
 
-@dataclass(frozen=True)
 class SubalgebraSpec:
     """Finite presentation of a translation-invariant Pauli subalgebra.
 
     p: qudit dimension (prime); q: qudits per site; dims: number of
     lattice directions; generators: 2q x n matrix over F_p Laurent
-    polynomials in dims variables.
+    polynomials in dims variables.  Immutable; equal presentations are
+    equal and hash alike.
     """
 
-    p: int
-    q: int
-    dims: int
-    generators: LaurentMatrix
+    __slots__ = ("p", "q", "dims", "generators")
 
-    def __post_init__(self):
-        g = self.generators
-        if g.p != self.p or g.nvars != self.dims:
+    def __init__(self, p: int, q: int, dims: int, generators: LaurentMatrix):
+        if generators.p != p or generators.nvars != dims:
             raise SpecShapeError("generator matrix ring does not match spec")
-        if g.rows != 2 * self.q:
+        if generators.rows != 2 * q:
             raise SpecShapeError(
-                f"generator matrix has {g.rows} rows, expected {2 * self.q}"
+                f"generator matrix has {generators.rows} rows, expected {2 * q}"
             )
-        if self.q < 1 or self.dims < 1:
+        if q < 1 or dims < 1:
             raise SpecShapeError("need at least one qudit per site and one axis")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "generators", generators)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SubalgebraSpec is immutable")
+
+    def _key(self) -> tuple:
+        return self.p, self.q, self.dims, self.generators
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SubalgebraSpec) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def n_generators(self) -> int:
@@ -120,8 +132,7 @@ def is_antihermitian(m: LaurentMatrix) -> bool:
     return m.bar_transpose() == m.scale(-1)
 
 
-@dataclass(frozen=True)
-class InvertibilityCertificate:
+class InvertibilityCertificate(NamedTuple):
     """The verdict with its evidence: the determinantal profile of Xi,
     det Xi (zero when Xi is singular), and rank V over the fraction
     field, which the verdict compares with the profile's rank."""
@@ -186,8 +197,7 @@ def from_antihermitian(
     return SubalgebraSpec(p=p, q=n, dims=nvars, generators=v)
 
 
-@dataclass(frozen=True)
-class CommutantProjector:
+class CommutantProjector(NamedTuple):
     """The idempotent Pi = V Xi^-1 bar(V)^T lambda projecting the local
     symbol space onto the subalgebra's span along its commutant."""
 

@@ -14,8 +14,6 @@ symplectic.  Its inverse is Pi + z^-1 (id - Pi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .laurent import LaurentMatrix, LaurentPoly
 from .pauli import SubalgebraSpec, build_projector, symplectic_form
 
@@ -31,21 +29,23 @@ def is_symplectic(m: LaurentMatrix, q: int) -> bool:
     return (m.bar_transpose() @ lam @ m) == lam
 
 
-@dataclass(frozen=True)
 class CliffordQCA:
     """Validated symplectic symbol matrix; dims counts lattice axes."""
 
-    p: int
-    q: int
-    dims: int
-    matrix: LaurentMatrix
+    __slots__ = ("p", "q", "dims", "matrix")
 
-    def __post_init__(self):
-        m = self.matrix
-        if m.p != self.p or m.nvars != self.dims:
+    def __init__(self, p: int, q: int, dims: int, matrix: LaurentMatrix):
+        if matrix.p != p or matrix.nvars != dims:
             raise ValueError("matrix ring does not match QCA parameters")
-        if not is_symplectic(m, self.q):
+        if not is_symplectic(matrix, q):
             raise NotSymplecticError("matrix is not symplectic under bar-transpose")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CliffordQCA is immutable")
 
     @property
     def spread(self) -> int:

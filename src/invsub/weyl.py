@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._lazy_numpy import LazyNumpy
 
@@ -48,21 +48,23 @@ def _vec(v, p: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
 class PhasedPauli:
-    """omega^phase X^a Z^b on a register of len(a) qudits."""
+    """omega^phase X^a Z^b on a register of len(a) qudits; immutable,
+    with a and b read-only and reduced mod p, and the phase in [0, p)."""
 
-    p: int
-    phase: int
-    a: np.ndarray
-    b: np.ndarray
+    __slots__ = ("p", "phase", "a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _vec(self.a, self.p))
-        object.__setattr__(self, "b", _vec(self.b, self.p))
-        if self.a.shape != self.b.shape:
+    def __init__(self, p: int, phase: int, a, b):
+        a, b = _vec(a, p), _vec(b, p)
+        if a.shape != b.shape:
             raise ValueError("X and Z exponent vectors differ in length")
-        object.__setattr__(self, "phase", self.phase % self.p)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "phase", phase % p)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, *a):
+        raise AttributeError("PhasedPauli is immutable")
 
     @classmethod
     def identity(cls, p: int, m: int) -> "PhasedPauli":
@@ -149,7 +151,6 @@ class PhasedPauli:
                 f"a={self.a.tolist()}, b={self.b.tolist()})")
 
 
-@dataclass(frozen=True)
 class PauliConjugation:
     """The automorphism W -> U W U^dagger for a fixed phased Pauli U.
 
@@ -157,7 +158,13 @@ class PauliConjugation:
     of U against the argument.
     """
 
-    conjugator: PhasedPauli
+    __slots__ = ("conjugator",)
+
+    def __init__(self, conjugator: PhasedPauli):
+        object.__setattr__(self, "conjugator", conjugator)
+
+    def __setattr__(self, *a):
+        raise AttributeError("PauliConjugation is immutable")
 
     def apply(self, w: PhasedPauli) -> PhasedPauli:
         return w.scale_phase(self.conjugator.commutator_exponent(w))
@@ -291,8 +298,7 @@ def unitary_distance(w1: PhasedPauli, w2: PhasedPauli) -> sp.Expr:
     return unitary_distance_to_identity(w1.dagger() * w2)
 
 
-@dataclass(frozen=True)
-class BoundedDistance:
+class BoundedDistance(NamedTuple):
     """The distance 2 sin(pi t) / size of a spectral class scored on
     `size` sites, and the first candidate Pauli that reaches it."""
 

@@ -10,7 +10,7 @@ specs in graph form rounds out the property-test diet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .laurent import LaurentMatrix, LaurentPoly, parse_poly
 from .pauli import SubalgebraSpec, from_antihermitian
@@ -22,8 +22,7 @@ def _mat(p: int, nvars: int, rows) -> LaurentMatrix:
     )
 
 
-@dataclass(frozen=True)
-class ZooEntry:
+class ZooEntry(NamedTuple):
     """A named model: its spec, and where applicable the commuting
     Hamiltonian term symbols, string-operator generators, and the spin
     exponents of its anyon collection."""

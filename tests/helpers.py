@@ -17,6 +17,7 @@ from invsub.anyon_lab import InfeasibleHopError
 from invsub.finite_oracle import (
     BoundaryAlgebraReport,
     FiniteInvertibilityReport,
+    FiniteSymplecticMap,
     InstantiationError,
     VsReport,
     pairing_matrix,
@@ -562,6 +563,18 @@ def symplectic_gram_dense(matrix, lattice):
             and scalar_block(gram[half:, half:], 0)
             and scalar_block(gram[:half, half:], 1)
             and scalar_block(gram[half:, :half], p - 1))
+
+
+def symplectic_map(lattice, matrix, spread=-1):
+    """The FiniteSymplecticMap with a dense n x n matrix (read mod p),
+    built from its nonzeros."""
+    m = np.asarray(matrix, dtype=np.int64)
+    n = lattice.symplectic_len
+    if m.shape != (n, n):
+        raise ValueError(f"matrix must be {n} x {n}")
+    rows, cols = np.nonzero(m)
+    return FiniteSymplecticMap.from_entries(lattice, rows, cols, m[rows, cols],
+                                            spread=spread)
 
 
 def measure_spread_per_entry(lattice, matrix):

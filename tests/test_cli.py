@@ -536,6 +536,32 @@ def test_import_loads_every_traced_module():
     """)
 
 
+def test_startup_generates_no_code():
+    # The value types are plain classes and NamedTuples: loading the
+    # package imports neither dataclasses nor inspect and compiles no
+    # generated methods.  traceback is imported only on an internal
+    # error.
+    run_probe("""
+        import sys
+        from invsub.cli import main
+
+        def loaded():
+            return [m for m in ("dataclasses", "inspect", "traceback")
+                    if m in sys.modules]
+
+        assert not loaded(), ("import invsub.cli", loaded())
+        for command in ("check", "commutant", "project", "lift", "gauss"):
+            assert main([command, "--spec", "example-z3"]) == 0, command
+            assert not loaded(), (command, loaded())
+    """)
+
+
+def test_certificates_carry_the_package_version(capsys):
+    _, payload, _ = run(capsys, "check", "--spec", "example-z3")
+    assert payload["version"] == invsub.__version__ == "0.1.0"
+    assert not hasattr(cli, "VERSION")
+
+
 # SHA-256 of the certificates printed before the span's center was shared
 # between the invertibility report and the boundary distance.
 PATCH_DIGESTS = {
@@ -810,6 +836,20 @@ def test_spin_over_a_large_prime_in_closed_form(tmp_path, capsys):
     assert payload["theta_exponent"] == 49141
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         "552cdbc8c428fd763a74c382b9c80947e0c6600a1ae96f2255046f972146e9dd"
+
+
+def test_spin_refuses_a_window(monkeypatch, capsys):
+    # spin sizes its legs from the terms' spread and has no window; a
+    # --window was accepted and ignored.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the window was refused")
+
+    monkeypatch.setattr(cli, "build_hamiltonian", no_work)
+    code, payload, _ = run(capsys, "spin", "--spec", "example-z3",
+                           "--torus", "13x13", "--window", "3")
+    assert code == 2
+    assert payload["error_kind"] == "ValueError"
+    assert payload["error"] == "spin takes no --window"
 
 
 @pytest.mark.parametrize("argv, message", [

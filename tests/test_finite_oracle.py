@@ -24,6 +24,7 @@ from helpers import (
     non_graph_spec,
     random_symplectic_matrix,
     symplectic_gram_dense,
+    symplectic_map,
     translation_by_roll,
     translation_invariant_rereducing,
     xz_chain_spec,
@@ -563,30 +564,30 @@ def test_translation_check_reuses_the_canonical_span(monkeypatch, spec, reach):
 def test_finite_map_validation():
     lat = FiniteLattice(2, 1, (3,))
     with pytest.raises(ValueError):
-        FiniteSymplecticMap(lat, np.diag([0, 1, 1, 1, 1, 1]))
-    ident = FiniteSymplecticMap(lat, np.eye(6, dtype=np.int64))
+        symplectic_map(lat, np.diag([0, 1, 1, 1, 1, 1]))
+    ident = symplectic_map(lat, np.eye(6, dtype=np.int64))
     assert ident.spread == 0
     # M^T J M has no nonzero entry at all for M = 0.
     with pytest.raises(ValueError, match="does not preserve the symplectic"):
-        FiniteSymplecticMap(lat, np.zeros((6, 6), dtype=np.int64))
+        symplectic_map(lat, np.zeros((6, 6), dtype=np.int64))
     # Each block of M^T J M is checked: 2I scales J by 4, wrong only on
     # the diagonals of the off-diagonal blocks for p = 5 ...
     lat5 = FiniteLattice(5, 1, (3,))
     with pytest.raises(ValueError):
-        FiniteSymplecticMap(lat5, 2 * np.eye(6, dtype=np.int64))
+        symplectic_map(lat5, 2 * np.eye(6, dtype=np.int64))
     # ... and a shear [[I, S], [0, I]] with S not symmetric breaks only
     # the lower right block.
     shear = np.eye(6, dtype=np.int64)
     shear[0, 4] = 1
     with pytest.raises(ValueError):
-        FiniteSymplecticMap(lat5, shear)
+        symplectic_map(lat5, shear)
     shear[1, 3] = 1
-    assert FiniteSymplecticMap(lat5, shear).spread == 1
+    assert symplectic_map(lat5, shear).spread == 1
     # An off-diagonal entry in an identity block is refused.
     swap = np.eye(6, dtype=np.int64)[[1, 0, 2, 4, 3, 5]]
     swap[0, 2] = 1
     with pytest.raises(ValueError):
-        FiniteSymplecticMap(lat5, swap)
+        symplectic_map(lat5, swap)
 
 
 SYMPLECTIC_REFUSAL = "matrix does not preserve the symplectic form"
@@ -596,7 +597,7 @@ def accepts(lattice, matrix):
     """FiniteSymplecticMap's verdict on the matrix, asserted equal to the
     dense block check of M^T J M."""
     try:
-        FiniteSymplecticMap(lattice, matrix)
+        symplectic_map(lattice, matrix)
     except ValueError as err:
         assert str(err) == SYMPLECTIC_REFUSAL
         verdict = False
@@ -675,7 +676,7 @@ def test_symplectic_check_matches_dense_block_check(label):
 def test_measured_spread_matches_per_entry_loop(label):
     build, *args = SYMPLECTIC_CASES[label]
     lat, m = build(*args)
-    assert FiniteSymplecticMap(lat, m).spread == measure_spread_per_entry(lat, m)
+    assert symplectic_map(lat, m).spread == measure_spread_per_entry(lat, m)
 
 
 def test_symplectic_check_makes_no_dense_product(monkeypatch):
@@ -690,15 +691,18 @@ def test_symplectic_check_makes_no_dense_product(monkeypatch):
 
     monkeypatch.setattr(finite_oracle, "matmul_mod", counted)
     instantiate_qca(qca, lat)
-    FiniteSymplecticMap(lat5, random_map)
+    symplectic_map(lat5, random_map)
     assert calls == []
 
 
 def test_symplectic_check_on_a_dense_map_stays_under_dense_product_memory():
     # A dense map makes n^3 products; they are made in batches, so the
     # check's peak stays under that of the dense product it replaced.
+    # The map's nonzeros are gathered and sorted before the check, at a
+    # cost that grows with their number, not with n^3.
     lat, m = random_case(8, 3, 1, (128,))
     assert np.count_nonzero(m) > m.size // 2
+    fin = symplectic_map(lat, m)
 
     def peak(build):
         tracemalloc.start()
@@ -708,7 +712,8 @@ def test_symplectic_check_on_a_dense_map_stays_under_dense_product_memory():
         finally:
             tracemalloc.stop()
 
-    assert (peak(lambda: FiniteSymplecticMap(lat, m))
+    assert (peak(lambda: finite_oracle._preserves_form(
+                fin.rows, fin.cols, fin.values, lat.symplectic_len, lat.p))
             < peak(lambda: symplectic_gram_dense(m, lat)))
 
 
@@ -751,7 +756,7 @@ def test_lift_instantiates_symplectic_with_spread_one():
 
 def test_boundary_algebra_identity_map():
     lat = FiniteLattice(3, 1, (5, 5))
-    ident = FiniteSymplecticMap(lat, np.eye(50, dtype=np.int64))
+    ident = symplectic_map(lat, np.eye(50, dtype=np.int64))
     report = boundary_algebra_finite(ident, axis=0, cut=0, window=1)
     assert report.dim_image == 30   # three layers of 5 sites, 2q each
     assert report.dim_boundary == 10
@@ -841,8 +846,8 @@ def test_boundary_of_random_symplectic_maps_matches_image_route(seed):
     p = (2, 3, 5)[seed % 3]
     for q, sizes in ((1, (5,)), (2, (4,)), (1, (2, 4))):
         lat = FiniteLattice(p, q, sizes)
-        alpha = FiniteSymplecticMap(lat, random_symplectic_matrix(lat, rng),
-                                    spread=0)
+        alpha = symplectic_map(lat, random_symplectic_matrix(lat, rng),
+                               spread=0)
         assert_boundary_matches_image_route(alpha)
 
 
@@ -933,20 +938,23 @@ def test_instantiate_qca_matches_per_site():
 
 def test_verify_blend_trivial_and_corrupted():
     lat = FiniteLattice(3, 1, (8,))
-    ident = FiniteSymplecticMap(lat, np.eye(16, dtype=np.int64))
+    ident = symplectic_map(lat, np.eye(16, dtype=np.int64))
     assert verify_blend(ident, ident, ident, axis=0, interface=4, margin=1).agrees
+    # X -> 2X and Z -> 2Z on one site is symplectic over F_3.
     corrupted = np.eye(16, dtype=np.int64)
     col = lat.x_coord((7,), 0)  # site 7 > interface + margin
     corrupted[:, col] = 0
-    corrupted[col, col] = 2
-    report = verify_blend(corrupted, ident, ident, axis=0, interface=4, margin=1)
+    corrupted[col, col] = corrupted[col + 8, col + 8] = 2
+    report = verify_blend(symplectic_map(lat, corrupted), ident, ident,
+                          axis=0, interface=4, margin=1)
     assert not report.agrees
     assert report.first_mismatch == col
     # Corruption inside the margin zone is not verify_blend's business.
     near = np.eye(16, dtype=np.int64)
     ncol = lat.x_coord((4,), 0)
-    near[ncol, ncol] = 2
-    assert verify_blend(near, ident, ident, axis=0, interface=4, margin=1).agrees
+    near[ncol, ncol] = near[ncol + 8, ncol + 8] = 2
+    assert verify_blend(symplectic_map(lat, near), ident, ident, axis=0,
+                        interface=4, margin=1).agrees
 
 
 @pytest.mark.parametrize("axis, margin, message", [
@@ -956,7 +964,7 @@ def test_verify_blend_trivial_and_corrupted():
 ])
 def test_verify_blend_refuses_bad_axis_and_margin(axis, margin, message):
     lat = FiniteLattice(3, 1, (8,))
-    ident = FiniteSymplecticMap(lat, np.eye(16, dtype=np.int64))
+    ident = symplectic_map(lat, np.eye(16, dtype=np.int64))
     with pytest.raises(ValueError, match=message):
         verify_blend(ident, ident, ident, axis=axis, interface=4,
                      margin=margin)
@@ -967,8 +975,8 @@ def test_verify_blend_refuses_an_interface_with_an_empty_side(interface):
     # With interface 20 no site is above interface + margin, so beta was
     # never read and a beta of 2 I was reported to agree.
     lat = FiniteLattice(3, 1, (8,))
-    ident = FiniteSymplecticMap(lat, np.eye(16, dtype=np.int64))
-    doubled = 2 * np.eye(16, dtype=np.int64)
+    ident = symplectic_map(lat, np.eye(16, dtype=np.int64))
+    doubled = symplectic_map(lat, 2 * np.eye(16, dtype=np.int64))
     with pytest.raises(ValueError, match=f"interface {interface} with margin 1 "
                        "leaves one side of the axis empty: need 1 < interface < 6"):
         verify_blend(ident, ident, doubled, axis=0, interface=interface,
@@ -984,11 +992,18 @@ def test_verify_blend_refuses_an_interface_with_an_empty_side(interface):
         verify_blend(ident, ident, ident, axis=0, interface=2, margin=2)
 
 
+def test_verify_blend_refuses_maps_on_different_lattices():
+    ident = symplectic_map(FiniteLattice(3, 1, (8,)), np.eye(16, dtype=np.int64))
+    other = symplectic_map(FiniteLattice(3, 1, (9,)), np.eye(18, dtype=np.int64))
+    with pytest.raises(ValueError, match="different lattices"):
+        verify_blend(ident, ident, other, axis=0, interface=4, margin=1)
+
+
 def test_finite_map_keeps_its_nonzeros():
     lat = FiniteLattice(5, 1, (3,))
     shear = np.eye(6, dtype=np.int64)
     shear[0, 4] = shear[1, 3] = 6  # read mod 5
-    fin = FiniteSymplecticMap(lat, shear - 5 * np.eye(6, dtype=np.int64))
+    fin = symplectic_map(lat, shear - 5 * np.eye(6, dtype=np.int64))
     assert fin.rows.tolist() == [0, 0, 1, 1, 2, 3, 4, 5]
     assert fin.cols.tolist() == [0, 4, 1, 3, 2, 3, 4, 5]
     assert fin.values.tolist() == [1, 1, 1, 1, 1, 1, 1, 1]
@@ -1006,7 +1021,10 @@ def test_finite_map_keeps_its_nonzeros():
     with pytest.raises(ValueError, match="entry outside the 6 x 6 matrix"):
         FiniteSymplecticMap.from_entries(lat, [6], [0], [1])
     with pytest.raises(ValueError, match="matrix must be 6 x 6"):
-        FiniteSymplecticMap(lat, np.eye(5, dtype=np.int64))
+        symplectic_map(lat, np.eye(5, dtype=np.int64))
+    # from_entries is the one constructor: no dense matrix is taken.
+    with pytest.raises(TypeError):
+        FiniteSymplecticMap(lat, np.eye(6, dtype=np.int64))
 
 
 def traced_peak(build):
@@ -1070,7 +1088,7 @@ def blend_outcome(gamma, alpha, beta, **where):
 def test_dense_built_maps_report_as_instantiated():
     spec, qca, lat, fin = lift_on_torus()
     dense = fin.matrix
-    rebuilt = FiniteSymplecticMap(lat, dense)
+    rebuilt = symplectic_map(lat, dense)
     assert rebuilt.spread == fin.spread
     for name in ("rows", "cols", "values"):
         assert getattr(rebuilt, name).tobytes() == getattr(fin, name).tobytes()
@@ -1083,21 +1101,19 @@ def test_dense_built_maps_report_as_instantiated():
                                (fin, shift, fin), (shift, fin, fin)):
         want = blend_outcome(gamma, alpha, beta, interface=2)
         outcomes.append(want)
-        # Each role as instantiated, rebuilt from its dense matrix, or
-        # that dense array itself (one role at least must be a map).
-        for forms in itertools.product(("map", "rebuilt", "array"), repeat=3):
-            if set(forms) != {"array"}:
-                maps = [x if f == "map" else FiniteSymplecticMap(lat, x.matrix)
-                        if f == "rebuilt" else x.matrix
-                        for x, f in zip((gamma, alpha, beta), forms)]
-                assert blend_outcome(*maps, interface=2) == want
+        # Each role as instantiated or rebuilt from its dense matrix.
+        for forms in itertools.product(("map", "rebuilt"), repeat=3):
+            maps = [x if f == "map" else symplectic_map(lat, x.matrix)
+                    for x, f in zip((gamma, alpha, beta), forms)]
+            assert blend_outcome(*maps, interface=2) == want
     # The first column compared on either side is the first X slot of
     # the first site of its layer.
     above, below = lat.x_coord((0, 0, 4), 0), lat.x_coord((0, 0, 0), 0)
     assert outcomes == [(True, None), (False, above), (False, below),
                         (False, below)]
-    # A dense array is read mod p, like a map.
-    assert blend_outcome(fin, fin, dense + 3, interface=2) == (True, None)
+    # A dense matrix is read mod p.
+    assert blend_outcome(fin, fin, symplectic_map(lat, dense + 3),
+                         interface=2) == (True, None)
 
 
 def test_center_at_boundary_on_patch():
