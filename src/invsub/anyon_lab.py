@@ -29,7 +29,8 @@ from .finite_oracle import (
     InstantiationError,
     placements,
 )
-from .laurent import LaurentMatrix
+from .laurent import LaurentMatrix, _is_prime
+from .specio import MAX_PRIME
 from .weyl import PhasedPauli
 
 np = LazyNumpy(globals())
@@ -326,12 +327,6 @@ class SpinReport(NamedTuple):
     leg_length: int
     leg_directions: tuple[tuple[int, ...], ...]
 
-    @property
-    def phase(self) -> sp.Expr:
-        import sympy as sp
-
-        return sp.exp(2 * sp.pi * sp.I * sp.Rational(self.exponent, self.p))
-
 
 def topological_spin(
     h: HamiltonianInstance,
@@ -425,15 +420,10 @@ class GaussSumReport(NamedTuple):
     eighth_root_exponent: int
 
     @property
-    def phase_text(self) -> str:
-        """`str(self.phase)`, without importing sympy."""
+    def phase(self) -> str:
+        """The exact phase exp(2 pi i eighth_root_exponent / 8), as
+        sympy prints it."""
         return _EIGHTH_ROOT_TEXT[self.eighth_root_exponent]
-
-    @property
-    def phase(self) -> sp.Expr:
-        import sympy as sp
-
-        return sp.exp(2 * sp.pi * sp.I * sp.Rational(self.eighth_root_exponent, 8))
 
 
 def gauss_sum_phase(p: int, spin_exponents) -> GaussSumReport:
@@ -444,8 +434,16 @@ def gauss_sum_phase(p: int, spin_exponents) -> GaussSumReport:
     cyclotomic integers: modularity demands |S|^2 = n, and then S^2 is
     +-n, pinning the phase to a fourth root; the residual sign is
     decided by the (well-separated) real or imaginary part.  Collections
-    whose sum has the wrong modulus are refused.
+    whose sum has the wrong modulus are refused with `NotModularError`.
+
+    The test reads a cyclotomic integer as zero when all its coefficients
+    agree, which holds only for p prime, so any p that is not a prime of
+    at most `specio.MAX_PRIME` raises `ValueError` before anything is
+    counted.
     """
+    if p > MAX_PRIME or not _is_prime(p):
+        raise ValueError(f"modulus {p} is not a prime of at most "
+                         f"specio.MAX_PRIME = {MAX_PRIME}")
     exps = [int(t) % p for t in spin_exponents]
     n = len(exps)
     if n == 0:

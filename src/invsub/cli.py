@@ -261,7 +261,7 @@ def _cmd_dist(args) -> tuple[int, dict]:
                           max_support=args.max_support)
     payload = _payload(
         "dist",
-        distance=result.text,
+        distance=result.value,
         distance_numeric=result.numeric,
         witness={"x": result.witness.a.tolist(),
                  "z": result.witness.b.tolist()},
@@ -357,7 +357,7 @@ def _cmd_gauss(args) -> tuple[int, dict]:
         "gauss",
         modular=True,
         eighth_root_exponent=report.eighth_root_exponent,
-        phase=report.phase_text,
+        phase=report.phase,
         n_anyons=len(spins),
         prime=p,
     )

@@ -649,15 +649,15 @@ def boundary_algebra_finite(
     axis: int,
     cut: int,
     window: int,
-    depth: int | None = None,
 ) -> BoundaryAlgebraReport:
     """Image of a band above the cut, intersected with the slab just
     above the cut.
 
-    The band runs `depth` layers up from the cut (default: all but two,
-    so its far edge stays away from the slab even on the torus — a
-    finite stand-in for a half space, which a periodic axis cannot
-    hold).  The report also checks the local-factorization identity
+    The band runs L - 2 layers up from the cut, for L the lattice's
+    size along the axis, so its far edge stays away from the slab even
+    on the torus — a finite stand-in for a half space, which a periodic
+    axis cannot hold.  The slab is the first `window` of those layers.
+    The report also checks the local-factorization identity
     dim(image) = dim(boundary part) + dim(part supported off the slab):
     equality says the image splits cleanly along the slab boundary,
     which is the finite content of the half-space factorization.
@@ -686,10 +686,8 @@ def boundary_algebra_finite(
     L = lat.sizes[axis]
     if window < alpha.spread:
         raise ValueError(f"window {window} below the map's spread {alpha.spread}")
-    if depth is None:
-        depth = L - 2
-    if not window <= depth <= L - 2:
-        raise ValueError("need window <= depth <= L - 2 for a meaningful band")
+    if window > L - 2:
+        raise ValueError("need window <= L - 2 for a meaningful band")
 
     def layer_coords(layers):
         wanted = [l % L for l in layers]
@@ -697,7 +695,7 @@ def boundary_algebra_finite(
             np.flatnonzero(np.isin(lat.grid[:, axis], wanted))).ravel()
 
     p, n, half = lat.p, lat.symplectic_len, lat.n_qudits
-    band = layer_coords(range(cut + 1, cut + depth + 1))
+    band = layer_coords(range(cut + 1, cut + L - 1))
     slab = np.sort(layer_coords(range(cut + 1, cut + window + 1)))
     is_outside = np.ones(n, dtype=bool)
     is_outside[band] = False

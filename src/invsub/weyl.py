@@ -9,9 +9,11 @@ ordering effects that vanish at the symbol level become visible.
 Operator-norm distances between phased Paulis are tiny exact
 expressions: a unitary's distance to the identity depends only on its
 spectrum, and a Pauli's spectrum is read off its symbol and phase.
-Every such distance is 2 sin(pi t) for a rational t in [0, 1/2], so its
-correctly rounded float and its text are computed from integers; sympy
-builds the expression only when a caller asks for it.
+Every such distance is 2 sin(pi t) for a rational t in [0, 1/2], and
+it has one exact value: its text, as sympy prints 2 sin(pi t), written
+from integers (a table holds the five angles whose sine sympy writes in
+radicals).  Its correctly rounded float comes from fixed-point integer
+arithmetic.  Neither needs sympy.
 
 `dist_bounded` compares two Pauli conjugations over every Pauli on a
 few sites.  Their difference on any Pauli is a scalar, and the largest
@@ -195,16 +197,6 @@ def _class_angle(kind: tuple, p: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _class_distance(kind: tuple, p: int) -> sp.Expr:
-    import sympy as sp
-
-    if kind[0] == "scalar":
-        return 2 * sp.sin(sp.pi * sp.Rational(kind[1], p))
-    if kind[0] == "qubit":
-        return sp.Integer(2) if kind[1] == 0 else sp.sqrt(2)
-    return 2 * sp.sin(sp.pi * sp.Rational((p - 1), 2 * p))
-
-
 # Bits after the binary point of the fixed-point pi and sine below.
 _FIXED_BITS = 320
 
@@ -259,7 +251,7 @@ _CLOSED_SINES = {
 
 
 def _class_text(kind: tuple, p: int, size: int) -> str:
-    """`str(_class_distance(kind, p) / size)`, without sympy."""
+    """2 sin(pi t) / size for the class's t, as sympy prints it."""
     n, d = _class_angle(kind, p)
     if n == 0:
         return "0"
@@ -275,7 +267,7 @@ def _class_text(kind: tuple, p: int, size: int) -> str:
             + ("" if den == 1 else f"/{den}"))
 
 
-def unitary_distance_to_identity(r: PhasedPauli) -> sp.Expr:
+def unitary_distance_to_identity(r: PhasedPauli) -> BoundedDistance:
     """Operator norm ||id - R|| for a phased Pauli R, exactly.
 
     A scalar omega^c sits at distance 2 sin(pi c / p).  A nonscalar
@@ -284,12 +276,12 @@ def unitary_distance_to_identity(r: PhasedPauli) -> sp.Expr:
     out.  Over qubits the square of a nonscalar Pauli is +-id by the
     X/Z overlap parity, putting the spectrum at {+-1} or {+-i}.
     """
-    return _class_distance(_spectral_class(r), r.p)
+    return BoundedDistance(_spectral_class(r), r.p, 1, r)
 
 
-def unitary_distance(w1: PhasedPauli, w2: PhasedPauli) -> sp.Expr:
+def unitary_distance(w1: PhasedPauli, w2: PhasedPauli) -> BoundedDistance:
     """||W1 - W2|| in operator norm (both unitary, so this is the
-    distance from id to W1^dagger W2).
+    distance from id to W1^dagger W2, which is the record's witness).
 
     Public API for comparing two phased Paulis.  `dist_bounded` does
     not call it: it scores the spectral class of alpha(W)^dagger beta(W)
@@ -300,7 +292,8 @@ def unitary_distance(w1: PhasedPauli, w2: PhasedPauli) -> sp.Expr:
 
 class BoundedDistance(NamedTuple):
     """The distance 2 sin(pi t) / size of a spectral class scored on
-    `size` sites, and the first candidate Pauli that reaches it."""
+    `size` sites, and the Pauli that reaches it: the first candidate
+    for `dist_bounded`, R itself for `unitary_distance_to_identity`."""
 
     kind: tuple
     p: int
@@ -313,13 +306,10 @@ class BoundedDistance(NamedTuple):
         return _scored(self.kind, self.p, self.size)
 
     @property
-    def text(self) -> str:
-        """`str(self.value)`, without importing sympy."""
+    def value(self) -> str:
+        """The exact distance, as sympy prints it (`2`, `sqrt(3)/2`,
+        `2*sin(3*pi/7)`, ...)."""
         return _class_text(self.kind, self.p, self.size)
-
-    @property
-    def value(self) -> sp.Expr:
-        return _class_distance(self.kind, self.p) / self.size
 
 
 def _check_candidate_count(p: int, m: int, max_support: int) -> None:

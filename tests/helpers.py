@@ -11,6 +11,7 @@ import itertools
 import random
 
 import numpy as np
+import sympy as sp
 
 from invsub import groebner
 from invsub.anyon_lab import InfeasibleHopError
@@ -44,12 +45,7 @@ from invsub.laurent import (
 )
 from invsub.pauli import SubalgebraSpec, brauer_tensor
 from invsub.zoo import get_example
-from invsub.weyl import (
-    BoundedDistance,
-    PhasedPauli,
-    _spectral_class,
-    unitary_distance,
-)
+from invsub.weyl import BoundedDistance, PhasedPauli, unitary_distance
 
 
 def instantiate_column_per_term(lattice, column, base_site):
@@ -387,23 +383,43 @@ def enumerate_support_paulis(p, m, support):
         yield PhasedPauli(p, 0, a, b)
 
 
+def class_distance_sympy(kind, p):
+    """The sympy value of ||id - R|| for R of a `weyl` spectral class:
+    the reference for the text and float of `weyl.BoundedDistance`."""
+    if kind[0] == "scalar":
+        return 2 * sp.sin(sp.pi * sp.Rational(kind[1], p))
+    if kind[0] == "qubit":
+        return sp.Integer(2) if kind[1] == 0 else sp.sqrt(2)
+    return 2 * sp.sin(sp.pi * sp.Rational((p - 1), 2 * p))
+
+
+def distance_sympy(d):
+    """The sympy value a `weyl.BoundedDistance` stands for."""
+    return class_distance_sympy(d.kind, d.p) / d.size
+
+
+def root_of_unity_sympy(k, n):
+    """exp(2 pi i k / n) in sympy: the reference for a spin phase
+    (k / n = exponent / p) and a Gauss-sum phase (n = 8)."""
+    return sp.exp(2 * sp.pi * sp.I * sp.Rational(k, n))
+
+
 def dist_bounded_every_candidate(alpha, beta, p, m, max_support=2):
     """weyl.dist_bounded as first written: a sympy distance is built and
     evaluated for every candidate Pauli.  Each new best is checked to
-    carry that sympy value and its 50-digit float."""
+    print as that sympy value and to carry its 50-digit float."""
     best = BoundedDistance(("scalar", 0), p, 1, PhasedPauli.identity(p, m))
     best_num = -1.0
     for size in range(1, max_support + 1):
         for support in itertools.combinations(range(m), size):
             for w in enumerate_support_paulis(p, m, support):
-                a, b = alpha.apply(w), beta.apply(w)
-                d = unitary_distance(a, b) / size
+                kind = unitary_distance(alpha.apply(w), beta.apply(w)).kind
+                d = class_distance_sympy(kind, p) / size
                 num = float(d.evalf(50))
                 if num > best_num + 1e-40:
-                    best = BoundedDistance(_spectral_class(a.dagger() * b),
-                                           p, size, w)
+                    best = BoundedDistance(kind, p, size, w)
                     best_num = num
-                    assert best.value == d and best.numeric == num
+                    assert best.value == str(d) and best.numeric == num
     return best
 
 
@@ -418,7 +434,7 @@ def translation_invariant_rereducing(span, lattice):
     return True
 
 
-def boundary_algebra_via_image(alpha, axis, cut, window, depth=None):
+def boundary_algebra_via_image(alpha, axis, cut, window):
     """finite_oracle.boundary_algebra_finite as first written: the image
     of the band is eliminated, then restricted to the slab and to the
     layers off it."""
@@ -428,17 +444,15 @@ def boundary_algebra_via_image(alpha, axis, cut, window, depth=None):
     L = lat.sizes[axis]
     if window < alpha.spread:
         raise ValueError(f"window {window} below the map's spread {alpha.spread}")
-    if depth is None:
-        depth = L - 2
-    if not window <= depth <= L - 2:
-        raise ValueError("need window <= depth <= L - 2 for a meaningful band")
+    if window > L - 2:
+        raise ValueError("need window <= L - 2 for a meaningful band")
 
     def layer_coords(layers):
         wanted = {l % L for l in layers}
         return [c for s in lat.sites() if s[axis] in wanted
                 for c in lat.site_coords(s)]
 
-    band = layer_coords(range(cut + 1, cut + depth + 1))
+    band = layer_coords(range(cut + 1, cut + L - 1))
     slab = layer_coords(range(cut + 1, cut + window + 1))
     off_slab = layer_coords(
         l for l in range(L) if (l - cut - 1) % L >= window

@@ -45,6 +45,7 @@ from helpers import (
     hopping_operator_per_step,
     leg_string_per_step,
     mat,
+    root_of_unity_sympy,
     syndrome_dense,
 )
 
@@ -287,7 +288,8 @@ def test_string_operators_need_a_torus():
 def test_topological_spin_of_the_unit_charge(h13):
     rep = topological_spin(h13, Z3.hopping_generators, charge=1)
     assert rep.exponent == 1
-    assert rep.phase == sp.exp(2 * sp.pi * sp.I / 3)
+    assert root_of_unity_sympy(rep.exponent, rep.p) == \
+        sp.exp(2 * sp.pi * sp.I / 3)
     assert rep.leg_directions == DEFAULT_LEG_DIRECTIONS
     assert rep.leg_length == 10
 
@@ -316,7 +318,7 @@ def test_topological_spin_toric_e_anyon(h13_toric):
     rep = topological_spin(h13_toric, TORIC.hopping_generators,
                            charge=1, family=0)
     assert rep.exponent == 0
-    assert rep.phase == 1
+    assert root_of_unity_sympy(rep.exponent, rep.p) == 1
 
 
 def test_topological_spin_of_the_conjugate_model(h13):
@@ -359,13 +361,15 @@ def test_terms_independent_on_open_patch():
 def test_gauss_sum_unit_charge_collection():
     rep = gauss_sum_phase(3, [0, 1, 1])
     assert rep.eighth_root_exponent == 2
-    assert rep.phase == sp.I
+    assert root_of_unity_sympy(rep.eighth_root_exponent, 8) == sp.I
+    assert rep.phase == str(sp.I)
 
 
 def test_gauss_sum_toric_collection():
     rep = gauss_sum_phase(3, TORIC.anyon_spin_exponents)
     assert rep.eighth_root_exponent == 0
-    assert rep.phase == 1
+    assert root_of_unity_sympy(rep.eighth_root_exponent, 8) == 1
+    assert rep.phase == str(sp.Integer(1))
 
 
 def test_gauss_sum_trivial_theory():
@@ -383,8 +387,23 @@ def test_gauss_sum_quadratic_collections(p, expected):
 @pytest.mark.parametrize("k", range(8))
 def test_gauss_sum_phase_text_is_the_sympy_phase(k):
     rep = GaussSumReport(eighth_root_exponent=k)
-    assert rep.phase_text == str(sp.exp(2 * sp.pi * sp.I * sp.Rational(k, 8)))
-    assert rep.phase_text == str(rep.phase)
+    assert rep.phase == str(root_of_unity_sympy(k, 8))
+
+
+@pytest.mark.parametrize("p, spins", [
+    (9, [0, 3, 3]),       # modular, with phase I, but 9 is not prime
+    (4, [0, 0, 1, 3]),
+    (1, [0]),
+    (0, [0]),
+    (65537, [0]),         # a prime above specio.MAX_PRIME
+    (2 ** 61 - 1, [0]),   # a count list this long would not fit
+])
+def test_gauss_sum_refuses_a_modulus_that_is_not_a_supported_prime(p, spins):
+    # The cyclotomic test holds only over a prime, so any other modulus
+    # is refused as input, not reported as a verdict.
+    with pytest.raises(ValueError, match="not a prime") as exc:
+        gauss_sum_phase(p, spins)
+    assert not isinstance(exc.value, NotModularError)
 
 
 def test_gauss_sum_at_the_largest_prime():

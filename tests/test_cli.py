@@ -439,30 +439,65 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert "Traceback" in captured.err
 
 
-def run_probe(probe: str, *argv: str) -> None:
+def run_probe(probe: str, *argv: str) -> str:
     """Run `probe` in a fresh interpreter that imports this package,
-    with `argv` as its sys.argv[1:]; its asserts name the failing step."""
+    with `argv` as its sys.argv[1:], and return its stdout; its asserts
+    name the failing step."""
     src = str(Path(invsub.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(probe), *argv], env=env,
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
-def test_sympy_is_imported_on_first_use():
-    # Fails on any new top-level sympy import in the package.
-    run_probe("""
-        import sys
+# SHA-256 of the stdout of each command, as printed while the package
+# still built sympy values for its phases and distances.
+NO_SYMPY_DIGESTS = {
+    ("check", "--spec", "example-z3"):
+        "d4b2b72f30ae36fc973b461762df6d03e1d9c8f05579c00c3bff7b1568b0e7b1",
+    ("lift", "--spec", "example-z3"):
+        "72aed6aa6a401c66f292b5136998f30ff078e8853eed0da6406e5a528738bbea",
+    ("spin", "--spec", "example-z3", "--torus", "13x13"):
+        "06d9a67903ac346005e1d7c8bcf788af98a00cacfa18c0805f0cf398530b542a",
+    ("gauss", "--spec", "example-z3"):
+        "3eed1ad2d19317512670d1255d02c7096d0ed2261159bfe3a6b77582a6416160",
+    ("dist", "--prime", "5", "--x", "1,4,0,2,3,1", "--z", "2,0,3,1,4,4"):
+        "faaa1e90932a63010f48e20d165633f8e8176cd926052ae8c572258509e0dac3",
+}
+
+
+def test_runs_without_sympy():
+    # With sys.modules["sympy"] = None every import of sympy raises
+    # ImportError, so any use of it in the package fails here.
+    out = run_probe("""
+        import contextlib, hashlib, io, json, sys
+        sys.modules["sympy"] = None
+        import invsub
         from invsub.cli import main
-        assert "sympy" not in sys.modules, "import invsub.cli"
-        main(["check", "--spec", "example-z3"])
-        assert "sympy" not in sys.modules, "check"
-        main(["gauss", "--spec", "example-z3"])
-        assert "sympy" not in sys.modules, "gauss"
-        main(["dist", "--prime", "3", "--x", "1,2", "--z", "0,1"])
-        assert "sympy" not in sys.modules, "dist"
-    """)
+        digests = []
+        for argv in json.loads(sys.argv[1]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0, argv
+            digests.append(hashlib.sha256(buf.getvalue().encode()).hexdigest())
+        P = invsub.PhasedPauli
+        x, z = P(2, 0, [1], [0]), P(2, 0, [0], [1])
+        u = P(5, 0, [1, 4, 0, 2, 3, 1], [2, 0, 3, 1, 4, 4])
+        conj, ident = invsub.PauliConjugation(u), \
+            invsub.PauliConjugation(P.identity(5, 6))
+        texts = [
+            invsub.gauss_sum_phase(3, [0, 1, 1]).phase,
+            invsub.unitary_distance_to_identity(P(3, 1, [0], [0])).value,
+            invsub.unitary_distance(x, z).value,
+            invsub.dist_bounded(conj, ident, 5, 6).value,
+        ]
+        print(json.dumps([digests, texts]))
+    """, json.dumps(list(NO_SYMPY_DIGESTS)))
+    digests, texts = json.loads(out)
+    assert digests == list(NO_SYMPY_DIGESTS.values())
+    assert texts == ["I", "sqrt(3)", "sqrt(2)", "2*sqrt(sqrt(5)/8 + 5/8)"]
 
 
 def test_numpy_is_imported_on_first_use(tmp_path):

@@ -803,20 +803,19 @@ def boundary_outcome(route, alpha, *args):
 
 def assert_boundary_matches_image_route(alpha):
     """Byte-equal reports, or the same refusal, for every axis (and one
-    either side), cut, window and depth."""
+    either side), cut and window."""
     lat = alpha.lattice
     cases = refused = 0
     for axis in range(-1, lat.dims + 1):
         L = lat.sizes[axis % lat.dims]
         for cut in range(-1, L + 1):
             for window in range(L):
-                for depth in (None, *range(L)):
-                    args = (axis, cut, window, depth)
-                    new = boundary_outcome(boundary_algebra_finite, alpha, *args)
-                    assert new == boundary_outcome(boundary_algebra_via_image,
-                                                   alpha, *args), args
-                    cases += 1
-                    refused += new[0] == "refused"
+                args = (axis, cut, window)
+                new = boundary_outcome(boundary_algebra_finite, alpha, *args)
+                assert new == boundary_outcome(boundary_algebra_via_image,
+                                               alpha, *args), args
+                cases += 1
+                refused += new[0] == "refused"
     assert 0 < refused < cases
 
 
@@ -1093,8 +1092,8 @@ def test_dense_built_maps_report_as_instantiated():
     for name in ("rows", "cols", "values"):
         assert getattr(rebuilt, name).tobytes() == getattr(fin, name).tobytes()
     for cut in range(5):
-        assert (boundary_outcome(boundary_algebra_finite, rebuilt, 2, cut, 1, None)
-                == boundary_outcome(boundary_algebra_finite, fin, 2, cut, 1, None))
+        assert (boundary_outcome(boundary_algebra_finite, rebuilt, 2, cut, 1)
+                == boundary_outcome(boundary_algebra_finite, fin, 2, cut, 1))
     shift = instantiate_qca(shift_qca(3, 2, 3, axis=2), lat)
     outcomes = []
     for gamma, alpha, beta in ((fin, fin, fin), (fin, fin, shift),

@@ -15,7 +15,11 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 import invsub.weyl as weyl
-from helpers import dist_bounded_every_candidate
+from helpers import (
+    class_distance_sympy,
+    dist_bounded_every_candidate,
+    distance_sympy,
+)
 from invsub.weyl import (
     CandidateCountError,
     PauliConjugation,
@@ -150,24 +154,37 @@ def numeric_distance_to_identity(w: PhasedPauli) -> float:
     return float(np.max(np.abs(1 - eig)))
 
 
+def assert_distance_is(d, want):
+    """d stands for the sympy value `want`: its sympy reference equals
+    it, its text is sympy's and its float is want's 50-digit value."""
+    assert sp.simplify(distance_sympy(d) - want) == 0
+    assert d.value == str(want)
+    assert d.numeric == float(want.evalf(50))
+
+
 def test_distance_frozen_values():
-    assert unitary_distance_to_identity(PhasedPauli.identity(3, 1)) == 0
+    assert_distance_is(
+        unitary_distance_to_identity(PhasedPauli.identity(3, 1)),
+        sp.Integer(0))
     scalar = PhasedPauli(3, 1, [0], [0])
-    assert sp.simplify(unitary_distance_to_identity(scalar) - sp.sqrt(3)) == 0
+    assert_distance_is(unitary_distance_to_identity(scalar), sp.sqrt(3))
     x3 = PhasedPauli(3, 0, [1], [0])
-    assert sp.simplify(unitary_distance_to_identity(x3) - sp.sqrt(3)) == 0
+    assert_distance_is(unitary_distance_to_identity(x3), sp.sqrt(3))
     x2 = PhasedPauli(2, 0, [1], [0])
-    assert unitary_distance_to_identity(x2) == 2
+    assert_distance_is(unitary_distance_to_identity(x2), sp.Integer(2))
     xz2 = PhasedPauli(2, 0, [1], [1])
-    assert sp.simplify(unitary_distance_to_identity(xz2) - sp.sqrt(2)) == 0
+    assert_distance_is(unitary_distance_to_identity(xz2), sp.sqrt(2))
+    assert unitary_distance_to_identity(xz2).witness == xz2
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.data())
 def test_distance_matches_spectrum(p, data):
     w = data.draw(paulis(p, data.draw(st.integers(1, 2))))
-    exact = float(unitary_distance_to_identity(w))
-    assert exact == pytest.approx(numeric_distance_to_identity(w), abs=1e-9)
+    d = unitary_distance_to_identity(w)
+    assert d.numeric == float(distance_sympy(d).evalf(50))
+    assert d.numeric == pytest.approx(numeric_distance_to_identity(w),
+                                      abs=1e-9)
 
 
 def test_unitary_distance_between_operators():
@@ -175,8 +192,9 @@ def test_unitary_distance_between_operators():
     z = PhasedPauli(2, 0, [0], [1])
     d = unitary_distance(x, z)
     # X^dagger Z = XZ has spectrum {+-i}.
-    assert sp.simplify(d - sp.sqrt(2)) == 0
-    assert unitary_distance(x, x) == 0
+    assert_distance_is(d, sp.sqrt(2))
+    assert d.witness == x.dagger() * z
+    assert_distance_is(unitary_distance(x, x), sp.Integer(0))
 
 
 # -- support-normalized automorphism distance ---------------------------
@@ -188,7 +206,7 @@ def test_dist_bounded_global_x_flip_on_six_qubits():
                                         np.zeros(m, np.int64)))
     ident = PauliConjugation(PhasedPauli.identity(2, m))
     d = dist_bounded(flip, ident, 2, m, max_support=1)
-    assert d.value == 2
+    assert_distance_is(d, sp.Integer(2))
     assert d.numeric == pytest.approx(2.0)
     # The maximizer anticommutes with the global flip on one site.
     (site,) = d.witness.support()
@@ -198,7 +216,7 @@ def test_dist_bounded_global_x_flip_on_six_qubits():
 def test_dist_bounded_identical_automorphisms():
     u = PhasedPauli(3, 0, [1, 2], [0, 1])
     d = dist_bounded(PauliConjugation(u), PauliConjugation(u), 3, 2)
-    assert d.value == 0
+    assert_distance_is(d, sp.Integer(0))
 
 
 def test_dist_bounded_metric_axioms_on_random_triples():
@@ -242,8 +260,7 @@ def _assert_matches_every_candidate_scan(alpha, beta, p, m, max_support):
     got = dist_bounded(alpha, beta, p, m, max_support)
     assert (got.kind, got.size) == (want.kind, want.size)
     assert got.value == want.value
-    assert str(got.value) == str(want.value)
-    assert got.text == str(got.value)
+    assert got.value == str(distance_sympy(got))
     assert got.witness == want.witness
     assert got.numeric == want.numeric
     return got
@@ -268,7 +285,7 @@ def test_dist_bounded_matches_every_candidate_scan(p, m, max_support,
         _automorphism(alpha, p, m), _automorphism(beta, p, m),
         p, m, max_support)
     if alpha == beta or alpha == "rephased":
-        assert got.value == 0
+        assert_distance_is(got, sp.Integer(0))
 
 
 def _candidate_count(p, m, max_support):
@@ -334,9 +351,9 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 
 @pytest.mark.parametrize("p", _SMALL_PRIMES + [61, 257, 997])
 def test_class_text_and_float_are_the_sympy_ones(p):
-    # The counterpart of the Gauss-sum phase text: a distance class's
-    # text and float come from integers, and must be what sympy prints
-    # and evaluates for the value it stands for.  Every phase for the
+    # The counterpart of the Gauss-sum phase: a distance class's text
+    # and float come from integers, and must be what sympy prints and
+    # evaluates for the value it stands for.  Every phase for the
     # small primes; the edge phases (evalf takes about 14 ms a value at
     # p = 997) for the others.
     if p in _SMALL_PRIMES:
@@ -350,9 +367,9 @@ def test_class_text_and_float_are_the_sympy_ones(p):
         for size in sizes:
             d = weyl.BoundedDistance(kind, p, size,
                                      PhasedPauli.identity(p, 1))
-            assert d.value == weyl._class_distance(kind, p) / size
-            assert d.text == str(d.value), (kind, size)
-            assert d.numeric == float(d.value.evalf(50)), (kind, size)
+            ref = class_distance_sympy(kind, p) / size
+            assert d.value == str(ref), (kind, size)
+            assert d.numeric == float(ref.evalf(50)), (kind, size)
 
 
 def _anyon_dist_input(p=5, m=6):
