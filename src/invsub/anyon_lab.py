@@ -8,7 +8,8 @@ cyclotomic integers with no floating point on the critical path.
 
 A Hamiltonian keeps its terms as their nonzeros, so a pairing with the
 terms is a gather of a few coordinates per term, and the all-pairs
-commutation check joins X entries with Z entries on the same qudit.
+commutation check is their Gram matrix, made by the kernel that checks
+a lifted map is symplectic (`finite_oracle._gram_blocks`).
 String operators rest on translation invariance: the one-step
 transporter for each (generators, step, charge, family) is solved once
 per Hamiltonian, instantiated once at the origin and moved along a leg
@@ -27,6 +28,7 @@ from .fplinalg import solve
 from .finite_oracle import (
     FiniteLattice,
     InstantiationError,
+    _gram_blocks,
     placements,
 )
 from .laurent import LaurentMatrix, _is_prime
@@ -60,10 +62,10 @@ class HamiltonianInstance:
     Families index the distinct term symbols (one for the worked
     example, vertex/plaquette style pairs for stabilizer codes); terms
     whose footprint crosses an open boundary are dropped.  The terms
-    are kept as their nonzeros: term i pairs with a symplectic vector v
-    as sum_t weights[i, t] * v[partners[i, t]] mod p, with t running
-    over the terms of its symbol (padded with zero weights).  `rows`,
-    the terms as dense symplectic rows, is built from them on first
+    are kept as `FiniteLattice.place` laid them: term i holds
+    coeffs[i, t] at symplectic coordinate coords[i, t], t running over
+    the terms of its symbol (padded with zero coefficients).  `rows`,
+    the terms as dense symplectic rows, is scattered from them on first
     read.  One-step transporters solved on this instance are cached on
     it, keyed by (generators, step, charge mod p, family).
     """
@@ -71,12 +73,12 @@ class HamiltonianInstance:
     def __init__(self, lattice: FiniteLattice,
                  term_symbols: tuple[LaurentMatrix, ...],
                  entries: tuple[tuple[int, tuple[int, ...]], ...],
-                 partners: np.ndarray, weights: np.ndarray):
+                 coords: np.ndarray, coeffs: np.ndarray):
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "term_symbols", term_symbols)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_partners", partners)
-        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_transporters", {})
 
     def __setattr__(self, *a):
@@ -89,16 +91,11 @@ class HamiltonianInstance:
     @functools.cached_property
     def rows(self) -> np.ndarray:
         """One dense symplectic row per term, mod p."""
-        p, m = self.lattice.p, self.lattice.n_qudits
-        # Undo the pairing's swap of halves and sign of the Z entries.
-        is_x = self._partners >= m
-        coord = np.where(is_x, self._partners - m, self._partners + m)
-        coeff = np.where(is_x, self._weights, -self._weights)
         rows = np.zeros((len(self.entries), self.lattice.symplectic_len),
                         dtype=np.int64)
-        np.add.at(rows, (np.arange(len(self.entries))[:, None], coord),
-                  coeff)
-        return rows % p
+        np.add.at(rows, (np.arange(len(self.entries))[:, None], self.coords),
+                  self.coeffs)
+        return rows % self.lattice.p
 
     def index_of(self, family: int, site) -> int:
         return self.entries.index((family, tuple(site)))
@@ -106,51 +103,22 @@ class HamiltonianInstance:
     def pairings(self, vecs) -> np.ndarray:
         """Symplectic pairing of every term (rows of the result) with
         every column of vecs, a 2m x k array, mod p."""
-        p = self.lattice.p
-        gathered = np.asarray(vecs, dtype=np.int64)[self._partners] % p
-        return (self._weights[:, :, None] * gathered % p).sum(axis=1) % p
-
-
-def _first_noncommuting_pair(coords, coeffs, lattice: FiniteLattice):
-    """The first pair (i, j), in row-major order, of terms that fail to
-    commute, or None.  Term i holds coeffs[i, t] at symplectic
-    coordinate coords[i, t].  Every X entry is joined with every Z
-    entry on the same qudit; the pair contributes x*z to pairing (i, j)
-    and -x*z to (j, i), and pairings are summed per (i, j) mod p."""
-    p, m = lattice.p, lattice.n_qudits
-    n_terms = coords.shape[0]
-    live = coeffs.ravel() != 0
-    term = np.repeat(np.arange(n_terms), coords.shape[1])[live]
-    coord, coeff = coords.ravel()[live], coeffs.ravel()[live]
-    is_x = coord < m
-    xt, xq, xv = term[is_x], coord[is_x], coeff[is_x] % p
-    order = np.argsort(coord[~is_x], kind="stable")
-    zt, zq, zv = (term[~is_x][order], coord[~is_x][order] - m,
-                  coeff[~is_x][order] % p)
-    lo = np.searchsorted(zq, xq, "left")
-    counts = np.searchsorted(zq, xq, "right") - lo
-    if not counts.any():
-        return None
-    xi = np.repeat(np.arange(len(xq)), counts)
-    # The Z entries joined with X entry k are lo[k], lo[k] + 1, ...
-    zi = np.arange(xi.size) + np.repeat(lo - np.cumsum(counts) + counts,
-                                        counts)
-    i, j = xt[xi], zt[zi]
-    prod = xv[xi] * zv[zi] % p
-    keys = np.concatenate([i * n_terms + j, j * n_terms + i])
-    vals = np.concatenate([prod, (-prod) % p])
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    bad = keys[starts][np.add.reduceat(vals, starts) % p != 0]
-    return divmod(int(bad[0]), n_terms) if bad.size else None
+        p, m = self.lattice.p, self.lattice.n_qudits
+        # u.v = u_X.v_Z - u_Z.v_X: an X entry reads v's Z half, a Z entry
+        # reads v's X half with the opposite sign.
+        weights = np.where(self.coords < m, self.coeffs, -self.coeffs) % p
+        partners = (self.coords + m) % (2 * m)
+        gathered = np.asarray(vecs, dtype=np.int64)[partners] % p
+        return (weights[:, :, None] * gathered % p).sum(axis=1) % p
 
 
 def build_hamiltonian(
     lattice: FiniteLattice, term_symbols
 ) -> HamiltonianInstance:
     """Place every translate of every term symbol and verify exact
-    pairwise commutation (one bad pair aborts loudly)."""
+    pairwise commutation (one bad pair aborts loudly): the terms are
+    the columns of an n x terms matrix, whose Gram matrix's first
+    nonzero names the pair."""
     symbols = tuple(term_symbols)
     sites = list(lattice.sites())
     entries, families = [], []
@@ -168,20 +136,17 @@ def build_hamiltonian(
                        for c, _ in families])
     coeff = np.vstack([np.pad(v, ((0, 0), (0, width - v.shape[1])))
                        for _, v in families])
-    p, m = lattice.p, lattice.n_qudits
-    bad = _first_noncommuting_pair(coord, coeff, lattice)
+    order = np.argsort(coord, axis=None, kind="stable")
+    gram = _gram_blocks(coord.ravel()[order], order // width,
+                        coeff.ravel()[order], lattice.symplectic_len,
+                        len(entries), lattice.p)
+    bad = next((int(keys[0]) for _, _, keys, _ in gram if keys.size), None)
     if bad is not None:
-        i, j = bad
+        i, j = divmod(bad, len(entries))
         raise NoncommutingTermsError(
             f"terms {entries[i]} and {entries[j]} do not commute"
         )
-    # u.v = u_X.v_Z - u_Z.v_X: an X entry reads v's Z half, a Z entry
-    # reads v's X half with the opposite sign.
-    is_x = coord < m
-    partners = np.where(is_x, coord + m, coord - m)
-    weights = np.where(is_x, coeff, -coeff) % p
-    return HamiltonianInstance(lattice, symbols, tuple(entries), partners,
-                               weights)
+    return HamiltonianInstance(lattice, symbols, tuple(entries), coord, coeff)
 
 
 def syndrome(op: PhasedPauli, h: HamiltonianInstance) -> dict:

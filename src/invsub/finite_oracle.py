@@ -31,7 +31,7 @@ from .fplinalg import (
     rank,
     row_basis,
 )
-from .laurent import LaurentMatrix
+from .laurent import LaurentMatrix, _is_prime
 from .pauli import SubalgebraSpec
 from .qca import CliffordQCA
 from .weyl import PhasedPauli
@@ -45,9 +45,10 @@ class InstantiationError(ValueError):
 
 # The most symplectic coordinates (n = 2qN) a lattice may have; dense
 # elimination costs n^2 memory and n^3 time.  example-z3 (q=2), end to
-# end on a 2-core Xeon VM: `boundary` 9^3 (n=2916) 1.8 s, 344 MiB and
-# 10^3 (n=4000) 3.5 s, 618 MiB; `oracle` 31x31 (n=3844) 4.1 s, 352 MiB,
-# 40x40 (n=6400) 15 s, 846 MiB and 45x45 (n=8100) 19 s, 1.3 GiB.
+# end on a 2-core Xeon VM: `boundary` 9^3 (n=2916) 0.33 s, 48 MiB and
+# 10^3 (n=4000) 0.36 s, 60 MiB; `oracle` 31x31 (n=3844) 1.1 s, 275 MiB,
+# and over the bound 40x40 (n=6400) 4.2 s, 682 MiB and 45x45 (n=8100)
+# 6.4 s, 1.0 GiB.
 MAX_SYMPLECTIC_LEN = 4096
 
 
@@ -65,6 +66,10 @@ class FiniteLattice:
         sizes = tuple(sizes)
         if any(s < 1 for s in sizes) or not sizes:
             raise ValueError("lattice sizes must be positive")
+        if not _is_prime(p):
+            raise ValueError(f"qudit dimension {p} is not prime")
+        if q < 1:
+            raise ValueError(f"need at least one qudit per site, not {q}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "sizes", sizes)
@@ -206,13 +211,18 @@ class FiniteLattice:
 
     def window_sites(self, center, radius: int) -> list[tuple[int, ...]]:
         """Sites within sup-distance radius of center (wrapped or
-        clipped), deduplicated, in deterministic order."""
-        seen = {}
-        for delta in itertools.product(*([range(-radius, radius + 1)] * self.dims)):
-            t = self.resolve(tuple(c + d for c, d in zip(center, delta)))
-            if t is not None and t not in seen:
-                seen[t] = True
-        return list(seen)
+        clipped), deduplicated, in the order the offsets -radius..radius
+        (last axis fastest) first reach them: on each axis at most `size`
+        offsets on a torus, those on the patch otherwise."""
+        self._check_site(center)
+        axes = []
+        for c, size in zip(center, self.sizes):
+            if self.periodic:
+                reach = range(c - radius, c - radius + min(2 * radius + 1, size))
+                axes.append([t % size for t in reach])
+            else:
+                axes.append(range(max(c - radius, 0), min(c + radius + 1, size)))
+        return list(itertools.product(*axes))
 
     def displacement(self, a, b) -> int:
         """Sup-norm distance from site a to site b, shortest way round
@@ -447,70 +457,83 @@ def _vs_of_span(span: np.ndarray, lattice: FiniteLattice, reach: int) -> VsRepor
 
 # Entries handled at a time when a pass over a map's nonzeros makes
 # temporaries: products in the form check, sites in the spread.
-_CHUNK = 1 << 12
+_CHUNK = 1 << 13
 
 
-def _preserves_form(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                    n: int, p: int) -> bool:
-    """Is M^T J M = J mod p, for the n x n matrix M with the given
-    nonzeros (row-major, distinct, values in [1, p))?
+def _sum_by_key(keys: np.ndarray, values: np.ndarray, p: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in ascending order with the sums mod p of their
+    values (in [0, p)), less the keys whose sum is 0.  Keys and values
+    are sorted together as keys * p + values, which must stay below
+    2^63; the int64 sums are exact for p < 2^31."""
+    code = np.sort(keys * p + values)
+    keys = code // p
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(code - keys * p, first) % p if keys.size else keys
+    return keys[first][sums != 0], sums[sums != 0]
 
-    Entry (i, j) of M^T J M is sum_r s(r) M[r, i] M[sw(r), j], where sw
-    swaps the X and Z halves and s is +1 on the X half and -1 on the Z
-    half: its terms pair a nonzero of column i with the nonzeros of the
-    partner row.  The rows i of M^T J M are summed a run of columns i of
-    M at a time into a dense block of at most 8 _CHUNK entries, from at
-    most _CHUNK products at a time (a run of one column may make more,
-    _CHUNK at a time).  The sums that cancel mod p are dropped, and what
-    is left must be J's rows: 1 at i + n/2 on the X half, -1 at i - n/2
-    on the Z half.  Each product is reduced mod p (below 2^62 for
-    p < 2^31) and one entry sums at most n of them, so the int64 sums are
-    exact.
+
+def _gram_blocks(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                 n: int, k: int, p: int):
+    """The nonzero entries of M^T J M mod p, a run of rows a <= i < b at
+    a time from row 0 to row k, as (a, b, keys, sums) with keys i k + j
+    ascending; M is the n x k matrix with the given entries (`rows`
+    sorted, coordinates may repeat, values in [0, p), k^2 p <= 2^63) and
+    J = [[0, I], [-I, 0]].
+
+    Entry (i, j) is sum_r s(r) M[r, i] M[sw(r), j], where sw swaps the
+    X and Z halves and s is +1 on the X half and -1 on the Z half: the
+    symplectic pairing of columns i and j, made by pairing each nonzero
+    of column i with the nonzeros of its partner row.  The entries are
+    taken column by column, about _CHUNK products at a time, each
+    reduced mod p (below 2^62 for p < 2^31) before it is summed.
     """
+    if k * k * p > 1 << 63:
+        raise ValueError(f"{k} columns mod {p} overflow the Gram keys")
     half = n // 2
     partner = (np.arange(n) + half) % n
     # Row r's nonzeros are entries bounds[r] to bounds[r + 1]; those of
     # its partner row start at start[r] and number count[r].
     bounds = np.searchsorted(rows, np.arange(n + 1))
     start, count = bounds[partner], np.diff(bounds)[partner]
-    # Products made by columns 0 to c (exact in float64).
-    made = np.zeros(n)
-    for lo in range(0, rows.size, _CHUNK):
-        made += np.bincount(cols[lo:lo + _CHUNK],
-                            weights=count[rows[lo:lo + _CHUNK]], minlength=n)
-    made = np.cumsum(made)
-    width = max(1, 8 * _CHUNK // n)
+    # The entries column by column, and the products made up to each.
+    order = np.argsort(cols)
+    ends = np.cumsum(count[rows[order]])
+    cuts = np.searchsorted(ends, np.arange(_CHUNK, ends[-1] if ends.size else 0,
+                                           _CHUNK), side="right")
+    keys = sums = np.zeros(0, dtype=np.int64)
     a = 0
-    while a < n:
-        done = made[a - 1] if a else 0.0
-        b = min(a + width, max(a + 1, int(np.searchsorted(
-            made, done + _CHUNK, side="right"))))
-        k = np.flatnonzero((cols >= a) & (cols < b))
-        r = rows[k]
-        coef = np.where(r < half, values[k], p - values[k])
-        # Nonzero k pairs with the w[k] nonzeros of row sw(r[k]), whose
-        # entry (sw(r[k]), j) adds to (cols[k], j) of M^T J M, at
-        # shift[k] + j in the block.
+    for lo, hi in zip([0, *cuts], [*cuts, order.size]):
+        # Entry e[t] pairs with the w[t] entries of row sw(r[t]), whose
+        # entry (sw(r[t]), j) adds to (cols[e[t]], j) of M^T J M.
+        e = order[lo:hi]
+        r = rows[e]
         w = count[r]
-        shift = (cols[k] - a) * n
-        ends = np.cumsum(w)
-        cuts = np.searchsorted(ends, np.arange(_CHUNK, ends[-1] if k.size else 0,
-                                               _CHUNK), side="right")
-        block = np.zeros((b - a) * n, dtype=np.int64)
-        for lo, hi in zip([0, *cuts], [*cuts, k.size]):
-            wk = w[lo:hi]
-            right = (np.repeat(start[r[lo:hi]] - (np.cumsum(wk) - wk), wk)
-                     + np.arange(wk.sum()))
-            np.add.at(block, np.repeat(shift[lo:hi], wk) + cols[right],
-                      np.repeat(coef[lo:hi], wk) * values[right] % p)
-        keys = np.flatnonzero(block)
-        sums = block[keys] % p
-        keys, sums = keys[sums != 0], sums[sums != 0]
+        right = np.repeat(start[r] - (np.cumsum(w) - w), w) + np.arange(w.sum())
+        coef = np.where(r < half, values[e], p - values[e])
+        keys, sums = _sum_by_key(
+            np.concatenate([keys, np.repeat(cols[e] * k, w) + cols[right]]),
+            np.concatenate([sums, np.repeat(coef, w) * values[right] % p]), p)
+        # The columns before the next entry's are complete.
+        b = cols[order[hi]] if hi < order.size else k
+        if b > a:
+            done = np.searchsorted(keys, b * k)
+            yield a, b, keys[:done], sums[:done]
+            keys, sums, a = keys[done:], sums[done:], b
+
+
+def _preserves_form(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                    n: int, p: int) -> bool:
+    """Is M^T J M = J mod p, for the n x n matrix M with the given
+    nonzeros (row-major, distinct, values in [1, p))?  Each run of
+    `_gram_blocks` must be J's rows: 1 at i + n/2 on the X half, -1 at
+    i - n/2 on the Z half."""
+    half = n // 2
+    for a, b, keys, sums in _gram_blocks(rows, cols, values, n, n, p):
         i = np.arange(a, b)
-        if not (np.array_equal(keys, (i - a) * n + partner[i])
+        if not (np.array_equal(keys, i * n + (i + half) % n)
                 and np.array_equal(sums, np.where(i < half, 1, p - 1))):
             return False
-        a = b
     return True
 
 
@@ -523,16 +546,18 @@ class FiniteSymplecticMap:
     constructor: it takes nonzeros and sums repeated coordinates.
 
     M is accepted exactly when M^T J M = J, with J = [[0, I], [-I, 0]]
-    (`_preserves_form`): each entry of M^T J M is summed from products of
-    a nonzero of M with the nonzeros of its partner row in the other
-    half, sum_r nnz(r) nnz(sw r) products in all, a bounded number at a
-    time.  For a lifted automaton the nonzeros of a row or column come
-    from the terms of its symbol, so their number does not grow with the
-    lattice: 14 in each column for example-z3, at most 16 for spread-2
-    and spread-3 remark specs, about 200 n products.  A dense M makes
-    n^3 products (1.6 s at n = 512 and 7.6 s at n = 1024 on a 2-core
-    Xeon VM): memory stays under that of the dense product M^T (J M),
-    but the time is seconds from n = 512 on.
+    (`_preserves_form`).  M^T J M comes from `_gram_blocks`, the one
+    kernel that also makes a Hamiltonian's commutation check: each entry
+    is summed from products of a nonzero of M with the nonzeros of its
+    partner row in the other half, sum_r nnz(r) nnz(sw r) products in
+    all, a bounded number at a time.  For a lifted automaton the
+    nonzeros of a row or column come from the terms of its symbol, so
+    their number does not grow with the lattice: 14 in each column for
+    example-z3, at most 16 for spread-2 and spread-3 remark specs, about
+    200 n products.  A dense M makes n^3 products (2.1 s at n = 512 and
+    19 s at n = 1024 on a 2-core Xeon VM): memory stays under that of
+    the dense product M^T (J M), but the time is seconds from n = 512
+    on.
     """
 
     __slots__ = ("lattice", "rows", "cols", "values", "spread")
@@ -548,19 +573,10 @@ class FiniteSymplecticMap:
         if rows.size and (min(rows.min(), cols.min()) < 0
                           or max(rows.max(), cols.max()) >= n):
             raise ValueError(f"entry outside the {n} x {n} matrix")
-        keys = rows * n + cols
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        values = np.asarray(values, dtype=np.int64)[order]
-        values %= p
-        del order
-        # One sum per distinct coordinate, of values below p, so exact.
-        first = np.flatnonzero(np.diff(keys, prepend=-1))
-        sums = np.add.reduceat(values, first) % p if keys.size else values
-        keys, keep = keys[first], sums != 0
+        keys, sums = _sum_by_key(rows * n + cols,
+                                 np.asarray(values, dtype=np.int64) % p, p)
         out = cls.__new__(cls)
-        out._validate(lattice, keys[keep] // n, keys[keep] % n, sums[keep],
-                      spread)
+        out._validate(lattice, keys // n, keys % n, sums, spread)
         return out
 
     def _validate(self, lattice, rows, cols, values, spread) -> None:

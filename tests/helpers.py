@@ -70,6 +70,18 @@ def instantiate_column_per_term(lattice, column, base_site):
     return vec
 
 
+def window_sites_per_offset(lattice, center, radius):
+    """FiniteLattice.window_sites as first written: every offset in the
+    (2 radius + 1)^D box resolved in turn, first reaches kept."""
+    seen = {}
+    for delta in itertools.product(*([range(-radius, radius + 1)]
+                                      * lattice.dims)):
+        t = lattice.resolve(tuple(c + d for c, d in zip(center, delta)))
+        if t is not None and t not in seen:
+            seen[t] = True
+    return list(seen)
+
+
 def translation_by_roll(lattice, shift):
     """The qudit permutation of FiniteLattice.translation, built the way
     the torus unit shifts first were, by np.roll of the site-index

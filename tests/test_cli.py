@@ -392,6 +392,19 @@ def test_oracle_full_patch_time_budget(capsys):
     assert payload["vs_holds"] is True
 
 
+def test_oracle_window_past_the_patch_is_the_whole_patch(capsys):
+    # A window of 150 on a 6x6 patch is every site; the stdout's SHA-256
+    # is the one printed while each window resolved all 301^2 offsets
+    # (5.9 s end to end).
+    start = perf_counter()
+    code, _, out = run(capsys, "oracle", "--spec", "full", "--patch", "6x6",
+                       "--window", "150")
+    assert perf_counter() - start < 2.0
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "5a4c0cc18dfa1941b20a473ec4af024a3934304d8b23207eb7cc0597a9c79171"
+
+
 @pytest.mark.parametrize("extra, lifts", [
     ((), 1),
     (("--spec-b", "example-z3", "--blend", "example-z3"), 1),

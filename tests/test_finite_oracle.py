@@ -27,6 +27,7 @@ from helpers import (
     symplectic_map,
     translation_by_roll,
     translation_invariant_rereducing,
+    window_sites_per_offset,
     xz_chain_spec,
     z3_spec,
 )
@@ -87,6 +88,44 @@ def test_lattice_patch_resolve_and_window():
     assert len(tor.window_sites((0, 0), 1)) == 9
     assert tor.displacement((0, 0), (3, 0)) == 1  # shortest way wraps
     assert pat.displacement((0, 0), (3, 0)) == 3
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["torus", "patch"])
+def test_window_sites_are_the_offsets_first_reaches(periodic):
+    # Every axis clipped to the lattice gives the sites, and the order,
+    # that the whole box of offsets reaches first; centers off the
+    # lattice included.
+    for sizes in ((1,), (4,), (3, 5), (2, 1, 4)):
+        lat = FiniteLattice(3, 1, sizes, periodic)
+        for center in itertools.product(*(range(-1, s + 1) for s in sizes)):
+            for radius in range(-1, max(sizes) + 2):
+                assert lat.window_sites(center, radius) == \
+                    window_sites_per_offset(lat, center, radius)
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["torus", "patch"])
+def test_window_sites_cost_follows_the_lattice_not_the_radius(periodic):
+    # A torus starts each axis's offsets at center - radius, so only the
+    # set of sites, not their order, is the same at every large radius.
+    lat = FiniteLattice(3, 2, (7, 6), periodic)
+    whole = lat.window_sites((3, 2), max(lat.sizes))
+    assert sorted(whole) == list(lat.sites())
+    start = perf_counter()
+    huge = lat.window_sites((3, 2), 10 ** 6)
+    assert perf_counter() - start < 0.1
+    assert sorted(huge) == sorted(whole)
+    if not periodic:
+        assert huge == whole
+
+
+def test_lattice_refuses_a_composite_modulus_and_an_empty_site():
+    for p in (4, 1, 0, -3, 9):
+        with pytest.raises(ValueError, match=f"dimension {p} is not prime"):
+            FiniteLattice(p, 1, (3,))
+    for q in (0, -1):
+        with pytest.raises(ValueError, match="at least one qudit"):
+            FiniteLattice(3, q, (3,))
+    assert FiniteLattice(2, 1, (3,)).symplectic_len == 6
 
 
 def test_lattice_size_bound():
@@ -715,6 +754,51 @@ def test_symplectic_check_on_a_dense_map_stays_under_dense_product_memory():
     assert (peak(lambda: finite_oracle._preserves_form(
                 fin.rows, fin.cols, fin.values, lat.symplectic_len, lat.p))
             < peak(lambda: symplectic_gram_dense(m, lat)))
+
+
+def _random_entries(rng, n, k, p, nnz):
+    """nnz entries of an n x k matrix sorted by row, with repeated
+    coordinates and zero values among them, and the dense matrix."""
+    rows = np.sort(rng.integers(0, n, nnz))
+    cols = rng.integers(0, k, nnz)
+    values = rng.integers(0, p, nnz)
+    dense = np.zeros((n, k), dtype=np.int64)
+    np.add.at(dense, (rows, cols), values)
+    return rows, cols, values, dense % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gram_kernel_is_the_dense_gram(p):
+    # The runs tile the rows of M^T J M in order and their entries are
+    # the dense Gram matrix's nonzeros, key by key.  Several runs, and
+    # columns making more than one batch of products, are exercised.
+    rng = np.random.default_rng(p)
+    for n, k, nnz in ((2, 5, 6), (8, 3, 20), (40, 70, 300), (64, 9, 2000),
+                      (200, 330, 40000)):
+        rows, cols, values, dense = _random_entries(rng, n, k, p, nnz)
+        runs = list(finite_oracle._gram_blocks(rows, cols, values, n, k, p))
+        assert [a for a, _, _, _ in runs] == [0] + [b for _, b, _, _ in runs[:-1]]
+        assert runs[-1][1] == k
+        keys = np.concatenate([r[2] for r in runs])
+        sums = np.concatenate([r[3] for r in runs])
+        gram = pairing_matrix(dense.T, dense.T, p).ravel()
+        assert np.array_equal(keys, np.flatnonzero(gram))
+        assert np.array_equal(sums, gram[keys])
+        for a, b, run_keys, _ in runs:
+            assert np.all((run_keys >= a * k) & (run_keys < b * k))
+        if nnz == 40000:
+            # Entry (r, c) makes one product per entry of row r's partner.
+            partner_count = np.bincount(rows, minlength=n)[(rows + n // 2) % n]
+            made = np.bincount(cols, weights=partner_count, minlength=k)
+            assert made.max() > 2 * finite_oracle._CHUNK
+            assert len(runs) > 10
+
+
+def test_gram_kernel_refuses_keys_beyond_int64():
+    empty = np.zeros(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="overflow"):
+        next(finite_oracle._gram_blocks(empty, empty, empty, 2, 1 << 17,
+                                        2 ** 31 - 1))
 
 
 def test_instantiate_shift_qca():
