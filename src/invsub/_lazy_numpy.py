@@ -1,8 +1,8 @@
 """numpy, imported on first use.
 
-The symbolic layers (`laurent`, `groebner`, `pauli`, `qca`) never use
-numpy, so a process that runs only them should not pay for importing
-it. Each numeric module binds ``np = LazyNumpy(globals())``. The first
+The symbolic layers (`laurent`, `groebner`, `pauli`, `qca`) and the
+integer Pauli arithmetic of `weyl` never use numpy, so a process that
+runs only them should not pay for importing it. Each numeric module binds ``np = LazyNumpy(globals())``. The first
 attribute read imports numpy and rebinds that module's ``np`` global to
 the real module, so later reads cost nothing extra.
 """

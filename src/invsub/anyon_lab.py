@@ -1,10 +1,10 @@
 """Commuting-Pauli Hamiltonians, string operators, and anyon data.
 
-Everything here is exact: operators are phase-tracked Paulis, syndromes
-are symplectic pairings over F_p, string operators come out of F_p
-linear solves, the exchange phase is read off a literal operator
-product, and the chiral-central-charge phase is evaluated in the
-cyclotomic integers with no floating point on the critical path.
+Everything here is exact: syndromes are symplectic pairings over F_p,
+string operators come out of F_p linear solves and carry exact phases,
+the exchange phase is a sum of commutator exponents, and the
+chiral-central-charge phase is evaluated in the cyclotomic integers
+with no floating point on the critical path.
 
 A Hamiltonian keeps its terms as their nonzeros, so a pairing with the
 terms is a gather of a few coordinates per term, and the all-pairs
@@ -12,8 +12,11 @@ commutation check is their Gram matrix, made by the kernel that checks
 a lifted map is symplectic (`finite_oracle._gram_blocks`).
 String operators rest on translation invariance: the one-step
 transporter for each (generators, step, charge, family) is solved once
-per Hamiltonian, instantiated once at the origin and moved along a leg
-by site permutations.
+per Hamiltonian, instantiated once at the origin and moved to every
+step of a leg by one batch of site permutations.  Products of Paulis
+are taken on numpy symplectic rows by `_ordered_product`, which adds
+the rows and reads the phase off one matrix product; a `PhasedPauli`
+is built only for what `leg_string` and `hopping_operator` return.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ import itertools
 from typing import NamedTuple
 
 from ._lazy_numpy import LazyNumpy
-from .fplinalg import solve
+from .fplinalg import matmul_mod, solve
 from .finite_oracle import (
     FiniteLattice,
     InstantiationError,
     _gram_blocks,
+    pairing_matrix,
     placements,
 )
 from .laurent import LaurentMatrix, _is_prime
@@ -67,7 +71,8 @@ class HamiltonianInstance:
     the terms of its symbol (padded with zero coefficients).  `rows`,
     the terms as dense symplectic rows, is scattered from them on first
     read.  One-step transporters solved on this instance are cached on
-    it, keyed by (generators, step, charge mod p, family).
+    it as (read-only symplectic row, phase), keyed by (generators, step,
+    charge mod p, family).
     """
 
     def __init__(self, lattice: FiniteLattice,
@@ -152,8 +157,38 @@ def build_hamiltonian(
 def syndrome(op: PhasedPauli, h: HamiltonianInstance) -> dict:
     """Nonzero commutation exponents of the operator against each term:
     op . P = omega^k P . op for the term P at the reported key."""
-    vals = h.pairings(op.to_symplectic()[:, None])[:, 0]
-    return {h.entries[i]: int(v) for i, v in enumerate(vals) if v}
+    return _syndrome(np.asarray(op.to_symplectic(), dtype=np.int64), h)
+
+
+def _syndrome(row: np.ndarray, h: HamiltonianInstance) -> dict:
+    vals = h.pairings(row[:, None])[:, 0]
+    return {h.entries[i]: int(vals[i]) for i in np.flatnonzero(vals)}
+
+
+def _ordered_product(rows: np.ndarray, p: int, phases=0, powers=None
+                     ) -> tuple[np.ndarray, int]:
+    """The symbol and phase of W_0^c_0 W_1^c_1 ... W_(k-1)^c_(k-1), where
+    W_i = omega^phases[i] X^a_i Z^b_i has the symplectic row
+    rows[i] = (a_i | b_i) and c_i = powers[i] (every c_i is 1 by default;
+    `phases` may be one int for all).
+
+    W^c = omega^(c phase + C(c, 2) b.a) X^(ca) Z^(cb), as in
+    `PhasedPauli.__pow__`.  Putting the raised factors in order moves
+    the Z part of each past the X part of every later one, which adds
+    b_i . a_j for every i < j: the strict upper triangle of B A^T for
+    the raised factors' halves A and B.  The symbol is the sum of their
+    rows, mod p."""
+    k, m = rows.shape[0], rows.shape[1] // 2
+    rows = rows % p
+    c = np.ones(k, dtype=np.int64) if powers is None else \
+        np.asarray(powers, dtype=np.int64)
+    self_cross = (rows[:, m:] * rows[:, :m]).sum(axis=1) % p
+    raised = rows * (c % p)[:, None] % p
+    cross = matmul_mod(raised[:, m:], raised[:, :m].T, p)
+    phase = (int((np.asarray(phases) % p * c % p).sum())
+             + int(((c * (c - 1) // 2 % p) * self_cross % p).sum())
+             + int(np.triu(cross, 1).sum()))
+    return raised.sum(axis=0) % p, phase % p
 
 
 def _columns(generators: LaurentMatrix) -> list[LaurentMatrix]:
@@ -171,11 +206,11 @@ def _segment_box(step, margin: int):
 
 def _solve_transporter(
     h: HamiltonianInstance, cols, step, charge: int, family: int
-) -> PhasedPauli:
+) -> tuple[np.ndarray, int]:
     """Solve for a product of generator translates whose syndrome is
     +charge one step away from -charge at the origin, and return it
-    placed at the origin: the factors in solution order, each raised to
-    its exponent."""
+    placed at the origin, as a read-only symplectic row and a phase:
+    the factors in solution order, each raised to its exponent."""
     lat = h.lattice
     target = np.zeros(len(h.entries), dtype=np.int64)
     target[h.index_of(family, lat.resolve(step))] = charge % lat.p
@@ -194,15 +229,14 @@ def _solve_transporter(
         raise InfeasibleHopError(
             f"no one-step transporter for charge {charge} along {tuple(step)}"
         )
-    op = PhasedPauli.identity(lat.p, lat.n_qudits)
-    for vec, c in zip(placed, coeffs):
-        if c:
-            op = op * PhasedPauli.from_symplectic(lat.p, vec) ** int(c)
-    return op
+    used = np.flatnonzero(coeffs)
+    row, phase = _ordered_product(placed[used], lat.p, powers=coeffs[used])
+    row.flags.writeable = False
+    return row, phase
 
 
 def _transporter(h: HamiltonianInstance, generators: LaurentMatrix, step,
-                 charge: int, family: int) -> PhasedPauli:
+                 charge: int, family: int) -> tuple[np.ndarray, int]:
     """The one-step transporter at the origin, solved once per
     Hamiltonian."""
     key = (generators, tuple(step), charge % h.lattice.p, family)
@@ -227,25 +261,40 @@ def leg_string(
     leg and depends only on the direction.  Torus only: the transporter
     is moved along the leg by translation, which an open boundary
     breaks."""
+    row, phase = _leg(h, generators, junction, direction, length, charge,
+                      family)
+    return PhasedPauli.from_symplectic(h.lattice.p, row, phase)
+
+
+def _leg(h: HamiltonianInstance, generators: LaurentMatrix, junction,
+         direction, length: int, charge: int, family: int
+         ) -> tuple[np.ndarray, int]:
+    """`leg_string` as a symplectic row and a phase: the transporter
+    moved to every step at once, the copies multiplied by
+    `_ordered_product` with the last step leftmost, and the syndrome
+    checked to telescope."""
     lat = h.lattice
     if not lat.periodic:
         raise InstantiationError("string operators need a torus")
-    transporter = _transporter(h, generators, direction, charge, family)
-    op = PhasedPauli.identity(lat.p, lat.n_qudits)
-    for m in range(length):
-        at = tuple(j + m * d for j, d in zip(junction, direction))
-        op = transporter.permute(lat.translation(at)) * op
+    step_row, step_phase = _transporter(h, generators, direction, charge,
+                                        family)
+    steps = np.arange(length - 1, -1, -1)[:, None]
+    perms = lat.translations(np.asarray(junction) + steps
+                             * np.asarray(direction))
+    m = lat.n_qudits
+    copies = np.concatenate([step_row[:m][perms], step_row[m:][perms]],
+                            axis=1)
+    row, phase = _ordered_product(copies, lat.p, phases=step_phase)
     near = lat.resolve(junction)
     far = lat.resolve(tuple(j + length * d
                             for j, d in zip(junction, direction)))
-    got = syndrome(op, h)
     want = {}
     if charge % lat.p:
         want = {(family, far): charge % lat.p,
                 (family, near): -charge % lat.p}
-    if got != want:
+    if _syndrome(row, h) != want:
         raise InfeasibleHopError("leg string syndrome failed to telescope")
-    return op
+    return row, phase
 
 
 def hopping_operator(
@@ -269,17 +318,20 @@ def hopping_operator(
     deltas = [(x - y) % size for x, y, size in zip(a, b, lat.sizes)]
     if not any(deltas):
         raise ValueError("the two syndrome sites must differ")
-    op = PhasedPauli.identity(lat.p, lat.n_qudits)
+    legs = []
     cur = list(b)
     for axis, (delta, size) in enumerate(zip(deltas, lat.sizes)):
         if not delta:
             continue
         step, count = (1, delta) if delta <= size // 2 else (-1, size - delta)
         direction = tuple(step if k == axis else 0 for k in range(lat.dims))
-        op = leg_string(h, generators, tuple(cur), direction, count,
-                        charge=charge, family=family) * op
+        legs.append(_leg(h, generators, tuple(cur), direction, count,
+                         charge, family))
         cur[axis] = a[axis]
-    return op
+    # Each leg multiplies the ones before it from the left.
+    rows, phases = zip(*reversed(legs))
+    row, phase = _ordered_product(np.array(rows), lat.p, phases=phases)
+    return PhasedPauli.from_symplectic(lat.p, row, phase)
 
 
 DEFAULT_LEG_DIRECTIONS = ((1, 0), (0, 1), (-1, -1))
@@ -305,10 +357,13 @@ def topological_spin(
     """Exchange phase of the charge from a three-leg junction process.
 
     Three string operators U1, U2, U3 push the charge from the junction
-    out along the listed legs; the two orderings of their product are
-    inverse scalars, and the reported exponent is the one for the
-    ordering U1 U2 U3 (U3 U2 U1)^dagger.  Which of the two scalars is
-    "the" spin is a handedness choice tied to how the two lattice axes
+    out along the listed legs; the reported exponent is that of the
+    scalar U1 U2 U3 (U3 U2 U1)^dagger.  Reordering U1 U2 U3 into U3 U2 U1
+    takes three swaps, so the scalar is omega^(c12 + c13 + c23), with
+    c_ij the commutator exponent of legs i and j (U_i U_j =
+    omega^c_ij U_j U_i): only the legs' symbols enter, and no operator
+    product is formed.  Which of the two orderings gives "the" spin
+    is a handedness choice tied to how the two lattice axes
     are drawn; this one is calibrated against the known chirality of
     the built-in two-qutrit model, and the leg list in the report is
     the orientation datum.  Legs must be at least eight spreads long —
@@ -330,14 +385,15 @@ def topological_spin(
            for d, size in zip(direction, lat.sizes)):
         raise SpinGeometryError("legs lap around the torus at this size")
     u1, u2, u3 = (
-        leg_string(h, generators, tuple(junction), direction, leg_length,
-                   charge=charge, family=family)
+        _leg(h, generators, tuple(junction), direction, leg_length, charge,
+             family)[0]
         for direction in leg_directions
     )
-    ratio = (u1 * u2 * u3) * (u3 * u2 * u1).dagger()
-    if not ratio.is_scalar():
-        raise SpinGeometryError("exchange product failed to collapse to a scalar")
-    return SpinReport(exponent=ratio.phase, p=lat.p,
+    legs = np.array([u1, u2, u3])
+    # pairing_matrix holds a_i.b_j - b_i.a_j = -c_ij.
+    pairing = pairing_matrix(legs, legs, lat.p)
+    exponent = -int(np.triu(pairing, 1).sum()) % lat.p
+    return SpinReport(exponent=exponent, p=lat.p,
                       junction=tuple(junction), leg_length=leg_length,
                       leg_directions=tuple(tuple(d) for d in leg_directions))
 

@@ -14,7 +14,8 @@ the X exponent of qudit slot k at site s lives at coordinate s*q + k,
 and the Z exponent at q*N + s*q + k, giving symplectic vectors of
 length 2qN.  `coords_of` and `site_of` convert between sites and
 coordinates, `place` lays a symbol column's terms at any array of base
-sites, and `translation` is the qudit permutation of a shift.
+sites, and `translation` is the qudit permutation of a shift
+(`translations`, of many shifts at once).
 """
 
 from __future__ import annotations
@@ -172,9 +173,21 @@ class FiniteLattice:
         round every axis: W.permute(perm) acts at site s as W acts at
         s - shift."""
         self._check_site(shift)
-        src = np.ravel_multi_index(tuple(((self.grid - shift) % self.sizes).T),
+        return self.translations([shift])[0]
+
+    def translations(self, shifts) -> np.ndarray:
+        """`translation` for every row of shifts (a k x dims array),
+        one permutation per row, from one index computation."""
+        shifts = np.asarray(shifts, dtype=np.int64)
+        if shifts.ndim != 2 or shifts.shape[1] != self.dims:
+            raise ValueError(f"sites must have {self.dims} coordinates")
+        moved = (self.grid - shifts[:, None, :]) % self.sizes
+        src = np.ravel_multi_index(tuple(np.moveaxis(moved, -1, 0)),
                                    self.sizes)
-        return self.coords_of(src)[:self.q].T.ravel()
+        # coords_of gives (2q, k, sites); qudit s*q + slot of row r
+        # reads qudit src[r, s]*q + slot.
+        return np.moveaxis(self.coords_of(src)[:self.q], 0, -1).reshape(
+            len(shifts), self.n_qudits)
 
     def place(self, column: LaurentMatrix, at=None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

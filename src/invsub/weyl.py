@@ -5,6 +5,9 @@ qudits, with a, b exponent vectors and omega the primitive p-th root of
 unity.  The phase exponent c is tracked exactly through products,
 inverses, and conjugation — including p = 2, where c is the sign bit and
 ordering effects that vanish at the symbol level become visible.
+The exponents are tuples of Python ints, so this module, and with it
+`invsub dist`, never imports numpy; `anyon_lab` does its heavy products
+on numpy symplectic rows and builds a `PhasedPauli` only for a result.
 
 Operator-norm distances between phased Paulis are tiny exact
 expressions: a unitary's distance to the identity depends only on its
@@ -25,11 +28,8 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import mul
 from typing import NamedTuple
-
-from ._lazy_numpy import LazyNumpy
-
-np = LazyNumpy(globals())
 
 # The most candidate Paulis `dist_bounded` accepts in one call.  It
 # scores them in closed form without building any (0.03 ms for one
@@ -42,96 +42,141 @@ class CandidateCountError(ValueError):
     """More candidate Paulis than `MAX_CANDIDATES` would be scored."""
 
 
-def _vec(v, p: int) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.int64) % p
-    if arr.ndim != 1:
-        raise ValueError("exponent vectors must be 1-d")
-    arr.flags.writeable = False
-    return arr
+class Exponents(tuple):
+    """An exponent vector: a tuple of Python ints in [0, p).  `tolist`
+    gives them as a list, as numpy's does."""
+
+    __slots__ = ()
+
+    def tolist(self) -> list[int]:
+        return list(self)
+
+
+def _vec(v, p: int) -> Exponents:
+    """v reduced mod p; v is any 1-d sequence of integers, a numpy
+    array included."""
+    if hasattr(v, "tolist"):
+        v = v.tolist()
+    try:
+        return Exponents([int(x) % p for x in v])
+    except TypeError:
+        raise ValueError("exponent vectors must be 1-d") from None
+
+
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
 
 
 class PhasedPauli:
     """omega^phase X^a Z^b on a register of len(a) qudits; immutable,
-    with a and b read-only and reduced mod p, and the phase in [0, p)."""
+    with a and b `Exponents` (tuples of ints reduced mod p) and the
+    phase in [0, p)."""
 
     __slots__ = ("p", "phase", "a", "b")
 
     def __init__(self, p: int, phase: int, a, b):
         a, b = _vec(a, p), _vec(b, p)
-        if a.shape != b.shape:
+        if len(a) != len(b):
             raise ValueError("X and Z exponent vectors differ in length")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "phase", phase % p)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
+    @classmethod
+    def _of(cls, p: int, phase: int, a: Exponents, b: Exponents
+            ) -> "PhasedPauli":
+        # Operands already reduced: the arithmetic below builds its
+        # results here, without `__init__`'s checks.
+        w = object.__new__(cls)
+        object.__setattr__(w, "p", p)
+        object.__setattr__(w, "phase", phase % p)
+        object.__setattr__(w, "a", a)
+        object.__setattr__(w, "b", b)
+        return w
+
     def __setattr__(self, *a):
         raise AttributeError("PhasedPauli is immutable")
 
     @classmethod
     def identity(cls, p: int, m: int) -> "PhasedPauli":
-        return cls(p, 0, np.zeros(m, np.int64), np.zeros(m, np.int64))
+        zeros = Exponents([0] * m)
+        return cls._of(p, 0, zeros, zeros)
 
     @classmethod
     def from_symplectic(cls, p: int, row, phase: int = 0) -> "PhasedPauli":
         """Build from a length-2m symplectic row (X half | Z half)."""
-        row = np.asarray(row, dtype=np.int64)
-        m = row.shape[0] // 2
+        if hasattr(row, "tolist"):
+            row = row.tolist()
+        m = len(row) // 2
         return cls(p, phase, row[:m], row[m:])
 
-    def to_symplectic(self) -> np.ndarray:
-        return np.concatenate([self.a, self.b])
+    def to_symplectic(self) -> Exponents:
+        return Exponents(self.a + self.b)
 
     @property
     def size(self) -> int:
-        return self.a.shape[0]
+        return len(self.a)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in
-                     np.nonzero((self.a != 0) | (self.b != 0))[0])
+        return tuple(i for i, (x, z) in enumerate(zip(self.a, self.b))
+                     if x or z)
 
     def is_scalar(self) -> bool:
-        return not (self.a.any() or self.b.any())
+        return not (any(self.a) or any(self.b))
 
     def is_identity(self) -> bool:
         return self.is_scalar() and self.phase == 0
 
-    def __mul__(self, other: "PhasedPauli") -> "PhasedPauli":
+    def _check_register(self, other: "PhasedPauli") -> None:
         if self.p != other.p or self.size != other.size:
             raise ValueError("operators act on different registers")
+
+    def __mul__(self, other: "PhasedPauli") -> "PhasedPauli":
+        self._check_register(other)
+        p = self.p
         # Z factors of the left operand sweep past X factors of the right.
-        cross = int(np.dot(self.b, other.a)) % self.p
-        return PhasedPauli(
-            self.p,
+        cross = _dot(self.b, other.a)
+        return PhasedPauli._of(
+            p,
             self.phase + other.phase + cross,
-            self.a + other.a,
-            self.b + other.b,
+            Exponents([(x + y) % p for x, y in zip(self.a, other.a)]),
+            Exponents([(x + y) % p for x, y in zip(self.b, other.b)]),
         )
 
     def __pow__(self, c: int) -> "PhasedPauli":
         """W^c in closed form, for any integer c: the k-th product of W
         with W^k picks up k (b.a) from the Z factors sweeping past the X
         factors, so W^c = omega^(c phase + C(c, 2) b.a) X^(ca) Z^(cb)."""
-        cross = int(np.dot(self.b, self.a)) % self.p
-        k = c % self.p
-        return PhasedPauli(self.p, c * self.phase + c * (c - 1) // 2 * cross,
-                           k * self.a, k * self.b)
+        p = self.p
+        cross = _dot(self.b, self.a) % p
+        k = c % p
+        return PhasedPauli._of(p, c * self.phase + c * (c - 1) // 2 * cross,
+                               Exponents([k * x % p for x in self.a]),
+                               Exponents([k * z % p for z in self.b]))
 
     def dagger(self) -> "PhasedPauli":
-        cross = int(np.dot(self.a, self.b)) % self.p
-        return PhasedPauli(self.p, -self.phase + cross, -self.a, -self.b)
+        p = self.p
+        return PhasedPauli._of(p, -self.phase + _dot(self.a, self.b),
+                               Exponents([-x % p for x in self.a]),
+                               Exponents([-z % p for z in self.b]))
 
     def scale_phase(self, k: int) -> "PhasedPauli":
-        return PhasedPauli(self.p, self.phase + k, self.a, self.b)
+        return PhasedPauli._of(self.p, self.phase + k, self.a, self.b)
 
     def permute(self, perm) -> "PhasedPauli":
-        perm = np.asarray(perm, dtype=np.int64)
-        return PhasedPauli(self.p, self.phase, self.a[perm], self.b[perm])
+        """The operator whose qudit i carries this one's qudit perm[i]."""
+        if hasattr(perm, "tolist"):
+            perm = perm.tolist()
+        a, b = self.a, self.b
+        return PhasedPauli._of(self.p, self.phase,
+                               Exponents([a[i] for i in perm]),
+                               Exponents([b[i] for i in perm]))
 
     def commutator_exponent(self, other: "PhasedPauli") -> int:
         """W1 W2 = omega^k W2 W1 with this k."""
-        return (int(np.dot(self.b, other.a)) -
-                int(np.dot(other.b, self.a))) % self.p
+        self._check_register(other)
+        return (_dot(self.b, other.a) - _dot(other.b, self.a)) % self.p
 
     def commutes_with(self, other: "PhasedPauli") -> bool:
         return self.commutator_exponent(other) == 0
@@ -141,12 +186,12 @@ class PhasedPauli:
             isinstance(other, PhasedPauli)
             and self.p == other.p
             and self.phase == other.phase
-            and np.array_equal(self.a, other.a)
-            and np.array_equal(self.b, other.b)
+            and self.a == other.a
+            and self.b == other.b
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.phase, self.a.tobytes(), self.b.tobytes()))
+        return hash((self.p, self.phase, self.a, self.b))
 
     def __repr__(self) -> str:
         return (f"PhasedPauli(p={self.p}, phase={self.phase}, "
@@ -179,7 +224,7 @@ def _spectral_class(r: PhasedPauli) -> tuple:
     if r.is_scalar():
         return ("scalar", r.phase)
     if r.p == 2:
-        return ("qubit", int(np.dot(r.a, r.b)) % 2)
+        return ("qubit", _dot(r.a, r.b) % 2)
     return ("odd",)
 
 
@@ -359,18 +404,17 @@ def dist_bounded(alpha, beta, p: int, m: int, max_support: int = 2
     u, v = alpha.conjugator, beta.conjugator
     if {u.p, v.p} != {p} or {u.size, v.size} != {m}:
         raise ValueError("conjugators act on a different register")
-    a = np.zeros(m, dtype=np.int64)
-    b = np.zeros(m, dtype=np.int64)
+    a, b = [0] * m, [0] * m
     if min(max_support, m) == 0:
         # No candidate: distance 0, with the identity as witness.
         return BoundedDistance(("scalar", 0), p, 1, PhasedPauli(p, 0, a, b))
-    da, db = v.a - u.a, v.b - u.b
-    moved = np.flatnonzero((da != 0) | (db != 0))
-    if moved.size == 0:
+    for site in range(m):
+        dx, dz = v.a[site] - u.a[site], v.b[site] - u.b[site]
+        if dx or dz:
+            break
+    else:
         b[0] = 1
         return BoundedDistance(("scalar", 0), p, 1, PhasedPauli(p, 0, a, b))
-    site = int(moved[0])
-    dx, dz = int(da[site]), int(db[site])
     # c = dz x - dx z.  A site's candidates start X^0 Z^1, ..., X^0 Z^(p-1),
     # so with dx nonzero the first to reach c = t has x = 0 and
     # z = t / -dx; with dx zero, c = dz x, and it has z = 0 and x = t / dz.

@@ -707,10 +707,16 @@ def exchange_exponent_per_step(h, generators, charge, junction, leg_length,
                                leg_directions, family=0):
     """The exchange exponent of anyon_lab.topological_spin, from three
     legs built by leg_string_per_step (no geometry checks)."""
-    u1, u2, u3 = (leg_string_per_step(h, generators, tuple(junction), d,
-                                      leg_length, charge=charge,
-                                      family=family)
-                  for d in leg_directions)
+    return exchange_exponent(*(
+        leg_string_per_step(h, generators, tuple(junction), d, leg_length,
+                            charge=charge, family=family)
+        for d in leg_directions))
+
+
+def exchange_exponent(u1, u2, u3):
+    """The exchange exponent of three string operators as
+    anyon_lab.topological_spin first read it: the phase of the literal
+    product (U1 U2 U3)(U3 U2 U1)^dagger, which must be a scalar."""
     ratio = (u1 * u2 * u3) * (u3 * u2 * u1).dagger()
     assert ratio.is_scalar()
     return ratio.phase

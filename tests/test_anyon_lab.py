@@ -12,6 +12,7 @@ values are textbook number theory.
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from invsub.anyon_lab import (
     DEFAULT_LEG_DIRECTIONS,
@@ -20,6 +21,7 @@ from invsub.anyon_lab import (
     NoncommutingTermsError,
     NotModularError,
     SpinGeometryError,
+    _ordered_product,
     build_hamiltonian,
     gauss_sum_phase,
     hopping_operator,
@@ -39,6 +41,7 @@ from invsub.weyl import PhasedPauli
 from invsub.zoo import get_example, plaquette_term
 
 from helpers import (
+    exchange_exponent,
     exchange_exponent_per_step,
     first_noncommuting_pair_dense,
     hamiltonian_terms_per_site,
@@ -256,6 +259,47 @@ def test_hopping_and_spin_equal_the_per_step_engine(entry):
                     h, gens, charge, junction, rep.leg_length, legs)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, 65521]), st.data())
+def test_ordered_product_is_the_folded_pauli_product(p, data):
+    # Powers run past p: at p = 2, XZ has order 4, so (XZ)^3 = -XZ and
+    # the sign of C(c, 2) b.a must come from c itself.
+    m = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, 5))
+    ints = st.integers(0, p - 1)
+    rows = np.array(data.draw(st.lists(st.lists(ints, min_size=2 * m,
+                                                max_size=2 * m),
+                                       min_size=k, max_size=k)),
+                    dtype=np.int64).reshape(k, 2 * m)
+    phases = data.draw(st.lists(ints, min_size=k, max_size=k))
+    powers = data.draw(st.lists(st.integers(0, 3 * p), min_size=k,
+                                max_size=k))
+    want = PhasedPauli.identity(p, m)
+    for row, phase, c in zip(rows, phases, powers):
+        want = want * PhasedPauli.from_symplectic(p, row, phase) ** c
+    row, phase = _ordered_product(rows, p, phases=phases, powers=powers)
+    assert row.tolist() == list(want.to_symplectic())
+    assert phase == want.phase
+
+
+@pytest.mark.parametrize("entry", [Z3, TORIC], ids=["example-z3", "toric-code-z3"])
+@pytest.mark.parametrize("side", [13, 17])
+def test_spin_is_the_literal_exchange_product(entry, side):
+    # The commutator-sum exponent against the literal product of the
+    # three legs that leg_string returns.
+    gens = entry.hopping_generators
+    h = build_hamiltonian(FiniteLattice(3, 2, (side, side)),
+                          entry.term_symbols)
+    for charge in (1, 2):
+        for junction in ((0, 0), (3, 2)):
+            for legs in (DEFAULT_LEG_DIRECTIONS, ((0, 1), (-1, -1), (1, 0))):
+                rep = topological_spin(h, gens, charge=charge,
+                                       junction=junction, leg_directions=legs)
+                assert rep.exponent == exchange_exponent(*(
+                    leg_string(h, gens, junction, d, rep.leg_length,
+                               charge=charge) for d in legs))
+
+
 def test_transporters_are_solved_once_per_hamiltonian():
     gens = Z3.hopping_generators
     h11, h13 = (build_hamiltonian(FiniteLattice(3, 2, (s, s)),
@@ -272,8 +316,11 @@ def test_transporters_are_solved_once_per_hamiltonian():
     assert op == leg_string_per_step(h11, gens, (2, 3), (1, 0), 5)
     assert len(h11._transporters) == 1
     assert len(h13._transporters) == 3
-    assert all(t.size == 242 for t in h11._transporters.values())
-    assert all(t.size == 338 for t in h13._transporters.values())
+    # Each entry is a symplectic row and a phase.
+    assert all(row.shape == (2 * 242,) for row, _ in
+               h11._transporters.values())
+    assert all(row.shape == (2 * 338,) for row, _ in
+               h13._transporters.values())
 
 
 def test_string_operators_need_a_torus():

@@ -538,17 +538,50 @@ def test_numpy_is_imported_on_first_use(tmp_path):
         assert main(["gauss", "--spec", "example-z3"]) == 0
         assert main(["gauss", "--spins", "0,1,1", "--prime", "3"]) == 0
         assert "numpy" not in sys.modules, "gauss"
+        assert main(["dist", "--prime", "3", "--x", "1,2", "--z", "0,1"]) == 0
+        assert "numpy" not in sys.modules, "dist"
         main(["oracle", "--spec", "example-z3", "--torus", "7x7"])
         assert "numpy" in sys.modules, "oracle"
 
         import numpy
-        from invsub import anyon_lab, finite_oracle, fplinalg, weyl
+        from invsub import anyon_lab, finite_oracle, fplinalg
         assert fplinalg.np is numpy and finite_oracle.np is numpy, "oracle"
         main(["spin", "--spec", "example-z3", "--torus", "13x13"])
         assert anyon_lab.np is numpy, "spin"
-        main(["dist", "--prime", "3", "--x", "1,2", "--z", "0,1"])
-        assert weyl.np is numpy, "dist"
     """, str(path))
+
+
+def test_runs_without_numpy(capsys):
+    # With sys.modules["numpy"] = None every import of numpy raises
+    # ImportError, so any numpy use on these commands' paths fails here.
+    # The dist certificates pinned below cover p = 2 and odd p at
+    # supports 1 and 2; each certificate must be the pinned one or, for
+    # the p = 2 scan at support 2, the one this process prints with
+    # numpy loaded.
+    extra = ("dist", "--prime", "2", "--x", "1,0,1,1,0,1", "--z",
+             "0,1,1,0,0,1", "--max-support", "2")
+    pinned = {("dist", "--prime", prime, "--x", x, "--z", z,
+               "--max-support", support): digest
+              for (prime, x, z, support), (_, digest)
+              in DIST_CERTIFICATES.items()}
+    pinned.update((argv, digest) for argv, digest in NO_SYMPY_DIGESTS.items()
+                  if argv[0] in ("gauss", "check", "dist"))
+    _, _, out = run(capsys, *extra)
+    want = dict(pinned)
+    want[extra] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    out = run_probe("""
+        import contextlib, hashlib, io, json, sys
+        sys.modules["numpy"] = None
+        from invsub.cli import main
+        digests = []
+        for argv in json.loads(sys.argv[1]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0, argv
+            digests.append(hashlib.sha256(buf.getvalue().encode()).hexdigest())
+        print(json.dumps(digests))
+    """, json.dumps(list(want)))
+    assert json.loads(out) == list(want.values())
 
 
 def test_finite_commands_do_not_load_numpy_ma():

@@ -225,9 +225,14 @@ def test_place_at_every_site_by_default():
 def test_translation_matches_roll_reference():
     rng = random.Random(21)
     for lat, _, bases in itertools.islice(layout_cases(), 0, None, 3):
-        for shift in bases + [(0,) * lat.dims]:
+        shifts = bases + [(0,) * lat.dims]
+        for shift in shifts:
             want = translation_by_roll(lat, shift)
             assert np.array_equal(lat.translation(shift), want)
+        # All the shifts at once, one row each.
+        assert np.array_equal(
+            lat.translations(shifts),
+            [translation_by_roll(lat, shift) for shift in shifts])
         axis = rng.randrange(lat.dims)
         unit = tuple(int(k == axis) for k in range(lat.dims))
         assert np.array_equal(lat.translation(unit),
@@ -278,6 +283,8 @@ def test_wrong_arity_sites_are_refused():
             lat.resolve(site)
         with pytest.raises(ValueError, match="2 coordinates"):
             lat.translation(site)
+        with pytest.raises(ValueError, match="2 coordinates"):
+            lat.translations([site, site])
         with pytest.raises(ValueError, match="2 coordinates"):
             instantiate_column(lat, col, site)
         with pytest.raises(ValueError, match="2 coordinates"):
