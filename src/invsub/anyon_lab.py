@@ -26,6 +26,7 @@ import functools
 import itertools
 from typing import NamedTuple
 
+from ._frozen import Frozen
 from ._lazy_numpy import LazyNumpy
 from .fplinalg import matmul_mod, solve
 from .finite_oracle import (
@@ -60,7 +61,7 @@ class NotModularError(ValueError):
     """The spin collection fails the Gauss-sum modularity test."""
 
 
-class HamiltonianInstance:
+class HamiltonianInstance(Frozen):
     """One commuting Pauli term per (family, site) on a finite lattice.
 
     Families index the distinct term symbols (one for the worked
@@ -79,15 +80,9 @@ class HamiltonianInstance:
                  term_symbols: tuple[LaurentMatrix, ...],
                  entries: tuple[tuple[int, tuple[int, ...]], ...],
                  coords: np.ndarray, coeffs: np.ndarray):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "term_symbols", term_symbols)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_transporters", {})
-
-    def __setattr__(self, *a):
-        raise AttributeError("HamiltonianInstance is immutable")
+        self._set(lattice=lattice, term_symbols=term_symbols,
+                  entries=entries, coords=coords, coeffs=coeffs,
+                  _transporters={})
 
     @property
     def spread(self) -> int:

@@ -24,6 +24,7 @@ import functools
 import itertools
 from typing import NamedTuple
 
+from ._frozen import Frozen, Keyed
 from ._lazy_numpy import LazyNumpy
 from .fplinalg import (
     coordinate_restriction,
@@ -57,7 +58,7 @@ class LatticeSizeError(ValueError):
     """The lattice's register is longer than MAX_SYMPLECTIC_LEN."""
 
 
-class FiniteLattice:
+class FiniteLattice(Keyed):
     """A finite qudit array: q qudits on each site of a torus (periodic)
     or an open box (translates crossing the boundary are dropped).
     Immutable; equal lattices hash alike."""
@@ -71,25 +72,13 @@ class FiniteLattice:
             raise ValueError(f"qudit dimension {p} is not prime")
         if q < 1:
             raise ValueError(f"need at least one qudit per site, not {q}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "periodic", periodic)
+        self._set(p=p, q=q, sizes=sizes, periodic=periodic)
         if self.symplectic_len > MAX_SYMPLECTIC_LEN:
             raise LatticeSizeError(f"{self.symplectic_len} symplectic coordinates, "
                                    f"over the supported bound {MAX_SYMPLECTIC_LEN}")
 
-    def __setattr__(self, *a):
-        raise AttributeError("FiniteLattice is immutable")
-
     def _key(self) -> tuple:
         return self.p, self.q, self.sizes, self.periodic
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteLattice) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def dims(self) -> int:
@@ -550,7 +539,7 @@ def _preserves_form(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     return True
 
 
-class FiniteSymplecticMap:
+class FiniteSymplecticMap(Frozen):
     """An exact symplectic automorphism of the finite symbol space.
 
     The matrix M (n x n, read mod p) is kept as its nonzeros: `rows`,
@@ -593,18 +582,13 @@ class FiniteSymplecticMap:
         return out
 
     def _validate(self, lattice, rows, cols, values, spread) -> None:
-        object.__setattr__(self, "lattice", lattice)
-        for name, array in (("rows", rows), ("cols", cols), ("values", values)):
+        for array in (rows, cols, values):
             array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        self._set(lattice=lattice, rows=rows, cols=cols, values=values)
         if not _preserves_form(rows, cols, values, lattice.symplectic_len,
                                lattice.p):
             raise ValueError("matrix does not preserve the symplectic form")
-        object.__setattr__(self, "spread",
-                           spread if spread >= 0 else self._measure_spread())
-
-    def __setattr__(self, *a):
-        raise AttributeError("FiniteSymplecticMap is immutable")
+        self._set(spread=spread if spread >= 0 else self._measure_spread())
 
     @property
     def matrix(self) -> np.ndarray:

@@ -27,6 +27,7 @@ import math
 from typing import NamedTuple
 
 from . import groebner
+from ._frozen import Frozen, Keyed
 from .groebner import Poly
 
 
@@ -61,7 +62,7 @@ def var_names(nvars: int) -> list[str]:
     return [f"x{i + 1}" for i in range(nvars)]
 
 
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """Immutable Laurent polynomial with coefficients in F_p.
 
     terms maps exponent tuples to residues in [1, p); the zero polynomial
@@ -83,9 +84,7 @@ class LaurentPoly:
             c %= p
             if c:
                 clean[tuple(int(v) for v in e)] = c
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        self._set(p=p, nvars=nvars, terms=clean)
 
     @classmethod
     def _trusted(cls, p: int, nvars: int, terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
@@ -97,9 +96,6 @@ class LaurentPoly:
         object.__setattr__(f, "nvars", nvars)
         object.__setattr__(f, "terms", terms)
         return f
-
-    def __setattr__(self, *a):  # pragma: no cover - guard rail
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -390,22 +386,14 @@ def _t_relation(p: int, nvars: int) -> Poly:
     return {(1,) * nvars + (1,): 1, (0,) * (nvars + 1): p - 1}
 
 
-class IdealDescription:
+class IdealDescription(Frozen):
     """A finitely generated ideal of the Laurent ring, with a cached
     Groebner basis of its cleared-and-localized polynomial image."""
 
-    __slots__ = ("p", "nvars", "generators", "monomial_order", "_gb")
+    __slots__ = ("p", "nvars", "generators", "_gb")
 
     def __init__(self, p: int, nvars: int, generators: list[LaurentPoly]):
-        names = var_names(nvars) + ["t"]
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "monomial_order", f"grevlex({','.join(names)})")
-        object.__setattr__(self, "_gb", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("IdealDescription is immutable")
+        self._set(p=p, nvars=nvars, generators=generators, _gb=None)
 
     def groebner_basis(self) -> list[Poly]:
         if self._gb is None:
@@ -413,7 +401,7 @@ class IdealDescription:
             if gens:
                 gens.append(_t_relation(self.p, self.nvars))
                 gens = groebner.buchberger(gens, self.p)
-            object.__setattr__(self, "_gb", gens)
+            self._set(_gb=gens)
         return self._gb
 
     def is_zero(self) -> bool:
@@ -475,7 +463,7 @@ def divides(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
 # ---------------------------------------------------------------------------
 
 
-class LaurentMatrix:
+class LaurentMatrix(Keyed):
     """Dense matrix over the Laurent ring; rows/cols may be zero."""
 
     __slots__ = ("p", "nvars", "rows", "cols", "entries")
@@ -489,11 +477,8 @@ class LaurentMatrix:
             for e in row:
                 if e.p != p or e.nvars != nvars:
                     raise RingMismatchError("entry from a different ring")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", [list(r) for r in entries])
+        self._set(p=p, nvars=nvars, rows=rows, cols=cols,
+                  entries=[list(r) for r in entries])
 
     @classmethod
     def _trusted(
@@ -506,9 +491,6 @@ class LaurentMatrix:
         for name, value in zip(cls.__slots__, (p, nvars, rows, cols, entries)):
             object.__setattr__(m, name, value)
         return m
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("LaurentMatrix is immutable")
 
     @classmethod
     def zeros(cls, p: int, nvars: int, rows: int, cols: int) -> "LaurentMatrix":
@@ -586,19 +568,9 @@ class LaurentMatrix:
     def spread(self) -> int:
         return max((e.spread() for row in self.entries for e in row), default=0)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentMatrix)
-            and self.p == other.p
-            and self.nvars == other.nvars
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.p, self.nvars, tuple(tuple(r) for r in self.entries))
-        )
+    def _key(self) -> tuple:
+        # The rows fix the shape, except of a matrix with none.
+        return self.p, self.nvars, tuple(map(tuple, self.entries)) or self.cols
 
     def __repr__(self) -> str:
         body = "; ".join(

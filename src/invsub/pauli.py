@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 from typing import NamedTuple
 
+from ._frozen import Keyed
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
@@ -52,7 +53,7 @@ class ProjectorUnavailableError(ValueError):
     congruence normal form that is out of scope here."""
 
 
-class SubalgebraSpec:
+class SubalgebraSpec(Keyed):
     """Finite presentation of a translation-invariant Pauli subalgebra.
 
     p: qudit dimension (prime); q: qudits per site; dims: number of
@@ -72,22 +73,10 @@ class SubalgebraSpec:
             )
         if q < 1 or dims < 1:
             raise SpecShapeError("need at least one qudit per site and one axis")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "generators", generators)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SubalgebraSpec is immutable")
+        self._set(p=p, q=q, dims=dims, generators=generators)
 
     def _key(self) -> tuple:
         return self.p, self.q, self.dims, self.generators
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SubalgebraSpec) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def n_generators(self) -> int:
@@ -278,17 +267,24 @@ def decompose_local(
     return a, w - a
 
 
+def register_sum(v1: LaurentMatrix, q1: int, v2: LaurentMatrix, q2: int
+                 ) -> LaurentMatrix:
+    """Symbol columns on registers of q1 and q2 qudits per site, read on
+    the joint register of q1 + q2: the X rows of v1 and v2 make one
+    block-diagonal matrix, the Z rows another, stacked X over Z."""
+    z = LaurentPoly.zero(v1.p, v1.nvars)
+    e1 = [row + [z] * v2.cols for row in v1.entries]
+    e2 = [[z] * v1.cols + row for row in v2.entries]
+    return LaurentMatrix(v1.p, v1.nvars, e1[:q1] + e2[:q2] + e1[q1:] + e2[q2:])
+
+
 def brauer_tensor(s1: SubalgebraSpec, s2: SubalgebraSpec) -> SubalgebraSpec:
     """Stack two specs on a shared lattice: q adds, generator lists
     concatenate, and the commutation matrix becomes the block sum."""
     if s1.p != s2.p or s1.dims != s2.dims:
         raise SpecShapeError("tensor factors live on different lattices")
-    p, nvars = s1.p, s1.dims
-    z12 = LaurentMatrix.zeros(p, nvars, s1.q, s2.n_generators)
-    z21 = LaurentMatrix.zeros(p, nvars, s2.q, s1.n_generators)
-    x = s1.x_block().hstack(z12).vstack(z21.hstack(s2.x_block()))
-    z = s1.z_block().hstack(z12).vstack(z21.hstack(s2.z_block()))
-    return SubalgebraSpec(p, s1.q + s2.q, nvars, x.vstack(z))
+    return SubalgebraSpec(s1.p, s1.q + s2.q, s1.dims,
+                          register_sum(s1.generators, s1.q, s2.generators, s2.q))
 
 
 def column_span_contains(spec: SubalgebraSpec, w: LaurentMatrix) -> bool:

@@ -14,8 +14,9 @@ symplectic.  Its inverse is Pi + z^-1 (id - Pi).
 
 from __future__ import annotations
 
+from ._frozen import Frozen
 from .laurent import LaurentMatrix, LaurentPoly
-from .pauli import SubalgebraSpec, build_projector, symplectic_form
+from .pauli import SubalgebraSpec, build_projector, register_sum, symplectic_form
 
 
 class NotSymplecticError(ValueError):
@@ -29,7 +30,7 @@ def is_symplectic(m: LaurentMatrix, q: int) -> bool:
     return (m.bar_transpose() @ lam @ m) == lam
 
 
-class CliffordQCA:
+class CliffordQCA(Frozen):
     """Validated symplectic symbol matrix; dims counts lattice axes."""
 
     __slots__ = ("p", "q", "dims", "matrix")
@@ -39,13 +40,7 @@ class CliffordQCA:
             raise ValueError("matrix ring does not match QCA parameters")
         if not is_symplectic(matrix, q):
             raise NotSymplecticError("matrix is not symplectic under bar-transpose")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CliffordQCA is immutable")
+        self._set(p=p, q=q, dims=dims, matrix=matrix)
 
     @property
     def spread(self) -> int:
@@ -112,31 +107,22 @@ def shift_qca(p: int, q: int, dims: int, axis: int, power: int = 1) -> CliffordQ
     return CliffordQCA(p, q, dims, m)
 
 
-def _quadrant(m: LaurentMatrix, q: int, i: int, j: int) -> LaurentMatrix:
-    rows = range(i * q, (i + 1) * q)
-    cols = range(j * q, (j + 1) * q)
-    return m.submatrix(rows, cols)
-
-
 def block_direct_sum(a: CliffordQCA, b: CliffordQCA) -> CliffordQCA:
     """Run two QCAs on disjoint qudit registers of the same lattice.
 
-    The X/Z row layout interleaves the registers, so each of the four
-    q x q quadrants of the factors lands in the matching quadrant of the
-    (qa + qb) result as a diagonal block.
+    The images of the X generators (the first q columns) join on the
+    joint register as `brauer_tensor` joins generators, and so do the
+    images of the Z generators; each of the four q x q quadrants of the
+    factors lands in the matching quadrant of the result as a diagonal
+    block.
     """
     if (a.p, a.dims) != (b.p, b.dims):
         raise ValueError("QCAs live on different lattices")
-    p, dims = a.p, a.dims
     qa, qb = a.q, b.q
 
-    def merged(i, j):
-        A = _quadrant(a.matrix, qa, i, j)
-        B = _quadrant(b.matrix, qb, i, j)
-        zab = LaurentMatrix.zeros(p, dims, qa, qb)
-        zba = LaurentMatrix.zeros(p, dims, qb, qa)
-        return A.hstack(zab).vstack(zba.hstack(B))
+    def half(m, q, j):
+        return m.submatrix(range(2 * q), range(j * q, (j + 1) * q))
 
-    top = merged(0, 0).hstack(merged(0, 1))
-    bottom = merged(1, 0).hstack(merged(1, 1))
-    return CliffordQCA(p, qa + qb, dims, top.vstack(bottom))
+    x, z = (register_sum(half(a.matrix, qa, j), qa, half(b.matrix, qb, j), qb)
+            for j in (0, 1))
+    return CliffordQCA(a.p, qa + qb, a.dims, x.hstack(z))

@@ -132,3 +132,16 @@ def test_direct_sum_of_shifts():
     b = shift_qca(3, 2, 2, axis=0)
     s = block_direct_sum(a, b)
     assert s.matrix == shift_qca(3, 3, 2, axis=0).matrix
+
+
+def test_direct_sum_of_unequal_registers():
+    # Registers of different sizes, with nonzero off-diagonal quadrants.
+    u = lift_to_qca(z3_spec())
+    v = shift_qca(3, 1, u.dims, axis=1, power=2)
+    m = block_direct_sum(u, v).matrix
+    q = u.q + v.q
+    on_u = [*range(u.q), *range(q, q + u.q)]
+    on_v = [*range(u.q, q), *range(q + u.q, 2 * q)]
+    assert m.submatrix(on_u, on_u) == u.matrix
+    assert m.submatrix(on_v, on_v) == v.matrix
+    assert m.submatrix(on_u, on_v).is_zero() and m.submatrix(on_v, on_u).is_zero()

@@ -1,16 +1,23 @@
 """Contracts of the package's value types.
 
 Validated and cached types are plain classes with an explicit
-constructor: assigning to a field raises, and only the types something
-keys or compares by value (`SubalgebraSpec`, `FiniteLattice`,
-`PhasedPauli`) define equality and hashing.  Result records are
-`typing.NamedTuple`s, read-only in the same way.
+constructor on the one base `invsub._frozen.Frozen`: assigning to or
+deleting a field raises "<Name> is immutable", and no other class
+defines `__setattr__` or `__delattr__`.  The types something keys or
+compares by value (`SubalgebraSpec`, `FiniteLattice`, `PhasedPauli`,
+`LaurentMatrix`) take equality and hashing from a `_key()` tuple
+through `invsub._frozen.Keyed`; `LaurentPoly` keeps its own.  Result
+records are `typing.NamedTuple`s, read-only in the same way.
 """
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
 import invsub
+from invsub._frozen import Frozen
 from helpers import full_spec, z3_spec
 
 
@@ -19,6 +26,8 @@ def _instances():
     qca = invsub.lift_to_qca(entry.spec)
     pauli = invsub.PhasedPauli(3, 1, [1, 0], [0, 2])
     return {
+        "LaurentPoly": (invsub.LaurentPoly.parse("x + 2*y^-1", 3, 2), "terms"),
+        "LaurentMatrix": (entry.spec.generators, "entries"),
         "SubalgebraSpec": (entry.spec, "generators"),
         "CliffordQCA": (qca, "matrix"),
         "FiniteLattice": (invsub.FiniteLattice(3, 2, (5, 5)), "sizes"),
@@ -41,10 +50,36 @@ def _instances():
 def test_fields_cannot_be_assigned(name):
     obj, field = _instances()[name]
     assert type(obj).__name__ == name
-    with pytest.raises(AttributeError):
+    message = f"{name} is immutable" if isinstance(obj, Frozen) else None
+    with pytest.raises(AttributeError, match=message):
         setattr(obj, field, getattr(obj, field))
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match=message):
         obj.extra = 1
+    with pytest.raises(AttributeError, match=message):
+        delattr(obj, field)
+    assert hasattr(obj, field)
+
+
+def test_only_the_base_defines_setattr_or_delattr():
+    classes = set()
+    for info in pkgutil.iter_modules(invsub.__path__):
+        module = importlib.import_module(f"invsub.{info.name}")
+        classes.update(c for c in vars(module).values() if isinstance(c, type)
+                       and c.__module__ == module.__name__)
+    assert {Frozen, invsub.LaurentPoly, invsub.PhasedPauli} <= classes
+    for method in ("__setattr__", "__delattr__"):
+        assert [c for c in classes if method in vars(c)] == [Frozen], method
+
+
+def test_equal_laurent_matrices_hash_alike():
+    a = invsub.get_example("example-z3").spec.generators
+    b = z3_spec().generators
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != a.scale(2)
+    zeros = invsub.LaurentMatrix.zeros
+    assert zeros(3, 2, 0, 3) == zeros(3, 2, 0, 3)
+    assert zeros(3, 2, 0, 3) != zeros(3, 2, 0, 4)
+    assert zeros(3, 2, 2, 0) != zeros(3, 2, 3, 0)
 
 
 def test_equal_specs_and_lattices_hash_alike():

@@ -120,6 +120,13 @@ def test_symplectic_round_trip_and_support():
     assert np.array_equal(w.permute([2, 1, 0]).a, [2, 0, 1])
 
 
+@pytest.mark.parametrize("perm", [[0], [0, 0, 0], [0, 1, 3], [2, 1, 0, 3]])
+def test_permute_takes_only_permutations(perm):
+    w = PhasedPauli(3, 1, [1, 0, 2], [0, 1, 1])
+    with pytest.raises(ValueError, match="not a permutation"):
+        w.permute(perm)
+
+
 def test_register_mismatch_rejected():
     with pytest.raises(ValueError):
         PhasedPauli(2, 0, [1], [1]) * PhasedPauli(2, 0, [1, 0], [1, 0])
