@@ -2,9 +2,9 @@
 
 Everything here is exact: syndromes are symplectic pairings over F_p,
 string operators come out of F_p linear solves and carry exact phases,
-the exchange phase is a sum of commutator exponents, and the
-chiral-central-charge phase is evaluated in the cyclotomic integers
-with no floating point on the critical path.
+the exchange phase is that of the legs' product less that of their
+reversed product, and the chiral-central-charge phase is evaluated in
+the cyclotomic integers with no floating point on the critical path.
 
 A Hamiltonian keeps its terms as their nonzeros, so a pairing with the
 terms is a gather of a few coordinates per term, and the all-pairs
@@ -14,9 +14,10 @@ String operators rest on translation invariance: the one-step
 transporter for each (generators, step, charge, family) is solved once
 per Hamiltonian, instantiated once at the origin and moved to every
 step of a leg by one batch of site permutations.  Products of Paulis
-are taken on numpy symplectic rows by `_ordered_product`, which adds
-the rows and reads the phase off one matrix product; a `PhasedPauli`
-is built only for what `leg_string` and `hopping_operator` return.
+are taken on numpy symplectic rows by `_ordered_product`, the one phase
+kernel, which adds the rows and reads the phase off one prefix sum; a
+`PhasedPauli` is built only for what `leg_string` and `hopping_operator`
+return.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ from typing import NamedTuple
 
 from ._frozen import Frozen
 from ._lazy_numpy import LazyNumpy
-from .fplinalg import matmul_mod, solve
+from .fplinalg import solve
 from .finite_oracle import (
     FiniteLattice,
     InstantiationError,
     _gram_blocks,
-    pairing_matrix,
     placements,
 )
 from .laurent import LaurentMatrix, _is_prime
@@ -170,19 +170,21 @@ def _ordered_product(rows: np.ndarray, p: int, phases=0, powers=None
     W^c = omega^(c phase + C(c, 2) b.a) X^(ca) Z^(cb), as in
     `PhasedPauli.__pow__`.  Putting the raised factors in order moves
     the Z part of each past the X part of every later one, which adds
-    b_i . a_j for every i < j: the strict upper triangle of B A^T for
-    the raised factors' halves A and B.  The symbol is the sum of their
-    rows, mod p."""
+    b_i . a_j for every i < j of the raised factors, summed as the dots
+    a_j . (b_0 + ... + b_(j-1)).  The prefix is reduced mod p, so each
+    dot stays below m p^2 in int64 and is reduced before the k of them
+    are added.  The symbol is the sum of the raised rows, mod p."""
     k, m = rows.shape[0], rows.shape[1] // 2
     rows = rows % p
     c = np.ones(k, dtype=np.int64) if powers is None else \
         np.asarray(powers, dtype=np.int64)
     self_cross = (rows[:, m:] * rows[:, :m]).sum(axis=1) % p
     raised = rows * (c % p)[:, None] % p
-    cross = matmul_mod(raised[:, m:], raised[:, :m].T, p)
+    before = np.cumsum(raised[:-1, m:], axis=0) % p
+    cross = np.einsum("ij,ij->i", raised[1:, :m], before) % p
     phase = (int((np.asarray(phases) % p * c % p).sum())
              + int(((c * (c - 1) // 2 % p) * self_cross % p).sum())
-             + int(np.triu(cross, 1).sum()))
+             + int(cross.sum()))
     return raised.sum(axis=0) % p, phase % p
 
 
@@ -353,11 +355,9 @@ def topological_spin(
 
     Three string operators U1, U2, U3 push the charge from the junction
     out along the listed legs; the reported exponent is that of the
-    scalar U1 U2 U3 (U3 U2 U1)^dagger.  Reordering U1 U2 U3 into U3 U2 U1
-    takes three swaps, so the scalar is omega^(c12 + c13 + c23), with
-    c_ij the commutator exponent of legs i and j (U_i U_j =
-    omega^c_ij U_j U_i): only the legs' symbols enter, and no operator
-    product is formed.  Which of the two orderings gives "the" spin
+    scalar U1 U2 U3 (U3 U2 U1)^dagger: the phase of U1 U2 U3 less that
+    of U3 U2 U1, both from `_ordered_product` on the legs' symbols (the
+    legs' own phases cancel).  Which of the two orderings gives "the" spin
     is a handedness choice tied to how the two lattice axes
     are drawn; this one is calibrated against the known chirality of
     the built-in two-qutrit model, and the leg list in the report is
@@ -385,9 +385,8 @@ def topological_spin(
         for direction in leg_directions
     )
     legs = np.array([u1, u2, u3])
-    # pairing_matrix holds a_i.b_j - b_i.a_j = -c_ij.
-    pairing = pairing_matrix(legs, legs, lat.p)
-    exponent = -int(np.triu(pairing, 1).sum()) % lat.p
+    exponent = (_ordered_product(legs, lat.p)[1]
+                - _ordered_product(legs[::-1], lat.p)[1]) % lat.p
     return SpinReport(exponent=exponent, p=lat.p,
                       junction=tuple(junction), leg_length=leg_length,
                       leg_directions=tuple(tuple(d) for d in leg_directions))

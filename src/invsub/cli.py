@@ -281,9 +281,10 @@ def _spin_inputs(token: str):
             )
         return entry.spec, entry.term_symbols, entry.hopping_generators
     spec = resolve_spec(token)
-    if spec.dims != 2 or spec.n_generators == 0:
+    if spec.dims != 2 or spec.n_generators != 2:
         raise SpecFormatError(
-            "spin runs on two-dimensional specs with generators"
+            "spin runs on two-dimensional specs with exactly two generators "
+            "(zoo.plaquette_term builds the Hamiltonian term from two)"
         )
     return spec, (plaquette_term(spec.generators),), spec.generators
 

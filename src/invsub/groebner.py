@@ -188,26 +188,21 @@ def buchberger(gens: Iterable[Poly], p: int) -> list[Poly]:
 
     # Leading exponents and pair keys are computed once: the pair queue is
     # a heap on (grevlex key of the lcm, pair), the same order as taking
-    # the minimum over all open pairs each round.
+    # the minimum over all open pairs each round.  Every pair (i, j) with
+    # i > j is queued when i joins the basis, so a pair not in `done` is
+    # still queued.
     lead = [leading_term(g)[0] for g in basis]
-    pairs: set[tuple[int, int]] = set()
     queue: list = []
     done: set[tuple[int, int]] = set()
 
     def _add_pair(i: int, j: int) -> None:
-        pairs.add((i, j))
         heapq.heappush(queue, (grevlex_key(_exp_lcm(lead[i], lead[j])), (i, j)))
-
-    def _treated(i: int, j: int) -> bool:
-        key = (max(i, j), min(i, j))
-        return key in done or key not in pairs
 
     for i in range(len(basis)):
         for j in range(i):
             _add_pair(i, j)
     while queue:
         _, (i, j) = heapq.heappop(queue)
-        pairs.discard((i, j))
         done.add((i, j))
         fe, ge = lead[i], lead[j]
         l = _exp_lcm(fe, ge)
@@ -215,16 +210,11 @@ def buchberger(gens: Iterable[Poly], p: int) -> list[Poly]:
         if all(min(a, b) == 0 for a, b in zip(fe, ge)):
             continue
         # Chain criterion: some third element divides the lcm and both
-        # companion pairs were already handled.
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides_exp(lead[k], l):
-                if _treated(i, k) and _treated(j, k):
-                    skip = True
-                    break
-        if skip:
+        # companion pairs are already done.
+        if any(k not in (i, j) and _divides_exp(lead[k], l)
+               and (max(i, k), min(i, k)) in done
+               and (max(j, k), min(j, k)) in done
+               for k in range(len(basis))):
             continue
         r = normal_form(s_poly(basis[i], basis[j], p), basis, p)
         if r:

@@ -135,7 +135,9 @@ class InvertibilityCertificate(NamedTuple):
 
     @property
     def projector_available(self) -> bool:
-        return self.invertible and self.xi_invertible
+        # A unit det Xi forces rank Xi = rank V = n and the unit ideal,
+        # so it implies the verdict.
+        return self.xi_invertible
 
 
 def check_invertible(spec: SubalgebraSpec) -> InvertibilityCertificate:
@@ -211,11 +213,7 @@ def build_projector(spec: SubalgebraSpec) -> CommutantProjector:
         )
     v = spec.generators
     lam = symplectic_form(spec.p, spec.q, spec.dims)
-    if v.cols == 0:
-        pi = LaurentMatrix.zeros(spec.p, spec.dims, 2 * spec.q, 2 * spec.q)
-    else:
-        xi_inv = matrix_inverse(cert.xi)
-        pi = v @ xi_inv @ v.bar_transpose() @ lam
+    pi = v @ matrix_inverse(cert.xi) @ v.bar_transpose() @ lam
     proj = CommutantProjector(pi)
     _validate_projector(spec, proj, lam)
     return proj

@@ -20,6 +20,7 @@ import invsub
 import invsub.fplinalg as fplinalg
 import invsub.laurent as laurent
 from invsub import cli
+from invsub.anyon_lab import build_hamiltonian, hopping_operator
 from invsub.cli import main
 from invsub.finite_oracle import (
     MAX_SYMPLECTIC_LEN,
@@ -30,6 +31,7 @@ from invsub.finite_oracle import (
     instantiate_spec,
 )
 from invsub.laurent import MAX_MINORS
+from invsub.pauli import SubalgebraSpec
 from invsub.specio import (
     MAX_DIMS,
     MAX_GENERATORS,
@@ -40,8 +42,15 @@ from invsub.specio import (
     spec_to_json,
 )
 from invsub.weyl import MAX_CANDIDATES
+from invsub.zoo import get_example
 
-from helpers import XI_Z3_ROWS, mat, with_repeated_columns, z3_tensor
+from helpers import (
+    XI_Z3_ROWS,
+    hopping_operator_per_step,
+    mat,
+    with_repeated_columns,
+    z3_tensor,
+)
 
 
 def run(capsys, *argv):
@@ -830,6 +839,50 @@ def test_spin_certificate_unchanged(capsys, name, torus, charge):
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         SPIN_DIGESTS[name, torus, charge]
+
+
+def test_spin_takes_no_matrix_product(monkeypatch, capsys):
+    # Transporters, legs, hopping operators and the exchange all take
+    # their phases from anyon_lab._ordered_product, with no product
+    # through matmul_mod.
+    z3, lattice = get_example("example-z3"), FiniteLattice(3, 2, (13, 13))
+    hop = hopping_operator_per_step(
+        build_hamiltonian(lattice, z3.term_symbols), z3.hopping_generators,
+        (3, 8), (0, 0), charge=2)
+
+    def no_product(*args):
+        raise AssertionError("matmul_mod called")
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("invsub") and \
+                hasattr(module, "matmul_mod"):
+            monkeypatch.setattr(module, "matmul_mod", no_product)
+    for (name, torus, charge), digest in SPIN_DIGESTS.items():
+        code, _, out = run(capsys, "spin", "--spec", name, "--torus", torus,
+                           "--charge", charge)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    h = build_hamiltonian(lattice, z3.term_symbols)
+    assert hopping_operator(h, z3.hopping_generators, (3, 8), (0, 0),
+                            charge=2) == hop
+
+
+@pytest.mark.parametrize("spec", [
+    SubalgebraSpec(3, 2, 2, get_example("example-z3").spec.generators
+                   .submatrix(range(4), [0])),
+    z3_tensor(2),
+], ids=["1-generator", "4-generator"])
+def test_spin_refuses_a_spec_without_two_generators(tmp_path, capsys, spec):
+    # The Hamiltonian term is zoo.plaquette_term, which pairs exactly two
+    # generators; a four-generator file exited 2 with "ValueError: shape
+    # mismatch (8, 4) @ (2, 1)".
+    path = tmp_path / "spec.json"
+    path.write_text(spec_to_json(spec))
+    code, payload, _ = run(capsys, "spin", "--spec", str(path),
+                           "--torus", "21x21")
+    assert code == 2
+    assert payload["error_kind"] == "SpecFormatError"
+    assert "exactly two generators" in payload["error"]
 
 
 def test_spin_refuses_small_torus(capsys):

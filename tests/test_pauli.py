@@ -6,9 +6,11 @@ before being asserted here.
 """
 
 import json
+import random
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,13 +41,14 @@ from invsub.pauli import (
 
 
 from invsub.specio import parse_spec
-from invsub.zoo import example_names, get_example
+from invsub.zoo import example_names, get_example, random_remark_spec
 
 from helpers import (
     XI_Z3_INV_ROWS,
     XI_Z3_ROWS,
     full_spec,
     mat,
+    non_graph_spec,
     with_repeated_columns,
     xz_chain_spec,
     z3_spec,
@@ -392,6 +395,32 @@ def test_certificate_determinant_and_generator_rank(spec):
     assert cert.xi_invertible == cert.determinant.is_monomial()
     assert cert.generator_rank <= spec.n_generators
     assert cert.profile.rank <= cert.generator_rank
+
+
+@st.composite
+def _presentations(draw):
+    """A builtin, a random graph-form spec or a random generator
+    matrix, with up to two of its columns repeated."""
+    source = draw(st.sampled_from(("builtin", "remark", "arbitrary")))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if source == "builtin":
+        spec = get_example(draw(st.sampled_from(example_names()))).spec
+    elif source == "remark":
+        spec = random_remark_spec(draw(st.sampled_from((3, 5))),
+                                  np.random.default_rng(seed))
+    else:
+        spec = non_graph_spec(random.Random(seed))
+    return with_repeated_columns(
+        spec, draw(st.integers(0, min(2, spec.n_generators))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_presentations())
+def test_unit_determinant_implies_the_verdict(spec):
+    # What lets projector_available read xi_invertible alone: a unit
+    # det Xi forces rank Xi = rank V = n and the unit ideal.
+    cert = check_invertible(spec)
+    assert not cert.xi_invertible or cert.invertible
 
 
 def test_repeated_columns_check_is_fast():
