@@ -10,14 +10,21 @@ A Hamiltonian keeps its terms as their nonzeros, so a pairing with the
 terms is a gather of a few coordinates per term, and the all-pairs
 commutation check is their Gram matrix, made by the kernel that checks
 a lifted map is symplectic (`finite_oracle._gram_blocks`).
-String operators rest on translation invariance: the one-step
-transporter for each (generators, step, charge, family) is solved once
-per Hamiltonian, instantiated once at the origin and moved to every
-step of a leg by one batch of site permutations.  Products of Paulis
-are taken on numpy symplectic rows by `_ordered_product`, the one phase
-kernel, which adds the rows and reads the phase off one prefix sum; a
-`PhasedPauli` is built only for what `leg_string` and `hopping_operator`
-return.
+
+String operators cost what they touch, not the torus.  They rest on
+translation invariance: the one-step transporter for each (generators,
+step, charge, family) is solved once per Hamiltonian, at the origin,
+and a leg moves its support to every step with
+`FiniteLattice.shifted_coords`.  The transporter's system has a row
+only for the terms that meet the candidates' support and the two
+target terms; every other row would be 0 = 0, so the solution is the
+one the whole torus gives, from a system of the same size on every
+torus.  Products of Paulis are taken on numpy symplectic rows by
+`_ordered_product`, the one phase kernel, which adds the rows and reads
+the phase off one prefix sum on the qudits some factor touches.  A
+syndrome pairs a row only with the terms that meet its support
+(`HamiltonianInstance.terms_meeting`).  A `PhasedPauli` is built only
+for what `leg_string` and `hopping_operator` return.
 """
 
 from __future__ import annotations
@@ -100,16 +107,30 @@ class HamiltonianInstance(Frozen):
     def index_of(self, family: int, site) -> int:
         return self.entries.index((family, tuple(site)))
 
-    def pairings(self, vecs) -> np.ndarray:
-        """Symplectic pairing of every term (rows of the result) with
-        every column of vecs, a 2m x k array, mod p."""
+    def pairings(self, vecs, terms=None) -> np.ndarray:
+        """Symplectic pairing of every term, or of the terms indexed by
+        `terms` (rows of the result, in that order), with every column of
+        vecs, a 2m x k array, mod p."""
         p, m = self.lattice.p, self.lattice.n_qudits
+        coords, coeffs = self.coords, self.coeffs
+        if terms is not None:
+            coords, coeffs = coords[terms], coeffs[terms]
         # u.v = u_X.v_Z - u_Z.v_X: an X entry reads v's Z half, a Z entry
         # reads v's X half with the opposite sign.
-        weights = np.where(self.coords < m, self.coeffs, -self.coeffs) % p
-        partners = (self.coords + m) % (2 * m)
+        weights = np.where(coords < m, coeffs, -coeffs) % p
+        partners = (coords + m) % (2 * m)
         gathered = np.asarray(vecs, dtype=np.int64)[partners] % p
         return (weights[:, :, None] * gathered % p).sum(axis=1) % p
+
+    def terms_meeting(self, support) -> np.ndarray:
+        """The indices, ascending, of the terms with a nonzero coefficient
+        at the partner (X for Z, Z for X) of some coordinate in `support`:
+        every other term pairs to zero with an operator supported there."""
+        m = self.lattice.n_qudits
+        touched = np.zeros(2 * m, dtype=bool)
+        touched[(np.asarray(support, dtype=np.int64) + m) % (2 * m)] = True
+        return np.flatnonzero((touched[self.coords] & (self.coeffs != 0))
+                              .any(axis=1))
 
 
 def build_hamiltonian(
@@ -156,8 +177,11 @@ def syndrome(op: PhasedPauli, h: HamiltonianInstance) -> dict:
 
 
 def _syndrome(row: np.ndarray, h: HamiltonianInstance) -> dict:
-    vals = h.pairings(row[:, None])[:, 0]
-    return {h.entries[i]: int(vals[i]) for i in np.flatnonzero(vals)}
+    """`syndrome` of a symplectic row, paired only with the terms that
+    meet its support."""
+    terms = h.terms_meeting(np.flatnonzero(row))
+    vals = h.pairings(row[:, None], terms)[:, 0]
+    return {h.entries[terms[i]]: int(vals[i]) for i in np.flatnonzero(vals)}
 
 
 def _ordered_product(rows: np.ndarray, p: int, phases=0, powers=None
@@ -173,9 +197,17 @@ def _ordered_product(rows: np.ndarray, p: int, phases=0, powers=None
     b_i . a_j for every i < j of the raised factors, summed as the dots
     a_j . (b_0 + ... + b_(j-1)).  The prefix is reduced mod p, so each
     dot stays below m p^2 in int64 and is reduced before the k of them
-    are added.  The symbol is the sum of the raised rows, mod p."""
-    k, m = rows.shape[0], rows.shape[1] // 2
-    rows = rows % p
+    are added.  The symbol is the sum of the raised rows, mod p.
+
+    A qudit no factor touches adds nothing to any of these sums, so the
+    arithmetic runs on the X and Z columns of the touched qudits only,
+    and the symbol is scattered back into a full row."""
+    k, n = rows.shape
+    touched = np.any(rows, axis=0)
+    qudits = np.flatnonzero(touched[:n // 2] | touched[n // 2:])
+    cols = np.concatenate([qudits, qudits + n // 2])
+    m = len(qudits)
+    rows = rows[:, cols] % p
     c = np.ones(k, dtype=np.int64) if powers is None else \
         np.asarray(powers, dtype=np.int64)
     self_cross = (rows[:, m:] * rows[:, :m]).sum(axis=1) % p
@@ -185,7 +217,9 @@ def _ordered_product(rows: np.ndarray, p: int, phases=0, powers=None
     phase = (int((np.asarray(phases) % p * c % p).sum())
              + int(((c * (c - 1) // 2 % p) * self_cross % p).sum())
              + int(cross.sum()))
-    return raised.sum(axis=0) % p, phase % p
+    symbol = np.zeros(n, dtype=np.int64)
+    symbol[cols] = raised.sum(axis=0) % p
+    return symbol, phase % p
 
 
 def _columns(generators: LaurentMatrix) -> list[LaurentMatrix]:
@@ -207,11 +241,17 @@ def _solve_transporter(
     """Solve for a product of generator translates whose syndrome is
     +charge one step away from -charge at the origin, and return it
     placed at the origin, as a read-only symplectic row and a phase:
-    the factors in solution order, each raised to its exponent."""
+    the factors in solution order, each raised to its exponent.
+
+    The system has one equation per term, but a term that meets none of
+    the candidates' support pairs to zero with all of them, and unless
+    it is one of the two target terms its equation is 0 = 0.  Dropping
+    those rows leaves the reduced echelon form of the system, and so the
+    solution `solve` reads off it, as it was; what is left is the terms
+    near the segment, however large the torus."""
     lat = h.lattice
-    target = np.zeros(len(h.entries), dtype=np.int64)
-    target[h.index_of(family, lat.resolve(step))] = charge % lat.p
-    target[h.index_of(family, (0,) * lat.dims)] = -charge % lat.p
+    ends = np.array([h.index_of(family, lat.resolve(step)),
+                     h.index_of(family, (0,) * lat.dims)])
     spread = max(max(c.spread() for c in cols), 1)
     for margin in (spread, spread + 1):
         # Candidate (offset, j) is generator j placed at the offset, for
@@ -219,7 +259,13 @@ def _solve_transporter(
         offsets = _segment_box(step, margin)
         placed = np.stack([placements(lat, col, offsets)[0] for col in cols],
                           axis=1).reshape(-1, lat.symplectic_len)
-        coeffs = solve(h.pairings(placed.T), target, lat.p)
+        terms = np.union1d(h.terms_meeting(np.flatnonzero(placed.any(axis=0))),
+                           ends)
+        target = np.zeros(len(terms), dtype=np.int64)
+        at_step, at_origin = np.searchsorted(terms, ends)
+        target[at_step] = charge % lat.p
+        target[at_origin] = -charge % lat.p
+        coeffs = solve(h.pairings(placed.T, terms), target, lat.p)
         if coeffs is not None:
             break
     else:
@@ -276,11 +322,11 @@ def _leg(h: HamiltonianInstance, generators: LaurentMatrix, junction,
     step_row, step_phase = _transporter(h, generators, direction, charge,
                                         family)
     steps = np.arange(length - 1, -1, -1)[:, None]
-    perms = lat.translations(np.asarray(junction) + steps
-                             * np.asarray(direction))
-    m = lat.n_qudits
-    copies = np.concatenate([step_row[:m][perms], step_row[m:][perms]],
-                            axis=1)
+    support = np.flatnonzero(step_row)
+    moved = lat.shifted_coords(support, np.asarray(junction) + steps
+                               * np.asarray(direction))
+    copies = np.zeros((length, lat.symplectic_len), dtype=np.int64)
+    copies[np.arange(length)[:, None], moved] = step_row[support]
     row, phase = _ordered_product(copies, lat.p, phases=step_phase)
     near = lat.resolve(junction)
     far = lat.resolve(tuple(j + length * d

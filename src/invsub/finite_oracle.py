@@ -178,6 +178,21 @@ class FiniteLattice(Keyed):
         return np.moveaxis(self.coords_of(src)[:self.q], 0, -1).reshape(
             len(shifts), self.n_qudits)
 
+    def shifted_coords(self, coords, shifts) -> np.ndarray:
+        """Where each symplectic coordinate of `coords` goes when an
+        operator moves by each row of shifts (a k x dims array), wrapping
+        round every axis: entry [i, j] moves coords[j] by shifts[i], the
+        move `translations` makes, computed for these coordinates only."""
+        coords = np.asarray(coords, dtype=np.int64)
+        shifts = np.asarray(shifts, dtype=np.int64)
+        if shifts.ndim != 2 or shifts.shape[1] != self.dims:
+            raise ValueError(f"sites must have {self.dims} coordinates")
+        sites = self.site_of(coords)
+        moved = (self.grid[sites] + shifts[:, None, :]) % self.sizes
+        index = np.ravel_multi_index(tuple(np.moveaxis(moved, -1, 0)),
+                                     self.sizes)
+        return coords + self.q * (index - sites)
+
     def place(self, column: LaurentMatrix, at=None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The terms of a symbol column placed at each base site of `at`

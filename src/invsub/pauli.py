@@ -30,6 +30,7 @@ from ._frozen import Keyed
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
+    NotAUnitError,
     determinantal_profile,
     DeterminantalProfile,
     divides,
@@ -204,16 +205,22 @@ class CommutantProjector(NamedTuple):
 
 
 def build_projector(spec: SubalgebraSpec) -> CommutantProjector:
-    cert = check_invertible(spec)
-    if not cert.invertible:
-        raise NotInvertibleError("subalgebra fails the invertibility criterion")
-    if not cert.xi_invertible:
+    """Pi = V Xi^-1 bar(V)^T lambda.  Xi is inverted first: a unit det Xi
+    implies the invertibility verdict, so `check_invertible` (the
+    determinantal profile) runs only when Xi is singular, to tell a
+    failed criterion from an unavailable projector."""
+    try:
+        xi_inverse = matrix_inverse(commutation_matrix(spec))
+    except NotAUnitError:
+        if not check_invertible(spec).invertible:
+            raise NotInvertibleError(
+                "subalgebra fails the invertibility criterion") from None
         raise ProjectorUnavailableError(
             "criterion passes but Xi is singular; projector unavailable"
-        )
+        ) from None
     v = spec.generators
     lam = symplectic_form(spec.p, spec.q, spec.dims)
-    pi = v @ matrix_inverse(cert.xi) @ v.bar_transpose() @ lam
+    pi = v @ xi_inverse @ v.bar_transpose() @ lam
     proj = CommutantProjector(pi)
     _validate_projector(spec, proj, lam)
     return proj

@@ -14,7 +14,7 @@ import numpy as np
 import sympy as sp
 
 from invsub import groebner
-from invsub.anyon_lab import InfeasibleHopError
+from invsub.anyon_lab import InfeasibleHopError, _segment_box
 from invsub.finite_oracle import (
     BoundaryAlgebraReport,
     FiniteInvertibilityReport,
@@ -22,6 +22,7 @@ from invsub.finite_oracle import (
     InstantiationError,
     VsReport,
     pairing_matrix,
+    placements,
     symplectic_complement,
 )
 from invsub.fplinalg import (
@@ -629,6 +630,82 @@ def syndrome_dense(op, h):
     term row with the operator."""
     vals = pairing_matrix(h.rows, op.to_symplectic(), h.lattice.p)[:, 0]
     return {h.entries[i]: int(v) for i, v in enumerate(vals) if v}
+
+
+def syndrome_all_terms(row, h):
+    """anyon_lab._syndrome before it paired only the terms meeting the
+    row's support: the row paired with every term."""
+    vals = h.pairings(row[:, None])[:, 0]
+    return {h.entries[i]: int(vals[i]) for i in np.flatnonzero(vals)}
+
+
+def ordered_product_full_width(rows, p, phases=0, powers=None):
+    """anyon_lab._ordered_product before it ran on the touched qudits
+    only: the same prefix-sum kernel over every column of the rows."""
+    k, m = rows.shape[0], rows.shape[1] // 2
+    rows = rows % p
+    c = np.ones(k, dtype=np.int64) if powers is None else \
+        np.asarray(powers, dtype=np.int64)
+    self_cross = (rows[:, m:] * rows[:, :m]).sum(axis=1) % p
+    raised = rows * (c % p)[:, None] % p
+    before = np.cumsum(raised[:-1, m:], axis=0) % p
+    cross = np.einsum("ij,ij->i", raised[1:, :m], before) % p
+    phase = (int((np.asarray(phases) % p * c % p).sum())
+             + int(((c * (c - 1) // 2 % p) * self_cross % p).sum())
+             + int(cross.sum()))
+    return raised.sum(axis=0) % p, phase % p
+
+
+def solve_transporter_all_terms(h, cols, step, charge, family):
+    """anyon_lab._solve_transporter before its system kept only the
+    terms near the segment: one equation per term of the torus, and the
+    product taken full width."""
+    lat = h.lattice
+    target = np.zeros(len(h.entries), dtype=np.int64)
+    target[h.index_of(family, lat.resolve(step))] = charge % lat.p
+    target[h.index_of(family, (0,) * lat.dims)] = -charge % lat.p
+    spread = max(max(c.spread() for c in cols), 1)
+    for margin in (spread, spread + 1):
+        offsets = _segment_box(step, margin)
+        placed = np.stack([placements(lat, col, offsets)[0] for col in cols],
+                          axis=1).reshape(-1, lat.symplectic_len)
+        coeffs = solve(h.pairings(placed.T), target, lat.p)
+        if coeffs is not None:
+            used = np.flatnonzero(coeffs)
+            return ordered_product_full_width(placed[used], lat.p,
+                                              powers=coeffs[used])
+    raise InfeasibleHopError(
+        f"no one-step transporter for charge {charge} along {tuple(step)}")
+
+
+def leg_full_width(h, generators, junction, direction, length, charge=1,
+                   family=0):
+    """anyon_lab._leg before the string operators followed their
+    support: the transporter from `solve_transporter_all_terms`, its
+    copies made by full-lattice translations, the product taken full
+    width and the syndrome paired with every term."""
+    lat = h.lattice
+    cols = [generators.submatrix(range(generators.rows), [j])
+            for j in range(generators.cols)]
+    step_row, step_phase = solve_transporter_all_terms(h, cols, direction,
+                                                       charge, family)
+    steps = np.arange(length - 1, -1, -1)[:, None]
+    perms = lat.translations(np.asarray(junction) + steps
+                             * np.asarray(direction))
+    m = lat.n_qudits
+    copies = np.concatenate([step_row[:m][perms], step_row[m:][perms]],
+                            axis=1)
+    row, phase = ordered_product_full_width(copies, lat.p, phases=step_phase)
+    near = lat.resolve(junction)
+    far = lat.resolve(tuple(j + length * d
+                            for j, d in zip(junction, direction)))
+    want = {}
+    if charge % lat.p:
+        want = {(family, far): charge % lat.p,
+                (family, near): -charge % lat.p}
+    if syndrome_all_terms(row, h) != want:
+        raise InfeasibleHopError("leg string syndrome failed to telescope")
+    return row, phase
 
 
 def _transporter_factors(h, cols, step, charge, family):

@@ -14,6 +14,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from invsub import anyon_lab
 from invsub.anyon_lab import (
     DEFAULT_LEG_DIRECTIONS,
     GaussSumReport,
@@ -21,7 +22,11 @@ from invsub.anyon_lab import (
     NoncommutingTermsError,
     NotModularError,
     SpinGeometryError,
+    _columns,
+    _leg,
     _ordered_product,
+    _solve_transporter,
+    _syndrome,
     build_hamiltonian,
     gauss_sum_phase,
     hopping_operator,
@@ -35,7 +40,7 @@ from invsub.finite_oracle import (
     instantiate_column,
     instantiate_spec,
 )
-from invsub.fplinalg import rank, row_space_contains, row_space_equal
+from invsub.fplinalg import rank, row_space_contains, row_space_equal, solve
 from invsub.pauli import commutant_generators, symplectic_form
 from invsub.weyl import PhasedPauli
 from invsub.zoo import get_example, plaquette_term
@@ -46,9 +51,13 @@ from helpers import (
     first_noncommuting_pair_dense,
     hamiltonian_terms_per_site,
     hopping_operator_per_step,
+    leg_full_width,
     leg_string_per_step,
     mat,
+    ordered_product_full_width,
     root_of_unity_sympy,
+    solve_transporter_all_terms,
+    syndrome_all_terms,
     syndrome_dense,
 )
 
@@ -299,6 +308,61 @@ def test_spin_is_the_literal_exchange_product(entry, side):
                 assert rep.exponent == exchange_exponent(*(
                     leg_string(h, gens, junction, d, rep.leg_length,
                                charge=charge) for d in legs))
+
+
+@pytest.mark.parametrize("entry", [Z3, TORIC], ids=["example-z3", "toric-code-z3"])
+@pytest.mark.parametrize("side", [13, 17, 21, 31])
+def test_string_engine_equals_the_full_width_reference(entry, side):
+    # The local transporter system, the products on the touched qudits
+    # and the syndromes on the terms meeting the support give the same
+    # rows, phases and syndromes as pairing every term and sweeping
+    # every coordinate.
+    gens = entry.hopping_generators
+    cols = _columns(gens)
+    h = build_hamiltonian(FiniteLattice(3, 2, (side, side)),
+                          entry.term_symbols)
+    for charge in range(3):
+        legs = []
+        for direction in DEFAULT_LEG_DIRECTIONS:
+            row, phase = _solve_transporter(h, cols, direction, charge, 0)
+            want_row, want_phase = solve_transporter_all_terms(
+                h, cols, direction, charge, 0)
+            assert (row.tobytes(), phase) == (want_row.tobytes(), want_phase)
+            assert _syndrome(row, h) == syndrome_all_terms(row, h)
+            row, phase = _leg(h, gens, (3, 2), direction, 10, charge, 0)
+            want_row, want_phase = leg_full_width(h, gens, (3, 2), direction,
+                                                  10, charge)
+            assert (row.tobytes(), phase) == (want_row.tobytes(), want_phase)
+            assert _syndrome(row, h) == syndrome_all_terms(row, h)
+            legs.append(row)
+        legs = np.array(legs)
+        for order in (legs, legs[::-1]):
+            got, want = (_ordered_product(order, 3),
+                         ordered_product_full_width(order, 3))
+            assert (got[0].tobytes(), got[1]) == (want[0].tobytes(), want[1])
+
+
+@pytest.mark.parametrize("entry", [Z3, TORIC], ids=["example-z3", "toric-code-z3"])
+def test_transporter_system_does_not_grow_with_the_torus(entry, monkeypatch):
+    # Only the terms near the one-step segment enter the solve, so the
+    # system is the same size on every torus.
+    shapes = []
+
+    def recording(a, b, p):
+        shapes.append(np.shape(a))
+        return solve(a, b, p)
+
+    monkeypatch.setattr(anyon_lab, "solve", recording)
+    per_side = {}
+    for side in (13, 31):
+        shapes.clear()
+        h = build_hamiltonian(FiniteLattice(3, 2, (side, side)),
+                              entry.term_symbols)
+        topological_spin(h, entry.hopping_generators)
+        per_side[side] = list(shapes)
+    assert len(per_side[13]) == 3
+    assert per_side[13] == per_side[31]
+    assert all(rows < len(h.entries) // 10 for rows, _ in per_side[31])
 
 
 def test_transporters_are_solved_once_per_hamiltonian():

@@ -239,6 +239,22 @@ def test_translation_matches_roll_reference():
                               translation_by_roll(lat, unit))
 
 
+def test_shifted_coords_are_the_translations_moves():
+    # Moving one coordinate by a shift lands where the translation puts
+    # it, on both halves.
+    rng = np.random.default_rng(5)
+    for lat, _, bases in itertools.islice(layout_cases(), 0, None, 3):
+        shifts = bases + [(0,) * lat.dims]
+        vec = rng.integers(1, lat.p, lat.symplectic_len)
+        coords = np.arange(lat.symplectic_len)
+        moved = lat.shifted_coords(coords, shifts)
+        assert moved.shape == (len(shifts), lat.symplectic_len)
+        for perm, dest in zip(lat.translations(shifts), moved):
+            got = np.zeros_like(vec)
+            got[dest] = vec
+            assert np.array_equal(got, vec.reshape(2, -1)[:, perm].ravel())
+
+
 def test_translation_moves_a_placed_column():
     # Placing at s then translating by t is placing at s + t.
     for lat, col, bases in itertools.islice(layout_cases(), 0, None, 2):
@@ -285,6 +301,8 @@ def test_wrong_arity_sites_are_refused():
             lat.translation(site)
         with pytest.raises(ValueError, match="2 coordinates"):
             lat.translations([site, site])
+        with pytest.raises(ValueError, match="2 coordinates"):
+            lat.shifted_coords([0], [site, site])
         with pytest.raises(ValueError, match="2 coordinates"):
             instantiate_column(lat, col, site)
         with pytest.raises(ValueError, match="2 coordinates"):

@@ -285,7 +285,25 @@ def test_membership_certifies_once(monkeypatch):
     spec = get_example("example-z3").spec
     w = spec.generators @ mat(3, 2, [["2 + x*y"], ["x^-1 - y"]])
     assert column_span_contains(spec, w)
-    assert len(calls) == 1
+    # Xi is inverted first and its unit determinant implies the verdict,
+    # so the projector route takes no determinantal profile at all.
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("spec, kind", [
+    (get_example("nonexample-1dxz").spec, NotInvertibleError),
+    (get_example("toric-code-z3").spec, NotInvertibleError),
+    (with_repeated_columns(z3_tensor(2), 4), ProjectorUnavailableError),
+], ids=["nonexample-1dxz", "toric-code-z3", "redundant-z3x2-g8"])
+def test_projector_refusal_kinds(spec, kind):
+    # A singular Xi sends build_projector to check_invertible, whose
+    # verdict names the refusal exactly as before Xi was inverted first.
+    cert = check_invertible(spec)
+    assert not cert.xi_invertible
+    assert cert.invertible == (kind is ProjectorUnavailableError)
+    with pytest.raises(kind) as exc:
+        build_projector(spec)
+    assert type(exc.value) is kind
 
 
 def test_membership_graph_route():
