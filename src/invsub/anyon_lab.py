@@ -259,8 +259,12 @@ def _solve_transporter(
         offsets = _segment_box(step, margin)
         placed = np.stack([placements(lat, col, offsets)[0] for col in cols],
                           axis=1).reshape(-1, lat.symplectic_len)
-        terms = np.union1d(h.terms_meeting(np.flatnonzero(placed.any(axis=0))),
-                           ends)
+        # A mask, not np.union1d: numpy's set routines import numpy.ma
+        # on first use, about 20 ms of a `spin` process.
+        kept = np.zeros(len(h.entries), dtype=bool)
+        kept[h.terms_meeting(np.flatnonzero(placed.any(axis=0)))] = True
+        kept[ends] = True
+        terms = np.flatnonzero(kept)
         target = np.zeros(len(terms), dtype=np.int64)
         at_step, at_origin = np.searchsorted(terms, ends)
         target[at_step] = charge % lat.p

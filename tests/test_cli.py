@@ -595,9 +595,10 @@ def test_runs_without_numpy(capsys):
 
 def test_finite_commands_do_not_load_numpy_ma():
     # From numpy 2 on, np.unique (under setdiff1d) imports numpy.ma,
-    # about 10 ms and 1.4 MiB, on its first call.  No oracle, boundary
-    # or blend-verify path needs it.  numpy 1.x imports numpy.ma with
-    # numpy itself, so the commands must only leave that state as is.
+    # about 10 ms and 1.4 MiB, on its first call.  No oracle, boundary,
+    # blend-verify or spin path needs it.  numpy 1.x imports numpy.ma
+    # with numpy itself, so the commands must only leave that state as
+    # is.
     run_probe("""
         import sys
         import numpy
@@ -608,7 +609,10 @@ def test_finite_commands_do_not_load_numpy_ma():
                      ["boundary", "--spec", "example-z3", "--torus",
                       "5x5x5", "--axis", "2", "--cut", "2"],
                      ["blend-verify", "--spec", "example-z3", "--torus",
-                      "5x5x5", "--axis", "2", "--cut", "2"]):
+                      "5x5x5", "--axis", "2", "--cut", "2"],
+                     ["spin", "--spec", "example-z3", "--torus", "13x13"],
+                     ["spin", "--spec", "toric-code-z3", "--torus",
+                      "13x13"]):
             assert main(argv) == 0, argv
             assert ("numpy.ma" in sys.modules) == baseline, argv
     """)
