@@ -335,6 +335,10 @@ def _cmd_spin(args) -> tuple[int, dict]:
 
 
 def _cmd_gauss(args) -> tuple[int, dict]:
+    if args.spec is not None and (args.spins is not None
+                                  or args.prime is not None):
+        raise SpecFormatError("pass --spins with --prime, or a builtin "
+                              "--spec, not both")
     if args.spins is not None:
         if args.prime is None:
             raise SpecFormatError("--spins needs --prime")
@@ -447,6 +451,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_payload(command: str, exc: Exception) -> dict:
+    return _payload(command, error=str(exc), error_kind=type(exc).__name__)
+
+
+def _dump(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -465,12 +477,15 @@ def main(argv=None) -> int:
 
             code = 3
             traceback.print_exc()
-        payload = _payload(args.command, error=str(exc),
-                           error_kind=type(exc).__name__)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        payload = _error_payload(args.command, exc)
+    text = _dump(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # A path that cannot be written is a usage problem, not a verdict.
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            code, text = 2, _dump(_error_payload(args.command, exc))
     sys.stdout.write(text)
     return code
 

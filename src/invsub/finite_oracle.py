@@ -14,8 +14,9 @@ the X exponent of qudit slot k at site s lives at coordinate s*q + k,
 and the Z exponent at q*N + s*q + k, giving symplectic vectors of
 length 2qN.  `coords_of` and `site_of` convert between sites and
 coordinates, `place` lays a symbol column's terms at any array of base
-sites, and `translation` is the qudit permutation of a shift
-(`translations`, of many shifts at once).
+sites, `shifted_coords` moves coordinates by shifts, and `distance` is
+the sup-norm between sites.  The layer of every coordinate along an
+axis is `grid[site_of(np.arange(n)), axis]`.
 """
 
 from __future__ import annotations
@@ -107,6 +108,18 @@ class FiniteLattice(Keyed):
         out.flags.writeable = False
         return out
 
+    @functools.cached_property
+    def _size_array(self) -> np.ndarray:
+        return np.array(self.sizes)
+
+    def _index(self, sites: np.ndarray) -> np.ndarray:
+        """The row-major index of each site of an integer array whose last
+        axis holds the coordinates, wrapped round every axis."""
+        # Transposed, the coordinates come first; the index is transposed
+        # back to the sites' shape.
+        wrapped = (sites % self._size_array).T
+        return np.ravel_multi_index(tuple(wrapped), self.sizes).T
+
     def sites(self):
         return itertools.product(*(range(s) for s in self.sizes))
 
@@ -157,41 +170,30 @@ class FiniteLattice(Keyed):
     def site_coords(self, site) -> list[int]:
         return self.coords_of(self.site_index(site)).tolist()
 
-    def translation(self, shift) -> np.ndarray:
-        """The qudit permutation moving an operator by shift, wrapping
-        round every axis: W.permute(perm) acts at site s as W acts at
-        s - shift."""
-        self._check_site(shift)
-        return self.translations([shift])[0]
-
-    def translations(self, shifts) -> np.ndarray:
-        """`translation` for every row of shifts (a k x dims array),
-        one permutation per row, from one index computation."""
-        shifts = np.asarray(shifts, dtype=np.int64)
-        if shifts.ndim != 2 or shifts.shape[1] != self.dims:
-            raise ValueError(f"sites must have {self.dims} coordinates")
-        moved = (self.grid - shifts[:, None, :]) % self.sizes
-        src = np.ravel_multi_index(tuple(np.moveaxis(moved, -1, 0)),
-                                   self.sizes)
-        # coords_of gives (2q, k, sites); qudit s*q + slot of row r
-        # reads qudit src[r, s]*q + slot.
-        return np.moveaxis(self.coords_of(src)[:self.q], 0, -1).reshape(
-            len(shifts), self.n_qudits)
-
     def shifted_coords(self, coords, shifts) -> np.ndarray:
         """Where each symplectic coordinate of `coords` goes when an
         operator moves by each row of shifts (a k x dims array), wrapping
-        round every axis: entry [i, j] moves coords[j] by shifts[i], the
-        move `translations` makes, computed for these coordinates only."""
+        round every axis: entry [i, j] moves coords[j] by shifts[i]."""
         coords = np.asarray(coords, dtype=np.int64)
         shifts = np.asarray(shifts, dtype=np.int64)
         if shifts.ndim != 2 or shifts.shape[1] != self.dims:
             raise ValueError(f"sites must have {self.dims} coordinates")
         sites = self.site_of(coords)
-        moved = (self.grid[sites] + shifts[:, None, :]) % self.sizes
-        index = np.ravel_multi_index(tuple(np.moveaxis(moved, -1, 0)),
-                                     self.sizes)
+        index = self._index(self.grid[sites] + shifts[:, None, :])
         return coords + self.q * (index - sites)
+
+    def distance(self, a, b) -> np.ndarray:
+        """The sup-norm distance between sites (integer arrays broadcast
+        together, last axis the coordinates), the shorter way round each
+        axis of a torus."""
+        a, b = np.asarray(a), np.asarray(b)
+        if a.shape[-1:] != (self.dims,) or b.shape[-1:] != (self.dims,):
+            raise ValueError(f"sites must have {self.dims} coordinates")
+        d = np.abs(a - b)
+        if self.periodic:
+            d %= self._size_array
+            d = np.minimum(d, self._size_array - d)
+        return d.max(axis=-1)
 
     def place(self, column: LaurentMatrix, at=None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -210,7 +212,6 @@ class FiniteLattice(Keyed):
         bases = self.grid if at is None else np.asarray(at, dtype=np.int64)
         if bases.ndim != 2 or bases.shape[1] != self.dims:
             raise ValueError(f"sites must have {self.dims} coordinates")
-        sizes = np.array(self.sizes)
         fits = np.ones(len(bases), dtype=bool)
         at_site = self.coords_of(np.arange(self.n_sites))
         coords, coeffs = [], []
@@ -218,39 +219,12 @@ class FiniteLattice(Keyed):
             for e, c in column[(r, 0)].terms.items():
                 target = bases + np.array(e)
                 if not self.periodic:
-                    fits &= np.all((target >= 0) & (target < sizes), axis=1)
-                index = np.ravel_multi_index(tuple((target % sizes).T),
-                                             self.sizes)
-                coords.append(at_site[r, index])
+                    fits &= np.all((target >= 0) & (target < self._size_array),
+                                   axis=1)
+                coords.append(at_site[r, self._index(target)])
                 coeffs.append(c)
         return (np.array(coords, dtype=np.intp).reshape(len(coeffs), len(bases)),
                 np.array(coeffs, dtype=np.int64), fits)
-
-    def window_sites(self, center, radius: int) -> list[tuple[int, ...]]:
-        """Sites within sup-distance radius of center (wrapped or
-        clipped), deduplicated, in the order the offsets -radius..radius
-        (last axis fastest) first reach them: on each axis at most `size`
-        offsets on a torus, those on the patch otherwise."""
-        self._check_site(center)
-        axes = []
-        for c, size in zip(center, self.sizes):
-            if self.periodic:
-                reach = range(c - radius, c - radius + min(2 * radius + 1, size))
-                axes.append([t % size for t in reach])
-            else:
-                axes.append(range(max(c - radius, 0), min(c + radius + 1, size)))
-        return list(itertools.product(*axes))
-
-    def displacement(self, a, b) -> int:
-        """Sup-norm distance from site a to site b, shortest way round
-        on periodic axes."""
-        out = 0
-        for ca, cb, size in zip(a, b, self.sizes):
-            d = abs(cb - ca)
-            if self.periodic:
-                d = min(d % size, (-d) % size)
-            out = max(out, d)
-        return out
 
 
 def pairing_matrix(rows1, rows2, p: int) -> np.ndarray:
@@ -314,17 +288,18 @@ def spec_span_on_sheet(spec: SubalgebraSpec, lattice: FiniteLattice,
     span is the direct sum over sheets of the spec's span on each
     sheet: the answer is the spec instantiated on the sheet's own
     lattice, with the sheet's coordinates embedded in the larger
-    register.  The embedding keeps the coordinate order, so the sheet's
-    canonical basis embeds to the canonical basis."""
+    register.  The sheet's coordinates, in ascending order, are the
+    sheet lattice's in its own order, so the sheet's canonical basis
+    embeds to the canonical basis."""
     if lattice.dims != spec.dims + 1:
         raise InstantiationError("the lattice needs exactly one more axis")
     flat = FiniteLattice(lattice.p, lattice.q, lattice.sizes[:-1],
                          lattice.periodic)
     basis = row_basis(instantiate_spec(spec, flat), lattice.p)
-    on_sheet = np.flatnonzero(lattice.grid[:, -1] == sheet % lattice.sizes[-1])
-    out = np.zeros((basis.shape[0], lattice.symplectic_len), dtype=np.int64)
-    out[:, lattice.coords_of(on_sheet)] = \
-        basis[:, flat.coords_of(np.arange(flat.n_sites))]
+    n = lattice.symplectic_len
+    layer = lattice.grid[lattice.site_of(np.arange(n)), -1]
+    out = np.zeros((basis.shape[0], n), dtype=np.int64)
+    out[:, layer == sheet % lattice.sizes[-1]] = basis
     return out
 
 
@@ -404,7 +379,10 @@ def _translation_invariant(span: np.ndarray, lattice: FiniteLattice) -> bool:
     # Both halves of a row move by the same qudit permutation.
     halves = span.reshape(-1, 2, lattice.n_qudits)
     for unit in np.eye(lattice.dims, dtype=np.int64):
-        moved = halves[:, :, lattice.translation(unit)].reshape(span.shape)
+        # Qudit i of the moved span reads the qudit that moves onto i.
+        source = lattice.shifted_coords(np.arange(lattice.n_qudits),
+                                        -unit[None])[0]
+        moved = halves[:, :, source].reshape(span.shape)
         if not np.array_equal(row_basis(moved, lattice.p), span):
             return False
     return True
@@ -453,8 +431,8 @@ def _vs_of_span(span: np.ndarray, lattice: FiniteLattice, reach: int) -> VsRepor
     for s in sites:
         # The window's columns, X half then Z half.
         inside = np.zeros(n, dtype=bool)
-        inside[lattice.coords_of([lattice.site_index(t) for t in
-                                  lattice.window_sites(s, reach)])] = True
+        inside[lattice.coords_of(np.flatnonzero(
+            lattice.distance(lattice.grid, s) <= reach))] = True
         cols = np.flatnonzero(inside)
         w_s = coordinate_restriction(span[inside[pivots]], cols, p)
         # W_s lives on the window, so P and S read only its columns, and
@@ -631,14 +609,10 @@ class FiniteSymplecticMap(Frozen):
         """Largest distance between the sites of the row and the column
         of a nonzero entry of M."""
         lat = self.lattice
-        grid = lat.grid
-        sizes = np.array(lat.sizes)
         out = 0
         for lo in range(0, self.rows.size, _CHUNK):
-            d = np.abs(grid[lat.site_of(self.rows[lo:lo + _CHUNK])]
-                       - grid[lat.site_of(self.cols[lo:lo + _CHUNK])])
-            if lat.periodic:
-                d = np.minimum(d, sizes - d)
+            d = lat.distance(lat.grid[lat.site_of(self.rows[lo:lo + _CHUNK])],
+                             lat.grid[lat.site_of(self.cols[lo:lo + _CHUNK])])
             out = max(out, int(d.max()))
         return out
 
@@ -717,17 +691,12 @@ def boundary_algebra_finite(
     if window > L - 2:
         raise ValueError("need window <= L - 2 for a meaningful band")
 
-    def layer_coords(layers):
-        wanted = [l % L for l in layers]
-        return lat.coords_of(
-            np.flatnonzero(np.isin(lat.grid[:, axis], wanted))).ravel()
-
     p, n, half = lat.p, lat.symplectic_len, lat.n_qudits
-    band = layer_coords(range(cut + 1, cut + L - 1))
-    slab = np.sort(layer_coords(range(cut + 1, cut + window + 1)))
-    is_outside = np.ones(n, dtype=bool)
-    is_outside[band] = False
-    outside = np.flatnonzero(is_outside)
+    # Each coordinate's layer counted up from the one above the cut.
+    rel = (lat.grid[lat.site_of(np.arange(n)), axis] - cut - 1) % L
+    band = np.flatnonzero(rel < L - 2)
+    slab = np.flatnonzero(rel < window)
+    outside = np.flatnonzero(rel >= L - 2)
 
     swapped_slab, swapped_outside = (slab + half) % n, (outside + half) % n
     inverse_block = (alpha._block(swapped_slab, swapped_outside).T

@@ -130,9 +130,12 @@ class InvertibilityCertificate(NamedTuple):
     invertible: bool
     profile: DeterminantalProfile
     xi: LaurentMatrix
-    xi_invertible: bool
     determinant: LaurentPoly
     generator_rank: int
+
+    @property
+    def xi_invertible(self) -> bool:
+        return self.determinant.is_monomial()
 
     @property
     def projector_available(self) -> bool:
@@ -155,9 +158,8 @@ def check_invertible(spec: SubalgebraSpec) -> InvertibilityCertificate:
         det = profile.ideal.generators[0]
     else:
         det = LaurentPoly.zero(spec.p, spec.dims)
-    return InvertibilityCertificate(
-        invertible, profile, xi, det.is_monomial(), det, generator_rank
-    )
+    return InvertibilityCertificate(invertible, profile, xi, det,
+                                    generator_rank)
 
 
 def from_antihermitian(

@@ -72,8 +72,9 @@ def instantiate_column_per_term(lattice, column, base_site):
 
 
 def window_sites_per_offset(lattice, center, radius):
-    """FiniteLattice.window_sites as first written: every offset in the
-    (2 radius + 1)^D box resolved in turn, first reaches kept."""
+    """The sites within sup-distance radius of center, wrapped or
+    clipped: every offset in the (2 radius + 1)^D box resolved in turn,
+    first reaches kept."""
     seen = {}
     for delta in itertools.product(*([range(-radius, radius + 1)]
                                       * lattice.dims)):
@@ -83,10 +84,22 @@ def window_sites_per_offset(lattice, center, radius):
     return list(seen)
 
 
+def wrapped_distance(lattice, a, b):
+    """Sup-norm distance from site a to site b, one axis at a time, the
+    shortest way round on a torus."""
+    out = 0
+    for ca, cb, size in zip(a, b, lattice.sizes):
+        d = abs(cb - ca)
+        if lattice.periodic:
+            d = min(d % size, (-d) % size)
+        out = max(out, d)
+    return out
+
+
 def translation_by_roll(lattice, shift):
-    """The qudit permutation of FiniteLattice.translation, built the way
-    the torus unit shifts first were, by np.roll of the site-index
-    array: qudit k of site s reads qudit k of site s - shift."""
+    """The qudit permutation moving an operator by shift round the
+    torus, built by np.roll of the site-index array: qudit k of site s
+    reads qudit k of site s - shift."""
     grid = np.arange(lattice.n_sites).reshape(lattice.sizes)
     src = np.roll(grid, tuple(shift), axis=tuple(range(lattice.dims))).ravel()
     return (src[:, None] * lattice.q + np.arange(lattice.q)).ravel()
@@ -354,7 +367,7 @@ def check_vs_every_site(rows, lattice, reach):
     if span.shape[0] == 0:
         return VsReport(True, None, None)
     for s in lattice.sites():
-        window = [c for t in lattice.window_sites(s, reach)
+        window = [c for t in window_sites_per_offset(lattice, s, reach)
                   for c in lattice.site_coords(t)]
         w_s = coordinate_restriction(span, window, p)
         if w_s.shape[0] == 0:
@@ -613,7 +626,7 @@ def measure_spread_per_entry(lattice, matrix):
     for r, c in zip(nz_rows, nz_cols):
         s_in = sites[(int(c) % lattice.n_qudits) // lattice.q]
         s_out = sites[(int(r) % lattice.n_qudits) // lattice.q]
-        out = max(out, lattice.displacement(s_in, s_out))
+        out = max(out, wrapped_distance(lattice, s_in, s_out))
     return out
 
 
@@ -690,8 +703,8 @@ def leg_full_width(h, generators, junction, direction, length, charge=1,
     step_row, step_phase = solve_transporter_all_terms(h, cols, direction,
                                                        charge, family)
     steps = np.arange(length - 1, -1, -1)[:, None]
-    perms = lat.translations(np.asarray(junction) + steps
-                             * np.asarray(direction))
+    perms = np.array([translation_by_roll(lat, shift) for shift in
+                      np.asarray(junction) + steps * np.asarray(direction)])
     m = lat.n_qudits
     copies = np.concatenate([step_row[:m][perms], step_row[m:][perms]],
                             axis=1)

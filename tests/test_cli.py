@@ -924,6 +924,16 @@ def test_gauss_explicit_and_nonmodular(capsys):
     assert payload["modular"] is False
 
 
+def test_gauss_refuses_a_spec_with_spins_or_prime(capsys):
+    # Either flag beside --spec was ignored: the spins' phase, or the
+    # builtin's prime, came back with exit 0.
+    for extra in (["--spins", "0", "--prime", "3"], ["--prime", "5"]):
+        code, payload, _ = run(capsys, "gauss", "--spec", "example-z3", *extra)
+        assert code == 2
+        assert payload["error_kind"] == "SpecFormatError"
+        assert "not both" in payload["error"]
+
+
 def test_cli_primes_refused_quickly(capsys):
     # A length-p cyclotomic Gauss sum at p = 1000003 ran past 10 s.
     for argv in (["gauss", "--spins", "0", "--prime", "1000003"],
@@ -950,6 +960,24 @@ def test_out_flag_writes_same_bytes(tmp_path, capsys):
     _, _, out = run(capsys, "check", "--spec", "example-z3",
                     "--out", str(target))
     assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("where, kind", [
+    ("missing/cert.json", "FileNotFoundError"),
+    (".", "IsADirectoryError"),
+], ids=["missing-directory", "directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where, kind):
+    # The write ran outside the handler's guard: a traceback and exit 1,
+    # the status of a failed property, for an invertible spec.
+    code = main(["check", "--spec", "example-z3", "--out",
+                 str(tmp_path / where)])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert code == 2
+    assert payload["error_kind"] == kind
+    assert payload["command"] == "check"
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_output_is_deterministic(capsys):

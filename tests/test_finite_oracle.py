@@ -28,6 +28,7 @@ from helpers import (
     translation_by_roll,
     translation_invariant_rereducing,
     window_sites_per_offset,
+    wrapped_distance,
     xz_chain_spec,
     z3_spec,
 )
@@ -79,43 +80,62 @@ def test_lattice_indexing_round_trip():
     assert lat.site_coords((0, 0)) == [0, 1, 40, 41]
 
 
+def window_by_distance(lat, center, radius):
+    """The sites whose `distance` from center is at most radius."""
+    near = lat.distance(lat.grid, center) <= radius
+    return {tuple(int(c) for c in site) for site in lat.grid[near]}
+
+
 def test_lattice_patch_resolve_and_window():
     pat = FiniteLattice(3, 1, (4, 4), periodic=False)
     assert pat.resolve((3, 0)) == (3, 0)
     assert pat.resolve((4, 0)) is None
-    assert len(pat.window_sites((0, 0), 1)) == 4  # clipped corner
+    assert len(window_by_distance(pat, (0, 0), 1)) == 4  # clipped corner
     tor = FiniteLattice(3, 1, (4, 4))
-    assert len(tor.window_sites((0, 0), 1)) == 9
-    assert tor.displacement((0, 0), (3, 0)) == 1  # shortest way wraps
-    assert pat.displacement((0, 0), (3, 0)) == 3
+    assert len(window_by_distance(tor, (0, 0), 1)) == 9
+    assert tor.distance((0, 0), (3, 0)) == 1  # shortest way wraps
+    assert pat.distance((0, 0), (3, 0)) == 3
+    for lat in (pat, tor):
+        for radius in (0, 1, 2, 10 ** 6):
+            assert window_by_distance(lat, (0, 0), radius) == set(
+                window_sites_per_offset(lat, (0, 0), min(radius, 4)))
 
 
 @pytest.mark.parametrize("periodic", [True, False], ids=["torus", "patch"])
 def test_window_sites_are_the_offsets_first_reaches(periodic):
-    # Every axis clipped to the lattice gives the sites, and the order,
-    # that the whole box of offsets reaches first; centers off the
-    # lattice included.
-    for sizes in ((1,), (4,), (3, 5), (2, 1, 4)):
+    # The sites within `distance` of a center are those the whole box of
+    # offsets reaches, on every axis wrapped or clipped to the lattice;
+    # centers off the lattice included.  Past the longest side a larger
+    # radius reaches no more sites, so the reference's radius is capped
+    # there.
+    for sizes in ((1,), (2,), (4,), (3, 5), (2, 1, 4)):
         lat = FiniteLattice(3, 1, sizes, periodic)
+        radii = [*range(-1, max(sizes) + 2), 10 ** 6]
         for center in itertools.product(*(range(-1, s + 1) for s in sizes)):
-            for radius in range(-1, max(sizes) + 2):
-                assert lat.window_sites(center, radius) == \
-                    window_sites_per_offset(lat, center, radius)
+            for radius in radii:
+                assert window_by_distance(lat, center, radius) == set(
+                    window_sites_per_offset(lat, center,
+                                            min(radius, max(sizes))))
+        # The distance itself, pair by pair, against the per-axis one.
+        pairs = list(itertools.product(lat.sites(), repeat=2))
+        got = lat.distance([a for a, _ in pairs], [b for _, b in pairs])
+        assert got.tolist() == [wrapped_distance(lat, a, b) for a, b in pairs]
 
 
 @pytest.mark.parametrize("periodic", [True, False], ids=["torus", "patch"])
 def test_window_sites_cost_follows_the_lattice_not_the_radius(periodic):
-    # A torus starts each axis's offsets at center - radius, so only the
-    # set of sites, not their order, is the same at every large radius.
+    # The window is one comparison over the lattice's sites, so a huge
+    # radius costs what the lattice's size does and reaches every site.
     lat = FiniteLattice(3, 2, (7, 6), periodic)
-    whole = lat.window_sites((3, 2), max(lat.sizes))
-    assert sorted(whole) == list(lat.sites())
+    whole = window_by_distance(lat, (3, 2), max(lat.sizes))
+    assert whole == set(lat.sites())
     start = perf_counter()
-    huge = lat.window_sites((3, 2), 10 ** 6)
+    huge = window_by_distance(lat, (3, 2), 10 ** 6)
     assert perf_counter() - start < 0.1
-    assert sorted(huge) == sorted(whole)
-    if not periodic:
-        assert huge == whole
+    assert huge == whole
+    for radius in (0, 1, 2):
+        assert window_by_distance(lat, (3, 2), radius) == set(
+            window_sites_per_offset(lat, (3, 2), radius))
 
 
 def test_lattice_refuses_a_composite_modulus_and_an_empty_site():
@@ -223,20 +243,22 @@ def test_place_at_every_site_by_default():
 
 
 def test_translation_matches_roll_reference():
+    # The qudit a shift moves onto qudit i is where i goes under the
+    # opposite shift: the permutation np.roll makes.
     rng = random.Random(21)
     for lat, _, bases in itertools.islice(layout_cases(), 0, None, 3):
-        shifts = bases + [(0,) * lat.dims]
-        for shift in shifts:
-            want = translation_by_roll(lat, shift)
-            assert np.array_equal(lat.translation(shift), want)
-        # All the shifts at once, one row each.
-        assert np.array_equal(
-            lat.translations(shifts),
-            [translation_by_roll(lat, shift) for shift in shifts])
         axis = rng.randrange(lat.dims)
         unit = tuple(int(k == axis) for k in range(lat.dims))
-        assert np.array_equal(lat.translation(unit),
-                              translation_by_roll(lat, unit))
+        shifts = bases + [(0,) * lat.dims, unit]
+        qudits = np.arange(lat.n_qudits)
+        for shift in shifts:
+            assert np.array_equal(
+                lat.shifted_coords(qudits, -np.array([shift]))[0],
+                translation_by_roll(lat, shift))
+        # All the shifts at once, one row each.
+        assert np.array_equal(
+            lat.shifted_coords(qudits, -np.array(shifts)),
+            [translation_by_roll(lat, shift) for shift in shifts])
 
 
 def test_shifted_coords_are_the_translations_moves():
@@ -249,7 +271,8 @@ def test_shifted_coords_are_the_translations_moves():
         coords = np.arange(lat.symplectic_len)
         moved = lat.shifted_coords(coords, shifts)
         assert moved.shape == (len(shifts), lat.symplectic_len)
-        for perm, dest in zip(lat.translations(shifts), moved):
+        for shift, dest in zip(shifts, moved):
+            perm = translation_by_roll(lat, shift)
             got = np.zeros_like(vec)
             got[dest] = vec
             assert np.array_equal(got, vec.reshape(2, -1)[:, perm].ravel())
@@ -261,9 +284,10 @@ def test_translation_moves_a_placed_column():
         if not lat.periodic:
             continue
         base, shift = bases[0], bases[1]
-        perm = lat.translation(shift)
         vec = instantiate_column(lat, col, base)
-        moved = vec.reshape(2, -1)[:, perm].ravel()
+        moved = np.zeros_like(vec)
+        moved[lat.shifted_coords(np.arange(lat.symplectic_len),
+                                 [shift])[0]] = vec
         assert np.array_equal(
             moved,
             instantiate_column(lat, col, tuple(b + t for b, t in
@@ -298,9 +322,9 @@ def test_wrong_arity_sites_are_refused():
         with pytest.raises(ValueError, match="2 coordinates"):
             lat.resolve(site)
         with pytest.raises(ValueError, match="2 coordinates"):
-            lat.translation(site)
+            lat.distance(site, (0, 0))
         with pytest.raises(ValueError, match="2 coordinates"):
-            lat.translations([site, site])
+            lat.distance(lat.grid, [site, site])
         with pytest.raises(ValueError, match="2 coordinates"):
             lat.shifted_coords([0], [site, site])
         with pytest.raises(ValueError, match="2 coordinates"):
@@ -419,7 +443,8 @@ def test_check_vs_xz_chain_fails_every_reach():
         v = report.failure_element
         assert row_space_contains(rows, v, 2)
         assert v[lat.site_coords(report.failure_site)].any()
-        window = [c for t in lat.window_sites(report.failure_site, reach)
+        window = [c for t in window_sites_per_offset(
+                      lat, report.failure_site, reach)
                   for c in lat.site_coords(t)]
         w_s = coordinate_restriction(rows, window, 2)
         assert w_s.shape[0] > 0
