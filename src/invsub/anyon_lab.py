@@ -80,7 +80,7 @@ class HamiltonianInstance(Frozen):
     the terms as dense symplectic rows, is scattered from them on first
     read.  One-step transporters solved on this instance are cached on
     it as (read-only symplectic row, phase), keyed by (generators, step,
-    charge mod p, family).
+    charge mod p, family), the generators wrapped in `_Generators`.
     """
 
     def __init__(self, lattice: FiniteLattice,
@@ -282,15 +282,33 @@ def _solve_transporter(
     return row, phase
 
 
-def _transporter(h: HamiltonianInstance, generators: LaurentMatrix, step,
+class _Generators(Frozen):
+    """Hopping generators as a transporter cache key, hashed once when
+    wrapped: a `LaurentMatrix` hashes every entry on each lookup, and a
+    string operator looks up a transporter on every leg."""
+
+    __slots__ = ("matrix", "_hash")
+
+    def __init__(self, matrix: LaurentMatrix):
+        self._set(matrix=matrix, _hash=hash(matrix))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _Generators and self.matrix == other.matrix
+
+
+def _transporter(h: HamiltonianInstance, generators: _Generators, step,
                  charge: int, family: int) -> tuple[np.ndarray, int]:
     """The one-step transporter at the origin, solved once per
     Hamiltonian."""
     key = (generators, tuple(step), charge % h.lattice.p, family)
-    if key not in h._transporters:
-        h._transporters[key] = _solve_transporter(
-            h, _columns(generators), step, charge, family)
-    return h._transporters[key]
+    out = h._transporters.get(key)
+    if out is None:
+        out = h._transporters[key] = _solve_transporter(
+            h, _columns(generators.matrix), step, charge, family)
+    return out
 
 
 def leg_string(
@@ -313,16 +331,19 @@ def leg_string(
     return PhasedPauli.from_symplectic(h.lattice.p, row, phase)
 
 
-def _leg(h: HamiltonianInstance, generators: LaurentMatrix, junction,
-         direction, length: int, charge: int, family: int
+def _leg(h: HamiltonianInstance, generators: LaurentMatrix | _Generators,
+         junction, direction, length: int, charge: int, family: int
          ) -> tuple[np.ndarray, int]:
     """`leg_string` as a symplectic row and a phase: the transporter
     moved to every step at once, the copies multiplied by
     `_ordered_product` with the last step leftmost, and the syndrome
-    checked to telescope."""
+    checked to telescope.  A caller making several legs wraps the
+    generators in `_Generators` once for all of them."""
     lat = h.lattice
     if not lat.periodic:
         raise InstantiationError("string operators need a torus")
+    if not isinstance(generators, _Generators):
+        generators = _Generators(generators)
     step_row, step_phase = _transporter(h, generators, direction, charge,
                                         family)
     steps = np.arange(length - 1, -1, -1)[:, None]
@@ -367,6 +388,7 @@ def hopping_operator(
         raise ValueError("the two syndrome sites must differ")
     legs = []
     cur = list(b)
+    generators = _Generators(generators)
     for axis, (delta, size) in enumerate(zip(deltas, lat.sizes)):
         if not delta:
             continue
@@ -429,6 +451,7 @@ def topological_spin(
            for direction in leg_directions
            for d, size in zip(direction, lat.sizes)):
         raise SpinGeometryError("legs lap around the torus at this size")
+    generators = _Generators(generators)
     u1, u2, u3 = (
         _leg(h, generators, tuple(junction), direction, leg_length, charge,
              family)[0]

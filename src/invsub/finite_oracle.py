@@ -112,6 +112,15 @@ class FiniteLattice(Keyed):
     def _size_array(self) -> np.ndarray:
         return np.array(self.sizes)
 
+    @functools.cached_property
+    def _unit_moves(self) -> np.ndarray:
+        """Row a: where each symplectic coordinate goes when an operator
+        moves one step up axis a, wrapping round; read-only."""
+        out = self.shifted_coords(np.arange(self.symplectic_len),
+                                  np.eye(self.dims, dtype=np.int64))
+        out.flags.writeable = False
+        return out
+
     def _index(self, sites: np.ndarray) -> np.ndarray:
         """The row-major index of each site of an integer array whose last
         axis holds the coordinates, wrapped round every axis."""
@@ -243,9 +252,18 @@ def placements(
     one row per base, and the mask of `FiniteLattice.place`."""
     coords, coeffs, fits = lattice.place(column, at)
     out = np.zeros((len(fits), lattice.symplectic_len), dtype=np.int64)
-    np.add.at(out, (np.arange(len(fits)), coords), coeffs[:, None])
-    out %= lattice.p
+    _scatter(out, coords, coeffs, lattice.p)
     return out, fits
+
+
+def _scatter(out: np.ndarray, coords: np.ndarray, coeffs: np.ndarray,
+             p: int) -> None:
+    """Add coefficient t at coords[t, b] of row b of the zero array
+    `out`, for every term t and row b, and reduce mod p only the entries
+    written."""
+    at = (np.arange(coords.shape[1]), coords)
+    np.add.at(out, at, coeffs[:, None])
+    out[at] %= p
 
 
 def instantiate_column(
@@ -266,16 +284,22 @@ def instantiate_spec(spec: SubalgebraSpec, lattice: FiniteLattice) -> np.ndarray
     """
     if (spec.p, spec.q, spec.dims) != (lattice.p, lattice.q, lattice.dims):
         raise InstantiationError("spec and lattice parameters disagree")
-    rows = [np.zeros((0, lattice.symplectic_len), dtype=np.int64)]
-    for j in range(spec.n_generators):
-        col = spec.generators.submatrix(range(2 * spec.q), [j])
-        placed, fits = placements(lattice, col)
+    placed = [lattice.place(spec.generators.submatrix(range(2 * spec.q), [j]))
+              for j in range(spec.n_generators)]
+    for j, (_, _, fits) in enumerate(placed):
         if not fits.any():
             raise InstantiationError(
                 f"no translate of generator {j} fits on the patch"
             )
-        rows.append(placed[fits])
-    return np.vstack(rows)
+    # Each generator's surviving translates are scattered straight into
+    # their block of the one output array.
+    counts = [int(fits.sum()) for _, _, fits in placed]
+    out = np.zeros((sum(counts), lattice.symplectic_len), dtype=np.int64)
+    start = 0
+    for (coords, coeffs, fits), count in zip(placed, counts):
+        _scatter(out[start:start + count], coords[:, fits], coeffs, lattice.p)
+        start += count
+    return out
 
 
 def spec_span_on_sheet(spec: SubalgebraSpec, lattice: FiniteLattice,
@@ -376,14 +400,11 @@ class VsReport(NamedTuple):
 def _translation_invariant(span: np.ndarray, lattice: FiniteLattice) -> bool:
     """Is the span mapped onto itself by a unit shift along every axis
     (and so by every translation of the torus)?"""
-    # Both halves of a row move by the same qudit permutation.
-    halves = span.reshape(-1, 2, lattice.n_qudits)
-    for unit in np.eye(lattice.dims, dtype=np.int64):
-        # Qudit i of the moved span reads the qudit that moves onto i.
-        source = lattice.shifted_coords(np.arange(lattice.n_qudits),
-                                        -unit[None])[0]
-        moved = halves[:, :, source].reshape(span.shape)
-        if not np.array_equal(row_basis(moved, lattice.p), span):
+    for move in lattice._unit_moves:
+        # Coordinate c of the moved span reads the one c moves to: the
+        # span shifted one step down, which is the span exactly when the
+        # step up is.
+        if not np.array_equal(row_basis(span[:, move], lattice.p), span):
             return False
     return True
 
@@ -451,7 +472,8 @@ def _vs_of_span(span: np.ndarray, lattice: FiniteLattice, reach: int) -> VsRepor
 
 
 # Entries handled at a time when a pass over a map's nonzeros makes
-# temporaries: products in the form check, sites in the spread.
+# temporaries: products in the form check, moved keys in the translation
+# test, sites in the spread.
 _CHUNK = 1 << 13
 
 
@@ -460,28 +482,43 @@ def _sum_by_key(keys: np.ndarray, values: np.ndarray, p: int
     """The distinct keys in ascending order with the sums mod p of their
     values (in [0, p)), less the keys whose sum is 0.  Keys and values
     are sorted together as keys * p + values, which must stay below
-    2^63; the int64 sums are exact for p < 2^31."""
-    code = np.sort(keys * p + values)
-    keys = code // p
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    sums = np.add.reduceat(code - keys * p, first) % p if keys.size else keys
-    return keys[first][sums != 0], sums[sums != 0]
+    2^63; the int64 sums are exact for p < 2^31.  `keys`, an int64
+    array, is overwritten: the sort runs in it, so that no copy of the
+    entries is made when no key repeats."""
+    code = keys
+    code *= p
+    code += values
+    code.sort()
+    values = code % p
+    code //= p
+    first = np.ones(code.size, dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=first[1:])
+    if not first.all():
+        first = np.flatnonzero(first)
+        values = np.add.reduceat(values, first) % p
+        code = code[first]
+    kept = values != 0
+    if not kept.all():
+        code, values = code[kept], values[kept]
+    return code, values
 
 
 def _gram_blocks(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                 n: int, k: int, p: int):
+                 n: int, k: int, p: int, only: np.ndarray | None = None):
     """The nonzero entries of M^T J M mod p, a run of rows a <= i < b at
     a time from row 0 to row k, as (a, b, keys, sums) with keys i k + j
     ascending; M is the n x k matrix with the given entries (`rows`
     sorted, coordinates may repeat, values in [0, p), k^2 p <= 2^63) and
-    J = [[0, I], [-I, 0]].
+    J = [[0, I], [-I, 0]].  Given `only`, distinct column indices, just
+    the rows i in `only` are made and every other row reads as zero.
 
     Entry (i, j) is sum_r s(r) M[r, i] M[sw(r), j], where sw swaps the
     X and Z halves and s is +1 on the X half and -1 on the Z half: the
     symplectic pairing of columns i and j, made by pairing each nonzero
     of column i with the nonzeros of its partner row.  The entries are
     taken column by column, about _CHUNK products at a time, each
-    reduced mod p (below 2^62 for p < 2^31) before it is summed.
+    reduced mod p (below 2^62 for p < 2^31) before it is summed.  With
+    `only` the products are those of the nonzeros in its columns alone.
     """
     if k * k * p > 1 << 63:
         raise ValueError(f"{k} columns mod {p} overflow the Gram keys")
@@ -492,7 +529,13 @@ def _gram_blocks(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     bounds = np.searchsorted(rows, np.arange(n + 1))
     start, count = bounds[partner], np.diff(bounds)[partner]
     # The entries column by column, and the products made up to each.
-    order = np.argsort(cols)
+    if only is None:
+        order = np.argsort(cols)
+    else:
+        wanted = np.zeros(k, dtype=bool)
+        wanted[only] = True
+        order = np.flatnonzero(wanted[cols])
+        order = order[np.argsort(cols[order])]
     ends = np.cumsum(count[rows[order]])
     cuts = np.searchsorted(ends, np.arange(_CHUNK, ends[-1] if ends.size else 0,
                                            _CHUNK), side="right")
@@ -518,17 +561,39 @@ def _gram_blocks(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
 
 
 def _preserves_form(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                    n: int, p: int) -> bool:
+                    n: int, p: int, only: np.ndarray | None = None) -> bool:
     """Is M^T J M = J mod p, for the n x n matrix M with the given
-    nonzeros (row-major, distinct, values in [1, p))?  Each run of
-    `_gram_blocks` must be J's rows: 1 at i + n/2 on the X half, -1 at
-    i - n/2 on the Z half."""
+    nonzeros (row-major, distinct, values in [1, p))?  Given `only`,
+    ascending row indices, are those rows of M^T J M the rows of J?
+    Each run of `_gram_blocks` must be J's rows: 1 at i + n/2 on the X
+    half, -1 at i - n/2 on the Z half."""
     half = n // 2
-    for a, b, keys, sums in _gram_blocks(rows, cols, values, n, n, p):
+    for a, b, keys, sums in _gram_blocks(rows, cols, values, n, n, p, only):
         i = np.arange(a, b)
+        if only is not None:
+            i = only[(only >= a) & (only < b)]
         if not (np.array_equal(keys, i * n + (i + half) % n)
                 and np.array_equal(sums, np.where(i < half, 1, p - 1))):
             return False
+    return True
+
+
+def _commutes_with_translations(keys: np.ndarray, values: np.ndarray,
+                                lattice: FiniteLattice) -> bool:
+    """Does the n x n matrix with nonzeros `values` at the ascending keys
+    row * n + col commute with the unit move along every axis of the
+    torus: does each nonzero, its row and its column moved alike, land
+    on a nonzero of the same value?  A move permutes the keys, so then
+    it maps the nonzeros onto themselves."""
+    n, last = lattice.symplectic_len, keys.size - 1
+    for move in lattice._unit_moves:
+        for lo in range(0, keys.size, _CHUNK):
+            here = keys[lo:lo + _CHUNK]
+            moved = move[here // n] * n + move[here % n]
+            at = np.minimum(np.searchsorted(keys, moved), last)
+            if not (np.array_equal(keys[at], moved)
+                    and np.array_equal(values[at], values[lo:lo + _CHUNK])):
+                return False
     return True
 
 
@@ -544,15 +609,22 @@ class FiniteSymplecticMap(Frozen):
     (`_preserves_form`).  M^T J M comes from `_gram_blocks`, the one
     kernel that also makes a Hamiltonian's commutation check: each entry
     is summed from products of a nonzero of M with the nonzeros of its
-    partner row in the other half, sum_r nnz(r) nnz(sw r) products in
-    all, a bounded number at a time.  For a lifted automaton the
-    nonzeros of a row or column come from the terms of its symbol, so
-    their number does not grow with the lattice: 14 in each column for
-    example-z3, at most 16 for spread-2 and spread-3 remark specs, about
-    200 n products.  A dense M makes n^3 products (2.1 s at n = 512 and
-    19 s at n = 1024 on a 2-core Xeon VM): memory stays under that of
-    the dense product M^T (J M), but the time is seconds from n = 512
-    on.
+    partner row in the other half, a bounded number at a time.
+
+    On a torus, M is first tested exactly for commuting with the unit
+    move along every axis (`_commutes_with_translations`, a lookup of
+    every moved nonzero among the nonzeros).  If it does, so does
+    M^T J M, which is then J exactly when its 2q rows at the origin's
+    coordinates are J's rows: only the nonzeros in those columns of M
+    are paired.  For a lifted automaton a column's nonzeros come from
+    the terms of its symbol (14 for example-z3, at most 16 for spread-2
+    and spread-3 remark specs), so the check makes about 2q x 200
+    products on every torus, and its other work is the lookups, which
+    grow like n log n.  Any other M (on an open patch, or not commuting
+    with translation) has all n rows checked, sum_r nnz(r) nnz(sw r)
+    products: about 200 n for a lift's nonzeros, and n^3 for a dense M
+    (2.1 s at n = 512 and 19 s at n = 1024 on a 2-core Xeon VM), whose
+    memory stays under that of the dense product M^T (J M).
     """
 
     __slots__ = ("lattice", "rows", "cols", "values", "spread")
@@ -568,18 +640,29 @@ class FiniteSymplecticMap(Frozen):
         if rows.size and (min(rows.min(), cols.min()) < 0
                           or max(rows.max(), cols.max()) >= n):
             raise ValueError(f"entry outside the {n} x {n} matrix")
-        keys, sums = _sum_by_key(rows * n + cols,
-                                 np.asarray(values, dtype=np.int64) % p, p)
+        keys = rows * n
+        keys += cols
+        keys, sums = _sum_by_key(keys, np.asarray(values, dtype=np.int64) % p,
+                                 p)
         out = cls.__new__(cls)
-        out._validate(lattice, keys // n, keys % n, sums, spread)
+        out._validate(lattice, keys, sums, spread)
         return out
 
-    def _validate(self, lattice, rows, cols, values, spread) -> None:
+    def _validate(self, lattice, keys, values, spread) -> None:
+        """Take the nonzeros `values` at the ascending keys row * n + col
+        (the keys array becomes `rows`) and check the form."""
+        n = lattice.symplectic_len
+        origin = None
+        if lattice.periodic and _commutes_with_translations(keys, values,
+                                                            lattice):
+            origin = lattice.coords_of(0)
+        cols = keys % n
+        rows = keys
+        rows //= n
         for array in (rows, cols, values):
             array.flags.writeable = False
         self._set(lattice=lattice, rows=rows, cols=cols, values=values)
-        if not _preserves_form(rows, cols, values, lattice.symplectic_len,
-                               lattice.p):
+        if not _preserves_form(rows, cols, values, n, lattice.p, origin):
             raise ValueError("matrix does not preserve the symplectic form")
         self._set(spread=spread if spread >= 0 else self._measure_spread())
 

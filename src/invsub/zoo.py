@@ -149,7 +149,9 @@ def random_remark_spec(p: int, rng, dims: int = 2,
     Starts from the 2x2 antihermitian matrix with c*x^e off-diagonal
     (its determinant is the unit c^2), then roughs it up with random
     unimodular congruence transformations, which preserve both
-    antihermitianity and unit determinant.
+    antihermitianity and unit determinant.  Over F_2, where Xi has no
+    canonical half, the half M = [[0, c*x^e], [0, 0]] goes through the
+    same congruences and is passed along.
     """
     c = int(rng.integers(1, p))
     exps = tuple(int(rng.integers(-2, 3)) for _ in range(dims))
@@ -157,6 +159,9 @@ def random_remark_spec(p: int, rng, dims: int = 2,
     neg_bar = off.bar().scale(-1)
     zero = LaurentPoly.zero(p, dims)
     xi = LaurentMatrix(p, dims, [[zero, off], [neg_bar, zero]])
+    half = None
+    if p == 2:
+        half = LaurentMatrix(p, dims, [[zero, off], [zero, zero]])
     for _ in range(congruence_ops):
         g = LaurentPoly.monomial(
             int(rng.integers(1, p)),
@@ -169,4 +174,6 @@ def random_remark_spec(p: int, rng, dims: int = 2,
         else:
             e = LaurentMatrix(p, dims, [[one, zero], [g, one]])
         xi = e.bar_transpose() @ xi @ e
-    return from_antihermitian(xi)
+        if half is not None:
+            half = e.bar_transpose() @ half @ e
+    return from_antihermitian(xi, half)

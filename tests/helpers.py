@@ -537,6 +537,17 @@ def random_symplectic_matrix(lattice, rng, factors=4):
     return out
 
 
+def placements_reducing_every_entry(lattice, column, at=None):
+    """finite_oracle.placements before it reduced only the entries it
+    wrote: the terms added with np.add.at, then the whole array taken
+    mod p."""
+    coords, coeffs, fits = lattice.place(column, at)
+    out = np.zeros((len(fits), lattice.symplectic_len), dtype=np.int64)
+    np.add.at(out, (np.arange(len(fits)), coords), coeffs[:, None])
+    out %= lattice.p
+    return out, fits
+
+
 def instantiate_spec_per_site(spec, lattice):
     """finite_oracle.instantiate_spec as first written: the generators
     placed one site at a time."""

@@ -41,6 +41,7 @@ from invsub.finite_oracle import (
     instantiate_spec,
 )
 from invsub.fplinalg import rank, row_space_contains, row_space_equal, solve
+from invsub.laurent import LaurentPoly
 from invsub.pauli import commutant_generators, symplectic_form
 from invsub.weyl import PhasedPauli
 from invsub.zoo import get_example, plaquette_term
@@ -386,6 +387,27 @@ def test_transporters_are_solved_once_per_hamiltonian():
                h11._transporters.values())
     assert all(row.shape == (2 * 338,) for row, _ in
                h13._transporters.values())
+
+
+def test_warm_spin_hashes_the_generators_once(monkeypatch):
+    # Every leg looks up its transporter, but the generators' entries
+    # are hashed once per call, not once per lookup (48 hashes before).
+    gens = Z3.hopping_generators
+    h = build_hamiltonian(FiniteLattice(3, 2, (21, 21)), Z3.term_symbols)
+    topological_spin(h, gens)
+    hashed = []
+    plain = LaurentPoly.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(LaurentPoly, "__hash__", counted)
+    assert topological_spin(h, gens).exponent == 1
+    assert len(hashed) == gens.rows * gens.cols == 8
+    hashed.clear()
+    hopping_operator(h, gens, (6, 5), (4, 3))
+    assert len(hashed) == 8
 
 
 def test_string_operators_need_a_torus():

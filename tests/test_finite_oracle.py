@@ -22,6 +22,7 @@ from helpers import (
     mat,
     measure_spread_per_entry,
     non_graph_spec,
+    placements_reducing_every_entry,
     random_symplectic_matrix,
     symplectic_gram_dense,
     symplectic_map,
@@ -292,6 +293,36 @@ def test_translation_moves_a_placed_column():
             moved,
             instantiate_column(lat, col, tuple(b + t for b, t in
                                                zip(base, shift))))
+
+
+def test_unit_moves_are_one_cached_permutation_per_axis(monkeypatch):
+    # Row a moves every coordinate one step up axis a: qudit k of site
+    # s goes where the roll by -e_a reads it from, on both halves.
+    for lat, _, _ in itertools.islice(layout_cases(), 0, None, 4):
+        moves = lat._unit_moves
+        assert moves is lat._unit_moves and not moves.flags.writeable
+        assert moves.shape == (lat.dims, lat.symplectic_len)
+        for unit, move in zip(np.eye(lat.dims, dtype=int), moves):
+            perm = translation_by_roll(lat, -unit)
+            assert move.tolist() == np.concatenate(
+                [perm, lat.n_qudits + perm]).tolist()
+    # Once cached, the span's and the map's translation tests read it
+    # and move nothing themselves.
+    spec, lat = z3_spec(), FiniteLattice(3, 2, (5, 5))
+    span = row_basis(instantiate_spec(spec, lat), 3)
+    lat._unit_moves
+
+    def refused(*args):
+        raise AssertionError("a unit move was rebuilt")
+
+    monkeypatch.setattr(FiniteLattice, "shifted_coords", refused)
+    assert finite_oracle._translation_invariant(span, lat)
+    lat3 = FiniteLattice(3, 2, (3, 3, 3))
+    monkeypatch.undo()
+    fin = instantiate_qca(lift_to_qca(spec), lat3)
+    monkeypatch.setattr(FiniteLattice, "shifted_coords", refused)
+    keys = fin.rows * lat3.symplectic_len + fin.cols
+    assert finite_oracle._commutes_with_translations(keys, fin.values, lat3)
 
 
 def test_layout_coordinates():
@@ -806,6 +837,21 @@ def test_symplectic_check_on_a_dense_map_stays_under_dense_product_memory():
             < peak(lambda: symplectic_gram_dense(m, lat)))
 
 
+def test_from_entries_stays_under_dense_product_memory(monkeypatch):
+    # Everything from_entries does but the Gram check: summing the
+    # entries, the translation test, the split into rows and columns
+    # and the spread.  The sort runs in the keys array and the key
+    # temporaries are dropped once the keys are built (2.49 MB before).
+    lat, m = random_case(8, 3, 1, (128,))
+    rows, cols = np.nonzero(m)
+    values = m[rows, cols]
+    monkeypatch.setattr(finite_oracle, "_preserves_form",
+                        lambda *args: True)
+    assert (traced_peak(lambda: FiniteSymplecticMap.from_entries(
+                lat, rows, cols, values))
+            < traced_peak(lambda: symplectic_gram_dense(m, lat)))
+
+
 def _random_entries(rng, n, k, p, nnz):
     """nnz entries of an n x k matrix sorted by row, with repeated
     coordinates and zero values among them, and the dense matrix."""
@@ -849,6 +895,190 @@ def test_gram_kernel_refuses_keys_beyond_int64():
     with pytest.raises(ValueError, match="overflow"):
         next(finite_oracle._gram_blocks(empty, empty, empty, 2, 1 << 17,
                                         2 ** 31 - 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gram_kernel_on_some_columns_is_those_rows_of_the_dense_gram(p):
+    rng = np.random.default_rng(10 + p)
+    for n, k, nnz in ((8, 3, 20), (40, 70, 300), (200, 330, 40000)):
+        rows, cols, values, dense = _random_entries(rng, n, k, p, nnz)
+        gram = pairing_matrix(dense.T, dense.T, p)
+        for only in (np.array([0]), np.array([k - 1]),
+                     np.sort(rng.choice(k, min(k, 5), replace=False))):
+            runs = list(finite_oracle._gram_blocks(rows, cols, values, n, k,
+                                                   p, only))
+            keys = np.concatenate([r[2] for r in runs])
+            sums = np.concatenate([r[3] for r in runs])
+            want = np.zeros_like(gram)
+            want[only] = gram[only]
+            assert np.array_equal(keys, np.flatnonzero(want))
+            assert np.array_equal(sums, want.ravel()[keys])
+
+
+def form_check_paths(monkeypatch):
+    """The rows each form check asks of the Gram kernel, call by call:
+    the origin's coordinates on the one-site path, None on the
+    all-columns path."""
+    paths = []
+    gram = finite_oracle._gram_blocks
+
+    def recording(rows, cols, values, n, k, p, only=None):
+        paths.append(None if only is None else only.tolist())
+        return gram(rows, cols, values, n, k, p, only)
+
+    monkeypatch.setattr(finite_oracle, "_gram_blocks", recording)
+    return paths
+
+
+def form_verdicts(lattice, rows, cols, values):
+    """For the matrix with these entries (summed): does it commute with
+    the unit moves, and is M^T J M = J on the origin's rows and on
+    every row?"""
+    n, p = lattice.symplectic_len, lattice.p
+    keys, sums = finite_oracle._sum_by_key(
+        np.asarray(rows, dtype=np.int64) * n + cols,
+        np.asarray(values, dtype=np.int64) % p, p)
+    entries = keys // n, keys % n, sums
+    return (finite_oracle._commutes_with_translations(keys, sums, lattice),
+            finite_oracle._preserves_form(*entries, n, p, lattice.coords_of(0)),
+            finite_oracle._preserves_form(*entries, n, p))
+
+
+LIFTED_SPECS = {
+    **{name: get_example(name).spec for name in
+       ("empty", "example-z3", "full")},
+    **{f"remark-p{p}-{seed}": random_remark_spec(p, np.random.default_rng(seed))
+       for p in (2, 3, 5, 7) for seed in (0, 1)},
+}
+
+
+@pytest.mark.parametrize("label", LIFTED_SPECS)
+def test_lifted_maps_take_the_one_site_path(label, monkeypatch):
+    # Every map instantiate_qca makes commutes with translation, so its
+    # form is checked on the origin's rows; that verdict is the
+    # all-columns one.  Sides 1 and 2 make terms collide.
+    qca = lift_to_qca(LIFTED_SPECS[label])
+    for side in range(1, 9):
+        lat = FiniteLattice(qca.p, qca.q, (side,) * 3)
+        paths = form_check_paths(monkeypatch)
+        fin = instantiate_qca(qca, lat)
+        assert paths == [lat.coords_of(0).tolist()]
+        monkeypatch.undo()
+        assert form_verdicts(lat, fin.rows, fin.cols, fin.values) == \
+            (True, True, True)
+
+
+def translates(lattice, row, col):
+    """The entry (row, col) moved to every site: rows and columns."""
+    moved = lattice.shifted_coords([row, col], lattice.grid)
+    return moved[:, 0], moved[:, 1]
+
+
+@pytest.mark.parametrize("label", ["example-z3", "remark-p2-0", "remark-p7-1"])
+def test_a_corruption_at_every_translate_is_refused_by_the_origin_rows(
+        label, monkeypatch):
+    # The same entry changed at every translate keeps M commuting with
+    # translation, and the origin's rows alone refuse it, as every row
+    # and the dense block check do.
+    qca = lift_to_qca(LIFTED_SPECS[label])
+    lat = FiniteLattice(qca.p, qca.q, (4, 4, 4))
+    fin = instantiate_qca(qca, lat)
+    rng = np.random.default_rng(len(label))
+    picks = [(int(fin.rows[i]), int(fin.cols[i]))
+             for i in rng.choice(fin.rows.size, 3, replace=False)]
+    picks += [tuple(int(c) for c in rng.integers(lat.symplectic_len, size=2))
+              for _ in range(3)]
+    for row, col in picks:
+        more_rows, more_cols = translates(lat, row, col)
+        delta = np.full(lat.n_sites, int(rng.integers(1, qca.p)))
+        entries = (np.concatenate([fin.rows, more_rows]),
+                   np.concatenate([fin.cols, more_cols]),
+                   np.concatenate([fin.values, delta]))
+        assert form_verdicts(lat, *entries) == (True, False, False)
+        dense = np.zeros((lat.symplectic_len,) * 2, dtype=np.int64)
+        np.add.at(dense, entries[:2], entries[2])
+        assert not symplectic_gram_dense(dense, lat)
+        paths = form_check_paths(monkeypatch)
+        with pytest.raises(ValueError, match=SYMPLECTIC_REFUSAL):
+            FiniteSymplecticMap.from_entries(lat, *entries)
+        assert paths == [lat.coords_of(0).tolist()]
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("label", ["example-z3", "remark-p2-0", "remark-p7-1"])
+def test_one_entry_changed_alone_is_refused_through_every_row(label,
+                                                             monkeypatch):
+    qca = lift_to_qca(LIFTED_SPECS[label])
+    lat = FiniteLattice(qca.p, qca.q, (4, 4, 4))
+    fin = instantiate_qca(qca, lat)
+    rng = np.random.default_rng(len(label))
+    for i in rng.choice(fin.rows.size, 4, replace=False):
+        values = fin.values.copy()
+        values[i] = (values[i] + rng.integers(1, qca.p)) % qca.p
+        commutes, _, every_row = form_verdicts(lat, fin.rows, fin.cols, values)
+        assert not commutes and not every_row
+        paths = form_check_paths(monkeypatch)
+        with pytest.raises(ValueError, match=SYMPLECTIC_REFUSAL):
+            FiniteSymplecticMap.from_entries(lat, fin.rows, fin.cols, values)
+        assert paths == [None]
+        monkeypatch.undo()
+
+
+def test_form_check_of_a_lift_makes_as_many_products_on_every_torus(
+        monkeypatch):
+    # from_entries sums the map's entries, which grow with the torus;
+    # then the Gram kernel sums the products of the origin's columns,
+    # in one batch of the same size on every torus: each nonzero in
+    # those columns times the nonzeros of its partner row.
+    fed = []
+    sum_by_key = finite_oracle._sum_by_key
+
+    def counting(keys, values, p):
+        fed.append(keys.size)
+        return sum_by_key(keys, values, p)
+
+    monkeypatch.setattr(finite_oracle, "_sum_by_key", counting)
+    qca = lift_to_qca(z3_spec())
+    products = {}
+    for side in (5, 8):
+        lat = FiniteLattice(3, 2, (side,) * 3)
+        fed.clear()
+        fin = instantiate_qca(qca, lat)
+        entries, *products[side] = fed
+        n = lat.symplectic_len
+        assert entries == 14 * n
+        partner_nnz = np.bincount(fin.rows, minlength=n)[(fin.rows + n // 2) % n]
+        at_origin = np.isin(fin.cols, lat.coords_of(0))
+        assert products[side] == [int(partner_nnz[at_origin].sum())]
+    assert products[5] == products[8] == [4 * 14 * 14]
+
+
+@pytest.mark.parametrize("label", SYMPLECTIC_CASES)
+def test_form_check_path_follows_translation_invariance(label, monkeypatch):
+    # Maps commuting with every unit move of a torus take the one-site
+    # path; maps on a patch or not commuting take the all-columns path,
+    # and the verdict is the all-columns one in every case.
+    build, *args = SYMPLECTIC_CASES[label]
+    lat, m = build(*args)
+    rolls = [np.concatenate([perm, lat.n_qudits + perm]) for perm in
+             (translation_by_roll(lat, unit)
+              for unit in np.eye(lat.dims, dtype=int))]
+    for matrix in [m] + corruptions(m, lat, np.random.default_rng(len(m))):
+        invariant = lat.periodic and all(
+            np.array_equal(matrix[np.ix_(r, r)] % lat.p, matrix % lat.p)
+            for r in rolls)
+        rows, cols = np.nonzero(matrix % lat.p)
+        paths = form_check_paths(monkeypatch)
+        verdict = accepts(lat, matrix)
+        assert paths == [lat.coords_of(0).tolist() if invariant else None]
+        monkeypatch.undo()
+        commutes, _, every_row = form_verdicts(lat, rows, cols,
+                                               matrix[rows, cols])
+        assert verdict == every_row
+        assert commutes == invariant or not lat.periodic
+    if label.startswith(("lift", "shift", "identity")):
+        assert lat.periodic and all(np.array_equal(m[np.ix_(r, r)], m)
+                                    for r in rolls)
 
 
 def test_instantiate_shift_qca():
@@ -1055,6 +1285,28 @@ def test_placements_accumulate_wrapped_terms():
     col = mat(5, 1, [["x + 2*x^-1"], ["0"]])
     assert instantiate_spec(SubalgebraSpec(5, 1, 1, col), lat2).tolist() == \
         [[0, 3, 0, 0], [3, 0, 0, 0]]
+
+
+def test_placements_reduce_as_the_full_reduction_did():
+    # Reducing only the entries written gives the rows that reducing the
+    # whole array gave, wrapped and colliding terms included.
+    specs = [get_example(name).spec for name in example_names()]
+    specs += [random_remark_spec(p, np.random.default_rng(p))
+              for p in (2, 3, 5, 7)]
+    rng = np.random.default_rng(4)
+    for spec in specs:
+        for side in range(1, 5):
+            for periodic in (True, False):
+                lat = FiniteLattice(spec.p, spec.q, (side,) * spec.dims,
+                                    periodic)
+                bases = rng.integers(-2, side + 2, (5, spec.dims))
+                for j in range(spec.n_generators):
+                    col = spec.generators.submatrix(range(2 * spec.q), [j])
+                    for at in (None, bases):
+                        got = finite_oracle.placements(lat, col, at)
+                        want = placements_reducing_every_entry(lat, col, at)
+                        assert got[0].tobytes() == want[0].tobytes()
+                        assert np.array_equal(got[1], want[1])
 
 
 def test_instantiate_qca_matches_per_site():

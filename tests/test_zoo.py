@@ -73,7 +73,7 @@ def test_symbolic_and_finite_verdicts_agree(name):
     assert check_invertible(spec).invertible == report.invertible
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 2, 7])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_remark_specs_are_invertible(p, seed):
     rng = np.random.default_rng(seed)
