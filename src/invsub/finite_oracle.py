@@ -286,14 +286,14 @@ def instantiate_spec(spec: SubalgebraSpec, lattice: FiniteLattice) -> np.ndarray
         raise InstantiationError("spec and lattice parameters disagree")
     placed = [lattice.place(spec.generators.submatrix(range(2 * spec.q), [j]))
               for j in range(spec.n_generators)]
-    for j, (_, _, fits) in enumerate(placed):
-        if not fits.any():
+    counts = [int(fits.sum()) for _, _, fits in placed]
+    for j, count in enumerate(counts):
+        if not count:
             raise InstantiationError(
                 f"no translate of generator {j} fits on the patch"
             )
     # Each generator's surviving translates are scattered straight into
     # their block of the one output array.
-    counts = [int(fits.sum()) for _, _, fits in placed]
     out = np.zeros((sum(counts), lattice.symplectic_len), dtype=np.int64)
     start = 0
     for (coords, coeffs, fits), count in zip(placed, counts):
@@ -569,9 +569,7 @@ def _preserves_form(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     half, -1 at i - n/2 on the Z half."""
     half = n // 2
     for a, b, keys, sums in _gram_blocks(rows, cols, values, n, n, p, only):
-        i = np.arange(a, b)
-        if only is not None:
-            i = only[(only >= a) & (only < b)]
+        i = np.arange(a, b) if only is None else only[(only >= a) & (only < b)]
         if not (np.array_equal(keys, i * n + (i + half) % n)
                 and np.array_equal(sums, np.where(i < half, 1, p - 1))):
             return False

@@ -306,10 +306,11 @@ def test_unit_moves_are_one_cached_permutation_per_axis(monkeypatch):
             perm = translation_by_roll(lat, -unit)
             assert move.tolist() == np.concatenate(
                 [perm, lat.n_qudits + perm]).tolist()
-    # Once cached, the span's and the map's translation tests read it
-    # and move nothing themselves.
-    spec, lat = z3_spec(), FiniteLattice(3, 2, (5, 5))
-    span = row_basis(instantiate_spec(spec, lat), 3)
+    # Once cached (instantiate_qca caches the 3-d torus's), the span's
+    # and the map's translation tests read it and move nothing.
+    lat, lat3 = FiniteLattice(3, 2, (5, 5)), FiniteLattice(3, 2, (3, 3, 3))
+    span = row_basis(instantiate_spec(z3_spec(), lat), 3)
+    fin = instantiate_qca(lift_to_qca(z3_spec()), lat3)
     lat._unit_moves
 
     def refused(*args):
@@ -317,10 +318,6 @@ def test_unit_moves_are_one_cached_permutation_per_axis(monkeypatch):
 
     monkeypatch.setattr(FiniteLattice, "shifted_coords", refused)
     assert finite_oracle._translation_invariant(span, lat)
-    lat3 = FiniteLattice(3, 2, (3, 3, 3))
-    monkeypatch.undo()
-    fin = instantiate_qca(lift_to_qca(spec), lat3)
-    monkeypatch.setattr(FiniteLattice, "shifted_coords", refused)
     keys = fin.rows * lat3.symplectic_len + fin.cols
     assert finite_oracle._commutes_with_translations(keys, fin.values, lat3)
 
@@ -1022,6 +1019,31 @@ def test_one_entry_changed_alone_is_refused_through_every_row(label,
             FiniteSymplecticMap.from_entries(lat, fin.rows, fin.cols, values)
         assert paths == [None]
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_a_map_commuting_along_all_axes_but_one_takes_every_row(
+        axis, monkeypatch):
+    # An entry changed at its translates along every axis but one, two
+    # steps from the origin: the origin's rows would not see it, so
+    # every axis must be tested before the one-site path is taken.
+    qca = lift_to_qca(z3_spec())
+    lat = FiniteLattice(3, 2, (4, 4, 4))
+    fin = instantiate_qca(qca, lat)
+    site = lat.site_index((2, 2, 2))
+    col = int(lat.coords_of(site)[0])
+    row = int(fin.rows[(fin.cols == col) & (lat.site_of(fin.rows) == site)][0])
+    grid = lat.grid[lat.grid[:, axis] == 0]
+    moved = lat.shifted_coords([row, col], grid)
+    entries = (np.concatenate([fin.rows, moved[:, 0]]),
+               np.concatenate([fin.cols, moved[:, 1]]),
+               np.concatenate([fin.values, np.ones(len(grid), dtype=int)]))
+    commutes, at_origin, every_row = form_verdicts(lat, *entries)
+    assert (commutes, at_origin, every_row) == (False, True, False)
+    paths = form_check_paths(monkeypatch)
+    with pytest.raises(ValueError, match=SYMPLECTIC_REFUSAL):
+        FiniteSymplecticMap.from_entries(lat, *entries)
+    assert paths == [None]
 
 
 def test_form_check_of_a_lift_makes_as_many_products_on_every_torus(
