@@ -40,7 +40,9 @@ from .fplinalg import solve
 from .finite_oracle import (
     FiniteLattice,
     InstantiationError,
+    _check_column,
     _gram_blocks,
+    _scatter,
     placements,
 )
 from .laurent import LaurentMatrix, _is_prime
@@ -100,9 +102,9 @@ class HamiltonianInstance(Frozen):
         """One dense symplectic row per term, mod p."""
         rows = np.zeros((len(self.entries), self.lattice.symplectic_len),
                         dtype=np.int64)
-        np.add.at(rows, (np.arange(len(self.entries))[:, None], self.coords),
-                  self.coeffs)
-        return rows % self.lattice.p
+        _scatter(rows, np.arange(len(self.entries))[:, None], self.coords,
+                 self.coeffs, self.lattice.p)
+        return rows
 
     def index_of(self, family: int, site) -> int:
         return self.entries.index((family, tuple(site)))
@@ -144,8 +146,9 @@ def build_hamiltonian(
     sites = list(lattice.sites())
     entries, families = [], []
     for fam, sym in enumerate(symbols):
-        placed, values, fits = lattice.place(sym)
-        keep = np.flatnonzero(fits)
+        _check_column(lattice, sym)
+        placed, values, _, fits = lattice.place(sym)
+        keep = np.flatnonzero(fits[0])
         entries.extend((fam, sites[i]) for i in keep)
         families.append((placed[:, keep].T, np.tile(values, (len(keep), 1))))
     if not entries:
@@ -222,11 +225,6 @@ def _ordered_product(rows: np.ndarray, p: int, phases=0, powers=None
     return symbol, phase % p
 
 
-def _columns(generators: LaurentMatrix) -> list[LaurentMatrix]:
-    return [generators.submatrix(range(generators.rows), [j])
-            for j in range(generators.cols)]
-
-
 def _segment_box(step, margin: int):
     """Integer offsets covering the one-step segment {0, step} plus a
     margin, in deterministic order."""
@@ -236,7 +234,8 @@ def _segment_box(step, margin: int):
 
 
 def _solve_transporter(
-    h: HamiltonianInstance, cols, step, charge: int, family: int
+    h: HamiltonianInstance, generators: LaurentMatrix, step, charge: int,
+    family: int
 ) -> tuple[np.ndarray, int]:
     """Solve for a product of generator translates whose syndrome is
     +charge one step away from -charge at the origin, and return it
@@ -252,13 +251,11 @@ def _solve_transporter(
     lat = h.lattice
     ends = np.array([h.index_of(family, lat.resolve(step)),
                      h.index_of(family, (0,) * lat.dims)])
-    spread = max(max(c.spread() for c in cols), 1)
+    spread = max(generators.spread(), 1)
     for margin in (spread, spread + 1):
         # Candidate (offset, j) is generator j placed at the offset, for
         # the offsets in box order and the generators in turn.
-        offsets = _segment_box(step, margin)
-        placed = np.stack([placements(lat, col, offsets)[0] for col in cols],
-                          axis=1).reshape(-1, lat.symplectic_len)
+        placed = placements(lat, generators, _segment_box(step, margin))[0]
         # A mask, not np.union1d: numpy's set routines import numpy.ma
         # on first use, about 20 ms of a `spin` process.
         kept = np.zeros(len(h.entries), dtype=bool)
@@ -307,7 +304,7 @@ def _transporter(h: HamiltonianInstance, generators: _Generators, step,
     out = h._transporters.get(key)
     if out is None:
         out = h._transporters[key] = _solve_transporter(
-            h, _columns(generators.matrix), step, charge, family)
+            h, generators.matrix, step, charge, family)
     return out
 
 

@@ -13,10 +13,11 @@ row-major over the lattice sizes (`grid` lists the sites in that order);
 the X exponent of qudit slot k at site s lives at coordinate s*q + k,
 and the Z exponent at q*N + s*q + k, giving symplectic vectors of
 length 2qN.  `coords_of` and `site_of` convert between sites and
-coordinates, `place` lays a symbol column's terms at any array of base
-sites, `shifted_coords` moves coordinates by shifts, and `distance` is
-the sup-norm between sites.  The layer of every coordinate along an
-axis is `grid[site_of(np.arange(n)), axis]`.
+coordinates, `place` lays every column of a symbol matrix at any array
+of base sites in one pass (`_scatter` makes dense rows of its terms),
+`shifted_coords` moves coordinates by shifts, and `distance` is the
+sup-norm between sites.  The layer of every coordinate along an axis is
+`grid[site_of(np.arange(n)), axis]`.
 """
 
 from __future__ import annotations
@@ -138,10 +139,7 @@ class FiniteLattice(Keyed):
 
     def site_index(self, site) -> int:
         self._check_site(site)
-        idx = 0
-        for c, size in zip(site, self.sizes):
-            idx = idx * size + (c % size)
-        return idx
+        return int(self._index(np.asarray(site, dtype=np.int64)))
 
     def resolve(self, site) -> tuple[int, ...] | None:
         """Wrap a site into the lattice, or None if it falls off an
@@ -204,36 +202,39 @@ class FiniteLattice(Keyed):
             d = np.minimum(d, self._size_array - d)
         return d.max(axis=-1)
 
-    def place(self, column: LaurentMatrix, at=None
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The terms of a symbol column placed at each base site of `at`
-        (a k x dims array of sites, any integers; default every site in
-        site order): the symplectic coordinate of term t at base s is
-        coords[t, s], its coefficient coeffs[t].  Terms that wrap onto
+    def place(self, symbols: LaurentMatrix, at=None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every column of a 2q x k symbol matrix placed at each base site
+        of `at` (a b x dims array of sites, any integers; default every
+        site in site order).  The terms are listed column by column: term
+        t of column column[t] has coefficient coeffs[t] and, placed at
+        base s, symplectic coordinate coords[t, s].  Terms that wrap onto
         one coordinate stay separate, so a scatter must add them.  Also
-        a mask of the bases where no term falls off an open patch (every
-        base on a torus); the other bases' terms are wrapped round the
-        patch and carry no meaning."""
-        if column.shape != (2 * self.q, 1):
-            raise InstantiationError(f"expected a {2 * self.q} x 1 symbol column")
-        if column.p != self.p or column.nvars != self.dims:
+        fits[j, s], whether no term of column j placed at base s falls
+        off an open patch (every placement on a torus); the others' terms
+        are wrapped round the patch and carry no meaning."""
+        if symbols.rows != 2 * self.q:
+            raise InstantiationError(f"expected {2 * self.q} symbol rows")
+        if symbols.p != self.p or symbols.nvars != self.dims:
             raise InstantiationError("symbol ring does not match the lattice")
         bases = self.grid if at is None else np.asarray(at, dtype=np.int64)
         if bases.ndim != 2 or bases.shape[1] != self.dims:
             raise ValueError(f"sites must have {self.dims} coordinates")
-        fits = np.ones(len(bases), dtype=bool)
+        # One row per term, column by column: its column, its row of the
+        # symbol, its coefficient and its exponents.
+        table = np.array([(j, r, c, *e) for j in range(symbols.cols)
+                          for r, entry in enumerate(symbols.column(j))
+                          for e, c in entry.terms.items()],
+                         dtype=np.int64).reshape(-1, 3 + self.dims)
+        column, row, coeffs = table[:, :3].T
+        # Term t placed at base s targets the site target[t, s].
+        target = bases + table[:, None, 3:]
+        fits = np.ones((symbols.cols, len(bases)), dtype=bool)
+        if not self.periodic:
+            np.logical_and.at(fits, column, np.all(
+                (target >= 0) & (target < self._size_array), axis=2))
         at_site = self.coords_of(np.arange(self.n_sites))
-        coords, coeffs = [], []
-        for r in range(2 * self.q):
-            for e, c in column[(r, 0)].terms.items():
-                target = bases + np.array(e)
-                if not self.periodic:
-                    fits &= np.all((target >= 0) & (target < self._size_array),
-                                   axis=1)
-                coords.append(at_site[r, self._index(target)])
-                coeffs.append(c)
-        return (np.array(coords, dtype=np.intp).reshape(len(coeffs), len(bases)),
-                np.array(coeffs, dtype=np.int64), fits)
+        return at_site[row[:, None], self._index(target)], coeffs, column, fits
 
 
 def pairing_matrix(rows1, rows2, p: int) -> np.ndarray:
@@ -246,23 +247,27 @@ def pairing_matrix(rows1, rows2, p: int) -> np.ndarray:
 
 
 def placements(
-    lattice: FiniteLattice, column: LaurentMatrix, at=None
+    lattice: FiniteLattice, symbols: LaurentMatrix, at=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The column placed at each base of `at` (default every site), as
-    one row per base, and the mask of `FiniteLattice.place`."""
-    coords, coeffs, fits = lattice.place(column, at)
-    out = np.zeros((len(fits), lattice.symplectic_len), dtype=np.int64)
-    _scatter(out, coords, coeffs, lattice.p)
-    return out, fits
+    """Every column of the symbol matrix placed at each base of `at`
+    (default every site), as one row per (base, column) pair with the
+    columns innermost: row s k + j is column j at base s, for k columns.
+    Also, for each row, whether its placement fits (the mask of
+    `FiniteLattice.place`)."""
+    coords, coeffs, column, fits = lattice.place(symbols, at)
+    k, n_bases = fits.shape
+    out = np.zeros((k * n_bases, lattice.symplectic_len), dtype=np.int64)
+    _scatter(out, np.arange(n_bases) * k + column[:, None], coords,
+             coeffs[:, None], lattice.p)
+    return out, fits.T.ravel()
 
 
-def _scatter(out: np.ndarray, coords: np.ndarray, coeffs: np.ndarray,
-             p: int) -> None:
-    """Add coefficient t at coords[t, b] of row b of the zero array
-    `out`, for every term t and row b, and reduce mod p only the entries
-    written."""
-    at = (np.arange(coords.shape[1]), coords)
-    np.add.at(out, at, coeffs[:, None])
+def _scatter(out: np.ndarray, rows, coords, coeffs, p: int) -> None:
+    """Add each coefficient at (row, coordinate) of the zero array `out`,
+    the three arrays broadcast together, and reduce mod p only the
+    entries written: the one dense scatter of placed terms."""
+    at = (rows, coords)
+    np.add.at(out, at, coeffs)
     out[at] %= p
 
 
@@ -271,12 +276,19 @@ def instantiate_column(
 ) -> np.ndarray | None:
     """Place one symbol column at a base site; None if any term of any
     entry falls off an open patch."""
+    _check_column(lattice, column)
     rows, fits = placements(lattice, column, [base_site])
     return rows[0] if fits[0] else None
 
 
+def _check_column(lattice: FiniteLattice, column: LaurentMatrix) -> None:
+    if column.shape != (2 * lattice.q, 1):
+        raise InstantiationError(f"expected a {2 * lattice.q} x 1 symbol column")
+
+
 def instantiate_spec(spec: SubalgebraSpec, lattice: FiniteLattice) -> np.ndarray:
-    """All surviving generator translates as symplectic rows.
+    """All surviving generator translates as symplectic rows, generator
+    by generator, then in site order.
 
     On a torus every translate survives; on an open patch a translate is
     dropped whenever the operator would stick out.  A generator losing
@@ -284,21 +296,17 @@ def instantiate_spec(spec: SubalgebraSpec, lattice: FiniteLattice) -> np.ndarray
     """
     if (spec.p, spec.q, spec.dims) != (lattice.p, lattice.q, lattice.dims):
         raise InstantiationError("spec and lattice parameters disagree")
-    placed = [lattice.place(spec.generators.submatrix(range(2 * spec.q), [j]))
-              for j in range(spec.n_generators)]
-    counts = [int(fits.sum()) for _, _, fits in placed]
-    for j, count in enumerate(counts):
-        if not count:
-            raise InstantiationError(
-                f"no translate of generator {j} fits on the patch"
-            )
-    # Each generator's surviving translates are scattered straight into
-    # their block of the one output array.
-    out = np.zeros((sum(counts), lattice.symplectic_len), dtype=np.int64)
-    start = 0
-    for (coords, coeffs, fits), count in zip(placed, counts):
-        _scatter(out[start:start + count], coords[:, fits], coeffs, lattice.p)
-        start += count
+    coords, coeffs, column, fits = lattice.place(spec.generators)
+    lost = np.flatnonzero(~fits.any(axis=1))
+    if lost.size:
+        raise InstantiationError(f"no translate of generator {lost[0]} "
+                                 "fits on the patch")
+    # The output row of each surviving (generator, site) pair, and the
+    # terms of the surviving placements.
+    row = np.cumsum(fits).reshape(fits.shape) - 1
+    t, s = np.nonzero(fits[column])
+    out = np.zeros((int(fits.sum()), lattice.symplectic_len), dtype=np.int64)
+    _scatter(out, row[column[t], s], coords[t, s], coeffs[t], lattice.p)
     return out
 
 
@@ -706,15 +714,10 @@ def instantiate_qca(qca: CliffordQCA, lattice: FiniteLattice) -> FiniteSymplecti
     # Column src(c, s) of M is symbol column c placed at site s: every
     # term of every column is one entry, and the terms that wrap onto
     # one coordinate are summed.
-    rows, cols, coeffs = [], [], []
-    sources = lattice.coords_of(np.arange(lattice.n_sites))
-    for c, src in enumerate(sources):
-        col = qca.matrix.submatrix(range(2 * qca.q), [c])
-        coords, terms, _ = lattice.place(col)
-        rows.append(coords.ravel())
-        cols.append(np.broadcast_to(src, coords.shape).ravel())
-        coeffs.append(np.repeat(terms, lattice.n_sites))
-    rows, cols, coeffs = (np.concatenate(x) for x in (rows, cols, coeffs))
+    coords, coeffs, column, _ = lattice.place(qca.matrix)
+    rows = coords.ravel()
+    cols = lattice.coords_of(np.arange(lattice.n_sites))[column].ravel()
+    coeffs = np.repeat(coeffs, lattice.n_sites)
     return FiniteSymplecticMap.from_entries(lattice, rows, cols, coeffs,
                                             spread=qca.spread)
 

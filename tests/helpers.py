@@ -541,7 +541,8 @@ def placements_reducing_every_entry(lattice, column, at=None):
     """finite_oracle.placements before it reduced only the entries it
     wrote: the terms added with np.add.at, then the whole array taken
     mod p."""
-    coords, coeffs, fits = lattice.place(column, at)
+    coords, coeffs, _, fits = lattice.place(column, at)
+    fits = fits[0]
     out = np.zeros((len(fits), lattice.symplectic_len), dtype=np.int64)
     np.add.at(out, (np.arange(len(fits)), coords), coeffs[:, None])
     out %= lattice.p

@@ -22,7 +22,6 @@ from invsub.anyon_lab import (
     NoncommutingTermsError,
     NotModularError,
     SpinGeometryError,
-    _columns,
     _leg,
     _ordered_product,
     _solve_transporter,
@@ -115,6 +114,13 @@ def test_noncommuting_terms_rejected():
     bad = tuple(_gen_column(Z3, j) for j in range(2))
     with pytest.raises(NoncommutingTermsError, match="do not commute"):
         build_hamiltonian(lat, bad)
+
+
+def test_term_symbols_must_be_single_columns():
+    # place lays every column of a matrix; a term is one column.
+    lat = FiniteLattice(3, 2, (5, 5))
+    with pytest.raises(InstantiationError, match="4 x 1 symbol column"):
+        build_hamiltonian(lat, (Z3.spec.generators,))
 
 
 def _message_pair(lat, symbols):
@@ -319,13 +325,13 @@ def test_string_engine_equals_the_full_width_reference(entry, side):
     # rows, phases and syndromes as pairing every term and sweeping
     # every coordinate.
     gens = entry.hopping_generators
-    cols = _columns(gens)
+    cols = [gens.submatrix(range(gens.rows), [j]) for j in range(gens.cols)]
     h = build_hamiltonian(FiniteLattice(3, 2, (side, side)),
                           entry.term_symbols)
     for charge in range(3):
         legs = []
         for direction in DEFAULT_LEG_DIRECTIONS:
-            row, phase = _solve_transporter(h, cols, direction, charge, 0)
+            row, phase = _solve_transporter(h, gens, direction, charge, 0)
             want_row, want_phase = solve_transporter_all_terms(
                 h, cols, direction, charge, 0)
             assert (row.tobytes(), phase) == (want_row.tobytes(), want_phase)

@@ -219,9 +219,10 @@ def test_placement_matches_per_term_reference():
     offs = fits = 0
     for lat, col, bases in layout_cases():
         rows, mask = finite_oracle.placements(lat, col, bases)
-        coords, coeffs, place_mask = lat.place(col, bases)
+        coords, coeffs, column, place_mask = lat.place(col, bases)
         assert coords.shape == (len(coeffs), len(bases))
-        assert np.array_equal(mask, place_mask)
+        assert not column.any() and column.shape == coeffs.shape
+        assert np.array_equal(mask, place_mask[0])
         for i, base in enumerate(bases):
             want = instantiate_column_per_term(lat, col, base)
             got = instantiate_column(lat, col, base)
@@ -241,6 +242,102 @@ def test_place_at_every_site_by_default():
         listed = lat.place(col, list(lat.sites()))
         for a, b in zip(every, listed):
             assert np.array_equal(a, b)
+
+
+def test_place_of_a_matrix_is_its_columns_placed_in_turn():
+    # Every column's terms, in column order, with its own mask; a zero
+    # column has no terms and fits everywhere.
+    rng = random.Random(22)
+    for lat, col, bases in layout_cases():
+        cols = [col, LaurentMatrix.zeros(lat.p, lat.dims, 2 * lat.q, 1),
+                random_column(rng, lat.p, lat.q, lat.dims)]
+        symbols = cols[0].hstack(cols[1]).hstack(cols[2])
+        for at in (None, bases):
+            coords, coeffs, column, fits = lat.place(symbols, at)
+            singles = [lat.place(c, at) for c in cols]
+            assert np.array_equal(
+                coords, np.concatenate([one[0] for one in singles]))
+            assert np.array_equal(
+                coeffs, np.concatenate([one[1] for one in singles]))
+            assert column.tolist() == [j for j, one in enumerate(singles)
+                                       for _ in one[1]]
+            assert np.array_equal(fits,
+                                  np.concatenate([one[3] for one in singles]))
+            assert fits[1].all()
+
+
+def test_placements_of_a_matrix_put_the_columns_innermost():
+    # The rows the transporter's candidates were stacked into, one
+    # column at a time: base by base, each base's columns in turn.
+    rng = random.Random(23)
+    for lat, col, bases in layout_cases():
+        other = random_column(rng, lat.p, lat.q, lat.dims)
+        rows, fits = finite_oracle.placements(lat, col.hstack(other), bases)
+        each = [finite_oracle.placements(lat, c, bases) for c in (col, other)]
+        n = lat.symplectic_len
+        assert rows.tobytes() == np.stack([r for r, _ in each],
+                                          axis=1).reshape(-1, n).tobytes()
+        assert np.array_equal(fits, np.stack([f for _, f in each],
+                                             axis=1).ravel())
+    # A matrix of no columns has no placements.
+    rows, fits = finite_oracle.placements(
+        lat, LaurentMatrix.zeros(lat.p, lat.dims, 2 * lat.q, 0), bases)
+    assert rows.shape == (0, lat.symplectic_len) and fits.shape == (0,)
+
+
+def test_instantiate_column_takes_one_column_only():
+    # place takes any number of columns; a two-column matrix was read as
+    # its first column's row.
+    lat = FiniteLattice(3, 2, (5, 5))
+    gens = z3_spec().generators
+    for symbols in (gens, gens.submatrix(range(4), []),
+                    gens.submatrix(range(2), [0])):
+        with pytest.raises(InstantiationError, match="4 x 1 symbol column"):
+            instantiate_column(lat, symbols, (0, 0))
+        with pytest.raises(InstantiationError, match="4 x 1 symbol column"):
+            finite_oracle.pauli_from_column(lat, symbols, (0, 0))
+
+
+def test_site_index_is_the_wrapped_row_major_index():
+    rng = np.random.default_rng(24)
+    for sizes in ((5,), (4, 5), (2, 3, 7)):
+        lat = FiniteLattice(3, 1, sizes)
+        for site in rng.integers(-50, 50, (40, len(sizes))):
+            want = 0
+            for c, size in zip(site.tolist(), sizes):
+                want = want * size + c % size
+            assert lat.site_index(tuple(site.tolist())) == want
+            assert lat.site_index(site) == int(lat._index(site))
+
+
+def test_instantiation_wraps_every_term_in_one_index_call(monkeypatch):
+    # One (terms x sites x dims) array per instantiation, whatever the
+    # number of terms; the lattice's unit moves are cached beforehand,
+    # as the map's translation test reads them.
+    specs = [get_example(name).spec for name in ("example-z3", "full")]
+    specs += [random_remark_spec(p, np.random.default_rng(p)) for p in (3, 5)]
+    calls, index = [], FiniteLattice._index
+
+    def counted(self, sites):
+        calls.append(np.shape(sites))
+        return index(self, sites)
+
+    monkeypatch.setattr(FiniteLattice, "_index", counted)
+    for spec in specs:
+        for periodic in (True, False):
+            lat = FiniteLattice(spec.p, spec.q, (8,) * spec.dims, periodic)
+            calls.clear()
+            rows = instantiate_spec(spec, lat)
+            terms = sum(len(f.terms) for row in spec.generators.entries
+                        for f in row)
+            assert calls == [(terms, lat.n_sites, lat.dims)] and rows.size
+        qca = lift_to_qca(spec)
+        lat = FiniteLattice(qca.p, qca.q, (3,) * qca.dims)
+        lat._unit_moves
+        calls.clear()
+        instantiate_qca(qca, lat)
+        terms = sum(len(f.terms) for row in qca.matrix.entries for f in row)
+        assert calls == [(terms, lat.n_sites, lat.dims)]
 
 
 def test_translation_matches_roll_reference():
