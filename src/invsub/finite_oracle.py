@@ -38,7 +38,6 @@ from .fplinalg import (
 from .laurent import LaurentMatrix, _is_prime
 from .pauli import SubalgebraSpec
 from .qca import CliffordQCA
-from .weyl import PhasedPauli
 
 np = LazyNumpy(globals())
 
@@ -167,12 +166,6 @@ class FiniteLattice(Keyed):
     def site_of(self, coords) -> np.ndarray:
         """The index of the site holding each symplectic coordinate."""
         return np.asarray(coords) % self.n_qudits // self.q
-
-    def x_coord(self, site, slot: int) -> int:
-        return self.site_coords(site)[slot]
-
-    def z_coord(self, site, slot: int) -> int:
-        return self.site_coords(site)[self.q + slot]
 
     def site_coords(self, site) -> list[int]:
         return self.coords_of(self.site_index(site)).tolist()
@@ -335,15 +328,6 @@ def spec_span_on_sheet(spec: SubalgebraSpec, lattice: FiniteLattice,
     return out
 
 
-def pauli_from_column(
-    lattice: FiniteLattice, column: LaurentMatrix, base_site, phase: int = 0
-) -> PhasedPauli:
-    vec = instantiate_column(lattice, column, base_site)
-    if vec is None:
-        raise InstantiationError(f"operator at {base_site} crosses the boundary")
-    return PhasedPauli.from_symplectic(lattice.p, vec, phase=phase)
-
-
 def symplectic_complement(rows, lattice: FiniteLattice) -> np.ndarray:
     """Basis of everything pairing to zero with the given rows — the
     finite commutant of their span."""
@@ -454,10 +438,11 @@ def _vs_of_span(span: np.ndarray, lattice: FiniteLattice, reach: int) -> VsRepor
         raise ValueError(f"reach {reach} is negative")
     p, n = lattice.p, lattice.symplectic_len
     pivots = (span != 0).argmax(axis=1)  # each canonical row's leading 1
-    sites = lattice.sites()
+    n_sites = lattice.n_sites
     if lattice.periodic and _translation_invariant(span, lattice):
-        sites = itertools.islice(sites, 1)
-    for s in sites:
+        n_sites = 1
+    for i in range(n_sites):
+        s = lattice.grid[i]
         # The window's columns, X half then Z half.
         inside = np.zeros(n, dtype=bool)
         inside[lattice.coords_of(np.flatnonzero(
@@ -470,12 +455,12 @@ def _vs_of_span(span: np.ndarray, lattice: FiniteLattice, reach: int) -> VsRepor
         near = span[:, cols]
         near = near[near.any(axis=1)]
         pairing = pairing_matrix(w_s[:, cols], near, p)
-        here = lattice.site_coords(s)
+        here = lattice.coords_of(i)
         at_s = near[:, np.searchsorted(cols, here)].T
         if rank(np.vstack([pairing, at_s]), p) > rank(pairing, p):
             blind = _orthogonal_part(span, w_s, p)
             hits = np.flatnonzero(blind[:, here].any(axis=1))
-            return VsReport(False, tuple(s), blind[hits[0]].copy())
+            return VsReport(False, tuple(s.tolist()), blind[hits[0]].copy())
     return VsReport(True, None, None)
 
 

@@ -282,12 +282,6 @@ def row_space_equal(a, b, p: int) -> bool:
     return ba.shape == bb.shape and bool(np.array_equal(ba, bb))
 
 
-def row_space_contains(a, v, p: int) -> bool:
-    base = row_basis(a, p)
-    stacked = row_basis(np.vstack([base, as_fp(v, p)]), p)
-    return stacked.shape[0] == base.shape[0]
-
-
 def kernel(a, p: int) -> np.ndarray:
     """Basis, as rows, of the right null space {x : a @ x = 0}.
 

@@ -230,12 +230,6 @@ class LaurentPoly(Frozen):
     def __repr__(self) -> str:
         return f"LaurentPoly(F_{self.p}, {format_poly(self)!r})"
 
-    # -- parsing / printing -------------------------------------------
-
-    @classmethod
-    def parse(cls, text: str, p: int, nvars: int) -> "LaurentPoly":
-        return parse_poly(text, p, nvars)
-
 
 def format_poly(f: LaurentPoly) -> str:
     """Canonical text form; terms in sorted exponent order, coefficients
@@ -412,27 +406,8 @@ class IdealDescription(Frozen):
             return False
         return groebner.contains_unit(self.groebner_basis())
 
-    def contains(self, f: LaurentPoly) -> bool:
-        """Laurent-ideal membership via reduction in the localized ring."""
-        if f.is_zero():
-            return True
-        if self.is_zero():
-            return False
-        return not groebner.normal_form(_localized(f), self.groebner_basis(), self.p)
-
     def generator_strings(self) -> list[str]:
         return [format_poly(g) for g in self.generators]
-
-
-def ideal_is_unit(gens: list[LaurentPoly]) -> bool:
-    """Does the given family generate the whole Laurent ring?"""
-    if not gens:
-        return False
-    p, nvars = gens[0].p, gens[0].nvars
-    for g in gens:
-        if g.p != p or g.nvars != nvars:
-            raise RingMismatchError("mixed rings in ideal generators")
-    return IdealDescription(p, nvars, list(gens)).is_unit()
 
 
 def divides(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:

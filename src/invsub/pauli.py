@@ -16,14 +16,13 @@ so a rank gap leaves a center at every point even when the ideal is the
 unit ideal; Xi = 0 with V nonzero (a commutative subalgebra, its own
 center) is the rank-0 case of that gap.  When Xi is itself invertible
 over the ring the commutant projector exists in closed form and
-everything downstream (local decompositions, the QCA lift) is
-available.  When the criterion passes but Xi is singular the verdict is
-still "invertible", with the projector honestly reported as unavailable.
+everything downstream (the projector, the QCA lift) is available.
+When the criterion passes but Xi is singular the verdict is still
+"invertible", with the projector honestly reported as unavailable.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import NamedTuple
 
 from ._frozen import Keyed
@@ -33,7 +32,6 @@ from .laurent import (
     NotAUnitError,
     determinantal_profile,
     DeterminantalProfile,
-    divides,
     matrix_inverse,
     matrix_rank,
 )
@@ -262,18 +260,6 @@ def commutant_generators(spec: SubalgebraSpec) -> SubalgebraSpec:
     return SubalgebraSpec(spec.p, spec.q, spec.dims, gen)
 
 
-def decompose_local(
-    spec: SubalgebraSpec, w: LaurentMatrix
-) -> tuple[LaurentMatrix, LaurentMatrix]:
-    """Split a symbol column w = a + b with a in the subalgebra span and
-    b in the commutant span; both parts are local (projector spread)."""
-    if w.shape != (2 * spec.q, 1):
-        raise SpecShapeError(f"expected a {2 * spec.q} x 1 column")
-    proj = build_projector(spec)
-    a = proj.matrix @ w
-    return a, w - a
-
-
 def register_sum(v1: LaurentMatrix, q1: int, v2: LaurentMatrix, q2: int
                  ) -> LaurentMatrix:
     """Symbol columns on registers of q1 and q2 qudits per site, read on
@@ -292,40 +278,3 @@ def brauer_tensor(s1: SubalgebraSpec, s2: SubalgebraSpec) -> SubalgebraSpec:
         raise SpecShapeError("tensor factors live on different lattices")
     return SubalgebraSpec(s1.p, s1.q + s2.q, s1.dims,
                           register_sum(s1.generators, s1.q, s2.generators, s2.q))
-
-
-def column_span_contains(spec: SubalgebraSpec, w: LaurentMatrix) -> bool:
-    """Membership of a symbol column in the Laurent-module span of the
-    generators.
-
-    Decidable routes, tried in order: the projector fixed-point test
-    (the span is exactly the image of Pi), the (id; M) graph test, and
-    for a single generator entrywise division with consistent quotients.
-    Anything else would need module Groebner bases and raises.
-    """
-    if w.shape != (2 * spec.q, 1):
-        raise SpecShapeError(f"expected a {2 * spec.q} x 1 column")
-    with contextlib.suppress(NotInvertibleError, ProjectorUnavailableError):
-        return (build_projector(spec).matrix @ w) == w
-    if spec.is_remark_form():
-        top = w.submatrix(range(spec.q), [0])
-        return spec.z_block() @ top == w.submatrix(range(spec.q, 2 * spec.q), [0])
-    if spec.n_generators == 1:
-        col = spec.generators.column(0)
-        quot: LaurentPoly | None = None
-        for gi, wi in zip(col, w.column(0)):
-            if gi.is_zero():
-                if not wi.is_zero():
-                    return False
-                continue
-            q = divides(gi, wi)
-            if q is None:
-                return False
-            if quot is None:
-                quot = q
-            elif quot != q:
-                return False
-        return True
-    raise NotImplementedError(
-        "span membership beyond projector/graph/single-generator cases"
-    )

@@ -121,9 +121,6 @@ class PhasedPauli(Keyed):
     def is_scalar(self) -> bool:
         return not (any(self.a) or any(self.b))
 
-    def is_identity(self) -> bool:
-        return self.is_scalar() and self.phase == 0
-
     def _check_register(self, other: "PhasedPauli") -> None:
         if self.p != other.p or self.size != other.size:
             raise ValueError("operators act on different registers")
@@ -160,26 +157,10 @@ class PhasedPauli(Keyed):
     def scale_phase(self, k: int) -> "PhasedPauli":
         return PhasedPauli._of(self.p, self.phase + k, self.a, self.b)
 
-    def permute(self, perm) -> "PhasedPauli":
-        """The operator whose qudit i carries this one's qudit perm[i];
-        perm is a permutation of range(size)."""
-        if hasattr(perm, "tolist"):
-            perm = perm.tolist()
-        if sorted(perm) != list(range(self.size)):
-            raise ValueError(f"{perm} is not a permutation of the "
-                             f"{self.size} qudits")
-        a, b = self.a, self.b
-        return PhasedPauli._of(self.p, self.phase,
-                               Exponents([a[i] for i in perm]),
-                               Exponents([b[i] for i in perm]))
-
     def commutator_exponent(self, other: "PhasedPauli") -> int:
         """W1 W2 = omega^k W2 W1 with this k."""
         self._check_register(other)
         return (_dot(self.b, other.a) - _dot(other.b, self.a)) % self.p
-
-    def commutes_with(self, other: "PhasedPauli") -> bool:
-        return self.commutator_exponent(other) == 0
 
     def _key(self) -> tuple:
         return self.p, self.phase, self.a, self.b

@@ -42,11 +42,20 @@ from invsub.laurent import (
     IdealDescription,
     LaurentMatrix,
     LaurentPoly,
+    _localized,
     parse_poly,
 )
 from invsub.pauli import SubalgebraSpec, brauer_tensor
 from invsub.zoo import get_example
 from invsub.weyl import BoundedDistance, PhasedPauli, unitary_distance
+
+
+def row_space_contains(a, v, p):
+    """Is the vector v in the row space of a over F_p?  Adding it to a
+    basis of the rows leaves the rank as it is."""
+    base = row_basis(a, p)
+    stacked = row_basis(np.vstack([base, as_fp(v, p)]), p)
+    return stacked.shape[0] == base.shape[0]
 
 
 def instantiate_column_per_term(lattice, column, base_site):
@@ -218,6 +227,18 @@ def determinantal_profile_every_minor(m):
             return DeterminantalProfile(k, ideal, ideal.is_unit())
     ideal = IdealDescription(m.p, m.nvars, [LaurentPoly.one(m.p, m.nvars)])
     return DeterminantalProfile(0, ideal, True)
+
+
+def ideal_contains(ideal, f):
+    """Membership of f in a Laurent ideal (an IdealDescription): f
+    reduces to zero against the Groebner basis of the ideal's image in
+    the localized polynomial ring."""
+    if f.is_zero():
+        return True
+    if ideal.is_zero():
+        return False
+    return not groebner.normal_form(_localized(f), ideal.groebner_basis(),
+                                    ideal.p)
 
 
 def normal_form_rescanning(g, basis, p):
@@ -578,9 +599,7 @@ def instantiate_qca_per_site(qca, lattice):
     cols = [qca.matrix.submatrix(range(2 * qca.q), [c]) for c in range(2 * qca.q)]
     for s in lattice.sites():
         for c in range(2 * qca.q):
-            slot = c % qca.q
-            src = (lattice.z_coord(s, slot) if c >= qca.q
-                   else lattice.x_coord(s, slot))
+            src = lattice.site_coords(s)[c]
             big[:, src] = instantiate_column_per_term(lattice, cols[c], s)
     return big
 

@@ -21,8 +21,8 @@ from invsub.finite_oracle import (
     FiniteLattice,
     center_at_boundary_distance,
     check_invertible_finite,
+    instantiate_column,
     instantiate_qca,
-    pauli_from_column,
     instantiate_spec,
     symplectic_complement,
 )
@@ -159,7 +159,8 @@ def test_criterion_06_hamiltonian_and_syndromes():
         )
         for j, want in enumerate(expected):
             col = gens.submatrix(range(gens.rows), [j])
-            op = pauli_from_column(lat, col, origin)
+            op = PhasedPauli.from_symplectic(
+                lat.p, instantiate_column(lat, col, origin))
             assert syndrome(op, h) == want
 
 

@@ -39,7 +39,7 @@ from invsub.finite_oracle import (
     instantiate_column,
     instantiate_spec,
 )
-from invsub.fplinalg import rank, row_space_contains, row_space_equal, solve
+from invsub.fplinalg import rank, row_space_equal, solve
 from invsub.laurent import LaurentPoly
 from invsub.pauli import commutant_generators, symplectic_form
 from invsub.weyl import PhasedPauli
@@ -56,6 +56,7 @@ from helpers import (
     mat,
     ordered_product_full_width,
     root_of_unity_sympy,
+    row_space_contains,
     solve_transporter_all_terms,
     syndrome_all_terms,
     syndrome_dense,

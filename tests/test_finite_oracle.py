@@ -24,6 +24,7 @@ from helpers import (
     non_graph_spec,
     placements_reducing_every_entry,
     random_symplectic_matrix,
+    row_space_contains,
     symplectic_gram_dense,
     symplectic_map,
     translation_by_roll,
@@ -37,7 +38,6 @@ from invsub.fplinalg import (
     coordinate_restriction,
     rank,
     row_basis,
-    row_space_contains,
     row_space_equal,
 )
 from invsub.finite_oracle import (
@@ -76,8 +76,9 @@ def test_lattice_indexing_round_trip():
     assert lat.site_index((0, 0)) == 0
     assert lat.site_index((1, 2)) == 7
     assert lat.site_index((1, -3)) == 7  # wraps
-    assert lat.x_coord((1, 2), 1) == 15
-    assert lat.z_coord((1, 2), 1) == 55
+    # X slot 1, then Z slot 1 (row q + 1 = 3 of a symbol column).
+    assert lat.site_coords((1, 2))[1] == 15
+    assert lat.site_coords((1, 2))[3] == 55
     assert lat.site_coords((0, 0)) == [0, 1, 40, 41]
 
 
@@ -169,8 +170,8 @@ def test_instantiate_column_places_terms():
     vec = instantiate_column(lat, col, (1, 1))
     # X part: +1 at site (1,1), -1 at site (1,2); no Z part.
     expected = np.zeros(18, dtype=np.int64)
-    expected[lat.x_coord((1, 1), 0)] = 1
-    expected[lat.x_coord((1, 2), 0)] = 2
+    expected[lat.site_coords((1, 1))[0]] = 1
+    expected[lat.site_coords((1, 2))[0]] = 2
     assert np.array_equal(vec, expected)
 
 
@@ -294,8 +295,6 @@ def test_instantiate_column_takes_one_column_only():
                     gens.submatrix(range(2), [0])):
         with pytest.raises(InstantiationError, match="4 x 1 symbol column"):
             instantiate_column(lat, symbols, (0, 0))
-        with pytest.raises(InstantiationError, match="4 x 1 symbol column"):
-            finite_oracle.pauli_from_column(lat, symbols, (0, 0))
 
 
 def test_site_index_is_the_wrapped_row_major_index():
@@ -1446,7 +1445,7 @@ def test_verify_blend_trivial_and_corrupted():
     assert verify_blend(ident, ident, ident, axis=0, interface=4, margin=1).agrees
     # X -> 2X and Z -> 2Z on one site is symplectic over F_3.
     corrupted = np.eye(16, dtype=np.int64)
-    col = lat.x_coord((7,), 0)  # site 7 > interface + margin
+    col = lat.site_coords((7,))[0]  # site 7 > interface + margin
     corrupted[:, col] = 0
     corrupted[col, col] = corrupted[col + 8, col + 8] = 2
     report = verify_blend(symplectic_map(lat, corrupted), ident, ident,
@@ -1455,7 +1454,7 @@ def test_verify_blend_trivial_and_corrupted():
     assert report.first_mismatch == col
     # Corruption inside the margin zone is not verify_blend's business.
     near = np.eye(16, dtype=np.int64)
-    ncol = lat.x_coord((4,), 0)
+    ncol = lat.site_coords((4,))[0]
     near[ncol, ncol] = near[ncol + 8, ncol + 8] = 2
     assert verify_blend(symplectic_map(lat, near), ident, ident, axis=0,
                         interface=4, margin=1).agrees
@@ -1612,7 +1611,8 @@ def test_dense_built_maps_report_as_instantiated():
             assert blend_outcome(*maps, interface=2) == want
     # The first column compared on either side is the first X slot of
     # the first site of its layer.
-    above, below = lat.x_coord((0, 0, 4), 0), lat.x_coord((0, 0, 0), 0)
+    above = lat.site_coords((0, 0, 4))[0]
+    below = lat.site_coords((0, 0, 0))[0]
     assert outcomes == [(True, None), (False, above), (False, below),
                         (False, below)]
     # A dense matrix is read mod p.

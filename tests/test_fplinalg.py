@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     coordinate_restriction_via_scans,
     kernel_double_loop,
+    row_space_contains,
     rref_every_column,
 )
 from invsub.finite_oracle import FiniteLattice, instantiate_spec, pairing_matrix
@@ -18,7 +19,6 @@ from invsub.fplinalg import (
     matmul_mod,
     rank,
     row_basis,
-    row_space_contains,
     row_space_equal,
     row_space_intersection,
     rref,

@@ -26,7 +26,7 @@ def _instances():
     qca = invsub.lift_to_qca(entry.spec)
     pauli = invsub.PhasedPauli(3, 1, [1, 0], [0, 2])
     return {
-        "LaurentPoly": (invsub.LaurentPoly.parse("x + 2*y^-1", 3, 2), "terms"),
+        "LaurentPoly": (invsub.parse_poly("x + 2*y^-1", 3, 2), "terms"),
         "LaurentMatrix": (entry.spec.generators, "entries"),
         "SubalgebraSpec": (entry.spec, "generators"),
         "CliffordQCA": (qca, "matrix"),
@@ -99,7 +99,6 @@ def test_phased_pauli_keeps_its_equality():
     ident = invsub.PhasedPauli.identity(3, 3)
     assert w * w.dagger() == ident
     assert hash(w * w.dagger()) == hash(ident)
-    assert (w * w.dagger()).is_identity()
     # Exponents and the phase are read mod p.
     same = invsub.PhasedPauli(3, 5, np.array([4, 3, 2]), [0, -2, 1])
     assert same == w and hash(same) == hash(w)
