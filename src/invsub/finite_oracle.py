@@ -35,6 +35,7 @@ from .fplinalg import (
     rank,
     row_basis,
 )
+from .groebner import unpack
 from .laurent import LaurentMatrix, _is_prime
 from .pauli import SubalgebraSpec
 from .qca import CliffordQCA
@@ -214,11 +215,12 @@ class FiniteLattice(Keyed):
         if bases.ndim != 2 or bases.shape[1] != self.dims:
             raise ValueError(f"sites must have {self.dims} coordinates")
         # One row per term, column by column: its column, its row of the
-        # symbol, its coefficient and its exponents.
-        table = np.array([(j, r, c, *e) for j in range(symbols.cols)
+        # symbol, its coefficient and its exponents, read off its key.
+        dims = self.dims
+        table = np.array([(j, r, c, *unpack(k, dims)) for j in range(symbols.cols)
                           for r, entry in enumerate(symbols.column(j))
-                          for e, c in entry.terms.items()],
-                         dtype=np.int64).reshape(-1, 3 + self.dims)
+                          for k, c in entry.packed.items()],
+                         dtype=np.int64).reshape(-1, 3 + dims)
         column, row, coeffs = table[:, :3].T
         # Term t placed at base s targets the site target[t, s].
         target = bases + table[:, None, 3:]

@@ -3,21 +3,30 @@
 The coefficient ring is F_p for a small prime p; exponents are integer
 vectors of a fixed length (one slot per lattice direction), so an element
 represents a finite formal sum of translations.  Everything is exact:
-coefficients are residues in [0, p), never floats.  The terms are
-added, scaled and multiplied by groebner's add, scale and mul, the one
-kernel for F_p arithmetic on dicts of exponent tuples.
+coefficients are residues in [0, p), never floats.  A polynomial keeps
+its terms packed: one int key per monomial (groebner.pack, the
+exponents in signed 32-bit slots), so multiplying monomials adds keys,
+inverting every variable negates them and a translation adds one.  The
+terms are added, scaled and multiplied by groebner's add, scale and dot,
+the one kernel for F_p arithmetic on packed polynomials.  Exponents are
+kept within +-groebner.MAX_EXPONENT: one outside it, entered or reached
+by a product, raises ExponentRangeError before any key could wrap.
 
-Ideal-theoretic questions (is this ideal the whole ring? is this element
-a multiple of that one?) are answered by clearing denominators with a
-minimal monomial and passing to an ordinary polynomial ring with one
-auxiliary variable t subject to t*x_1*...*x_D = 1, which realizes the
-localization at the coordinate monomials.  Groebner bases are computed in
-grevlex order with t last.  Ranks, determinants, minors, inverses and
-the determinantal profile all come from one fraction-free (Bareiss)
-elimination with back substitution (_eliminate); the profile counts the
-minors it needs first and refuses more than MAX_MINORS.  The exact
-divisions of that elimination and the reductions of Buchberger are one
-routine, groebner.divide.
+Exact division works in the Laurent ring itself (groebner.quotient):
+from the top of the total order that integer comparison of keys gives,
+stopping at the first quotient term outside the box of exponents every
+true quotient lies in.  Ranks, determinants, minors, inverses and the
+determinantal profile all come from one fraction-free (Bareiss)
+elimination with back substitution (_eliminate), which skips every
+product with a zero operand; the profile counts the minors it needs
+first and refuses more than MAX_MINORS.
+
+Whether an ideal is the whole ring is read off its generators when one
+of them is a monomial (a unit) or it has only one; otherwise it is
+answered by clearing denominators with a minimal monomial and passing
+to an ordinary polynomial ring with one auxiliary variable t subject to
+t*x_1*...*x_D = 1, which realizes the localization at the coordinate
+monomials.  Groebner bases are computed in grevlex order with t last.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from typing import NamedTuple
 
 from . import groebner
 from ._frozen import Frozen, Keyed
-from .groebner import Poly
+from .groebner import MAX_EXPONENT, ExponentRangeError, Poly, extents, pack, unpack
 
 
 class RingMismatchError(ValueError):
@@ -62,15 +71,25 @@ def var_names(nvars: int) -> list[str]:
     return [f"x{i + 1}" for i in range(nvars)]
 
 
+def _range_error(what: str) -> ExponentRangeError:
+    return ExponentRangeError(
+        f"{what} would leave the supported exponent range +-{MAX_EXPONENT}")
+
+
 class LaurentPoly(Frozen):
     """Immutable Laurent polynomial with coefficients in F_p.
 
-    terms maps exponent tuples to residues in [1, p); the zero polynomial
-    has no terms.  Instances with matching (p, nvars) support +, -, *,
-    unary -, ** (nonnegative), == and hashing.
+    packed maps the key of each monomial (groebner.pack) to its residue
+    in [1, p); the zero polynomial has no terms.  terms is the same dict
+    keyed by exponent tuples.  bound is at least the largest |exponent|:
+    exact from the constructor, and the sum of the factors' bounds for a
+    product, so a product that could leave the exponent range is caught
+    in O(1) and checked exactly before any key is added.  Instances with
+    matching (p, nvars) support +, -, *, unary -, ** (nonnegative), ==
+    and hashing.
     """
 
-    __slots__ = ("p", "nvars", "terms")
+    __slots__ = ("p", "nvars", "packed", "bound")
 
     def __init__(self, p: int, nvars: int, terms: dict[tuple[int, ...], int]):
         if not _is_prime(p):
@@ -78,24 +97,17 @@ class LaurentPoly(Frozen):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         clean = {}
+        bound = 0
         for e, c in terms.items():
             if len(e) != nvars:
                 raise ValueError(f"exponent {e} has wrong arity for {nvars} variables")
+            e = tuple(int(v) for v in e)
+            key = pack(e)
             c %= p
             if c:
-                clean[tuple(int(v) for v in e)] = c
-        self._set(p=p, nvars=nvars, terms=clean)
-
-    @classmethod
-    def _trusted(cls, p: int, nvars: int, terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
-        """Wrap terms that are already clean (int exponent tuples of length
-        nvars, residues in [1, p)) without re-checking p or the arity.
-        Only for the results of closed ring operations on checked operands."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "p", p)
-        object.__setattr__(f, "nvars", nvars)
-        object.__setattr__(f, "terms", terms)
-        return f
+                clean[key] = c
+                bound = max(bound, max(map(abs, e), default=0))
+        self._set(p=p, nvars=nvars, packed=clean, bound=bound)
 
     # -- constructors -------------------------------------------------
 
@@ -121,23 +133,35 @@ class LaurentPoly(Frozen):
         e[i] = power
         return cls(p, nvars, {tuple(e): 1})
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """The terms keyed by exponent tuples (decoded on each read)."""
+        n = self.nvars
+        return {unpack(k, n): c for k, c in self.packed.items()}
+
+    def promote(self) -> "LaurentPoly":
+        """The same polynomial in one more variable, appended last and not
+        appearing.  Its slot is the top one, so the keys stay as they are."""
+        return _trusted(self.p, self.nvars + 1, self.packed, self.bound)
+
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: 1}
+        return self.packed == {0: 1}
 
     def is_monomial(self) -> bool:
         """Single-term Laurent polynomials are exactly the units of the ring."""
-        return len(self.terms) == 1
+        return len(self.packed) == 1
 
     def spread(self) -> int:
         """Largest absolute exponent appearing in any direction."""
-        if not self.terms:
+        if not self.packed or not self.nvars:
             return 0
-        return max(max(abs(v) for v in e) if e else 0 for e in self.terms)
+        lo, hi = extents(self.packed, self.nvars)
+        return max(-min(lo), max(hi))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -149,8 +173,9 @@ class LaurentPoly(Frozen):
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        return LaurentPoly._trusted(
-            self.p, self.nvars, groebner.add(self.terms, other.terms, self.p)
+        return _trusted(
+            self.p, self.nvars, groebner.add(self.packed, other.packed, self.p),
+            max(self.bound, other.bound),
         )
 
     def __neg__(self) -> "LaurentPoly":
@@ -159,33 +184,38 @@ class LaurentPoly(Frozen):
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
         p = self.p
-        return LaurentPoly._trusted(
-            p, self.nvars, groebner.add(self.terms, groebner.scale(other.terms, -1, p), p)
+        return _trusted(
+            p, self.nvars,
+            groebner.add(self.packed, groebner.scale(other.packed, -1, p), p),
+            max(self.bound, other.bound),
         )
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        return LaurentPoly._trusted(
-            self.p, self.nvars, groebner.mul(self.terms, other.terms, self.p)
-        )
+        if not self.packed or not other.packed:
+            return _trusted(self.p, self.nvars, {}, 0)
+        return _dot([(self, other)], self.p, self.nvars)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             if not self.is_monomial():
                 raise NotAUnitError(f"cannot invert non-monomial {self}")
             return self.inverse() ** (-n)
+        if self.bound * n > MAX_EXPONENT and self.spread() * n > MAX_EXPONENT:
+            raise _range_error(f"power {n} of {self}")
         out = LaurentPoly.one(self.p, self.nvars)
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly._trusted(
-            self.p, self.nvars, groebner.scale(self.terms, c, self.p)
+        return _trusted(
+            self.p, self.nvars, groebner.scale(self.packed, c, self.p), self.bound
         )
 
     def shift(self, exps: tuple[int, ...]) -> "LaurentPoly":
@@ -193,22 +223,31 @@ class LaurentPoly(Frozen):
         if len(exps) != self.nvars:
             raise ValueError(f"shift {exps} has wrong arity for {self.nvars} variables")
         exps = tuple(int(v) for v in exps)
-        return LaurentPoly._trusted(
-            self.p, self.nvars, groebner.term_mul(exps, 1, self.terms, self.p)
+        key = pack(exps)
+        bound = self.bound + max(map(abs, exps), default=0)
+        if bound > MAX_EXPONENT and self.packed:
+            lo, hi = extents(self.packed, self.nvars)
+            bound = max(max(abs(v + s), abs(w + s))
+                        for v, w, s in zip(lo, hi, exps))
+            if bound > MAX_EXPONENT:
+                raise _range_error(f"shift {exps} of {self}")
+        return _trusted(
+            self.p, self.nvars, groebner.term_mul(key, 1, self.packed, self.p),
+            bound,
         )
 
     def bar(self) -> "LaurentPoly":
         """The involution inverting every variable, x_i -> x_i^-1."""
-        return LaurentPoly._trusted(
-            self.p, self.nvars, {tuple(-v for v in e): c for e, c in self.terms.items()}
+        return _trusted(
+            self.p, self.nvars, {-k: c for k, c in self.packed.items()}, self.bound
         )
 
     def inverse(self) -> "LaurentPoly":
         if not self.is_monomial():
             raise NotAUnitError(f"{self} is not a unit")
-        ((e, c),) = self.terms.items()
-        return LaurentPoly._trusted(
-            self.p, self.nvars, {tuple(-v for v in e): pow(c, self.p - 2, self.p)}
+        ((k, c),) = self.packed.items()
+        return _trusted(
+            self.p, self.nvars, {-k: pow(c, self.p - 2, self.p)}, self.bound
         )
 
     # -- comparisons, hashing, repr -----------------------------------
@@ -218,11 +257,11 @@ class LaurentPoly(Frozen):
             isinstance(other, LaurentPoly)
             and self.p == other.p
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.packed == other.packed
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.nvars, tuple(sorted(self.terms.items()))))
+        return hash((self.p, self.nvars, frozenset(self.packed.items())))
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -231,15 +270,59 @@ class LaurentPoly(Frozen):
         return f"LaurentPoly(F_{self.p}, {format_poly(self)!r})"
 
 
+_new = object.__new__
+_set_p, _set_nvars, _set_packed, _set_bound = (
+    getattr(LaurentPoly, name).__set__ for name in LaurentPoly.__slots__)
+
+
+def _trusted(p: int, nvars: int, packed: Poly, bound: int) -> LaurentPoly:
+    """Wrap terms that are already clean (keys of nvars exponents within
+    bound, residues in [1, p)) without re-checking p or the keys, through
+    the slots' own setters.  Only for the results of closed ring
+    operations on checked operands."""
+    f = _new(LaurentPoly)
+    _set_p(f, p)
+    _set_nvars(f, nvars)
+    _set_packed(f, packed)
+    _set_bound(f, bound)
+    return f
+
+
+def _product_bound(a: LaurentPoly, b: LaurentPoly) -> int:
+    """The largest |exponent| of a * b (a, b nonzero), exactly: over a
+    domain, each variable's exponents in a product run from the sum of
+    the factors' least to the sum of their greatest.  ExponentRangeError
+    when it is past MAX_EXPONENT."""
+    (alo, ahi), (blo, bhi) = extents(a.packed, a.nvars), extents(b.packed, b.nvars)
+    bound = max((max(-x - y, v + w) for x, y, v, w in zip(alo, blo, ahi, bhi)),
+                default=0)
+    if bound > MAX_EXPONENT:
+        raise _range_error(f"the product of {a} and {b}")
+    return bound
+
+
+def _dot(pairs: list, p: int, nvars: int) -> LaurentPoly:
+    """sum a * b over a nonempty list of pairs of nonzero polynomials of
+    one ring: one groebner.dot.  The sum of the factors' bounds is checked
+    against the range first, and only past it are the factors decoded."""
+    bound = max(a.bound + b.bound for a, b in pairs)
+    if bound > MAX_EXPONENT:
+        bound = max(_product_bound(a, b) for a, b in pairs)
+    return _trusted(
+        p, nvars,
+        groebner.dot([a.packed for a, _ in pairs], [b.packed for _, b in pairs], p),
+        bound,
+    )
+
+
 def format_poly(f: LaurentPoly) -> str:
     """Canonical text form; terms in sorted exponent order, coefficients
     in [1, p), joined by ' + '.  Round-trips exactly through parse_poly."""
-    if not f.terms:
+    if not f.packed:
         return "0"
     names = var_names(f.nvars)
     parts = []
-    for e in sorted(f.terms):
-        c = f.terms[e]
+    for e, c in sorted(f.terms.items()):
         factors = []
         if c != 1 or all(v == 0 for v in e):
             factors.append(str(c))
@@ -254,7 +337,8 @@ def format_poly(f: LaurentPoly) -> str:
 def parse_poly(text: str, p: int, nvars: int) -> LaurentPoly:
     """Parse sums of terms like '2*x^-1*y^3'.  Accepts x,y,z names for up
     to three variables and x1..xD names always; '+' and '-' separate
-    terms.  Raises PolyParseError with a character position on bad input."""
+    terms.  Raises PolyParseError with a character position on bad input,
+    an exponent outside +-groebner.MAX_EXPONENT included."""
     if not _is_prime(p):
         raise ValueError(f"coefficient modulus {p} is not prime")
     names = {n: i for i, n in enumerate(var_names(nvars))}
@@ -331,6 +415,10 @@ def parse_poly(text: str, p: int, nvars: int) -> LaurentPoly:
                     pos += 1
                     power = read_int()
                 exps[names[name]] += power
+                if abs(exps[names[name]]) > MAX_EXPONENT:
+                    raise PolyParseError(
+                        f"exponent of {name} outside the supported range "
+                        f"+-{MAX_EXPONENT}", at)
                 saw_factor = True
             else:
                 raise PolyParseError("expected coefficient or variable", pos)
@@ -352,32 +440,28 @@ def parse_poly(text: str, p: int, nvars: int) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Clearing and localized polynomial images
+# Ideals and exact division
 # ---------------------------------------------------------------------------
 
 
-def clear_minimal(f: LaurentPoly) -> tuple[Poly, tuple[int, ...]]:
-    """Multiply f by the smallest monomial making every exponent
-    nonnegative.  Returns the ordinary polynomial (as a groebner dict)
-    and the shift applied, so f * x^shift = returned polynomial."""
-    if not f.terms:
-        return {}, (0,) * f.nvars
-    mins = [min(e[i] for e in f.terms) for i in range(f.nvars)]
-    # Fully minimal: each variable's lowest exponent becomes exactly zero.
-    shift = tuple(-m for m in mins)
-    poly = {tuple(v + s for v, s in zip(e, shift)): c for e, c in f.terms.items()}
-    return poly, shift
-
-
 def _localized(f: LaurentPoly) -> Poly:
-    """Cleared polynomial embedded in nvars+1 variables (t appended)."""
-    poly, _ = clear_minimal(f)
-    return {e + (0,): c for e, c in poly.items()}
+    """f times the least monomial making every exponent nonnegative (each
+    variable's lowest exponent becomes exactly zero), read in nvars + 1
+    variables with t last: its slot is the top one, so the keys stay.
+    ExponentRangeError when the total degree passes MAX_EXPONENT, which
+    bounds every exponent Buchberger then makes."""
+    if not f.packed:
+        return {}
+    lo, hi = extents(f.packed, f.nvars)
+    if sum(hi) - sum(lo) > MAX_EXPONENT:
+        raise _range_error(f"clearing the denominators of {f}")
+    shift = -pack(lo)
+    return {k + shift: c for k, c in f.packed.items()}
 
 
 def _t_relation(p: int, nvars: int) -> Poly:
     # t * x_1 * ... * x_D - 1, making every coordinate variable invertible.
-    return {(1,) * nvars + (1,): 1, (0,) * (nvars + 1): p - 1}
+    return {pack((1,) * (nvars + 1)): 1, 0: p - 1}
 
 
 class IdealDescription(Frozen):
@@ -394,7 +478,7 @@ class IdealDescription(Frozen):
             gens = [_localized(g) for g in self.generators if not g.is_zero()]
             if gens:
                 gens.append(_t_relation(self.p, self.nvars))
-                gens = groebner.buchberger(gens, self.p)
+                gens = groebner.buchberger(gens, self.p, self.nvars + 1)
             self._set(_gb=gens)
         return self._gb
 
@@ -402,7 +486,15 @@ class IdealDescription(Frozen):
         return all(g.is_zero() for g in self.generators)
 
     def is_unit(self) -> bool:
-        if self.is_zero():
+        """Whether the ideal is the whole ring.  The units of the ring are
+        the monomials, so a monomial generator decides it, and so does a
+        single nonzero generator (a principal ideal is the whole ring
+        exactly when its generator is a unit); otherwise the Groebner
+        basis does."""
+        gens = [g for g in self.generators if not g.is_zero()]
+        if any(g.is_monomial() for g in gens):
+            return True
+        if len(gens) < 2:
             return False
         return groebner.contains_unit(self.groebner_basis())
 
@@ -411,26 +503,17 @@ class IdealDescription(Frozen):
 
 
 def divides(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
-    """The quotient g/f when f divides g in the Laurent ring, else None.
-
-    Both sides are cleared by minimal monomials; with minimal clearing,
-    Laurent divisibility coincides with ordinary polynomial divisibility
-    (lowest corners of a product polytope cannot cancel over a domain),
-    and the monomial bookkeeping restores the Laurent quotient.
-    """
+    """The quotient g/f when f divides g in the Laurent ring, else None
+    (groebner.quotient).  Raises ZeroDivisionError when f is zero."""
     f._check(g)
-    if f.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if g.is_zero():
-        return g
-    fc, fshift = clear_minimal(f)
-    gc, gshift = clear_minimal(g)
-    q = groebner.divide_single(gc, fc, f.p)
+    q = groebner.quotient(g.packed, f.packed, f.p, f.nvars)
     if q is None:
         return None
-    # g * x^gshift = q * (f * x^fshift)
-    shift = tuple(a - b for a, b in zip(fshift, gshift))
-    return LaurentPoly._trusted(f.p, f.nvars, groebner.term_mul(shift, 1, q, f.p))
+    # Each exponent of the quotient is one of g's less one of f's.
+    bound = g.bound + f.bound
+    if bound > MAX_EXPONENT and q:
+        bound = max(map(abs, itertools.chain(*extents(q, f.nvars))))
+    return _trusted(f.p, f.nvars, q, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +599,19 @@ class LaurentMatrix(Keyed):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         p, nvars = self.p, self.nvars
-        rows = [[e.terms for e in row] for row in self.entries]
-        cols = [[row[j].terms for row in other.entries]
+        zero = _trusted(p, nvars, {}, 0)
+        # Each entry pairs only the nonzero entries of a row and a column.
+        rows = [[(k, e) for k, e in enumerate(row) if e.packed]
+                for row in self.entries]
+        cols = [{k: row[j] for k, row in enumerate(other.entries) if row[j].packed}
                 for j in range(other.cols)]
-        out = [[LaurentPoly._trusted(p, nvars, groebner.dot(r, c, p))
-                for c in cols] for r in rows]
+        out = []
+        for r in rows:
+            line = []
+            for c in cols:
+                pairs = [(a, c[k]) for k, a in r if k in c]
+                line.append(_dot(pairs, p, nvars) if pairs else zero)
+            out.append(line)
         return LaurentMatrix._trusted(p, nvars, self.rows, other.cols, out)
 
     @property
@@ -595,16 +686,20 @@ def _eliminate(m: LaurentMatrix) -> tuple:
     own row and column (Sylvester's identity), so every division by the
     last pivot is exact, as is U[k][c_k] E[k][j] = d' U[k][j] - sum_{l>k}
     U[k][c_l] E[l][j] for the final pivot rows U; an inexact one raises
-    ArithmeticError.  Bareiss, Math. Comp. 22 (1968)."""
+    ArithmeticError.  Bareiss, Math. Comp. 22 (1968).  Each update is one
+    product kernel call over only the pairs with no zero operand, so zero
+    entries (of a block-diagonal matrix, say) cost nothing."""
+    p, nvars = m.p, m.nvars
+    zero = _trusted(p, nvars, {}, 0)
     a = [list(row) for row in m.entries]
     order = list(range(m.rows))
-    prev = LaurentPoly.one(m.p, m.nvars)
+    prev = _trusted(p, nvars, {0: 1}, 0)
     pivot_cols: list[int] = []
     r = 0
     for c in range(m.cols):
         if r == m.rows:
             break
-        piv = next((i for i in range(r, m.rows) if a[i][c].terms), None)
+        piv = next((i for i in range(r, m.rows) if a[i][c].packed), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
@@ -612,25 +707,32 @@ def _eliminate(m: LaurentMatrix) -> tuple:
         top = a[r]
         pc = top[c]
         for row in a[r + 1 :]:
-            lead = row[c]
+            # row[j] <- (pc row[j] - row[c] top[j]) / prev, with the
+            # products of zero operands left out; an entry with none left
+            # stays zero.
+            neg = -row[c] if row[c].packed else None
             for j in range(c + 1, m.cols):
-                num = pc * row[j]
-                if lead.terms and top[j].terms:
-                    num = num - lead * top[j]
-                row[j] = _exact_quotient(num, prev)
+                pairs = [(pc, row[j])] if row[j].packed else []
+                if neg is not None and top[j].packed:
+                    pairs.append((neg, top[j]))
+                if pairs:
+                    row[j] = _exact_quotient(_dot(pairs, p, nvars), prev)
         prev = pc
         pivot_cols.append(c)
         r += 1
     coords = {}
-    for j in sorted(set(range(m.cols)) - set(pivot_cols)):
+    free = sorted(set(range(m.cols)) - set(pivot_cols))
+    # The negated entries of the pivot rows in the pivot columns.
+    neg_u = [[-a[k][c] for c in pivot_cols] for k in range(r)] if free else []
+    for j in free:
         e = coords[j] = [None] * r
         for k in range(r - 1, -1, -1):
             u = a[k]
-            num = prev * u[j]
-            for l in range(k + 1, r):
-                if e[l].terms and u[pivot_cols[l]].terms:
-                    num = num - u[pivot_cols[l]] * e[l]
-            e[k] = _exact_quotient(num, u[pivot_cols[k]])
+            pairs = [(prev, u[j])] if u[j].packed else []
+            pairs += [(neg_u[k][l], e[l]) for l in range(k + 1, r)
+                      if e[l].packed and u[pivot_cols[l]].packed]
+            e[k] = (_exact_quotient(_dot(pairs, p, nvars), u[pivot_cols[k]])
+                    if pairs else zero)
     return tuple(order[:r]), tuple(pivot_cols), prev, _parity(order[:r]), coords
 
 
@@ -720,7 +822,7 @@ def _column_screen(ncols: int, cols, d, sign, coords) -> dict:
         else:
             det = _determinant(LaurentMatrix(d.p, d.nvars, block))
             f = _exact_quotient(det, d ** (len(free) - 1))
-        if f.terms:
+        if f.packed:
             out[subset] = f.scale(sign * _parity(sigma))
     return out
 

@@ -53,12 +53,9 @@ class CliffordQCA(Frozen):
 
 def _promote(m: LaurentMatrix) -> LaurentMatrix:
     """Re-read a matrix as living on a lattice with one more axis (new
-    exponent slot appended, always zero)."""
-    def lift(f: LaurentPoly) -> LaurentPoly:
-        return LaurentPoly(f.p, f.nvars + 1,
-                           {e + (0,): c for e, c in f.terms.items()})
+    exponent slot appended, always zero; the packed keys stay)."""
     return LaurentMatrix(m.p, m.nvars + 1,
-                         [[lift(e) for e in row] for row in m.entries])
+                         [[f.promote() for f in row] for row in m.entries])
 
 
 def promote_spec(spec: SubalgebraSpec) -> SubalgebraSpec:

@@ -50,11 +50,15 @@ MAX_SPREAD = 32
 MAX_QUDITS = 64
 MAX_GENERATORS = 64
 
-# The most spatial dimensions a spec may have; exponent tuples have one
-# entry per dimension.  `check` on q = 1 with the one generator
+# The most spatial dimensions a spec may have; a monomial's key has one
+# 32-bit slot per dimension.  `check` on q = 1 with the one generator
 # X(x1 + ... + xd) Z(x1^-1 + ... + xd^-1) took 0.6 s at d = 16, 3.3 s at
-# d = 24 and 14 s at d = 32 (end to end, one Xeon core).  Builtin, test
-# and benchmark specs have dims <= 3, a lift included.
+# d = 24 and 14 s at d = 32 (end to end, one Xeon core) in Buchberger,
+# which its principal profile ideal now skips (0.13 s at d = 16).  But
+# Buchberger on the two generators x1 + ... + xd and x1^-1 + ... + xd^-1
+# over F_3 still takes 0.98 s at d = 12 and 95 s at d = 16 (library,
+# 2-core x86-64 VM).  Builtin, test and benchmark specs have dims <= 3,
+# a lift included.
 MAX_DIMS = 16
 
 

@@ -238,24 +238,84 @@ def ideal_contains(ideal, f):
     if ideal.is_zero():
         return False
     return not groebner.normal_form(_localized(f), ideal.groebner_basis(),
-                                    ideal.p)
+                                    ideal.p, ideal.nvars + 1)
+
+
+# Polynomials keyed by exponent tuples, as groebner kept them before its
+# keys were packed ints, and the arithmetic written for them.
+
+
+def packed(poly):
+    """A dict keyed by exponent tuples, keyed by groebner's packed keys."""
+    return {groebner.pack(e): c for e, c in poly.items()}
+
+
+def unpacked(poly, nvars):
+    """A dict keyed by groebner's packed keys, keyed by exponent tuples."""
+    return {groebner.unpack(k, nvars): c for k, c in poly.items()}
+
+
+def tuple_add(a, b, p):
+    out = dict(a)
+    for e, c in b.items():
+        s = (out.get(e, 0) + c) % p
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def tuple_dot(left, right, p):
+    """groebner.dot on tuple keys: every product of every pair added into
+    one dict, each sum reduced once at the end."""
+    acc = {}
+    for a, b in zip(left, right):
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                acc[e] = acc.get(e, 0) + ca * cb
+    return {e: c % p for e, c in acc.items() if c % p}
+
+
+def tuple_term_mul(exp, coeff, a, p):
+    return {tuple(x + y for x, y in zip(e, exp)): (c * coeff) % p
+            for e, c in a.items() if (c * coeff) % p}
+
+
+def tuple_grevlex_key(exp):
+    """grevlex on exponent tuples: total degree, then the rightmost
+    differing exponent being smaller."""
+    return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def tuple_leading_term(a):
+    e = max(a, key=tuple_grevlex_key)
+    return e, a[e]
+
+
+def _divides_exp(e, f):
+    return all(x <= y for x, y in zip(e, f))
+
+
+def _exp_sub(e, f):
+    return tuple(x - y for x, y in zip(e, f))
 
 
 def normal_form_rescanning(g, basis, p):
-    """groebner.normal_form before its one heap division: the remainder's
-    leading term is found again, by a max over all its terms, at every
-    reduction step."""
+    """groebner.normal_form before its one heap division, on tuple keys:
+    the remainder's leading term is found again, by a max over all its
+    terms, at every reduction step."""
     rem = {}
     h = dict(g)
-    lts = [groebner.leading_term(b) for b in basis]
+    lts = [tuple_leading_term(b) for b in basis]
     while h:
-        e, c = groebner.leading_term(h)
+        e, c = tuple_leading_term(h)
         for b, (lbe, lbc) in zip(basis, lts):
-            if groebner._divides_exp(lbe, e):
+            if _divides_exp(lbe, e):
                 factor = (c * pow(lbc, p - 2, p)) % p
-                shift = groebner._exp_sub(e, lbe)
-                h = groebner.add(h, groebner.term_mul(shift, p - factor, b, p),
-                                 p)
+                shift = _exp_sub(e, lbe)
+                h = tuple_add(h, tuple_term_mul(shift, p - factor, b, p), p)
                 break
         else:
             rem[e] = c
@@ -264,12 +324,12 @@ def normal_form_rescanning(g, basis, p):
 
 
 def divide_single_early_exit(g, f, p):
-    """groebner.divide_single before its one heap division: the same heap
-    of exponents, but None as soon as the top term is not divisible by
-    f's leading term."""
+    """The quotient of polynomials g by f on tuple keys, or None when a
+    remainder is left: a heap of exponents in grevlex order, and None as
+    soon as the top term is not divisible by f's leading term."""
     if not f:
         raise ZeroDivisionError("division by zero polynomial")
-    lfe, lfc = groebner.leading_term(f)
+    lfe, lfc = tuple_leading_term(f)
     inv = pow(lfc, p - 2, p)
     tail = [(fe, fc) for fe, fc in f.items() if fe != lfe]
     q = {}
@@ -281,10 +341,10 @@ def divide_single_early_exit(g, f, p):
         c = h.pop(e, 0)
         if not c:
             continue
-        if not groebner._divides_exp(lfe, e):
+        if not _divides_exp(lfe, e):
             return None
         factor = (c * inv) % p
-        qe = groebner._exp_sub(e, lfe)
+        qe = _exp_sub(e, lfe)
         q[qe] = factor
         for fe, fc in tail:
             te = tuple(x + y for x, y in zip(fe, qe))
@@ -296,6 +356,35 @@ def divide_single_early_exit(g, f, p):
                 heapq.heappush(heap, (-sum(te), te[::-1]))
             h[te] = v
     return q
+
+
+def clear_minimal(terms, nvars):
+    """Tuple-keyed terms times the least monomial making every exponent
+    nonnegative, and that monomial's exponents."""
+    if not terms:
+        return {}, (0,) * nvars
+    shift = tuple(-min(e[i] for e in terms) for i in range(nvars))
+    return {tuple(v + s for v, s in zip(e, shift)): c
+            for e, c in terms.items()}, shift
+
+
+def divides_by_clearing(f, g):
+    """laurent.divides before Laurent-ring division: both sides cleared
+    by minimal monomials, where Laurent divisibility is polynomial
+    divisibility (the lowest corners of a product polytope cannot cancel
+    over a domain), one polynomial division and the monomials shifted
+    back."""
+    if f.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if g.is_zero():
+        return g
+    fc, fshift = clear_minimal(f.terms, f.nvars)
+    gc, gshift = clear_minimal(g.terms, g.nvars)
+    q = divide_single_early_exit(gc, fc, f.p)
+    if q is None:
+        return None
+    shift = tuple(a - b for a, b in zip(fshift, gshift))
+    return LaurentPoly(f.p, f.nvars, tuple_term_mul(shift, 1, q, f.p))
 
 
 def rref_every_column(m, p):

@@ -8,8 +8,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import invsub.groebner as groebner
 import invsub.laurent as laurent
+from invsub.groebner import MAX_EXPONENT
 from invsub.laurent import (
+    ExponentRangeError,
     IdealDescription,
     LaurentMatrix,
     LaurentPoly,
@@ -26,7 +29,13 @@ from invsub.laurent import (
     parse_poly,
 )
 from invsub.laurent import MinorCountError, _exact_quotient
-from invsub.pauli import SubalgebraSpec, brauer_tensor, commutation_matrix
+from invsub.pauli import (
+    SubalgebraSpec,
+    brauer_tensor,
+    check_invertible,
+    commutation_matrix,
+    symplectic_form,
+)
 from invsub.zoo import example_names, get_example
 
 from helpers import (
@@ -34,8 +43,12 @@ from helpers import (
     cofactor_inverse,
     cofactor_minors,
     determinantal_profile_every_minor,
+    divides_by_clearing,
     ideal_contains,
     mat,
+    tuple_add,
+    tuple_dot,
+    tuple_term_mul,
     with_repeated_columns,
     z3_tensor,
 )
@@ -598,3 +611,209 @@ def test_oversized_minor_count_refused_after_the_screens():
     m = LaurentMatrix(3, 1, [[one] * 150 for _ in range(150)])
     with pytest.raises(MinorCountError, match="needs 22800 minors"):
         determinantal_profile(m)
+
+
+# ---------------------------------------------------------------------------
+# packed monomial keys against the tuple-keyed references
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _ring_and_polys(draw):
+    """A ring F_p in nvars variables and polynomials a, b, c in it, with
+    small exponents, at most four terms each."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    nvars = draw(st.sampled_from((0, 1, 2, 3, 17)))
+    exps = st.tuples(*[st.integers(-3, 3)] * nvars)
+    poly = st.dictionaries(exps, st.integers(0, p - 1), max_size=4).map(
+        lambda d: LaurentPoly(p, nvars, d))
+    shift = draw(exps)
+    return p, nvars, draw(poly), draw(poly), draw(poly), shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ring_and_polys())
+def test_packed_arithmetic_matches_the_tuple_references(case):
+    p, nvars, a, b, c, shift = case
+    assert (a * b).terms == tuple_dot([a.terms], [b.terms], p)
+    assert (a + b).terms == tuple_add(a.terms, b.terms, p)
+    assert (a - b).terms == tuple_add(
+        a.terms, {e: -v % p for e, v in b.terms.items()}, p)
+    assert a.bar().terms == {tuple(-v for v in e): x for e, x in a.terms.items()}
+    assert a.shift(shift).terms == tuple_term_mul(shift, 1, a.terms, p)
+    assert a.spread() == max((abs(v) for e in a.terms for v in e), default=0)
+    assert format_poly(parse_poly(format_poly(a), p, nvars)) == format_poly(a)
+    if a.is_monomial():
+        ((e, x),) = a.terms.items()
+        assert a.inverse().terms == {tuple(-v for v in e): pow(x, p - 2, p)}
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            divides(b, a)
+        return
+    # An exact pair, and a pair that is exact only by chance.
+    for g in (a * b, a * b + c):
+        q = divides(b, g)
+        assert q == divides_by_clearing(b, g)
+        if q is not None:
+            assert q * b == g
+    assert divides(b, a * b) == a
+
+
+def test_a_two_variable_non_multiple_is_refused_at_once():
+    # From the top of the key order, y + x + x^-3 over 1 - x would take
+    # quotient terms x^-1 y, x^-2 y, ... all above the key of the least
+    # possible quotient term, x^-3, until the x slot wrapped, about 2^31
+    # steps; they leave the box of x exponents in [-3, 0] at x^-4 y.
+    g, f = f3("y + x + x^-3"), f3("1 - x")
+    assert divides(f, g) is None
+    assert divides_by_clearing(f, g) is None
+    assert divides(f, g * f) == g
+
+
+def test_exponents_at_the_edge_of_the_range():
+    m = MAX_EXPONENT
+    assert issubclass(ExponentRangeError, ValueError)
+    edge = LaurentPoly(3, 2, {(m, -m): 1})
+    assert edge.spread() == m and edge.bar().terms == {(-m, m): 1}
+    with pytest.raises(ExponentRangeError):
+        LaurentPoly(3, 2, {(m + 1, 0): 1})
+    with pytest.raises(ExponentRangeError):
+        LaurentPoly.variable(0, 3, 1, -m - 1)
+    assert parse_poly(f"x^{m}", 3, 1).terms == {(m,): 1}
+    for text in (f"x^{m + 1}", f"x^{m}*x", f"x^-{m}*y*x^-1"):
+        with pytest.raises(PolyParseError, match="outside the supported range"):
+            parse_poly(text, 3, 2)
+    x, y = f3("x"), f3("y")
+    top = x ** m
+    assert top.terms == {(m, 0): 1}
+    # Past the range by one, whichever way the exponent gets there.
+    with pytest.raises(ExponentRangeError):
+        top * x
+    with pytest.raises(ExponentRangeError):
+        top.shift((1, 0))
+    with pytest.raises(ExponentRangeError):
+        x ** (m + 1)
+    with pytest.raises(ExponentRangeError):
+        LaurentMatrix(3, 2, [[top]]) @ LaurentMatrix(3, 2, [[x + y]])
+    # The bounds of the factors add past the range, the exponents do not.
+    assert (top * y).terms == {(m, 1): 1}
+    assert (top * x.inverse()).terms == {(m - 1, 0): 1}
+    assert top.shift((-1, 5)).terms == {(m - 1, 5): 1}
+    assert ((top * y) * (x.inverse() * y)).terms == {(m - 1, 2): 1}
+    assert divides(x.inverse() + y, top * (x.inverse() + y)) == top
+    # Clearing the denominators of x^-m + x^m would need exponent 2m.
+    with pytest.raises(ExponentRangeError):
+        IdealDescription(3, 1, [LaurentPoly(3, 1, {(-m,): 1, (m,): 1}),
+                                parse_poly("1 + x", 3, 1)]).is_unit()
+    # A quotient past the range: x^(2m - 1) (x^-m + x^(1-m)) = x^(m-1) + x^m.
+    with pytest.raises(ExponentRangeError):
+        divides(LaurentPoly(3, 1, {(-m,): 1, (1 - m,): 1}),
+                LaurentPoly(3, 1, {(m - 1,): 1, (m,): 1}))
+
+
+def test_repeated_squaring_stops_at_the_range():
+    # Each square doubles the bound; the square past 2^31 - 1 is refused,
+    # not wrapped into another monomial.
+    g = f3("x")
+    for _ in range(30):
+        g = g * g
+    assert g.terms == {(2 ** 30, 0): 1}
+    with pytest.raises(ExponentRangeError):
+        g * g
+    # Over F_2 squaring is the Frobenius map: 1 + x y^-1 stays two terms
+    # whose slots grow apart in both directions.
+    h = parse_poly("1 + x*y^-1", 2, 2)
+    for _ in range(30):
+        h = h * h
+    assert h.terms == {(0, 0): 1, (2 ** 30, -2 ** 30): 1}
+    with pytest.raises(ExponentRangeError):
+        h * h
+    assert parse_poly("1 + x*y^-1", 2, 2) ** (2 ** 30) == h
+    with pytest.raises(ExponentRangeError):
+        parse_poly("1 + x*y^-1", 2, 2) ** (2 ** 31)
+    with pytest.raises(ExponentRangeError):
+        f3("1 + x") ** (2 ** 40)
+
+
+# ---------------------------------------------------------------------------
+# principal ideals and zero operands
+# ---------------------------------------------------------------------------
+
+
+def test_principal_and_monomial_ideals_skip_buchberger(monkeypatch):
+    rng = random.Random(32)
+    cases = [[f3("2*x*y^-1")], [f3("1 - y")], [f2("x + x^-1")],
+             [f3("1 - y"), f3("1 - x^-1"), f3("2")],
+             [LaurentPoly.zero(3, 2), f3("x + y")]]
+    for _ in range(40):
+        gens = [LaurentPoly(3, 2, {(rng.randint(-2, 2), rng.randint(-2, 2)):
+                                   rng.randint(1, 2)
+                                   for _ in range(rng.randint(1, 3))})
+                for _ in range(rng.randint(1, 2))]
+        cases.append(gens + [LaurentPoly.zero(3, 2)] * rng.randint(0, 1))
+    by_basis = [groebner.contains_unit(IdealDescription(g[0].p, g[0].nvars,
+                                                        g).groebner_basis())
+                for g in cases]
+    assert True in by_basis and False in by_basis
+
+    def refuse(*args):
+        raise AssertionError("Buchberger ran")
+
+    shortcut = [g for g in cases
+                if len([f for f in g if not f.is_zero()]) == 1
+                or any(f.is_monomial() for f in g)]
+    assert len(shortcut) > 20
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    for gens, unit in zip(cases, by_basis):
+        if gens in shortcut:
+            assert IdealDescription(gens[0].p, gens[0].nvars,
+                                    gens).is_unit() == unit
+    # At full rank Xi's profile has one generator, det Xi.
+    decided = 0
+    for name in example_names():
+        spec = get_example(name).spec
+        xi = commutation_matrix(spec)
+        if matrix_rank(xi) == xi.rows:
+            cert = check_invertible(spec)
+            assert cert.profile.ideal.generators == [cert.determinant]
+            decided += 1
+    assert decided >= 3
+
+
+def _count_products(monkeypatch):
+    """Every call of the product kernel, as its list of operand pairs."""
+    calls = []
+    dot = groebner.dot
+
+    def counting(left, right, p):
+        pairs = list(zip(left, right))
+        calls.append(pairs)
+        return dot(*zip(*pairs), p)
+
+    monkeypatch.setattr(groebner, "dot", counting)
+    return calls
+
+
+def test_products_and_elimination_skip_zero_operands(monkeypatch):
+    spec = brauer_tensor(z3_tensor(2), get_example("example-z3").spec)
+    v = spec.generators
+    lam = symplectic_form(spec.p, spec.q, spec.dims)
+    calls = _count_products(monkeypatch)
+    out = lam @ v
+    # lambda is a signed permutation: one pair per nonzero entry of V.
+    assert all(len(pairs) == 1 and all(a and b for a, b in pairs)
+               for pairs in calls)
+    assert len(calls) == sum(not e.is_zero() for row in v.entries for e in row)
+    assert out.entries == [
+        [sum((lam[i, k] * v[k, j] for k in range(lam.cols)),
+             LaurentPoly.zero(3, 2)) for j in range(v.cols)]
+        for i in range(lam.rows)]
+    # Xi of a tensor is block diagonal; its elimination multiplies no
+    # operand of a zero block.
+    xi = commutation_matrix(spec)
+    calls.clear()
+    rows, cols, d, sign, coords = laurent._eliminate(xi.hstack(
+        LaurentMatrix.identity(3, 2, xi.rows)))
+    assert calls and all(a and b for pairs in calls for a, b in pairs)
+    assert len(cols) == xi.rows
+    assert d.scale(sign) == determinant(xi)
