@@ -140,14 +140,6 @@ def dot(left: Iterable[Poly], right: Iterable[Poly], p: int) -> Poly:
     return out
 
 
-def term_mul(key: int, coeff: int, a: Poly, p: int) -> Poly:
-    """a times coeff x^key."""
-    coeff %= p
-    if coeff == 0:
-        return {}
-    return {k + key: (c * coeff) % p for k, c in a.items()}
-
-
 def quotient(g: Poly, f: Poly, p: int, nvars: int) -> Poly | None:
     """g / f in the Laurent ring F_p[x_1^+-1, ..., x_n^+-1] when f divides
     g there, else None.
@@ -325,9 +317,8 @@ def s_poly(f: Poly, g: Poly, p: int, nvars: int) -> Poly:
             f"an S-polynomial's degree would leave the supported range "
             f"+-{MAX_EXPONENT}")
     l = pack(lcm)
-    a = term_mul(l - fk, pow(fc, p - 2, p), f, p)
-    b = term_mul(l - gk, pow(gc, p - 2, p), g, p)
-    return add(a, scale(b, p - 1, p), p)
+    return dot([{l - fk: pow(fc, p - 2, p)}, {l - gk: p - pow(gc, p - 2, p)}],
+               [f, g], p)
 
 
 def buchberger(gens: Iterable[Poly], p: int, nvars: int) -> list[Poly]:

@@ -223,18 +223,9 @@ class LaurentPoly(Frozen):
         if len(exps) != self.nvars:
             raise ValueError(f"shift {exps} has wrong arity for {self.nvars} variables")
         exps = tuple(int(v) for v in exps)
-        key = pack(exps)
-        bound = self.bound + max(map(abs, exps), default=0)
-        if bound > MAX_EXPONENT and self.packed:
-            lo, hi = extents(self.packed, self.nvars)
-            bound = max(max(abs(v + s), abs(w + s))
-                        for v, w, s in zip(lo, hi, exps))
-            if bound > MAX_EXPONENT:
-                raise _range_error(f"shift {exps} of {self}")
-        return _trusted(
-            self.p, self.nvars, groebner.term_mul(key, 1, self.packed, self.p),
-            bound,
-        )
+        mono = _trusted(self.p, self.nvars, {pack(exps): 1},
+                        max(map(abs, exps), default=0))
+        return self * mono
 
     def bar(self) -> "LaurentPoly":
         """The involution inverting every variable, x_i -> x_i^-1."""
@@ -509,11 +500,9 @@ def divides(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
     q = groebner.quotient(g.packed, f.packed, f.p, f.nvars)
     if q is None:
         return None
-    # Each exponent of the quotient is one of g's less one of f's.
-    bound = g.bound + f.bound
-    if bound > MAX_EXPONENT and q:
-        bound = max(map(abs, itertools.chain(*extents(q, f.nvars))))
-    return _trusted(f.p, f.nvars, q, bound)
+    # Each exponent of the quotient is one of g's less one of f's, and
+    # quotient refuses one out of range.
+    return _trusted(f.p, f.nvars, q, min(g.bound + f.bound, MAX_EXPONENT))
 
 
 # ---------------------------------------------------------------------------
