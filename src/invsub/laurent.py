@@ -82,11 +82,11 @@ class LaurentPoly(Frozen):
     packed maps the key of each monomial (groebner.pack) to its residue
     in [1, p); the zero polynomial has no terms.  terms is the same dict
     keyed by exponent tuples.  bound is at least the largest |exponent|:
-    exact from the constructor, and the sum of the factors' bounds for a
-    product, so a product that could leave the exponent range is caught
-    in O(1) and checked exactly before any key is added.  Instances with
-    matching (p, nvars) support +, -, *, unary -, ** (nonnegative), ==
-    and hashing.
+    exact from the constructor and parse_poly, and the sum of the
+    factors' bounds for a product, so a product that could leave the
+    exponent range is caught in O(1) and checked exactly before any key
+    is added.  Instances with matching (p, nvars) support +, -, *, unary
+    -, ** (nonnegative), == and hashing.
     """
 
     __slots__ = ("p", "nvars", "packed", "bound")
@@ -332,6 +332,8 @@ def parse_poly(text: str, p: int, nvars: int) -> LaurentPoly:
     an exponent outside +-groebner.MAX_EXPONENT included."""
     if not _is_prime(p):
         raise ValueError(f"coefficient modulus {p} is not prime")
+    if nvars < 0:
+        raise ValueError("nvars must be nonnegative")
     names = {n: i for i, n in enumerate(var_names(nvars))}
     for i in range(nvars):
         names[f"x{i + 1}"] = i
@@ -362,7 +364,8 @@ def parse_poly(text: str, p: int, nvars: int) -> LaurentPoly:
             pos += 1
         return s[start:pos]
 
-    terms: dict[tuple[int, ...], int] = {}
+    terms: Poly = {}
+    reach: dict[int, int] = {}
     skip_ws()
     if pos >= n:
         raise PolyParseError("empty polynomial", pos)
@@ -420,14 +423,15 @@ def parse_poly(text: str, p: int, nvars: int) -> LaurentPoly:
             break
         if not saw_factor:
             raise PolyParseError("empty term", pos)
-        e = tuple(exps)
-        c = (terms.get(e, 0) + sign * coeff) % p
+        key = pack(exps)
+        c = (terms.get(key, 0) + sign * coeff) % p
         if c:
-            terms[e] = c
+            terms[key] = c
+            reach[key] = max(map(abs, exps), default=0)
         else:
-            terms.pop(e, None)
+            terms.pop(key, None)
         skip_ws()
-    return LaurentPoly(p, nvars, terms)
+    return _trusted(p, nvars, terms, max(map(reach.get, terms), default=0))
 
 
 # ---------------------------------------------------------------------------

@@ -144,9 +144,10 @@ def parse_spec(text: str) -> SubalgebraSpec:
                     raise SpecFormatError(
                         f"{where}, {half}[{si}]: {exc}"
                     ) from None
-                if poly.spread() > MAX_SPREAD:
+                # A parsed polynomial's bound is its spread.
+                if poly.bound > MAX_SPREAD:
                     raise SpecFormatError(
-                        f"{where}, {half}[{si}]: spread {poly.spread()} "
+                        f"{where}, {half}[{si}]: spread {poly.bound} "
                         f"exceeds the supported bound {MAX_SPREAD}"
                     )
                 halves.append(poly)
