@@ -93,7 +93,7 @@ class HamiltonianInstance(Frozen):
                   entries=entries, coords=coords, coeffs=coeffs,
                   _transporters={})
 
-    @property
+    @functools.cached_property
     def spread(self) -> int:
         return max(sym.spread() for sym in self.term_symbols)
 
@@ -234,7 +234,7 @@ def _segment_box(step, margin: int):
 
 
 def _solve_transporter(
-    h: HamiltonianInstance, generators: LaurentMatrix, step, charge: int,
+    h: HamiltonianInstance, generators: _Generators, step, charge: int,
     family: int
 ) -> tuple[np.ndarray, int]:
     """Solve for a product of generator translates whose syndrome is
@@ -251,11 +251,12 @@ def _solve_transporter(
     lat = h.lattice
     ends = np.array([h.index_of(family, lat.resolve(step)),
                      h.index_of(family, (0,) * lat.dims)])
-    spread = max(generators.spread(), 1)
+    spread = max(generators.spread, 1)
     for margin in (spread, spread + 1):
         # Candidate (offset, j) is generator j placed at the offset, for
         # the offsets in box order and the generators in turn.
-        placed = placements(lat, generators, _segment_box(step, margin))[0]
+        placed = placements(lat, generators.matrix,
+                            _segment_box(step, margin))[0]
         # A mask, not np.union1d: numpy's set routines import numpy.ma
         # on first use, about 20 ms of a `spin` process.
         kept = np.zeros(len(h.entries), dtype=bool)
@@ -280,14 +281,15 @@ def _solve_transporter(
 
 
 class _Generators(Frozen):
-    """Hopping generators as a transporter cache key, hashed once when
-    wrapped: a `LaurentMatrix` hashes every entry on each lookup, and a
+    """Hopping generators as a transporter cache key, hashed and their
+    spread read once when wrapped: a `LaurentMatrix` hashes every entry
+    on each lookup and decodes every exponent for its spread, and a
     string operator looks up a transporter on every leg."""
 
-    __slots__ = ("matrix", "_hash")
+    __slots__ = ("matrix", "spread", "_hash")
 
     def __init__(self, matrix: LaurentMatrix):
-        self._set(matrix=matrix, _hash=hash(matrix))
+        self._set(matrix=matrix, spread=matrix.spread(), _hash=hash(matrix))
 
     def __hash__(self) -> int:
         return self._hash
@@ -304,7 +306,7 @@ def _transporter(h: HamiltonianInstance, generators: _Generators, step,
     out = h._transporters.get(key)
     if out is None:
         out = h._transporters[key] = _solve_transporter(
-            h, generators.matrix, step, charge, family)
+            h, generators, step, charge, family)
     return out
 
 
@@ -435,7 +437,8 @@ def topological_spin(
     phase has not yet converged to its geometry-independent value.
     """
     lat = h.lattice
-    spread = max(h.spread, generators.spread(), 1)
+    generators = _Generators(generators)
+    spread = max(h.spread, generators.spread, 1)
     min_leg = 8 * spread
     if leg_length is None:
         leg_length = 10 * spread
@@ -448,7 +451,6 @@ def topological_spin(
            for direction in leg_directions
            for d, size in zip(direction, lat.sizes)):
         raise SpinGeometryError("legs lap around the torus at this size")
-    generators = _Generators(generators)
     u1, u2, u3 = (
         _leg(h, generators, tuple(junction), direction, leg_length, charge,
              family)[0]

@@ -74,14 +74,11 @@ def unpack(key: int, nvars: int) -> Exponent:
 
 def extents(a: Poly, nvars: int) -> tuple[list[int], list[int]]:
     """Per variable, the least and the greatest exponent of a's terms
-    (a nonzero), read slot by slot off the keys as unpack reads them."""
+    (a nonzero)."""
     lo = [MAX_EXPONENT] * nvars
     hi = [-MAX_EXPONENT] * nvars
     for k in a:
-        for i in range(nvars):
-            t = k + _HALF
-            e = (t & _MASK) - _HALF
-            k = t >> SLOT_BITS
+        for i, e in enumerate(unpack(k, nvars)):
             if e < lo[i]:
                 lo[i] = e
             if e > hi[i]:
@@ -114,20 +111,10 @@ def scale(a: Poly, c: int, p: int) -> Poly:
 
 def dot(left: Iterable[Poly], right: Iterable[Poly], p: int) -> Poly:
     """sum_k left[k] * right[k].  Every product of every pair is added
-    into one dict, and each sum is reduced once at the end.  One pair
-    with a monomial side is a translation of the other side: its keys
-    stay distinct and, p being prime, no coefficient vanishes."""
-    pairs = list(zip(left, right))
-    if len(pairs) == 1:
-        a, b = pairs[0]
-        if len(b) != 1:
-            a, b = b, a
-        if len(b) == 1:
-            ((kb, cb),) = b.items()
-            return {k + kb: (c * cb) % p for k, c in a.items()}
+    into one dict, and each sum is reduced once at the end."""
     acc: Poly = {}
     get = acc.get
-    for a, b in pairs:
+    for a, b in zip(left, right):
         for ka, ca in a.items():
             for kb, cb in b.items():
                 k = ka + kb
@@ -159,14 +146,12 @@ def quotient(g: Poly, f: Poly, p: int, nvars: int) -> Poly | None:
         return {}
     top = max(f)
     inv = pow(f[top], p - 2, p)
-    if len(f) == 1:
-        return {k - top: (c * inv) % p for k, c in g.items()}
     (glo, ghi), (flo, fhi) = extents(g, nvars), extents(f, nvars)
     lo = list(map(operator.sub, glo, flo))
     hi = list(map(operator.sub, ghi, fhi))
     if not all(map(operator.le, lo, hi)):
         return None
-    if min(lo) < -MAX_EXPONENT or max(hi) > MAX_EXPONENT:
+    if min(lo, default=0) < -MAX_EXPONENT or max(hi, default=0) > MAX_EXPONENT:
         raise ExponentRangeError(
             f"a quotient's exponents would leave the supported range "
             f"+-{MAX_EXPONENT}")
@@ -182,15 +167,11 @@ def quotient(g: Poly, f: Poly, p: int, nvars: int) -> Poly | None:
         if not c:
             continue
         qk = e - top
-        # Decoded slot by slot, as unpack does.  A decoding inside the box
-        # is the quotient term's own exponents: plus f's greatest term it
-        # gives a term of g's box, in range, whose key is e.
-        k = qk
-        for a, b in box:
-            t = k + _HALF
-            if not a <= (t & _MASK) - _HALF <= b:
-                return None
-            k = t >> SLOT_BITS
+        # A decoding inside the box is the quotient term's own exponents:
+        # plus f's greatest term it gives a term of g's box, in range,
+        # whose key is e.
+        if not all(a <= x <= b for (a, b), x in zip(box, unpack(qk, nvars))):
+            return None
         factor = (c * inv) % p
         q[qk] = factor
         for fk, fc in tail:

@@ -82,7 +82,7 @@ class LaurentPoly(Frozen):
     packed maps the key of each monomial (groebner.pack) to its residue
     in [1, p); the zero polynomial has no terms.  terms is the same dict
     keyed by exponent tuples.  bound is at least the largest |exponent|:
-    exact from the constructor and parse_poly, and the sum of the
+    exact from the constructor, and the sum of the
     factors' bounds for a product, so a product that could leave the
     exponent range is caught in O(1) and checked exactly before any key
     is added.  Instances with matching (p, nvars) support +, -, *, unary
@@ -158,10 +158,9 @@ class LaurentPoly(Frozen):
 
     def spread(self) -> int:
         """Largest absolute exponent appearing in any direction."""
-        if not self.packed or not self.nvars:
-            return 0
-        lo, hi = extents(self.packed, self.nvars)
-        return max(-min(lo), max(hi))
+        n = self.nvars
+        return max((abs(e) for k in self.packed for e in unpack(k, n)),
+                   default=0)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -364,8 +363,7 @@ def parse_poly(text: str, p: int, nvars: int) -> LaurentPoly:
             pos += 1
         return s[start:pos]
 
-    terms: Poly = {}
-    reach: dict[int, int] = {}
+    terms: dict[tuple[int, ...], int] = {}
     skip_ws()
     if pos >= n:
         raise PolyParseError("empty polynomial", pos)
@@ -423,15 +421,10 @@ def parse_poly(text: str, p: int, nvars: int) -> LaurentPoly:
             break
         if not saw_factor:
             raise PolyParseError("empty term", pos)
-        key = pack(exps)
-        c = (terms.get(key, 0) + sign * coeff) % p
-        if c:
-            terms[key] = c
-            reach[key] = max(map(abs, exps), default=0)
-        else:
-            terms.pop(key, None)
+        key = tuple(exps)
+        terms[key] = (terms.get(key, 0) + sign * coeff) % p
         skip_ws()
-    return _trusted(p, nvars, terms, max(map(reach.get, terms), default=0))
+    return LaurentPoly(p, nvars, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -144,10 +144,9 @@ def parse_spec(text: str) -> SubalgebraSpec:
                     raise SpecFormatError(
                         f"{where}, {half}[{si}]: {exc}"
                     ) from None
-                # A parsed polynomial's bound is its spread.
-                if poly.bound > MAX_SPREAD:
+                if poly.spread() > MAX_SPREAD:
                     raise SpecFormatError(
-                        f"{where}, {half}[{si}]: spread {poly.bound} "
+                        f"{where}, {half}[{si}]: spread {poly.spread()} "
                         f"exceeds the supported bound {MAX_SPREAD}"
                     )
                 halves.append(poly)

@@ -22,6 +22,7 @@ from invsub.anyon_lab import (
     NoncommutingTermsError,
     NotModularError,
     SpinGeometryError,
+    _Generators,
     _leg,
     _ordered_product,
     _solve_transporter,
@@ -332,7 +333,8 @@ def test_string_engine_equals_the_full_width_reference(entry, side):
     for charge in range(3):
         legs = []
         for direction in DEFAULT_LEG_DIRECTIONS:
-            row, phase = _solve_transporter(h, gens, direction, charge, 0)
+            row, phase = _solve_transporter(h, _Generators(gens), direction,
+                                            charge, 0)
             want_row, want_phase = solve_transporter_all_terms(
                 h, cols, direction, charge, 0)
             assert (row.tobytes(), phase) == (want_row.tobytes(), want_phase)

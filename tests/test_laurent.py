@@ -709,6 +709,13 @@ def test_exponents_at_the_edge_of_the_range():
     with pytest.raises(ExponentRangeError):
         divides(LaurentPoly(3, 1, {(-m,): 1, (1 - m,): 1}),
                 LaurentPoly(3, 1, {(m - 1,): 1, (m,): 1}))
+    # So is one by a monomial, in one variable and in two: x^m / x^-m.
+    for nvars in (1, 2):
+        lo = LaurentPoly.variable(0, 3, nvars, -m)
+        hi = LaurentPoly.variable(0, 3, nvars, m)
+        for f, g in ((lo, hi), (hi, lo), (lo, hi + LaurentPoly.one(3, nvars))):
+            with pytest.raises(ExponentRangeError):
+                divides(f, g)
 
 
 def test_repeated_squaring_stops_at_the_range():
