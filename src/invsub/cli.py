@@ -114,7 +114,7 @@ def _cmd_check(args) -> tuple[int, dict]:
         ideal=list(cert.profile.ideal.generator_strings()),
         ideal_unit=cert.profile.is_unit,
         determinant=format_poly(cert.determinant),
-        pairing_block_invertible=cert.xi_invertible,
+        pairing_block_invertible=cert.projector_available,
         projector_available=cert.projector_available,
         n_generators=spec.n_generators,
         spread=spec.spread,

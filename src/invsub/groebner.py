@@ -19,7 +19,7 @@ arithmetic: laurent.LaurentPoly adds and scales its terms with add and
 scale; each of its products, each entry of a LaurentMatrix product and
 each update of laurent's fraction-free elimination is one dot; and the
 exact divisions of that elimination are quotient, in the Laurent ring.
-Buchberger's reductions (divide, normal_form) work on the same keys in
+Buchberger's reduction, normal_form, works on the same keys in
 an ordinary polynomial ring, where the grevlex order and the
 divisibility of monomials are read off the keys by integer arithmetic
 and only an lcm decodes them.  Its generators are the distinct nonzero
@@ -232,26 +232,26 @@ def _lcm(a: int, b: int, nvars: int) -> Exponent:
     return tuple(map(max, unpack(a, nvars), unpack(b, nvars)))
 
 
-def divide(g: Poly, divisors: list[Poly], p: int, nvars: int
-           ) -> tuple[list[Poly], Poly]:
-    """Division of g by an ordered list of polynomials (Cox, Little and
-    O'Shea, Ideals, Varieties, and Algorithms, section 2.3): quotients
-    q_i and a remainder r with g = sum q_i f_i + r, no term of r divisible
-    by any leading term.  The largest remaining term is reduced by the
-    first divisor whose leading term divides it, or else moves to r.
+def normal_form(g: Poly, basis: list[Poly], p: int, nvars: int) -> Poly:
+    """Remainder of g on full division by an ordered list of polynomials
+    (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, section
+    2.3): no term of it is divisible by any leading term, and g minus it
+    lies in the ideal they generate.  The largest remaining term is
+    reduced by the first divisor whose leading term divides it, or else
+    moves to the remainder.
 
     The remaining keys wait in a heap keyed (-degree, key), whose least
     entry is the grevlex-largest.  A step only adds terms below the one
     it cancels, so nothing is scanned twice; entries for keys that
     cancelled since are skipped."""
-    if not all(divisors):
+    if not all(basis):
         raise ZeroDivisionError("division by zero polynomial")
     guards = _guards(nvars)
     steps = []
-    for f in divisors:
+    for f in basis:
         lk, lc = leading_term(f)
         tail = [(fk, fc) for fk, fc in f.items() if fk != lk]
-        steps.append((lk, pow(lc, p - 2, p), tail, {}))
+        steps.append((lk, pow(lc, p - 2, p), tail))
     rem: Poly = {}
     h = dict(g)
     heap = [(-(k % _MASK), k) for k in h]
@@ -261,7 +261,7 @@ def divide(g: Poly, divisors: list[Poly], p: int, nvars: int
         c = h.pop(k, 0)
         if not c:
             continue
-        for lk, inv, tail, q in steps:
+        for lk, inv, tail in steps:
             if _divides(lk, k, guards):
                 break
         else:
@@ -269,7 +269,6 @@ def divide(g: Poly, divisors: list[Poly], p: int, nvars: int
             continue
         factor = (c * inv) % p
         qk = k - lk
-        q[qk] = factor
         for fk, fc in tail:
             te = fk + qk
             v = (h.get(te, 0) - factor * fc) % p
@@ -279,12 +278,7 @@ def divide(g: Poly, divisors: list[Poly], p: int, nvars: int
             if te not in h:
                 heapq.heappush(heap, (-(te % _MASK), te))
             h[te] = v
-    return [s[3] for s in steps], rem
-
-
-def normal_form(g: Poly, basis: list[Poly], p: int, nvars: int) -> Poly:
-    """Remainder of g on full division by an ordered list of polynomials."""
-    return divide(g, basis, p, nvars)[1]
+    return rem
 
 
 def s_poly(f: Poly, g: Poly, p: int, nvars: int) -> Poly:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from typing import NamedTuple
 
 from . import groebner
@@ -324,11 +325,23 @@ def format_poly(f: LaurentPoly) -> str:
     return " + ".join(parts)
 
 
+_SPACE = re.compile(r"\s*")
+_COEFFICIENT = re.compile(r"[0-9]+")
+_NAME = re.compile(r"[^\W\d_]\w*")
+_POWER = re.compile(r"-?[0-9]+")
+
+
 def parse_poly(text: str, p: int, nvars: int) -> LaurentPoly:
-    """Parse sums of terms like '2*x^-1*y^3'.  Accepts x,y,z names for up
-    to three variables and x1..xD names always; '+' and '-' separate
-    terms.  Raises PolyParseError with a character position on bad input,
-    an exponent outside +-groebner.MAX_EXPONENT included."""
+    """Parse sums of terms like '2*x^-1*y^3'.
+
+    Terms are joined by '+' or '-' (the first may carry a '-'), and the
+    factors of a term by '*'.  A factor is a coefficient, digits 0-9
+    read mod p, or a variable: x, y, z for up to three variables and
+    x1..xD always, with an optional power '^' and an integer, an optional
+    '-' and digits 0-9, with no space around the '^'.  Whitespace may
+    surround the signs, the '*' and each factor.  Raises PolyParseError
+    with a character position on bad input, an exponent outside
+    +-groebner.MAX_EXPONENT included."""
     if not _is_prime(p):
         raise ValueError(f"coefficient modulus {p} is not prime")
     if nvars < 0:
@@ -336,95 +349,52 @@ def parse_poly(text: str, p: int, nvars: int) -> LaurentPoly:
     names = {n: i for i, n in enumerate(var_names(nvars))}
     for i in range(nvars):
         names[f"x{i + 1}"] = i
-    s = text
-    n = len(s)
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and s[pos].isspace():
-            pos += 1
-
-    def read_int() -> int:
-        nonlocal pos
-        start = pos
-        if pos < n and s[pos] == "-":
-            pos += 1
-        if pos >= n or not s[pos].isdigit():
-            raise PolyParseError("expected integer", pos)
-        while pos < n and s[pos].isdigit():
-            pos += 1
-        return int(s[start:pos])
-
-    def read_name() -> str:
-        nonlocal pos
-        start = pos
-        while pos < n and (s[pos].isalnum() or s[pos] == "_"):
-            pos += 1
-        return s[start:pos]
-
     terms: dict[tuple[int, ...], int] = {}
-    skip_ws()
-    if pos >= n:
+    pos = _SPACE.match(text).end()
+    if pos == len(text):
         raise PolyParseError("empty polynomial", pos)
     sign = 1
-    first = True
-    while pos < n:
-        skip_ws()
-        if not first:
-            if pos >= n:
-                break
-            if s[pos] == "+":
-                sign = 1
-            elif s[pos] == "-":
-                sign = -1
-            else:
-                raise PolyParseError(f"expected '+' or '-', got {s[pos]!r}", pos)
-            pos += 1
-            skip_ws()
+    if text[pos] == "-":
+        sign = -1
+        pos = _SPACE.match(text, pos + 1).end()
+    coeff, exps = 1, [0] * nvars
+    while True:
+        if m := _COEFFICIENT.match(text, pos):
+            coeff = coeff * int(m[0]) % p
+        elif m := _NAME.match(text, pos):
+            name = m[0]
+            if name not in names:
+                raise PolyParseError(f"unknown variable {name!r}", pos)
+            power = 1
+            if text.startswith("^", m.end()):
+                at = m.end() + 1
+                m = _POWER.match(text, at)
+                if not m:
+                    # Past a '-', the digits are what is missing.
+                    raise PolyParseError("expected integer",
+                                         at + text.startswith("-", at))
+                power = int(m[0])
+            i = names[name]
+            exps[i] += power
+            if abs(exps[i]) > MAX_EXPONENT:
+                raise PolyParseError(
+                    f"exponent of {name} outside the supported range "
+                    f"+-{MAX_EXPONENT}", pos)
         else:
-            if s[pos] == "-":
-                sign = -1
-                pos += 1
-                skip_ws()
-            first = False
-        # one term: factors joined by '*'
-        coeff = 1
-        exps = [0] * nvars
-        saw_factor = False
-        while True:
-            skip_ws()
-            if pos < n and s[pos].isdigit():
-                coeff = (coeff * read_int()) % p
-                saw_factor = True
-            elif pos < n and s[pos].isalpha():
-                at = pos
-                name = read_name()
-                if name not in names:
-                    raise PolyParseError(f"unknown variable {name!r}", at)
-                power = 1
-                if pos < n and s[pos] == "^":
-                    pos += 1
-                    power = read_int()
-                exps[names[name]] += power
-                if abs(exps[names[name]]) > MAX_EXPONENT:
-                    raise PolyParseError(
-                        f"exponent of {name} outside the supported range "
-                        f"+-{MAX_EXPONENT}", at)
-                saw_factor = True
-            else:
-                raise PolyParseError("expected coefficient or variable", pos)
-            skip_ws()
-            if pos < n and s[pos] == "*":
-                pos += 1
-                continue
-            break
-        if not saw_factor:
-            raise PolyParseError("empty term", pos)
+            raise PolyParseError("expected coefficient or variable", pos)
+        pos = _SPACE.match(text, m.end()).end()
+        if text.startswith("*", pos):
+            pos = _SPACE.match(text, pos + 1).end()
+            continue
         key = tuple(exps)
         terms[key] = (terms.get(key, 0) + sign * coeff) % p
-        skip_ws()
-    return LaurentPoly(p, nvars, terms)
+        if pos == len(text):
+            return LaurentPoly(p, nvars, terms)
+        if text[pos] not in "+-":
+            raise PolyParseError(f"expected '+' or '-', got {text[pos]!r}", pos)
+        sign = 1 if text[pos] == "+" else -1
+        pos = _SPACE.match(text, pos + 1).end()
+        coeff, exps = 1, [0] * nvars
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +439,6 @@ class IdealDescription(Frozen):
                 gens = groebner.buchberger(gens, self.p, self.nvars + 1)
             self._set(_gb=gens)
         return self._gb
-
-    def is_zero(self) -> bool:
-        return all(g.is_zero() for g in self.generators)
 
     def is_unit(self) -> bool:
         """Whether the ideal is the whole ring.  The units of the ring are

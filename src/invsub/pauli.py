@@ -132,14 +132,11 @@ class InvertibilityCertificate(NamedTuple):
     generator_rank: int
 
     @property
-    def xi_invertible(self) -> bool:
-        return self.determinant.is_monomial()
-
-    @property
     def projector_available(self) -> bool:
-        # A unit det Xi forces rank Xi = rank V = n and the unit ideal,
-        # so it implies the verdict.
-        return self.xi_invertible
+        """Whether Xi is invertible: det Xi is a unit, a monomial.  A unit
+        det Xi forces rank Xi = rank V = n and the unit ideal, so it
+        implies the verdict."""
+        return self.determinant.is_monomial()
 
 
 def check_invertible(spec: SubalgebraSpec) -> InvertibilityCertificate:

@@ -37,13 +37,17 @@ from invsub.fplinalg import (
     rref,
     solve,
 )
+from invsub.groebner import MAX_EXPONENT
 from invsub.laurent import (
     DeterminantalProfile,
     IdealDescription,
     LaurentMatrix,
     LaurentPoly,
+    PolyParseError,
+    _is_prime,
     _localized,
     parse_poly,
+    var_names,
 )
 from invsub.pauli import SubalgebraSpec, brauer_tensor
 from invsub.zoo import get_example
@@ -112,6 +116,113 @@ def translation_by_roll(lattice, shift):
     grid = np.arange(lattice.n_sites).reshape(lattice.sizes)
     src = np.roll(grid, tuple(shift), axis=tuple(range(lattice.dims))).ravel()
     return (src[:, None] * lattice.q + np.arange(lattice.q)).ravel()
+
+
+def parse_poly_scanning(text: str, p: int, nvars: int) -> LaurentPoly:
+    """laurent.parse_poly as a hand scanner, the reference on ASCII input:
+    three closures share one position.  Sums of terms like '2*x^-1*y^3',
+    x,y,z names for up to three variables and x1..xD names always; '+'
+    and '-' separate terms.  Raises PolyParseError with a character
+    position on bad ASCII input, an exponent outside
+    +-groebner.MAX_EXPONENT included.  A digit is whatever str.isdigit
+    accepts, so on other input it reads '\u0663' as 3 and fails inside
+    int() on '\u00b2'."""
+    if not _is_prime(p):
+        raise ValueError(f"coefficient modulus {p} is not prime")
+    if nvars < 0:
+        raise ValueError("nvars must be nonnegative")
+    names = {n: i for i, n in enumerate(var_names(nvars))}
+    for i in range(nvars):
+        names[f"x{i + 1}"] = i
+    s = text
+    n = len(s)
+    pos = 0
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and s[pos].isspace():
+            pos += 1
+
+    def read_int() -> int:
+        nonlocal pos
+        start = pos
+        if pos < n and s[pos] == "-":
+            pos += 1
+        if pos >= n or not s[pos].isdigit():
+            raise PolyParseError("expected integer", pos)
+        while pos < n and s[pos].isdigit():
+            pos += 1
+        return int(s[start:pos])
+
+    def read_name() -> str:
+        nonlocal pos
+        start = pos
+        while pos < n and (s[pos].isalnum() or s[pos] == "_"):
+            pos += 1
+        return s[start:pos]
+
+    terms: dict[tuple[int, ...], int] = {}
+    skip_ws()
+    if pos >= n:
+        raise PolyParseError("empty polynomial", pos)
+    sign = 1
+    first = True
+    while pos < n:
+        skip_ws()
+        if not first:
+            if pos >= n:
+                break
+            if s[pos] == "+":
+                sign = 1
+            elif s[pos] == "-":
+                sign = -1
+            else:
+                raise PolyParseError(f"expected '+' or '-', got {s[pos]!r}", pos)
+            pos += 1
+            skip_ws()
+        else:
+            if s[pos] == "-":
+                sign = -1
+                pos += 1
+                skip_ws()
+            first = False
+        # one term: factors joined by '*'
+        coeff = 1
+        exps = [0] * nvars
+        saw_factor = False
+        while True:
+            skip_ws()
+            if pos < n and s[pos].isdigit():
+                coeff = (coeff * read_int()) % p
+                saw_factor = True
+            elif pos < n and s[pos].isalpha():
+                at = pos
+                name = read_name()
+                if name not in names:
+                    raise PolyParseError(f"unknown variable {name!r}", at)
+                power = 1
+                if pos < n and s[pos] == "^":
+                    pos += 1
+                    power = read_int()
+                exps[names[name]] += power
+                if abs(exps[names[name]]) > MAX_EXPONENT:
+                    raise PolyParseError(
+                        f"exponent of {name} outside the supported range "
+                        f"+-{MAX_EXPONENT}", at)
+                saw_factor = True
+            else:
+                raise PolyParseError("expected coefficient or variable", pos)
+            skip_ws()
+            if pos < n and s[pos] == "*":
+                pos += 1
+                continue
+            break
+        if not saw_factor:
+            raise PolyParseError("empty term", pos)
+        key = tuple(exps)
+        terms[key] = (terms.get(key, 0) + sign * coeff) % p
+        skip_ws()
+    return LaurentPoly(p, nvars, terms)
 
 
 def mat(p, nvars, rows):
@@ -235,7 +346,7 @@ def ideal_contains(ideal, f):
     the localized polynomial ring."""
     if f.is_zero():
         return True
-    if ideal.is_zero():
+    if all(g.is_zero() for g in ideal.generators):
         return False
     return not groebner.normal_form(_localized(f), ideal.groebner_basis(),
                                     ideal.p, ideal.nvars + 1)
@@ -321,6 +432,56 @@ def normal_form_rescanning(g, basis, p):
             rem[e] = c
             del h[e]
     return rem
+
+
+def divide_with_quotients(g, divisors, p, nvars):
+    """groebner.normal_form with the quotients kept, on packed keys:
+    division of g by an ordered list of polynomials (Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, section 2.3), quotients
+    q_i and a remainder r with g = sum q_i f_i + r, no term of r divisible
+    by any leading term.  The largest remaining term is reduced by the
+    first divisor whose leading term divides it, or else moves to r.
+
+    The remaining keys wait in a heap keyed (-degree, key), whose least
+    entry is the grevlex-largest.  A step only adds terms below the one
+    it cancels, so nothing is scanned twice; entries for keys that
+    cancelled since are skipped."""
+    if not all(divisors):
+        raise ZeroDivisionError("division by zero polynomial")
+    guards = groebner._guards(nvars)
+    steps = []
+    for f in divisors:
+        lk, lc = groebner.leading_term(f)
+        tail = [(fk, fc) for fk, fc in f.items() if fk != lk]
+        steps.append((lk, pow(lc, p - 2, p), tail, {}))
+    rem = {}
+    h = dict(g)
+    heap = [(-(k % groebner._MASK), k) for k in h]
+    heapq.heapify(heap)
+    while heap:
+        k = heapq.heappop(heap)[1]
+        c = h.pop(k, 0)
+        if not c:
+            continue
+        for lk, inv, tail, q in steps:
+            if groebner._divides(lk, k, guards):
+                break
+        else:
+            rem[k] = c
+            continue
+        factor = (c * inv) % p
+        qk = k - lk
+        q[qk] = factor
+        for fk, fc in tail:
+            te = fk + qk
+            v = (h.get(te, 0) - factor * fc) % p
+            if not v:
+                h.pop(te, None)
+                continue
+            if te not in h:
+                heapq.heappush(heap, (-(te % groebner._MASK), te))
+            h[te] = v
+    return [s[3] for s in steps], rem
 
 
 def divide_single_early_exit(g, f, p):

@@ -198,6 +198,21 @@ def test_huge_spread_refused_quickly(tmp_path, capsys):
         f"{MAX_SPREAD}")
 
 
+def test_digit_outside_ascii_refused_with_its_slot(tmp_path, capsys):
+    # str.isdigit accepts a superscript two, which int() then rejected
+    # as a bare ValueError naming no generator or slot.
+    path = tmp_path / "superscript.json"
+    path.write_text(json.dumps({
+        "prime": 3, "qudits_per_site": 1, "dims": 1,
+        "generators": [{"x": ["1"], "z": ["x^\u00b2"]}],
+    }))
+    code, payload, _ = run(capsys, "check", "--spec", str(path))
+    assert code == 2
+    assert payload["error_kind"] == "SpecFormatError"
+    assert payload["error"] == (
+        "generator 0, z[0]: expected integer (at position 2)")
+
+
 @pytest.mark.parametrize("qudits, generators, error", [
     # The 2q x 2q symplectic form alone would have 4 * 10^18 entries.
     (10**9, 0, f"1000000000 qudits per site exceed the supported bound "

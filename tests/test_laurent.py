@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import invsub.groebner as groebner
 import invsub.laurent as laurent
@@ -46,6 +46,7 @@ from helpers import (
     divides_by_clearing,
     ideal_contains,
     mat,
+    parse_poly_scanning,
     tuple_add,
     tuple_dot,
     tuple_term_mul,
@@ -204,6 +205,67 @@ def test_parse_errors_carry_positions():
         parse_poly("x ^", 3, 2)
     with pytest.raises(PolyParseError):
         parse_poly("x + ", 3, 2)
+    # Digits outside 0-9: a superscript two, an Arabic-Indic three and a
+    # vulgar half are no numbers, as a coefficient or as a power.
+    for text, message in [
+        ("x^\u00b2", "expected integer (at position 2)"),
+        ("x*\u0663 + 1", "expected coefficient or variable (at position 2)"),
+        ("\u0663*x", "expected coefficient or variable (at position 0)"),
+        ("x^-\u00bd", "expected integer (at position 3)"),
+        ("x + \u00bd", "unknown variable '\u00bd' (at position 4)"),
+    ]:
+        with pytest.raises(PolyParseError) as ei:
+            parse_poly(text, 3, 2)
+        assert str(ei.value) == message
+
+
+def _read(parse, text, p, nvars):
+    """The polynomial parse reads, or its PolyParseError's message and
+    position."""
+    try:
+        return parse(text, p, nvars)
+    except PolyParseError as exc:
+        return str(exc), exc.position
+
+
+# Tokens that reach every branch of the reader: names known and unknown,
+# the operators, whitespace str.isspace accepts (0x1c-0x1f among it),
+# junk, and the exponents either side of MAX_EXPONENT.
+_ASCII_TOKENS = (["x", "y", "z", "x1", "x2", "x3", "x4", "^", "^-", "*", "+",
+                  "-", " ", "\t", "\x1c", "w", "_", "(", ".", "X"]
+                 + list("0123456789") + ["2147483647", "2147483648"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_ASCII_TOKENS), max_size=16),
+       st.sampled_from((2, 3, 5)), st.integers(0, 4))
+@example(["x", "^-"], 3, 1)
+@example(["x", "^-", "+", "1"], 3, 1)
+@example(["x", "^", " ", "2"], 3, 1)
+@example(["-", " ", "x", "^-", "2147483647", "*", "x", "^-", "1"], 3, 1)
+@example(["2", "x"], 3, 1)
+@example(["+", "x"], 3, 1)
+def test_reader_equals_the_scanner_on_ascii(tokens, p, nvars):
+    text = "".join(tokens)
+    assert _read(parse_poly, text, p, nvars) == _read(
+        parse_poly_scanning, text, p, nvars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_ASCII_TOKENS + [
+    "\u00b2", "\u0663", "\u00bd", "\u00e9", "\u00a0", "\u2003"]),
+    max_size=16), st.sampled_from((2, 3, 5)), st.integers(0, 4))
+def test_reader_refuses_non_ascii_with_a_position(tokens, p, nvars):
+    # Only whitespace outside ASCII is read, as whitespace; every other
+    # character outside ASCII is refused with a position.
+    text = "".join(tokens)
+    got = _read(parse_poly, text, p, nvars)
+    if isinstance(got, LaurentPoly):
+        assert all(c.isascii() or c.isspace() for c in text)
+        ascii_text = "".join(c if c.isascii() else " " for c in text)
+        assert got == parse_poly_scanning(ascii_text, p, nvars)
+    else:
+        assert 0 <= got[1] <= len(text)
 
 
 def test_zero_never_prints_empty():

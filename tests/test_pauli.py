@@ -97,7 +97,6 @@ def test_remark_form_detection():
 def test_check_invertible_z3():
     cert = check_invertible(z3_spec())
     assert cert.invertible
-    assert cert.xi_invertible
     assert cert.projector_available
     assert cert.profile.rank == 2
     assert cert.profile.ideal.generator_strings() == ["1"]
@@ -127,7 +126,7 @@ def test_criterion_passes_with_singular_xi():
     cert = check_invertible(spec)
     assert not cert.invertible
     assert cert.profile.rank == 0
-    assert not cert.xi_invertible
+    assert not cert.projector_available
     with pytest.raises(NotInvertibleError):
         build_projector(spec)
     # Repeating a generator of the invertible example keeps the algebra
@@ -138,7 +137,7 @@ def test_criterion_passes_with_singular_xi():
     cert = check_invertible(spec)
     assert cert.invertible
     assert cert.profile.rank == 2
-    assert not cert.xi_invertible
+    assert not cert.projector_available
     with pytest.raises(ProjectorUnavailableError):
         build_projector(spec)
 
@@ -303,7 +302,7 @@ def test_projector_refusal_kinds(spec, kind):
     # A singular Xi sends build_projector to check_invertible, whose
     # verdict names the refusal exactly as before Xi was inverted first.
     cert = check_invertible(spec)
-    assert not cert.xi_invertible
+    assert not cert.projector_available
     assert cert.invertible == (kind is ProjectorUnavailableError)
     with pytest.raises(kind) as exc:
         build_projector(spec)
@@ -387,7 +386,7 @@ def _certificate_specs():
 def test_certificate_determinant_and_generator_rank(spec):
     cert = check_invertible(spec)
     assert cert.determinant == determinant(cert.xi)
-    assert cert.xi_invertible == cert.determinant.is_monomial()
+    assert cert.projector_available == cert.determinant.is_monomial()
     assert cert.generator_rank <= spec.n_generators
     assert cert.profile.rank <= cert.generator_rank
 
@@ -412,10 +411,10 @@ def _presentations(draw):
 @settings(max_examples=150, deadline=None)
 @given(_presentations())
 def test_unit_determinant_implies_the_verdict(spec):
-    # What lets projector_available read xi_invertible alone: a unit
+    # What lets projector_available read det Xi alone: a unit
     # det Xi forces rank Xi = rank V = n and the unit ideal.
     cert = check_invertible(spec)
-    assert not cert.xi_invertible or cert.invertible
+    assert not cert.projector_available or cert.invertible
 
 
 def test_repeated_columns_check_is_fast():
@@ -427,7 +426,7 @@ def test_repeated_columns_check_is_fast():
     assert perf_counter() - start < 2.0
     assert cert.invertible
     assert (cert.profile.rank, cert.generator_rank) == (6, 6)
-    assert not cert.xi_invertible
+    assert not cert.projector_available
     assert cert.determinant.is_zero()
 
 
