@@ -18,8 +18,10 @@ stopping at the first quotient term outside the box of exponents every
 true quotient lies in.  Ranks, determinants, minors, inverses and the
 determinantal profile all come from one fraction-free (Bareiss)
 elimination with back substitution (_eliminate), which skips every
-product with a zero operand; the profile counts the minors it needs
-first and refuses more than MAX_MINORS.
+product with a zero operand.  The profile counts the minors it needs
+first and refuses more than MAX_MINORS; its screens build each minor
+from their own smaller ones (a Laplace expansion and one exact
+division), with no elimination of their own.
 
 Whether an ideal is the whole ring is read off its generators when one
 of them is a monomial (a unit) or it has only one; otherwise it is
@@ -342,6 +344,13 @@ def parse_poly(text: str, p: int, nvars: int) -> LaurentPoly:
     surround the signs, the '*' and each factor.  Raises PolyParseError
     with a character position on bad input, an exponent outside
     +-groebner.MAX_EXPONENT included."""
+    return _poly_reader(p, nvars)(text)
+
+
+def _poly_reader(p: int, nvars: int):
+    """parse_poly for one ring, as a function of the text alone: the
+    prime is checked and the table of variable names built once, for
+    every polynomial of a document."""
     if not _is_prime(p):
         raise ValueError(f"coefficient modulus {p} is not prime")
     if nvars < 0:
@@ -349,52 +358,56 @@ def parse_poly(text: str, p: int, nvars: int) -> LaurentPoly:
     names = {n: i for i, n in enumerate(var_names(nvars))}
     for i in range(nvars):
         names[f"x{i + 1}"] = i
-    terms: dict[tuple[int, ...], int] = {}
-    pos = _SPACE.match(text).end()
-    if pos == len(text):
-        raise PolyParseError("empty polynomial", pos)
-    sign = 1
-    if text[pos] == "-":
-        sign = -1
-        pos = _SPACE.match(text, pos + 1).end()
-    coeff, exps = 1, [0] * nvars
-    while True:
-        if m := _COEFFICIENT.match(text, pos):
-            coeff = coeff * int(m[0]) % p
-        elif m := _NAME.match(text, pos):
-            name = m[0]
-            if name not in names:
-                raise PolyParseError(f"unknown variable {name!r}", pos)
-            power = 1
-            if text.startswith("^", m.end()):
-                at = m.end() + 1
-                m = _POWER.match(text, at)
-                if not m:
-                    # Past a '-', the digits are what is missing.
-                    raise PolyParseError("expected integer",
-                                         at + text.startswith("-", at))
-                power = int(m[0])
-            i = names[name]
-            exps[i] += power
-            if abs(exps[i]) > MAX_EXPONENT:
-                raise PolyParseError(
-                    f"exponent of {name} outside the supported range "
-                    f"+-{MAX_EXPONENT}", pos)
-        else:
-            raise PolyParseError("expected coefficient or variable", pos)
-        pos = _SPACE.match(text, m.end()).end()
-        if text.startswith("*", pos):
-            pos = _SPACE.match(text, pos + 1).end()
-            continue
-        key = tuple(exps)
-        terms[key] = (terms.get(key, 0) + sign * coeff) % p
+
+    def read(text: str) -> LaurentPoly:
+        terms: dict[tuple[int, ...], int] = {}
+        pos = _SPACE.match(text).end()
         if pos == len(text):
-            return LaurentPoly(p, nvars, terms)
-        if text[pos] not in "+-":
-            raise PolyParseError(f"expected '+' or '-', got {text[pos]!r}", pos)
-        sign = 1 if text[pos] == "+" else -1
-        pos = _SPACE.match(text, pos + 1).end()
+            raise PolyParseError("empty polynomial", pos)
+        sign = 1
+        if text[pos] == "-":
+            sign = -1
+            pos = _SPACE.match(text, pos + 1).end()
         coeff, exps = 1, [0] * nvars
+        while True:
+            if m := _COEFFICIENT.match(text, pos):
+                coeff = coeff * int(m[0]) % p
+            elif m := _NAME.match(text, pos):
+                name = m[0]
+                if name not in names:
+                    raise PolyParseError(f"unknown variable {name!r}", pos)
+                power = 1
+                if text.startswith("^", m.end()):
+                    at = m.end() + 1
+                    m = _POWER.match(text, at)
+                    if not m:
+                        # Past a '-', the digits are what is missing.
+                        raise PolyParseError("expected integer",
+                                             at + text.startswith("-", at))
+                    power = int(m[0])
+                i = names[name]
+                exps[i] += power
+                if abs(exps[i]) > MAX_EXPONENT:
+                    raise PolyParseError(
+                        f"exponent of {name} outside the supported range "
+                        f"+-{MAX_EXPONENT}", pos)
+            else:
+                raise PolyParseError("expected coefficient or variable", pos)
+            pos = _SPACE.match(text, m.end()).end()
+            if text.startswith("*", pos):
+                pos = _SPACE.match(text, pos + 1).end()
+                continue
+            key = tuple(exps)
+            terms[key] = (terms.get(key, 0) + sign * coeff) % p
+            if pos == len(text):
+                return LaurentPoly(p, nvars, terms)
+            if text[pos] not in "+-":
+                raise PolyParseError(f"expected '+' or '-', got {text[pos]!r}", pos)
+            sign = 1 if text[pos] == "+" else -1
+            pos = _SPACE.match(text, pos + 1).end()
+            coeff, exps = 1, [0] * nvars
+
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -724,9 +737,10 @@ def matrix_rank(m: LaurentMatrix) -> int:
 
 # The most minors determinantal_profile will compute: the row and column
 # screens plus the surviving pairs.  On redundant presentations of the
-# qutrit example each costs 0.01-0.02 ms (one Xeon core): the largest
-# count among builtin, test and benchmark specs is 5944 (q=6, 12
-# generators, rank 6; 0.13 s); 56666 took 1.0 s and 568569 took 7.1 s.
+# qutrit example (library, 2-core Xeon VM) the largest count among
+# builtin, test and benchmark specs, 5944 (q=6, 12 generators, rank 6),
+# takes 10-20 ms; 56666 took 35-40 ms and 568569 took 0.13-0.14 s.  The
+# bound was set when these took 0.13 s, 1.0 s and 7.1 s, and is kept.
 MAX_MINORS = 20_000
 
 
@@ -759,23 +773,43 @@ def _column_screen(ncols: int, cols, d, sign, coords) -> dict:
     """The nonzero det m[R0, C], R0 the sorted pivot rows, for the
     r-subsets C of the ncols columns in lexicographic order, from
     _eliminate(m).  With S = C minus the pivot columns and K the pivot
-    positions of the columns not in C, det m[R0, C] = +-det E[K, S] /
-    d'^(|S|-1) (Sylvester's identity), signed by sign and the parity of
-    C's pivot positions, each column of S taking the next one of K."""
+    positions of the columns not in C, det m[R0, C] = +-N(K, S) with
+    N(K, S) = det E[K, S] / d'^(|S|-1) (Sylvester's identity), signed by
+    sign and the parity of C's pivot positions, each column of S taking
+    the next one of K.  N(0, 0) = d', N({k}, {j}) = E[k][j], and past
+    that, expanding along S's first column s0, N(K, S) = sum_i (-1)^i
+    E[k_i][s0] N(K - k_i, S - s0) / d': one product kernel call over the
+    pairs with no zero operand and one exact division.  N(K - k_i, S -
+    s0) is the screen's value at C - s0 + c_{k_i}, which comes before C
+    exactly when c_{k_i} < s0; in echelon form E[k][j] = 0 when c_k > j,
+    so one lexicographic pass has every value it reads at hand."""
+    p, nvars = d.p, d.nvars
     position = {c: k for k, c in enumerate(cols)}
+    zero = _trusted(p, nvars, {}, 0)
+    # -E[k][j], for the odd terms of each expansion.
+    neg = {j: [-e for e in col] for j, col in coords.items()}
+    value = {}
     out = {}
     for subset in itertools.combinations(range(ncols), len(cols)):
-        free = [j for j in subset if j not in position]
-        gone = [k for k, c in enumerate(cols) if c not in subset]
-        nxt = iter(gone)
-        sigma = [position[j] if j in position else next(nxt) for j in subset]
-        block = [[coords[j][k] for j in free] for k in gone]
+        free = tuple(j for j in subset if j not in position)
+        gone = tuple(k for k, c in enumerate(cols) if c not in subset)
         if len(free) < 2:
-            f = block[0][0] if free else d
+            f = coords[free[0]][gone[0]] if free else d
         else:
-            det = _determinant(LaurentMatrix(d.p, d.nvars, block))
-            f = _exact_quotient(det, d ** (len(free) - 1))
+            s0, rest = free[0], free[1:]
+            pairs = []
+            for i, k in enumerate(gone):
+                e = (neg if i % 2 else coords)[s0][k]
+                if e.packed:
+                    assert cols[k] < s0, "E is not in echelon form"
+                    g = value[gone[:i] + gone[i + 1:], rest]
+                    if g.packed:
+                        pairs.append((e, g))
+            f = _exact_quotient(_dot(pairs, p, nvars), d) if pairs else zero
+        value[gone, free] = f
         if f.packed:
+            nxt = iter(gone)
+            sigma = [position[j] if j in position else next(nxt) for j in subset]
             out[subset] = f.scale(sign * _parity(sigma))
     return out
 

@@ -16,8 +16,8 @@ from .laurent import (
     LaurentMatrix,
     PolyParseError,
     _is_prime,
+    _poly_reader,
     format_poly,
-    parse_poly,
 )
 from .pauli import SubalgebraSpec
 
@@ -119,6 +119,7 @@ def parse_spec(text: str) -> SubalgebraSpec:
         raise SpecFormatError(
             f"{len(gens)} generators exceed the supported bound {MAX_GENERATORS}"
         )
+    read = _poly_reader(p, dims)
     columns: list[list] = []
     for gi, gen in enumerate(gens):
         where = f"generator {gi}"
@@ -139,7 +140,7 @@ def parse_spec(text: str) -> SubalgebraSpec:
                         f"{where}, {half}[{si}]: expected a string"
                     )
                 try:
-                    poly = parse_poly(s, p, dims)
+                    poly = read(s)
                 except PolyParseError as exc:
                     raise SpecFormatError(
                         f"{where}, {half}[{si}]: {exc}"

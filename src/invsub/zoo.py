@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .laurent import LaurentMatrix, LaurentPoly, parse_poly
+from .laurent import LaurentMatrix, LaurentPoly, _poly_reader
 from .pauli import SubalgebraSpec, from_antihermitian
 
 
 def _mat(p: int, nvars: int, rows) -> LaurentMatrix:
-    return LaurentMatrix(
-        p, nvars, [[parse_poly(s, p, nvars) for s in row] for row in rows]
-    )
+    read = _poly_reader(p, nvars)
+    return LaurentMatrix(p, nvars, [[read(s) for s in row] for row in rows])
 
 
 class ZooEntry(NamedTuple):

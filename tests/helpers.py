@@ -44,8 +44,11 @@ from invsub.laurent import (
     LaurentMatrix,
     LaurentPoly,
     PolyParseError,
+    _determinant,
+    _exact_quotient,
     _is_prime,
     _localized,
+    _parity,
     parse_poly,
     var_names,
 )
@@ -338,6 +341,31 @@ def determinantal_profile_every_minor(m):
             return DeterminantalProfile(k, ideal, ideal.is_unit())
     ideal = IdealDescription(m.p, m.nvars, [LaurentPoly.one(m.p, m.nvars)])
     return DeterminantalProfile(0, ideal, True)
+
+
+def column_screen_by_blocks(ncols: int, cols, d, sign, coords) -> dict:
+    """laurent._column_screen as it was before its recursion: the nonzero
+    det m[R0, C], R0 the sorted pivot rows, for the r-subsets C of the
+    ncols columns in lexicographic order, from _eliminate(m).  With S = C minus the pivot columns and K the pivot
+    positions of the columns not in C, det m[R0, C] = +-det E[K, S] /
+    d'^(|S|-1) (Sylvester's identity), signed by sign and the parity of
+    C's pivot positions, each column of S taking the next one of K."""
+    position = {c: k for k, c in enumerate(cols)}
+    out = {}
+    for subset in itertools.combinations(range(ncols), len(cols)):
+        free = [j for j in subset if j not in position]
+        gone = [k for k, c in enumerate(cols) if c not in subset]
+        nxt = iter(gone)
+        sigma = [position[j] if j in position else next(nxt) for j in subset]
+        block = [[coords[j][k] for j in free] for k in gone]
+        if len(free) < 2:
+            f = block[0][0] if free else d
+        else:
+            det = _determinant(LaurentMatrix(d.p, d.nvars, block))
+            f = _exact_quotient(det, d ** (len(free) - 1))
+        if f.packed:
+            out[subset] = f.scale(sign * _parity(sigma))
+    return out
 
 
 def ideal_contains(ideal, f):

@@ -42,6 +42,7 @@ from helpers import (
     cofactor_det,
     cofactor_inverse,
     cofactor_minors,
+    column_screen_by_blocks,
     determinantal_profile_every_minor,
     divides_by_clearing,
     ideal_contains,
@@ -673,6 +674,99 @@ def test_oversized_minor_count_refused_after_the_screens():
     m = LaurentMatrix(3, 1, [[one] * 150 for _ in range(150)])
     with pytest.raises(MinorCountError, match="needs 22800 minors"):
         determinantal_profile(m)
+
+
+# ---------------------------------------------------------------------------
+# the screens' Laplace recursion against a determinant per subset
+# ---------------------------------------------------------------------------
+
+
+def _same_screens(m):
+    """The column screens of m and of its transpose, by the recursion and
+    by the block determinants: equal dicts, keys in the same order.
+    Returns the recursion's column screen of m."""
+    for a in (m, m.transpose()):
+        el = laurent._eliminate(a)
+        got = laurent._column_screen(a.cols, *el[1:])
+        want = column_screen_by_blocks(a.cols, *el[1:])
+        assert got == want
+        assert list(got) == list(want)
+    return laurent._column_screen(m.cols, *laurent._eliminate(m)[1:])
+
+
+@st.composite
+def _rank_deficient_products(draw):
+    """A @ B over F_p (p in {2, 3, 5}) in 0 to 2 variables, with inner
+    dimension k = 1 to 4 and both outer dimensions above k, entries of
+    up to two terms with exponents in [-1, 1]."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    nvars = draw(st.sampled_from((0, 1, 2)))
+    k = draw(st.integers(1, 4))
+    rows, cols = draw(st.integers(k + 1, k + 2)), draw(st.integers(k + 1, k + 2))
+    entry = st.dictionaries(st.tuples(*[st.integers(-1, 1)] * nvars),
+                            st.integers(0, p - 1), max_size=2).map(
+        lambda d: LaurentPoly(p, nvars, d))
+
+    def matrix(n, m):
+        return LaurentMatrix(p, nvars, [[draw(entry) for _ in range(m)]
+                                        for _ in range(n)])
+
+    return matrix(rows, k) @ matrix(k, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rank_deficient_products())
+def test_recursive_screens_equal_the_block_determinants(m):
+    _same_screens(m)
+
+
+def test_screens_of_a_redundant_presentation_reach_six_free_columns():
+    # Xi is 12 x 12 of rank 6, its last six columns repeating the first
+    # six: the subset of the six free columns is expanded down to |S| = 1.
+    spec = with_repeated_columns(z3_tensor(3), 6)
+    xi = commutation_matrix(spec)
+    _, cols, *_ = laurent._eliminate(xi)
+    free = tuple(j for j in range(xi.cols) if j not in cols)
+    assert len(free) == 6
+    assert free in _same_screens(xi)
+    _same_screens(spec.generators)
+
+
+def test_screen_takes_no_determinant_power_or_elimination(monkeypatch):
+    xi = commutation_matrix(with_repeated_columns(z3_tensor(2), 4))
+    el = laurent._eliminate(xi)
+    want = column_screen_by_blocks(xi.cols, *el[1:])
+    _, cols, d, _, _ = el
+
+    def refuse(*args):
+        raise AssertionError("the screen eliminated or took a power")
+
+    divisors = []
+
+    def dividing(num, den):
+        divisors.append(den)
+        return _exact_quotient(num, den)
+
+    monkeypatch.setattr(laurent, "_eliminate", refuse)
+    monkeypatch.setattr(laurent, "_determinant", refuse)
+    monkeypatch.setattr(LaurentPoly, "__pow__", refuse)
+    monkeypatch.setattr(laurent, "_exact_quotient", dividing)
+    calls = _count_products(monkeypatch)
+    got = laurent._column_screen(xi.cols, *el[1:])
+    assert got == want and list(got) == list(want)
+    assert calls and all(a and b for pairs in calls for a, b in pairs)
+    # At most one division, by d', per subset with two or more free columns.
+    many = sum(sum(j not in cols for j in c) >= 2
+               for c in itertools.combinations(range(xi.cols), len(cols)))
+    assert 0 < len(divisors) <= many
+    assert all(den is d for den in divisors)
+
+
+def test_screen_with_a_wrong_last_pivot_raises():
+    xi = commutation_matrix(with_repeated_columns(z3_tensor(2), 4))
+    _, cols, d, sign, coords = laurent._eliminate(xi)
+    with pytest.raises(ArithmeticError):
+        laurent._column_screen(xi.cols, cols, d * f3("1 + x + y"), sign, coords)
 
 
 # ---------------------------------------------------------------------------

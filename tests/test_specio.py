@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import invsub.laurent as laurent
 from invsub.specio import (
     MAX_DIMS,
     MAX_GENERATORS,
@@ -36,6 +37,19 @@ def test_parse_handwritten_document():
         "generators": [{"x": ["1"], "z": ["x"]}],
     })
     assert parse_spec(doc) == xz_chain_spec()
+
+
+def test_one_reader_per_document(monkeypatch):
+    # The variable names are listed once for the whole document, not
+    # once for each of its 8 polynomials.
+    spec = get_example("example-z3").spec
+    text = spec_to_json(spec)
+    listed = []
+    var_names = laurent.var_names
+    monkeypatch.setattr(laurent, "var_names",
+                        lambda n: listed.append(n) or var_names(n))
+    assert parse_spec(text) == spec
+    assert listed == [spec.dims]
 
 
 def test_rejects_non_prime_modulus():
