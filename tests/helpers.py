@@ -346,10 +346,12 @@ def determinantal_profile_every_minor(m):
 def column_screen_by_blocks(ncols: int, cols, d, sign, coords) -> dict:
     """laurent._column_screen as it was before its recursion: the nonzero
     det m[R0, C], R0 the sorted pivot rows, for the r-subsets C of the
-    ncols columns in lexicographic order, from _eliminate(m).  With S = C minus the pivot columns and K the pivot
-    positions of the columns not in C, det m[R0, C] = +-det E[K, S] /
-    d'^(|S|-1) (Sylvester's identity), signed by sign and the parity of
-    C's pivot positions, each column of S taking the next one of K."""
+    ncols columns in lexicographic order, from _eliminate(m).  With S =
+    C minus the pivot columns and K the pivot positions of the columns
+    not in C, det m[R0, C] = +-det E[K, S] / d'^(|S|-1) (Sylvester's
+    identity), each a determinant of its own, signed by sign and the
+    parity of C's pivot positions, each column of S taking the next one
+    of K."""
     position = {c: k for k, c in enumerate(cols)}
     out = {}
     for subset in itertools.combinations(range(ncols), len(cols)):
